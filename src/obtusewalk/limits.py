@@ -26,7 +26,7 @@ from .errors import (
 )
 from .obtuse import DEFAULT_TOL, Tensor3, check_symmetries
 from .takagi import takagi
-from .tensor import diagonalize
+from .tensor import _fixed_points
 
 # successive extrapolation differences must shrink at least this fast; the
 # exact asymptotic ratio on the default quarter grid is 2 for sqrt(h)
@@ -69,7 +69,10 @@ class TensorFamily:
     @classmethod
     def from_samples(cls, steps, tensors) -> "TensorFamily":
         steps = tuple(float(h) for h in steps)
-        table = {h: t for h, t in zip(steps, tensors)}
+        tensors = list(tensors)
+        if len(tensors) != len(steps):
+            raise DimensionMismatch(f"{len(steps)} sample steps but {len(tensors)} tensors")
+        table = dict(zip(steps, tensors))
         if len(table) != len(steps):
             raise DimensionMismatch("duplicate sample steps")
         return cls(tensor_at=table.__getitem__, steps=steps)
@@ -82,39 +85,42 @@ class TensorFamily:
         return [self.tensor_at(h) for h in self.steps]
 
 
-def _extrapolate(values: np.ndarray, ratio: float, scale: float):
-    """Limit of a sequence sampled on a geometric grid of steps.
+def _extrapolate(seqs: np.ndarray, ratio: float, scale: float):
+    """Limits of sequences sampled on a geometric grid of steps.
 
-    Assumes corrections in powers of sqrt(h): on a grid with step ratio
-    ``ratio`` the m-th correction decays by ratio^{m/2} per sample, and is
-    eliminated by one Richardson stage each.  Returns ``(limit, ok, worst)``
-    where ``ok`` reports the successive-difference diagnostic and ``worst``
-    the worst observed shrink ratio.
+    Axis 0 of ``seqs`` runs over the samples, the other axes over the
+    sequences.  Assumes corrections in powers of sqrt(h): on a grid with
+    step ratio ``ratio`` the m-th correction decays by ratio^{m/2} per
+    sample, and is eliminated by one Richardson stage each.  Returns
+    ``(limits, failed, shrink)`` per sequence: whether the successive-
+    difference diagnostic failed, and the largest shrink ratio b/a seen.
     """
     floor = 1e-11 * max(scale, 1.0)
-    diffs = np.abs(np.diff(values))
-    worst = 0.0
-    ok = True
-    for a, b in zip(diffs, diffs[1:]):
-        if b <= floor:
-            continue
-        if a <= floor or b > a / _SHRINK_FACTOR:
-            ok = False
-            worst = max(worst, b / max(a, floor))
-    if np.all(diffs <= floor):
-        return complex(values[-1]), True, 0.0
-    table = np.array(values, dtype=complex)
-    level = 1
-    while len(table) > 1:
+    diffs = np.abs(np.diff(seqs, axis=0))
+    a, b = diffs[:-1], diffs[1:]
+    above = b > floor
+    failed = np.any(above & ((a <= floor) | (b > a / _SHRINK_FACTOR)), axis=0)
+    shrink = np.max(np.where(above, b / np.maximum(a, floor), 0.0), axis=0)
+    table = seqs
+    for level in range(1, len(seqs)):
         q = ratio ** (level / 2.0)
         table = (table[1:] - q * table[:-1]) / (1.0 - q)
-        level += 1
-    return complex(table[0]), ok, worst
+    settled = np.all(diffs <= floor, axis=0)
+    return np.where(settled, seqs[-1], table[0]), failed, shrink
+
+
+def _first_entry(mask: np.ndarray) -> tuple:
+    """First (i, j, k) in index order where ``mask`` over i, j >= 1 holds."""
+    return tuple(int(x) for x in np.argwhere(mask)[0] + (1, 1, 0))
 
 
 @dataclass(frozen=True)
 class LimitTensorResult:
-    """Extrapolated limit tensor plus convergence diagnostics."""
+    """Extrapolated limit tensor plus convergence diagnostics.
+
+    ``worst_ratio`` is the largest shrink ratio of successive differences
+    over all entries and ``worst_entry`` the first entry reaching it.
+    """
 
     tensor: Tensor3
     lambda_matrix: np.ndarray
@@ -130,14 +136,19 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     zero by the rescaling exponents and is asserted, not estimated.  Raises
     ``NoApparentLimit`` when successive differences of some entry stop
     shrinking, and ``NotDoublySymmetric`` if a sample violates the tensor
-    symmetries.
+    symmetries.  A sample object repeated across steps (a constant family)
+    is swept once.
     """
     steps = np.array(family.steps)
     samples = family.sample()
     d = samples[0].dim
+    swept = set()
     for h, s in zip(steps, samples):
         if s.dim != d or not s.has_constant:
             raise DimensionMismatch("family samples have inconsistent shape")
+        if id(s) in swept:
+            continue
+        swept.add(id(s))
         rep = check_symmetries(s, tol=max(tol, 1e-8))
         if not rep.ok:
             raise NotDoublySymmetric(
@@ -148,32 +159,19 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
 
     stack = np.stack([s.entries for s in samples])  # (n_samples, d, d, d)
     scale = float(np.max(np.abs(stack)))
+    # (n_samples, N, N, N + 1): S^{ij}_0 and sqrt(h) S^{ij}_k over i, j >= 1
+    seqs = stack[:, 1:, 1:, :].copy()
+    seqs[..., 1:] *= np.sqrt(steps)[:, None, None, None]
+    lims, failed, shrink = _extrapolate(seqs, ratio, scale)
+    if np.any(failed):
+        entry = _first_entry(failed)
+        raise NoApparentLimit(
+            "entry ({},{},{}) shows no convergent trend".format(*entry), entry=entry
+        )
+    worst_ratio = float(np.max(shrink, initial=0.0))
+    worst_entry = _first_entry(shrink == worst_ratio) if worst_ratio > 0.0 else None
     entries = np.zeros((d, d, d), dtype=complex)
-    worst_ratio = 0.0
-    worst_entry = None
-    for i in range(1, d):
-        for j in range(1, d):
-            seq = stack[:, i, j, 0]
-            lim, ok, ratio_seen = _extrapolate(seq, ratio, scale)
-            if not ok:
-                raise NoApparentLimit(
-                    f"entry ({i},{j},0) shows no convergent trend", entry=(i, j, 0)
-                )
-            entries[i, j, 0] = lim
-            if ratio_seen > worst_ratio:
-                worst_ratio, worst_entry = ratio_seen, (i, j, 0)
-            for k in range(1, d):
-                seq = np.sqrt(steps) * stack[:, i, j, k]
-                lim, ok, ratio_seen = _extrapolate(seq, ratio, scale)
-                if not ok:
-                    raise NoApparentLimit(
-                        f"entry ({i},{j},{k}) shows no convergent trend",
-                        entry=(i, j, k),
-                    )
-                entries[i, j, k] = lim
-                if ratio_seen > worst_ratio:
-                    worst_ratio, worst_entry = ratio_seen, (i, j, k)
-
+    entries[1:, 1:, :] = lims
     tensor = Tensor3(entries=entries, has_constant=True)
     return LimitTensorResult(
         tensor=tensor,
@@ -262,7 +260,8 @@ class LimitSpec:
     ``poisson_dirs[m]`` jumps with rate ``intensities[m] = 1/|v|^2``;
     ``brownian_basis`` spans (orthonormally) the subspace carrying the
     Brownian part; ``v_matrix`` is a unitary with V V^T = Lambda rotating a
-    real picture onto the complex one.
+    real picture onto the complex one.  ``structure`` is the structure
+    report ``classify`` checked the limit tensor against.
     """
 
     dim: int
@@ -272,6 +271,7 @@ class LimitSpec:
     poisson_dirs: np.ndarray  # (K, N)
     intensities: np.ndarray  # (K,)
     brownian_basis: np.ndarray  # (N - K, N)
+    structure: LimitSymmetryReport | None = None
 
     @property
     def n_poisson(self) -> int:
@@ -310,6 +310,8 @@ def classify(m, tol: float = DEFAULT_TOL, seed: int = 0) -> LimitSpec:
     from a Takagi factorization of Lambda.  The real pre-images V* v of the
     jump directions must be real vectors; their real orthocomplement, pushed
     forward by V, spans the Brownian part.  Dimensions always add up to N.
+    The structure report's sweep of the inner tensor also gates the
+    diagonalization.
     """
     inner, lam = _split_limit(m)
     n = inner.shape[0]
@@ -318,9 +320,11 @@ def classify(m, tol: float = DEFAULT_TOL, seed: int = 0) -> LimitSpec:
         raise StructureViolation(
             f"limit tensor fails structure relations: {report.residuals()}"
         )
+    sym = {"sym1": report.sym1, "sym2": report.sym2, "sym3": report.sym3}
+    if max(sym.values()) > tol:
+        raise NotDoublySymmetric(f"tensor is not doubly symmetric: residuals {sym}")
     inner_t = Tensor3(inner, has_constant=False)
-    diag = diagonalize(inner_t, tol=tol, seed=seed)
-    dirs = diag.vectors
+    dirs = _fixed_points(inner_t, tol, seed).vectors
     if len(dirs) > n:
         raise InconsistentCount(f"{len(dirs)} jump directions in dimension {n}")
 
@@ -354,6 +358,7 @@ def classify(m, tol: float = DEFAULT_TOL, seed: int = 0) -> LimitSpec:
                 poisson_dirs=dirs,
                 intensities=intensities,
                 brownian_basis=brownian,
+                structure=report,
             )
         last_imag = imag
     raise InconsistentCount(

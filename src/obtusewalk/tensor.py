@@ -54,11 +54,6 @@ class DiagResult:
         return 1.0 / np.sum(np.abs(self.vectors) ** 2, axis=1)
 
 
-def apply_tensor(tensor: Tensor3, x) -> np.ndarray:
-    """(S(x))^{ij} = sum_k S^{ij}_k x^k."""
-    return tensor.apply(x)
-
-
 def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_TOL) -> Tensor3:
     """Build sum_m v_m (x) v_m <v_m, .> / |v_m|^2 from an orthogonal family.
 
@@ -102,9 +97,13 @@ def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0) -> Dia
         raise NotDoublySymmetric(
             f"tensor is not doubly symmetric: residuals {report.residuals()}"
         )
-    s = tensor.entries
+    return _fixed_points(tensor, tol, seed)
+
+
+def _fixed_points(tensor: Tensor3, tol: float, seed: int) -> DiagResult:
+    """``diagonalize`` on a tensor already known to be doubly symmetric."""
     d = tensor.dim
-    scale = float(np.max(np.abs(s)))
+    scale = float(np.max(np.abs(tensor.entries)))
     if scale <= tol:
         return DiagResult(vectors=np.zeros((0, d), dtype=complex), residual=0.0)
     # directions whose image is this small belong to the null space
@@ -157,9 +156,12 @@ def obtuse_fixed_points(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0
     """
     if not tensor.has_constant:
         raise DimensionMismatch("tensor does not carry a constant coordinate")
-    diag = diagonalize(tensor, tol=tol, seed=seed)
-    n_plus_1 = tensor.dim
-    vecs = diag.vectors
+    return _obtuse_system(diagonalize(tensor, tol=tol, seed=seed).vectors, tol)
+
+
+def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:
+    """Obtuse system from the fixed points of a constant-coordinate tensor."""
+    n_plus_1 = vecs.shape[1]
     if len(vecs) != n_plus_1:
         raise WrongCount(
             f"expected {n_plus_1} fixed points, found {len(vecs)}"
@@ -261,6 +263,7 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0) -> Realifi
     tensor by any such V produces a real doubly-symmetric tensor, and its
     fixed points give a real obtuse system with the original probabilities.
     The returned V is the full (N+1)-dimensional block unitary fixing e_0.
+    The rotation preserves the symmetry relations swept on the input.
     """
     if not tensor.has_constant:
         raise DimensionMismatch("realify expects a constant-coordinate tensor")
@@ -271,13 +274,9 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0) -> Realifi
         )
     d = tensor.dim
     s0 = tensor.entries[:, :, 0]
-    sym_defect = float(np.max(np.abs(s0 - s0.T)))
     uni_defect = float(np.max(np.abs(s0 @ s0.conj().T - np.eye(d))))
-    if sym_defect > max(tol, 1e-8) or uni_defect > max(tol, 1e-8):
-        raise S0NotUnitary(
-            f"time-zero slice not symmetric unitary "
-            f"(symmetry {sym_defect:.3e}, unitarity {uni_defect:.3e})"
-        )
+    if uni_defect > max(tol, 1e-8):
+        raise S0NotUnitary(f"time-zero slice not unitary: defect {uni_defect:.3e}")
 
     inner = s0[1:, 1:]
     v_inner = takagi(inner, tol=max(tol, 1e-10)).unitary
@@ -287,7 +286,7 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0) -> Realifi
     real_t = transform(v.conj().T, tensor, tol=tol)
     if not is_real_tensor(real_t, tol=max(tol, 1e-8)):
         raise NoConvergence("realified tensor failed the real criterion")
-    system = obtuse_fixed_points(real_t, tol=tol, seed=seed)
+    system = _obtuse_system(_fixed_points(real_t, tol, seed).vectors, tol)
     return RealificationResult(v=v, real_tensor=real_t, real_system=system)
 
 

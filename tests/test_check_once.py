@@ -1,0 +1,91 @@
+"""Each public call sweeps a tensor's symmetry relations once.
+
+``check_symmetries`` is the O(d^5) boundary check of the pipeline; the
+internal steps after it trust the tensor it accepted.  A counter wrapped
+around every module binding of the sweep pins the number of sweeps per
+call.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from obtusewalk import (
+    ObtuseRV,
+    TensorFamily,
+    classify,
+    cli,
+    limit_tensor,
+    limits,
+    obtuse,
+    random_system,
+    realify,
+    tensor,
+    tensor_of,
+)
+from obtusewalk.limits import DEFAULT_STEPS
+from conftest import jump_values
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """List that records one entry per ``check_symmetries`` call."""
+    calls = []
+    original = obtuse.check_symmetries
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (obtuse, tensor, limits, cli):
+        monkeypatch.setattr(module, "check_symmetries", counting)
+    return calls
+
+
+def system_doc(values):
+    return {"values": [[{"re": z.real, "im": z.imag} for z in row] for row in values]}
+
+
+@pytest.fixture
+def random_tensor():
+    return tensor_of(ObtuseRV(random_system(3, np.random.default_rng(7))))
+
+
+def test_realify_sweeps_once(sweeps, random_tensor):
+    realify(random_tensor)
+    assert len(sweeps) == 1
+
+
+def test_limit_tensor_sweeps_constant_family_once(sweeps, random_tensor):
+    limit_tensor(TensorFamily.constant(random_tensor))
+    assert len(sweeps) == 1
+
+
+def test_classify_sweeps_once(sweeps, random_tensor):
+    result = limit_tensor(TensorFamily.constant(random_tensor))
+    sweeps.clear()
+    classify(result)
+    assert len(sweeps) == 1
+
+
+def test_cli_limit_on_system_file(sweeps, tmp_path):
+    rng = np.random.default_rng(7)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"system": system_doc(random_system(3, rng).values)}))
+    assert cli.main(["limit", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    # one sweep of the shared sample, one of the limit tensor
+    assert len(sweeps) == 2
+
+
+def test_cli_limit_on_sampled_family(sweeps, tmp_path):
+    doc = {
+        "steps": list(DEFAULT_STEPS),
+        "systems": [system_doc(jump_values(h)) for h in DEFAULT_STEPS],
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    out = str(tmp_path / "out.json")
+    assert cli.main(["limit", str(path), "--tol", "1e-7", "--out", out]) == 0
+    # one sweep per distinct sample, one of the limit tensor
+    assert len(sweeps) == len(DEFAULT_STEPS) + 1

@@ -137,6 +137,8 @@ class TestLimit:
         assert np.max(np.abs(v - JUMP_POISSON_DIR)) <= 1e-7
         assert doc["poisson"][0]["intensity"] == pytest.approx(1.0, abs=1e-7)
         assert len(doc["brownian"]) == 1
+        assert 0.0 < doc["diagnostics"]["worst_difference_ratio"] < 1.0
+        assert max(doc["diagnostics"]["structure_residuals"].values()) <= 1e-8
 
     def test_constant_family_file(self, tmp_path, capsys):
         f = write_json(

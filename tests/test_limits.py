@@ -10,13 +10,20 @@ from obtusewalk import (
     check_limit_symmetries,
     classify,
     diagonalize,
+    haar_unitary,
     limit_tensor,
     random_system,
     rescale_tensor,
     tensor_of,
+    transform,
 )
-from obtusewalk.errors import NoApparentLimit, NonPositiveStep, StructureViolation
-from obtusewalk.limits import DEFAULT_STEPS
+from obtusewalk.errors import (
+    DimensionMismatch,
+    NoApparentLimit,
+    NonPositiveStep,
+    StructureViolation,
+)
+from obtusewalk.limits import _SHRINK_FACTOR, DEFAULT_STEPS
 from conftest import (
     JUMP_LAMBDA,
     JUMP_M1,
@@ -32,6 +39,50 @@ def jump_family():
     return TensorFamily(
         tensor_at=lambda h: tensor_of(jump_rv(h)), steps=DEFAULT_STEPS
     )
+
+
+def oscillating_family(reference_tensor):
+    """Valid tensors rotated by an angle oscillating in h: no limit."""
+
+    def tensor_at(h):
+        theta = np.sin(1.0 / h)
+        return transform(np.diag([np.exp(1j * theta), 1.0]), reference_tensor)
+
+    return TensorFamily(tensor_at=tensor_at, steps=DEFAULT_STEPS)
+
+
+def loop_limit(family):
+    """Per-entry reference for ``limit_tensor``: one scalar Richardson table
+    and shrink gate per entry, in (i, j, k) order.
+
+    Returns ``(entries, worst_ratio, worst_entry)``; raises
+    ``NoApparentLimit`` at the first failing entry.
+    """
+    steps = np.array(family.steps)
+    stack = np.stack([s.entries for s in family.sample()])
+    ratio = float(np.exp(np.mean(np.log(steps[1:] / steps[:-1]))))
+    floor = 1e-11 * max(float(np.max(np.abs(stack))), 1.0)
+    d = stack.shape[1]
+    entries = np.zeros((d, d, d), dtype=complex)
+    worst, worst_entry = 0.0, None
+    for i in range(1, d):
+        for j in range(1, d):
+            for k in range(d):
+                seq = stack[:, i, j, k] if k == 0 else np.sqrt(steps) * stack[:, i, j, k]
+                diffs = np.abs(np.diff(seq))
+                for a, b in zip(diffs, diffs[1:]):
+                    if b <= floor:
+                        continue
+                    if a <= floor or b > a / _SHRINK_FACTOR:
+                        raise NoApparentLimit("no trend", entry=(i, j, k))
+                    if b / a > worst:
+                        worst, worst_entry = b / a, (i, j, k)
+                table = seq
+                for level in range(1, len(seq)):
+                    q = ratio ** (level / 2.0)
+                    table = (table[1:] - q * table[:-1]) / (1.0 - q)
+                entries[i, j, k] = seq[-1] if np.all(diffs <= floor) else table[0]
+    return entries, worst, worst_entry
 
 
 def brownian_limit_tensor(n):
@@ -100,16 +151,54 @@ class TestLimitTensor:
     def test_no_apparent_limit(self, reference_tensor):
         # rotating by an angle oscillating in h keeps every sample a valid
         # tensor but destroys the limit
-        from obtusewalk import transform
+        with pytest.raises(NoApparentLimit) as exc:
+            limit_tensor(oscillating_family(reference_tensor))
+        # the first failing entry in (i, j, k) order
+        assert exc.value.entry == (1, 1, 0)
 
-        def tensor_at(h):
-            theta = np.sin(1.0 / h)
-            u = np.diag([np.exp(1j * theta), 1.0])
-            return transform(u, reference_tensor)
+    def test_worst_ratio_reports_converging_entries(self):
+        result = limit_tensor(jump_family())
+        assert 0.0 < result.worst_ratio < 1.0 / _SHRINK_FACTOR
+        i, j, k = result.worst_entry
+        d = result.tensor.dim
+        assert 1 <= i < d and 1 <= j < d and 0 <= k < d
 
-        family = TensorFamily(tensor_at=tensor_at, steps=DEFAULT_STEPS)
-        with pytest.raises(NoApparentLimit):
-            limit_tensor(family)
+    def test_constant_family_worst_ratio_is_sqrt_step_ratio(self, reference_tensor):
+        # sqrt(h) S^{ij}_k with S fixed shrinks by sqrt(1/4) per quarter step
+        result = limit_tensor(TensorFamily.constant(reference_tensor))
+        assert result.worst_ratio == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["constant", "jump", "rotated-jump", "oscillating"])
+    def test_matches_per_entry_loop(self, reference_tensor, kind):
+        rng = np.random.default_rng(11)
+        if kind == "constant":
+            family = TensorFamily.constant(tensor_of(ObtuseRV(random_system(3, rng))))
+        elif kind == "jump":
+            family = jump_family()
+        elif kind == "rotated-jump":
+            u = haar_unitary(2, rng)
+            family = TensorFamily(
+                tensor_at=lambda h: transform(u, tensor_of(jump_rv(h))),
+                steps=DEFAULT_STEPS,
+            )
+        else:
+            family = oscillating_family(reference_tensor)
+        try:
+            expected = loop_limit(family)
+        except NoApparentLimit as exc:
+            assert kind == "oscillating"
+            with pytest.raises(NoApparentLimit) as got:
+                limit_tensor(family)
+            assert got.value.entry == exc.entry
+            return
+        result = limit_tensor(family)
+        assert np.array_equal(result.tensor.entries, expected[0])
+        assert (result.worst_ratio, result.worst_entry) == expected[1:]
+
+    @pytest.mark.parametrize("n_tensors", [3, 5])
+    def test_from_samples_rejects_mismatched_lengths(self, reference_tensor, n_tensors):
+        with pytest.raises(DimensionMismatch, match=f"4 sample steps but {n_tensors}"):
+            TensorFamily.from_samples(DEFAULT_STEPS[:4], [reference_tensor] * n_tensors)
 
     def test_needs_three_samples(self, reference_tensor):
         with pytest.raises(Exception):
