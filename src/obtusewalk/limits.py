@@ -219,15 +219,21 @@ class LimitSymmetryReport:
 def _split_limit(m) -> tuple[np.ndarray, np.ndarray]:
     """Inner entries and Lambda from either a full or an inner limit tensor."""
     if isinstance(m, LimitTensorResult):
-        return m.tensor.entries[1:, 1:, 1:], m.lambda_matrix
-    if isinstance(m, Tensor3):
-        if m.has_constant:
-            return m.entries[1:, 1:, 1:], m.entries[1:, 1:, 0].copy()
+        inner, lam = m.tensor.entries[1:, 1:, 1:], m.lambda_matrix
+    elif isinstance(m, Tensor3) and m.has_constant:
+        inner, lam = m.entries[1:, 1:, 1:], m.entries[1:, 1:, 0].copy()
+    elif isinstance(m, Tensor3):
         raise DimensionMismatch(
             "an inner tensor alone does not determine Lambda; pass the full "
             "limit tensor (constant coordinate included)"
         )
-    raise DimensionMismatch(f"unsupported limit tensor input {type(m)!r}")
+    else:
+        raise DimensionMismatch(f"unsupported limit tensor input {type(m)!r}")
+    if inner.shape[0] == 0:
+        raise DimensionMismatch(
+            "a limit tensor of dimension < 2 has N = 0 and no inner tensor"
+        )
+    return inner, lam
 
 
 def check_limit_symmetries(m, tol: float = DEFAULT_TOL) -> LimitSymmetryReport:

@@ -98,11 +98,14 @@ def test_criterion_1_golden_tensor(tmp_path, capsys):
 
 
 def test_criterion_2_symmetry_suite():
-    with criterion(2, "sym0-sym3 <= 1e-10 on 100 random systems, dims 1..6, < 10s"):
+    with criterion(
+        2, "sym0-sym3 <= 1e-10 on 100 random systems, dims 1..6, + 4 at dims 16, 32, < 10s"
+    ):
         start = time.perf_counter()
         rng = np.random.default_rng(0)
-        for k in range(100):
-            dim = 1 + k % 6
+        # at dim 32 the sweep runs over several blocks of its byte budget
+        dims = [1 + k % 6 for k in range(100)] + [16, 16, 32, 32]
+        for k, dim in enumerate(dims):
             tensor = tensor_of(ObtuseRV(random_system(dim, rng)))
             report = check_symmetries(tensor, tol=1e-10)
             assert report.ok, (k, dim, report.residuals())

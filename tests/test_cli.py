@@ -24,6 +24,10 @@ def write_json(path, doc):
     return str(path)
 
 
+# a tensor on C^1: only the constant coordinate, so a limit has N = 0
+ONE_DIM_TENSOR_DOC = {"dim": 1, "entries": [[[{"re": 1.0, "im": 0.0}]]]}
+
+
 def reference_system_doc():
     return {
         "dim": 2,
@@ -102,6 +106,11 @@ class TestCheck:
         f = write_json(tmp_path / "t.json", doc)
         assert main(["check", f]) == 1
 
+    def test_one_dimensional_limit_tensor(self, tmp_path, capsys):
+        f = write_json(tmp_path / "t.json", ONE_DIM_TENSOR_DOC)
+        assert main(["check", f, "--limit"]) == 1
+        assert "error: DimensionMismatch" in capsys.readouterr().err
+
 
 class TestRealify:
     def test_from_system_file(self, tmp_path, capsys):
@@ -150,6 +159,14 @@ class TestLimit:
         lam = serialize.matrix_from_json(doc["Lambda"])
         v = serialize.matrix_from_json(doc["V"])
         assert np.max(np.abs(v @ v.T - lam)) <= 1e-9
+
+    def test_one_dimensional_family(self, tmp_path, capsys):
+        tensors = [ONE_DIM_TENSOR_DOC] * len(DEFAULT_STEPS)
+        f = write_json(
+            tmp_path / "family.json", {"steps": list(DEFAULT_STEPS), "tensors": tensors}
+        )
+        assert main(["limit", f]) == 1
+        assert "error: DimensionMismatch" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -224,6 +224,11 @@ class TestLimitSymmetries:
         assert report.lambda_unitarity > 0.05 / 2
         assert not report.ok
 
+    def test_one_dimensional_limit_tensor_raises(self):
+        tensor = Tensor3(np.ones((1, 1, 1)), has_constant=True)
+        with pytest.raises(DimensionMismatch):
+            check_limit_symmetries(tensor)
+
 
 class TestClassify:
     def test_diffusion_only_family(self, reference_tensor):

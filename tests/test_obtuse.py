@@ -1,5 +1,7 @@
 """Obtuse systems, their tensors, and the uniqueness/embedding results."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from obtusewalk import (
     ObtuseRV,
     ObtuseSystem,
+    Tensor3,
     check_symmetries,
     embed_general,
     haar_unitary,
@@ -18,6 +21,7 @@ from obtusewalk import (
     tensor_of,
     validate_obtuse_system,
 )
+from obtusewalk.obtuse import _SWEEP_BLOCK_BYTES
 from obtusewalk.errors import (
     DimensionMismatch,
     MinimalSupport,
@@ -135,8 +139,6 @@ class TestSymmetries:
     def test_perturbed_constant_slice_fails_sym0(self, reference_tensor):
         entries = reference_tensor.entries.copy()
         entries[0, 0, 0] += 0.1
-        from obtusewalk import Tensor3
-
         report = check_symmetries(Tensor3(entries))
         assert report.sym0 == pytest.approx(0.1)
         assert not report.ok
@@ -147,6 +149,99 @@ class TestSymmetries:
             dim = int(rng.integers(1, 7))
             tensor = tensor_of(ObtuseRV(random_system(dim, rng)))
             assert check_symmetries(tensor, tol=1e-10).ok
+
+
+def reference_symmetries(s: np.ndarray) -> tuple:
+    """The sweep as unoptimized einsums over whole d^4 intermediates.
+
+    Returns ``(sym0, sym1, sym2, sym3)`` with sym0 for a constant coordinate.
+    """
+    sym0 = float(np.max(np.abs(s[:, 0, :] - np.eye(s.shape[0]))))
+    sym1 = float(np.max(np.abs(s - s.transpose(1, 0, 2))))
+    t2 = np.einsum("imj,klm->ijkl", s, s)
+    sym2 = float(np.max(np.abs(t2 - t2.transpose(2, 1, 0, 3))))
+    t3 = np.einsum("imj,lmk->ijlk", s, np.conj(s))
+    sym3 = float(np.max(np.abs(t3 - t3.transpose(3, 1, 2, 0))))
+    return sym0, sym1, sym2, sym3
+
+
+def assert_sweep_matches_reference(s: np.ndarray):
+    """sym0/sym1 bit-equal to the reference, sym2/sym3 within rounding.
+
+    The blocked products sum over m in another order than the einsum loop;
+    each of the d terms of an entry carries a rounding error of at most a
+    few eps * max|S|^2, so the residuals may differ by 4 eps d max|S|^2.
+    """
+    sym0, sym1, sym2, sym3 = reference_symmetries(s)
+    unit = 4 * np.finfo(float).eps * s.shape[0] * np.max(np.abs(s)) ** 2
+    for has_constant in (True, False):
+        report = check_symmetries(Tensor3(s, has_constant=has_constant))
+        assert report.sym0 == (sym0 if has_constant else None)
+        assert report.sym1 == sym1
+        assert abs(report.sym2 - sym2) <= unit, (report.sym2, sym2, unit)
+        assert abs(report.sym3 - sym3) <= unit, (report.sym3, sym3, unit)
+
+
+SWEEP_DIMS = (2, 3, 9, 17, 33)
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("d", SWEEP_DIMS)
+    def test_valid_tensors(self, d):
+        tensor = tensor_of(ObtuseRV(random_system(d - 1, np.random.default_rng(d))))
+        assert_sweep_matches_reference(tensor.entries)
+
+    @pytest.mark.parametrize("d", SWEEP_DIMS)
+    def test_ij_symmetric_tensors(self, d):
+        # symmetric in (i, j) only, so sym2 and sym3 are of order max|S|^2
+        rng = np.random.default_rng(100 + d)
+        z = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+        s = z + z.transpose(1, 0, 2)
+        assert min(reference_symmetries(s)[2:]) > 1.0
+        assert_sweep_matches_reference(s)
+
+    @pytest.mark.parametrize(
+        "d, noise",
+        [(d, noise) for d in SWEEP_DIMS[:-1] for noise in (1e-12, 1e-9, 1e-6)]
+        + [(SWEEP_DIMS[-1], 1e-6)],
+    )
+    def test_noise_broken_tensors(self, d, noise):
+        rng = np.random.default_rng(200 + d)
+        s = tensor_of(ObtuseRV(random_system(d - 1, rng))).entries
+        s = s + noise * (rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape))
+        assert_sweep_matches_reference(s)
+
+    def test_violation_in_last_partial_block(self):
+        # a valid tensor padded by a dead coordinate c = d - 1, plus one entry
+        # S^{xy}_c: the sym2 violation then lives only in the slab j = c,
+        # which is alone in the last block of the sweep
+        d = 25
+        step = _SWEEP_BLOCK_BYTES // (16 * d**3)
+        assert 1 < step < d and d % step == 1
+        rng = np.random.default_rng(25)
+        s = np.zeros((d, d, d), dtype=complex)
+        s[:-1, :-1, :-1] = tensor_of(ObtuseRV(random_system(d - 2, rng))).entries
+        s[2, 1, d - 1] = 1e-3
+        t2 = np.einsum("imj,klm->ijkl", s, s)
+        slabs = np.max(np.abs(t2 - t2.transpose(2, 1, 0, 3)), axis=(0, 2, 3))
+        assert slabs[-1] > 1e-4 and np.max(slabs[:-1]) < 1e-12
+        assert_sweep_matches_reference(s)
+
+    def test_empty_tensor_has_zero_residuals(self):
+        report = check_symmetries(Tensor3(np.zeros((0, 0, 0)), has_constant=False))
+        assert (report.sym1, report.sym2, report.sym3) == (0.0, 0.0, 0.0)
+
+    def test_sweep_memory_is_bounded(self):
+        # the d^4 intermediates of the einsum sweep peak at 63 MiB at d = 33
+        tensor = tensor_of(ObtuseRV(random_system(32, np.random.default_rng(0))))
+        check_symmetries(tensor)
+        tracemalloc.start()
+        try:
+            check_symmetries(tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, peak / 2**20
 
 
 class TestUniqueness:
