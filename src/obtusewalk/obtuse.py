@@ -325,6 +325,8 @@ def check_symmetries(
         include_constant = tensor.has_constant
     sym0 = None
     if include_constant:
+        if not tensor.dim:
+            raise DimensionMismatch("the constant coordinate needs dimension >= 1")
         sym0 = float(np.max(np.abs(s[:, 0, :] - np.eye(tensor.dim))))
     sym1 = float(np.max(np.abs(s - s.transpose(1, 0, 2)))) if tensor.dim else 0.0
     sym2, sym3 = _product_symmetries(s)

@@ -1,5 +1,8 @@
 """Multiplication-operator matrices and their atom-sum oracles."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,35 @@ from obtusewalk import (
     random_system,
     tensor_of,
 )
-from obtusewalk.errors import ChainTooLarge
+from obtusewalk.errors import ChainTooLarge, DimensionMismatch
 from obtusewalk.multop import direct_expectation
-from conftest import REFERENCE_SLICE_1, bernoulli_rv, imaginary_rv
+from conftest import REFERENCE_SLICE_1, REFERENCE_VALUES, bernoulli_rv, imaginary_rv
+
+
+def kron_sum_chain(tensor, i, n_sites, h):
+    """Reference for ``chain_mult_op``: the weighted sum of kron ampliations.
+
+    Each site term is kron(kron(I_L, M), I_R) for M = mult_op(tensor, i),
+    added to the total site by site, so every entry of the total receives
+    the same additions in the same order as in the in-place build.
+    """
+    op = mult_op(tensor, i)
+    d = op.shape[0]
+    weight = h if i == 0 else np.sqrt(h)
+    total = np.zeros((d**n_sites, d**n_sites), dtype=complex)
+    for site in range(n_sites):
+        left = np.eye(d**site)
+        right = np.eye(d ** (n_sites - site - 1))
+        total += weight * np.kron(np.kron(left, op), right)
+    return total
+
+
+def chain_rv(d):
+    if d == 2:
+        return bernoulli_rv()
+    if d == 3:
+        return ObtuseRV.from_values(REFERENCE_VALUES)
+    return ObtuseRV(random_system(d - 1, np.random.default_rng(d)))
 
 
 class TestBasisMatrix:
@@ -144,3 +173,51 @@ class TestChain:
     def test_chain_cap(self, reference_tensor):
         with pytest.raises(ChainTooLarge):
             chain_mult_op(reference_tensor, 1, 11, 0.01)
+
+    @pytest.mark.parametrize(
+        "d, n_sites",
+        [(3, 1), (3, 2), (5, 3), (3, 5), (5, 4), (3, 6), (3, 7), (2, 1), (2, 6)],
+    )
+    def test_equals_kron_sum(self, d, n_sites):
+        tensor = tensor_of(chain_rv(d))
+        for i in range(d):
+            built = chain_mult_op(tensor, i, n_sites, 0.01)
+            assert np.array_equal(built.matrix, kron_sum_chain(tensor, i, n_sites, 0.01))
+
+    def test_build_allocates_only_the_matrix(self, reference_tensor):
+        # the kron build peaked at 3.07x the matrix at 6 sites
+        chain_mult_op(reference_tensor, 1, 6, 0.01)
+        tracemalloc.start()
+        try:
+            built = chain_mult_op(reference_tensor, 1, 6, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * built.matrix.nbytes, peak / built.matrix.nbytes
+
+    @pytest.mark.parametrize("n_sites", [10, 10**9])
+    def test_oversized_chain_is_rejected_before_allocating(
+        self, reference_rv, reference_tensor, n_sites
+    ):
+        for build, source in (
+            (chain_mult_op, reference_tensor),
+            (direct_chain_mult_op, reference_rv),
+        ):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(ChainTooLarge):
+                    build(source, 1, n_sites, 0.01)
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 1.0
+            assert peak < 2**20
+
+    @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -0.01])
+    def test_time_step_must_be_finite_and_positive(self, reference_rv, reference_tensor, h):
+        with pytest.raises(DimensionMismatch):
+            chain_mult_op(reference_tensor, 1, 2, h)
+        with pytest.raises(DimensionMismatch):
+            direct_chain_mult_op(reference_rv, 1, 2, h)

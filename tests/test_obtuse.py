@@ -231,6 +231,11 @@ class TestSweepKernel:
         report = check_symmetries(Tensor3(np.zeros((0, 0, 0)), has_constant=False))
         assert (report.sym1, report.sym2, report.sym3) == (0.0, 0.0, 0.0)
 
+    def test_empty_tensor_with_constant_is_rejected(self):
+        # there is no coordinate 0 to be the constant one
+        with pytest.raises(DimensionMismatch):
+            check_symmetries(Tensor3(np.zeros((0, 0, 0))))
+
     def test_sweep_memory_is_bounded(self):
         # the d^4 intermediates of the einsum sweep peak at 63 MiB at d = 33
         tensor = tensor_of(ObtuseRV(random_system(32, np.random.default_rng(0))))
