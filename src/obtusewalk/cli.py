@@ -168,7 +168,7 @@ def _write_paths_csv(path: str, paths: list) -> None:
 def _ensemble_stats(values: np.ndarray, T: float) -> dict:
     if values.shape[0] == 0:
         return {"n_paths": 0}
-    mean, cov_conj, cov_plain, abs4 = simulate._moments(values[:, -1, :])
+    mean, cov_conj, cov_plain, abs4 = (m[-1] for m in simulate._moments(values[:, -1:, :]))
     return {
         "n_paths": int(values.shape[0]),
         "T": float(T),

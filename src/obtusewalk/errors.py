@@ -99,5 +99,9 @@ class ChainTooLarge(ObtuseWalkError):
     """Requested chain operator would exceed the dense-size cap."""
 
 
+class TooManyJumps(ObtuseWalkError):
+    """A limit path would draw more jumps than its jump-log budget admits."""
+
+
 class TooFewIncrements(ObtuseWalkError):
     """Bracket estimation needs more path increments."""

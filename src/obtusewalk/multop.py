@@ -160,11 +160,15 @@ def chain_mult_op(tensor: Tensor3, i: int, n_sites: int, h: float) -> ChainOpera
     R = d**(n_sites - site - 1), the ampliation at a site touches only the
     entries ((a, k, b), (a, j, b)) of the result, a < L and b < R; they form
     a strided view, to which the weighted site operator is added in place.
+    At d = 1 every site's view is the whole 1 x 1 matrix, so the sum is
+    n_sites times the site operator, taken in one multiplication.
     """
     d = tensor.dim
     dim = _chain_dim(d, n_sites)
     weight = _time_weight(i, h)
     term = weight * mult_op(tensor, i)
+    if d == 1:
+        return ChainOperator(n_sites=n_sites, site_dim=d, matrix=n_sites * term)
     total = np.zeros((dim, dim), dtype=complex)
     for site in range(n_sites):
         left, right = d**site, d ** (n_sites - site - 1)

@@ -20,6 +20,7 @@ from obtusewalk import (
 )
 from obtusewalk.errors import ChainTooLarge, DimensionMismatch
 from obtusewalk.multop import direct_expectation
+from obtusewalk.obtuse import Tensor3
 from conftest import REFERENCE_SLICE_1, REFERENCE_VALUES, bernoulli_rv, imaginary_rv
 
 
@@ -194,6 +195,18 @@ class TestChain:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * built.matrix.nbytes, peak / built.matrix.nbytes
+
+    def test_one_dimensional_sites_in_closed_form(self):
+        # d = 1: only the time coordinate, a 1 x 1 operator at every site
+        tensor = Tensor3(np.ones((1, 1, 1), dtype=complex))
+        summed = kron_sum_chain(tensor, 0, 10**3, 0.37)
+        built = chain_mult_op(tensor, 0, 10**3, 0.37).matrix
+        assert np.max(np.abs(built - summed)) <= 1e-12 * np.max(np.abs(summed))
+        start = time.perf_counter()
+        huge = chain_mult_op(tensor, 0, 10**9, 0.37)
+        assert time.perf_counter() - start < 1.0
+        assert huge.matrix.shape == (1, 1)
+        assert huge.matrix[0, 0] == pytest.approx(0.37e9, rel=1e-12)
 
     @pytest.mark.parametrize("n_sites", [10, 10**9])
     def test_oversized_chain_is_rejected_before_allocating(

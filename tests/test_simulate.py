@@ -1,5 +1,8 @@
 """Path simulation, bracket estimation, and moment comparison."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,9 +19,10 @@ from obtusewalk import (
     walk_ensemble,
     walk_path,
 )
-from obtusewalk.errors import TooFewIncrements
-from obtusewalk.limits import DEFAULT_STEPS
-from obtusewalk.obtuse import Tensor3
+from obtusewalk import simulate
+from obtusewalk.errors import NonPositiveStep, TooFewIncrements, TooManyJumps
+from obtusewalk.limits import DEFAULT_STEPS, LimitSpec
+from obtusewalk.obtuse import Tensor3, random_system
 from conftest import REFERENCE_PROBS, REFERENCE_VALUES, bernoulli_rv, jump_rv
 
 
@@ -42,6 +46,119 @@ def brownian_1d_spec():
     entries[0, :, :] = np.eye(2)
     entries[1, 1, 0] = 1.0
     return classify(Tensor3(entries, has_constant=True))
+
+
+def poisson_spec(intensities):
+    """Pure-jump spec: coordinate m jumps by 1/sqrt(intensity m)."""
+    rates = np.asarray(intensities, dtype=float)
+    dim = len(rates)
+    return LimitSpec(
+        dim=dim,
+        tensor=Tensor3(np.zeros((dim, dim, dim), dtype=complex), has_constant=False),
+        lambda_matrix=np.eye(dim, dtype=complex),
+        v_matrix=np.eye(dim, dtype=complex),
+        poisson_dirs=np.diag(1.0 / np.sqrt(rates)).astype(complex),
+        intensities=rates,
+        brownian_basis=np.zeros((0, dim), dtype=complex),
+    )
+
+
+def complex_walk_ensemble(rv, h, t_grid, n_paths, seed):
+    """Reference for ``walk_ensemble``: the same draws, one complex product per time."""
+    steps = np.floor(np.asarray(t_grid) / h * (1 + simulate.STEP_RTOL)).astype(int)
+    rng = np.random.default_rng([seed])
+    out = np.zeros((n_paths, len(steps), rv.dim), dtype=complex)
+    counts = np.zeros((n_paths, len(rv.probabilities)))
+    prev = 0
+    for idx, s in enumerate(steps):
+        if s > prev:
+            counts = counts + rng.multinomial(s - prev, rv.probabilities, size=n_paths)
+            prev = s
+        out[:, idx, :] = (np.sqrt(h) * counts).astype(complex) @ rv.values
+    return out
+
+
+def complex_limit_ensemble(spec, t_grid, n_paths, seed):
+    """Reference for ``limit_ensemble``: the same draws, complex products."""
+    grid = np.asarray(t_grid, dtype=float)
+    rng = np.random.default_rng([seed])
+    out = np.zeros((n_paths, len(grid), spec.dim), dtype=complex)
+    dts = np.diff(np.concatenate([[0.0], grid]))
+    if spec.n_brownian:
+        db = rng.normal(0.0, 1.0, size=(n_paths, len(grid), spec.n_brownian))
+        b = np.cumsum(db * np.sqrt(dts)[None, :, None], axis=1)
+        out = out + b.astype(complex) @ spec.brownian_basis
+    for v, lam in zip(spec.poisson_dirs, spec.intensities):
+        dn = rng.poisson(lam * dts, size=(n_paths, len(grid)))
+        compensated = np.cumsum(dn, axis=1) - lam * grid[None, :]
+        out = out + compensated[:, :, None] * v[None, None, :]
+    return out
+
+
+def per_time_moments(values):
+    """Oracle for the Gram moment kernel: complex moments, one grid time at a time.
+
+    Returns mean, E[conj(Z) Z^T], E[Z Z^T] and E|Z_i|^4 with the time axis
+    first, like ``simulate._moments``.
+    """
+    n = values.shape[0]
+    moments = [[], [], [], []]
+    for k in range(values.shape[1]):
+        z = values[:, k, :]
+        moments[0].append(z.mean(axis=0))
+        moments[1].append(np.einsum("pi,pj->ij", np.conj(z), z) / n)
+        moments[2].append(np.einsum("pi,pj->ij", z, z) / n)
+        moments[3].append((np.abs(z) ** 4).mean(axis=0))
+    return [np.array(m) for m in moments]
+
+
+def constant_spec(rv):
+    return classify(limit_tensor(TensorFamily.constant(tensor_of(rv))))
+
+
+class TestStepCount:
+    # t/h rounds to just below an integer here; the path and the ensemble
+    # used to disagree by one step
+    @pytest.mark.parametrize(
+        "h, T, n", [(1e-4, 1.6401, 16401), (1e-3, 16.391, 16391), (1e-5, 0.16387, 16387)]
+    )
+    def test_path_and_ensemble_take_the_same_steps(self, h, T, n):
+        assert T / h < n
+        assert simulate._step_count(T, h) == n
+        assert simulate._grid_steps([T], h).tolist() == [n]
+        path = walk_path(bernoulli_rv(), h, T, seed=0)
+        assert len(path.times) == n + 1
+        assert path.times[-1] == pytest.approx(T, rel=1e-12)
+
+    def test_horizon_below_one_step(self):
+        with pytest.raises(NonPositiveStep):
+            walk_path(bernoulli_rv(), 0.1, 0.09)
+
+
+class TestRealArithmetic:
+    """The real split products reproduce the complex products on the same draws."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_walk_ensemble_matches_complex_products(self, n):
+        rv = ObtuseRV(random_system(n, np.random.default_rng(n)))
+        grid = np.linspace(0.1, 1.0, 10)
+        for h in (0.01, 0.001):
+            got = walk_ensemble(rv, h, grid, 500, seed=3)
+            want = complex_walk_ensemble(rv, h, grid, 500, seed=3)
+            if n == 1:
+                # two atoms: dgemm and zgemm may round the two-term sum differently
+                eps = np.finfo(float).eps
+                assert np.max(np.abs(got - want)) <= 4 * eps * np.max(np.abs(want))
+            else:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_limit_ensemble_matches_complex_products(self, n, jump_spec):
+        grid = np.linspace(0.1, 1.0, 10)
+        spec = constant_spec(ObtuseRV(random_system(n, np.random.default_rng(n))))
+        for s in (spec, jump_spec, poisson_spec([30.0, 70.0])):
+            got = limit_ensemble(s, grid, 500, seed=4)
+            assert np.array_equal(got, complex_limit_ensemble(s, grid, 500, seed=4))
 
 
 class TestWalkPath:
@@ -131,6 +248,60 @@ class TestLimitPath:
         np.testing.assert_array_equal(a.jump_times, b.jump_times)
 
 
+class TestPoissonJumps:
+    def test_counts_are_poisson(self):
+        # N_T of each direction over 2000 seeds: mean and variance both lam*T
+        rates, T, n = np.array([30.0, 70.0]), 1.0, 2000
+        spec = poisson_spec(rates)
+        counts = np.zeros((n, 2))
+        for seed in range(n):
+            path = limit_path(spec, T, 0.1, seed=seed)
+            counts[seed] = np.bincount(path.jump_dirs, minlength=2)
+        mean_t = rates * T
+        # standard errors of the sample mean and variance of a Poisson(mu)
+        # sample: sqrt(mu / n) and sqrt((mu + 2 mu^2) / n)
+        assert np.all(np.abs(counts.mean(axis=0) - mean_t) <= 5 * np.sqrt(mean_t / n))
+        var_se = np.sqrt((mean_t + 2 * mean_t**2) / n)
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) - mean_t) <= 5 * var_se)
+
+    def test_jump_times_sorted_and_inside_horizon(self):
+        spec = poisson_spec([30.0, 70.0])
+        for seed in range(20):
+            path = limit_path(spec, 1.0, 0.01, seed=seed)
+            assert np.all(np.diff(path.jump_times) >= 0.0)
+            assert path.jump_times.min() >= 0.0 and path.jump_times.max() <= 1.0
+            # each value is the compensated count of each direction so far
+            before = path.jump_times[None, :] <= path.times[:, None]
+            counts = np.stack(
+                [np.sum(before & (path.jump_dirs == m), axis=1) for m in range(2)], axis=1
+            )
+            expected = (counts - np.outer(path.times, spec.intensities)) @ spec.poisson_dirs
+            assert np.max(np.abs(path.values - expected)) <= 1e-12
+
+    def test_huge_intensity_fails_fast(self):
+        spec = poisson_spec([1e12])
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TooManyJumps):
+                limit_path(spec, 1.0, 0.01)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2**20
+
+    def test_budget_admits_the_expected_log(self):
+        max_jumps = simulate.JUMP_LOG_BYTES // (
+            np.dtype(float).itemsize + np.dtype(int).itemsize
+        )
+        with pytest.raises(TooManyJumps):
+            limit_path(poisson_spec([1.01 * max_jumps]), 1.0, 0.5)
+        path = limit_path(poisson_spec([1e5]), 1.0, 0.5)
+        assert abs(len(path.jump_times) - 1e5) <= 5 * np.sqrt(1e5)
+
+
 class TestBrackets:
     def test_pure_brownian_brackets(self):
         spec = brownian_1d_spec()
@@ -184,6 +355,34 @@ class TestDistributionCompare:
         inversions = sum(b > a for a, b in zip(overall, overall[1:]))
         assert inversions <= 1
         assert overall[-1] <= overall[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_moments_match_per_time_oracle(self, n):
+        rv = ObtuseRV(random_system(n, np.random.default_rng(10 + n)))
+        grid = np.linspace(0.1, 1.0, 10)
+        values = walk_ensemble(rv, 0.01, grid, 3000, seed=0)
+        for got, want in zip(simulate._moments(values), per_time_moments(values)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_distances_match_per_time_oracle(self, n):
+        rv = ObtuseRV(random_system(n, np.random.default_rng(20 + n)))
+        grid = np.linspace(0.1, 1.0, 10)
+        wv = walk_ensemble(rv, 0.01, grid, 3000, seed=0)
+        lv = limit_ensemble(constant_spec(rv), grid, 3000, seed=1)
+        report = distribution_compare(wv, lv, grid)
+        got = [
+            report.mean_distance,
+            report.cov_conj_distance,
+            report.cov_plain_distance,
+            report.abs4_distance,
+        ]
+        want = [
+            np.max(np.abs(w - lim))
+            for w, lim in zip(per_time_moments(wv), per_time_moments(lv))
+        ]
+        assert got == pytest.approx(want, rel=1e-11)
 
     def test_moment_families_reported(self, reference_spec):
         rv = ObtuseRV.from_values(REFERENCE_VALUES)
