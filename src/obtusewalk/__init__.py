@@ -25,7 +25,7 @@ from .obtuse import (
     tensor_of,
     validate_obtuse_system,
 )
-from .takagi import TakagiResult, commuting_check, simultaneous_takagi, takagi
+from .takagi import TakagiResult, takagi
 from .tensor import (
     DiagResult,
     RealificationResult,
@@ -89,8 +89,6 @@ __all__ = [
     "haar_unitary",
     "TakagiResult",
     "takagi",
-    "commuting_check",
-    "simultaneous_takagi",
     "DiagResult",
     "RealificationResult",
     "tensor_from_family",

@@ -3,8 +3,9 @@
 Subcommands wrap the library operations one-to-one: validate a system file,
 compute its tensor, diagonalize or realify a tensor, extrapolate and
 classify a limit from a sampled family, simulate walks or limit processes,
-and check symmetry/structure relations.  All output is deterministic given
-``--seed``; reports go to stdout as JSON with full double precision.
+and check symmetry/structure relations.  Only ``simulate`` draws random
+numbers, from ``--seed``; every other subcommand is deterministic.  Reports
+go to stdout as JSON with full double precision.
 
 Exit codes: 0 success, 1 domain failure (invalid mathematical input), 2
 usage, parse or I/O errors.
@@ -100,10 +101,10 @@ def cmd_check(args) -> int:
 def cmd_diagonalize(args) -> int:
     tensor = serialize.tensor_from_json(_load_json(args.input))
     if tensor.has_constant:
-        system = obtuse_fixed_points(tensor, tol=args.tol, seed=args.seed)
+        system = obtuse_fixed_points(tensor, tol=args.tol)
         _emit(serialize.system_to_json(system), args.out)
     else:
-        result = diagonalize(tensor, tol=args.tol, seed=args.seed)
+        result = diagonalize(tensor, tol=args.tol)
         _emit(
             {
                 "dim": tensor.dim,
@@ -123,7 +124,7 @@ def cmd_realify(args) -> int:
         tensor = tensor_of(ObtuseRV.from_values(values, tol=args.tol))
     else:
         tensor = serialize.tensor_from_json(doc)
-    result = realify(tensor, tol=args.tol, seed=args.seed)
+    result = realify(tensor, tol=args.tol)
     _emit(
         {
             "V": serialize.matrix_to_json(result.v),
@@ -139,7 +140,7 @@ def cmd_realify(args) -> int:
 def cmd_limit(args) -> int:
     family = serialize.family_from_json(_load_json(args.input), limits.DEFAULT_STEPS)
     result = limits.limit_tensor(family, tol=args.tol)
-    spec = limits.classify(result, tol=args.tol, seed=args.seed)
+    spec = limits.classify(result, tol=args.tol)
     doc = serialize.limitspec_to_json(spec)
     doc["diagnostics"] = {
         "worst_difference_ratio": result.worst_ratio,
@@ -207,7 +208,6 @@ def cmd_simulate(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
@@ -263,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on the number of paths written to CSV",
     )
     p.add_argument("--stats", default=None, help="stats JSON file (default stdout)")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

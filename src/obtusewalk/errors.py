@@ -28,7 +28,7 @@ class ProbabilityMismatch(ObtuseWalkError):
 
 
 class AmbiguousMatching(ObtuseWalkError):
-    """No atom matching among tied probabilities produces a valid unitary."""
+    """Atoms matched by probability do not yield a valid unitary relation."""
 
 
 class MinimalSupport(ObtuseWalkError):
@@ -47,12 +47,12 @@ class NotUnitary(ObtuseWalkError):
     """Matrix expected to be unitary is not."""
 
 
-class NotCommuting(ObtuseWalkError):
-    """The conjugate-product family of the input matrices does not commute."""
-
-
 class NoConvergence(ObtuseWalkError):
-    """An iterative or randomized routine exhausted its retry budget."""
+    """A direct factorization or diagonalization failed its residual check.
+
+    The routines are deterministic and retry nothing: this signals input
+    beyond the documented precision, not an unlucky run.
+    """
 
     def __init__(self, message, residual=None):
         super().__init__(message)

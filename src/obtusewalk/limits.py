@@ -289,35 +289,34 @@ class LimitSpec:
 
 
 def _real_complement(rows: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal real basis of the complement of the given real rows.
+    """Orthonormal real basis of the complement of K orthogonal real rows.
 
-    Gram-Schmidt over the canonical basis vectors, keeping directions that
-    survive projection removal.
+    The last N - K right singular vectors of the rows, so exactly N - K
+    vectors come back whatever the rows' scale (the identity at K = 0).
+    Each vector is signed so that its entry of largest modulus is positive.
     """
-    basis = [r / np.linalg.norm(r) for r in rows]
-    out = []
-    for k in range(n):
-        cand = np.zeros(n)
-        cand[k] = 1.0
-        for b in basis:
-            cand = cand - np.dot(b, cand) * b
-        norm = np.linalg.norm(cand)
-        if norm > 1e-8:
-            cand /= norm
-            basis.append(cand)
-            out.append(cand)
-    return np.array(out) if out else np.zeros((0, n))
+    if not len(rows):
+        return np.eye(n)
+    comp = np.linalg.svd(rows)[2][len(rows) :]
+    pivots = comp[np.arange(len(comp)), np.argmax(np.abs(comp), axis=1)]
+    return comp * np.where(pivots < 0, -1.0, 1.0)[:, None]
 
 
-def classify(m, tol: float = DEFAULT_TOL, seed: int = 0) -> LimitSpec:
+def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     """Split a limit tensor into Poisson directions and a Brownian subspace.
 
     The Poisson directions are the fixed points of the inner tensor; V comes
     from a Takagi factorization of Lambda.  The real pre-images V* v of the
     jump directions must be real vectors; their real orthocomplement, pushed
     forward by V, spans the Brownian part.  Dimensions always add up to N.
-    The structure report's sweep of the inner tensor also gates the
-    diagonalization.
+
+    Any Takagi factor serves: Lambda is symmetric unitary, so two factors
+    V, V' with V V^T = V' V'^T = Lambda differ by a real orthogonal O
+    (V' = V O), and the pre-images V'* v = O^T V* v are real exactly when
+    V* v are.  So if the computed factor gives a non-real pre-image, every
+    factor does, and ``InconsistentCount`` is raised.  The structure report,
+    whose sweep of the inner tensor also gates the diagonalization, is the
+    one gate on sym1-sym3.
     """
     inner, lam = _split_limit(m)
     n = inner.shape[0]
@@ -326,48 +325,27 @@ def classify(m, tol: float = DEFAULT_TOL, seed: int = 0) -> LimitSpec:
         raise StructureViolation(
             f"limit tensor fails structure relations: {report.residuals()}"
         )
-    sym = {"sym1": report.sym1, "sym2": report.sym2, "sym3": report.sym3}
-    if max(sym.values()) > tol:
-        raise NotDoublySymmetric(f"tensor is not doubly symmetric: residuals {sym}")
     inner_t = Tensor3(inner, has_constant=False)
-    dirs = _fixed_points(inner_t, tol, seed).vectors
+    dirs = _fixed_points(inner_t, tol).vectors
     if len(dirs) > n:
         raise InconsistentCount(f"{len(dirs)} jump directions in dimension {n}")
 
-    v0 = takagi(lam, tol=max(tol, 1e-9)).unitary
-    candidates = [v0]
-    for k in range(min(n, 3)):
-        flip = np.ones(n)
-        flip[k] = -1.0
-        candidates.append(v0 * flip[None, :])
-    last_imag = None
-    for v in candidates:
-        w = dirs @ np.conj(v) if len(dirs) else np.zeros((0, n))
-        imag = float(np.max(np.abs(w.imag))) if len(dirs) else 0.0
-        if imag <= max(tol, 1e-7):
-            w_real = w.real
-            comp = _real_complement(w_real, n) if n else np.zeros((0, 0))
-            brownian = comp @ v.T
-            intensities = (
-                1.0 / np.sum(np.abs(dirs) ** 2, axis=1) if len(dirs) else np.zeros(0)
-            )
-            if len(dirs) + len(brownian) != n:
-                raise InconsistentCount(
-                    f"{len(dirs)} jump + {len(brownian)} Brownian directions "
-                    f"!= dimension {n}"
-                )
-            return LimitSpec(
-                dim=n,
-                tensor=inner_t,
-                lambda_matrix=lam,
-                v_matrix=v,
-                poisson_dirs=dirs,
-                intensities=intensities,
-                brownian_basis=brownian,
-                structure=report,
-            )
-        last_imag = imag
-    raise InconsistentCount(
-        f"jump directions have no real pre-image under any Takagi branch "
-        f"(residual {last_imag:.3e})"
+    v = takagi(lam, tol=max(tol, 1e-9)).unitary
+    w = dirs @ np.conj(v)
+    imag = float(np.max(np.abs(w.imag), initial=0.0))
+    if imag > max(tol, 1e-7):
+        raise InconsistentCount(
+            f"jump directions have no real pre-image under the Takagi factor "
+            f"(residual {imag:.3e})"
+        )
+    brownian = _real_complement(w.real, n) @ v.T
+    return LimitSpec(
+        dim=n,
+        tensor=inner_t,
+        lambda_matrix=lam,
+        v_matrix=v,
+        poisson_dirs=dirs,
+        intensities=1.0 / np.sum(np.abs(dirs) ** 2, axis=1),
+        brownian_basis=brownian,
+        structure=report,
     )

@@ -17,7 +17,6 @@ multiple threads.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,24 +370,18 @@ def _product_symmetries(s: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _tie_blocks(sorted_probs: np.ndarray) -> list[list[int]]:
-    """Consecutive index blocks of equal probabilities (within TIE_EPS)."""
-    blocks = [[0]]
-    for k in range(1, len(sorted_probs)):
-        if sorted_probs[k] - sorted_probs[blocks[-1][0]] <= TIE_EPS:
-            blocks[-1].append(k)
-        else:
-            blocks.append([k])
-    return blocks
-
-
 def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL):
     """Unitary U on C^N with U v_i(x) = v_{sigma(i)}(y) for matched atoms.
 
     Two obtuse variables with the same probabilities differ by a unitary
-    rotation of their values.  Atoms are matched by probability; blocks of
-    tied probabilities are resolved by trying every matching of the block and
-    keeping the first that produces a valid rotation.
+    rotation of their values.  Atoms are matched by sorting both
+    probability lists; within a block of tied probabilities any matching
+    works.  The rows sqrt(p_i) (1, v_i) of each variable form an orthonormal
+    basis of C^{N+1}, so the unitary B mapping one basis onto the matched
+    other fixes e_0 whenever the matching respects the probabilities:
+    B e_0 = sum_i p_i (1, y_sigma(i)) = e_0, because the variable is
+    centered.  U is the block of B on C^N.  The result is verified once;
+    ``AmbiguousMatching`` reports a relation that fails the check.
 
     Returns ``(u, sigma)`` where ``sigma[i]`` is the atom of ``y`` matched to
     atom i of ``x``.
@@ -401,39 +394,24 @@ def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL
     if np.max(np.abs(px[order_x] - py[order_y])) > TIE_EPS:
         raise ProbabilityMismatch("probability multisets differ")
 
-    blocks = _tie_blocks(px[order_x])
+    sigma = np.empty(len(px), dtype=int)
+    sigma[order_x] = order_y
     wx = np.sqrt(px)[:, None] * x.hatted  # rows: orthonormal basis of C^{N+1}
     wy = np.sqrt(py)[:, None] * y.hatted
-
-    def attempt(perm_per_block):
-        sigma = np.empty(len(px), dtype=int)
-        for block, perm in zip(blocks, perm_per_block):
-            for pos, k in zip(block, perm):
-                sigma[order_x[pos]] = order_y[block[k]]
-        # unitary on C^{N+1} mapping sqrt(p_i) vhat_i(x) to the matched basis
-        big = wy[sigma].T @ np.conj(wx)
-        corner = max(
-            abs(big[0, 0] - 1.0),
-            float(np.max(np.abs(big[0, 1:]))),
-            float(np.max(np.abs(big[1:, 0]))),
-        )
-        u = big[1:, 1:]
-        if corner > max(tol, 1e-8):
-            return None
-        rot = x.values @ u.T
-        if np.max(np.abs(rot - y.values[sigma])) > max(tol, 1e-8):
-            return None
-        return u, sigma
-
-    for perms in itertools.product(
-        *[itertools.permutations(range(len(b))) for b in blocks]
-    ):
-        result = attempt(perms)
-        if result is not None:
-            return result
-    raise AmbiguousMatching(
-        "no matching of equal-probability atoms yields a unitary relation"
+    big = wy[sigma].T @ np.conj(wx)
+    u = big[1:, 1:]
+    corner = max(
+        abs(big[0, 0] - 1.0),
+        float(np.max(np.abs(big[0, 1:]))),
+        float(np.max(np.abs(big[1:, 0]))),
     )
+    moved = float(np.max(np.abs(x.values @ u.T - y.values[sigma])))
+    if max(corner, moved) > max(tol, 1e-8):
+        raise AmbiguousMatching(
+            f"matched atoms yield no unitary relation (corner {corner:.3e}, "
+            f"residual {moved:.3e})"
+        )
+    return u, sigma
 
 
 def embed_general(values, probabilities, y: ObtuseRV, tol: float = DEFAULT_TOL):

@@ -10,9 +10,9 @@ and B itself splits as O D O^T with O real orthogonal and D unit-modulus
 diagonal, because the real and imaginary parts of B are commuting real
 symmetric matrices.
 
-The simultaneous variant factorizes a whole commuting family with a single
-unitary, by Takagi-factorizing a random generic linear combination and
-verifying that it diagonalizes every member.
+The joint factorization of a tensor's slice family, S_k = U diag(conj(v^k))
+U^T with U the normalized fixed points, is what ``tensor.diagonalize``
+returns; it needs no routine of its own here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotCommuting, NotSymmetric
+from .errors import DimensionMismatch, NoConvergence, NotSymmetric
 from .obtuse import DEFAULT_TOL
 
 _CLUSTER_REL = 1e-10
@@ -134,116 +134,3 @@ def takagi(m, tol: float = DEFAULT_TOL) -> TakagiResult:
             residual=residual,
         )
     return TakagiResult(unitary=u, diagonal=d, residual=residual)
-
-
-def commuting_check(family, tol: float = DEFAULT_TOL) -> float:
-    """Max commutator norm over the family G = {conj(A_i) A_j}.
-
-    This is the quantity whose vanishing characterizes simultaneous Takagi
-    factorizability of the A_i.  The norm is the max absolute entry; ``tol``
-    is unused in the computation and kept for interface symmetry.
-    """
-    mats = [_as_square(a) for a in family]
-    if not mats:
-        return 0.0
-    dim = mats[0].shape[0]
-    if any(a.shape[0] != dim for a in mats):
-        raise DimensionMismatch("family members have different dimensions")
-    g = [np.conj(a) @ b for a in mats for b in mats]
-    worst = 0.0
-    for i in range(len(g)):
-        for j in range(i + 1, len(g)):
-            worst = max(worst, float(np.max(np.abs(g[i] @ g[j] - g[j] @ g[i]))))
-    return worst
-
-
-def simultaneous_takagi(
-    family, tol: float = DEFAULT_TOL, seed: int = 0, max_draws: int = 5
-):
-    """Joint Takagi factorization A_i = U D_i U^T of a commuting family.
-
-    Every member must be complex symmetric and the family {conj(A_i) A_j}
-    must commute (checked first).  A generic random real combination of the
-    family is Takagi-factorized; with probability one its unitary also
-    diagonalizes every member, which is verified explicitly and retried with
-    a fresh draw on failure (up to ``max_draws`` draws, then
-    ``NoConvergence``).  Randomness comes from a generator seeded with
-    ``seed``, so results are reproducible.
-
-    Returns ``(u, diags)`` with ``diags[i]`` the complex diagonal of
-    ``u.conj().T @ family[i] @ u.conj()``; columns are ordered by descending
-    singular value of the drawn combination.
-    """
-    mats = [_as_square(a) for a in family]
-    if not mats:
-        raise DimensionMismatch("need a non-empty family")
-    dim = mats[0].shape[0]
-    scale = max(float(np.max(np.abs(a))) for a in mats)
-    for a in mats:
-        if a.shape[0] != dim:
-            raise DimensionMismatch("family members have different dimensions")
-        defect = float(np.max(np.abs(a - a.T)))
-        if defect > max(tol, tol * scale):
-            raise NotSymmetric(f"family member not symmetric: defect {defect:.3e}")
-
-    comm = commuting_check(mats, tol)
-    if comm > max(tol, tol * max(scale, 1.0) ** 2):
-        raise NotCommuting(f"conjugate-product family does not commute: {comm:.3e}")
-
-    rng = np.random.default_rng(seed)
-    threshold = max(tol, tol * scale)
-    last_off = None
-    for _ in range(max_draws):
-        coeffs = rng.standard_normal(len(mats))
-        combo = sum(c * a for c, a in zip(coeffs, mats))
-        try:
-            u = takagi(combo, tol).unitary
-        except NoConvergence:
-            continue
-        ds = [u.conj().T @ a @ np.conj(u) for a in mats]
-        off = max(
-            float(np.max(np.abs(d - np.diag(np.diagonal(d))))) for d in ds
-        )
-        last_off = off
-        if off <= threshold:
-            diags = [np.diagonal(d).copy() for d in ds]
-            return _normalize_joint(u, diags, scale)
-    raise NoConvergence(
-        f"no generic combination diagonalized the family in {max_draws} draws",
-        residual=last_off,
-    )
-
-
-def _normalize_joint(u: np.ndarray, diags: list, scale: float):
-    """Deterministic phase and ordering convention for a joint factorization.
-
-    A column phase e^{i t} multiplies every diagonal value by e^{-2 i t}:
-    rotate so the first significant diagonal value down the family becomes
-    real nonnegative, resolve the leftover sign through the column's largest
-    entry (sign flips leave the diagonals untouched), then order columns by
-    descending modulus of the diagonal values, ties broken by phase angle.
-    """
-    u = u.copy()
-    dim = u.shape[1]
-    floor = 1e-9 * max(scale, 1.0)
-    for m in range(dim):
-        for d in diags:
-            if abs(d[m]) > floor:
-                theta = np.angle(d[m]) / 2.0
-                u[:, m] *= np.exp(1j * theta)
-                for dd in diags:
-                    dd[m] *= np.exp(-2j * theta)
-                break
-        pivot = u[np.argmax(np.abs(u[:, m])), m]
-        if pivot.real < 0 or (pivot.real == 0 and pivot.imag < 0):
-            u[:, m] = -u[:, m]
-
-    def column_key(m):
-        key = []
-        for d in diags:
-            key.append(-round(abs(d[m]), 12))
-            key.append(round(np.angle(d[m]) % (2.0 * np.pi), 12))
-        return tuple(key)
-
-    order = sorted(range(dim), key=column_key)
-    return u[:, order], [d[list(order)] for d in diags]

@@ -7,11 +7,15 @@ This module implements both directions of that bijection, the unitary
 transform S = U o T of tensors, the criterion telling real tensors apart
 from complex ones, and the two constructive routes that turn a complex
 obtuse system into a real one (Takagi of the time-zero slice, and
-triangularize-then-strip-phases).
+triangularize-then-strip-phases).  The recovery of the family is one
+deterministic kernel, an eigendecomposition of sum_k S_k S_k^* whose
+clusters of equal weights are split by a fixed sequence of probes (see
+``diagonalize``); it draws no random numbers.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,13 @@ from .obtuse import (
     validate_obtuse_system,
 )
 from .takagi import takagi
+
+# eigenvalues of G = sum_k S_k S_k^* (or of a probe) whose gap is below this
+# fraction of the larger one share a cluster.  An eigenvector is accurate to
+# about eps/gap, so directions closer than ~1e-7 could not meet a 1e-9
+# residual if split by one eigendecomposition; 1e-4 leaves a wide margin,
+# and the probes resolve what a cluster holds
+_CLUSTER_REL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -81,71 +92,112 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
     return Tensor3(entries=entries, has_constant=has_constant)
 
 
-def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0) -> DiagResult:
+def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
     """Recover the orthogonal family {v : S(v) = v (x) v, v != 0}.
 
     Requires the tensor to be doubly symmetric (sym1-sym3 within ``tol``).
-    For a random probe vector w, the Hermitian matrix conj(S(w)) S(w) has the
-    conjugated normalized directions as eigenvectors; each candidate
-    direction a is rescaled to the true fixed point via the cubic form
-    conj(a)^T S(a) conj(a) and verified.  Probe collisions (degenerate
-    eigenvalues) are resolved by redrawing, a few times, from a generator
-    seeded with ``seed``.
+    The algorithm is direct and deterministic:
+
+    1. G = sum_k S_k S_k^* equals sum_m v_m v_m^*, so its eigenvalues are
+       the squared norms |v_m|^2 = 1/weight and its eigenvectors the
+       directions v_m/|v_m|.  Eigenvalues at or below the eigensolver's
+       resolution (4 d^2 eps max|G|) belong to the null space.
+    2. Eigenvalues whose gap is below ``_CLUSTER_REL`` of the larger one
+       form a cluster, whose eigenvectors are not individually accurate.
+       A cluster with basis q is split by the Hermitian probes
+       q^* S(y) S(y)^* q, whose eigenvalues are |<v_m, y>|^2 over its
+       directions.  The probes y run over the basis vectors q_t, then the
+       sums q_t + q_u and q_t + i q_u: by polarization some probe tells any
+       two orthogonal directions apart, so the sequence always splits a
+       cluster.
+    3. Each direction a is rescaled to its fixed point v = c a with the
+       cubic form c = conj(a)^T S(a) conj(a).  A direction with
+       max|S(a)| <= tol * max|S| belongs to the null space.  A fixed point
+       whose residual max|S(v) - v v^T| exceeds the bound raises
+       ``NoConvergence``.
+
+    The vectors come out by decreasing weight, the directions of one
+    cluster in the order the probes separate them.  Cost, beyond the
+    O(d^5) symmetry sweep: one O(d^4) product for G, one d x d ``eigh``,
+    one O(d^4) product for the images S(a), and O(d^3) per probe; a cluster
+    of g directions takes at most g^2 probes, and generically one.
     """
     report = check_symmetries(tensor, tol=tol, include_constant=False)
     if not report.doubly_symmetric:
         raise NotDoublySymmetric(
             f"tensor is not doubly symmetric: residuals {report.residuals()}"
         )
-    return _fixed_points(tensor, tol, seed)
+    return _fixed_points(tensor, tol)
 
 
-def _fixed_points(tensor: Tensor3, tol: float, seed: int) -> DiagResult:
+def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
     """``diagonalize`` on a tensor already known to be doubly symmetric."""
+    s = tensor.entries
     d = tensor.dim
-    scale = float(np.max(np.abs(tensor.entries)))
+    scale = float(np.max(np.abs(s)))
     if scale <= tol:
         return DiagResult(vectors=np.zeros((0, d), dtype=complex), residual=0.0)
     # directions whose image is this small belong to the null space
     null_tol = max(tol * scale, tol)
 
-    rng = np.random.default_rng(seed)
-    last_residual = np.inf
-    for _ in range(5):
-        w = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        w /= np.linalg.norm(w)
-        sw = tensor.apply(w)
-        cw = np.conj(sw) @ sw.T  # Hermitian PSD, eigenvectors conj(v_m)/|v_m|
-        _, vecs = np.linalg.eigh(cw)
-        found = []
-        worst = 0.0
-        ok = True
-        for m in range(d):
-            a = np.conj(vecs[:, m])
-            sa = tensor.apply(a)
-            if float(np.max(np.abs(sa))) <= null_tol:
-                continue
-            v = (np.conj(a) @ sa @ np.conj(a)) * a
-            resid = float(np.max(np.abs(tensor.apply(v) - np.outer(v, v))))
-            vscale = max(1.0, float(np.max(np.abs(v))) ** 2)
-            if resid > max(tol, 10 * tol * vscale):
-                ok = False  # probe failed to separate directions; redraw
-                break
-            worst = max(worst, resid)
-            found.append(v)
-        if ok:
-            vectors = (
-                np.array(found) if found else np.zeros((0, d), dtype=complex)
-            )
-            return DiagResult(vectors=vectors, residual=worst)
-        last_residual = min(last_residual, worst if worst else np.inf)
-    raise NoConvergence(
-        "random probes failed to split the tensor's directions",
-        residual=None if last_residual is np.inf else last_residual,
+    rows = s.reshape(d, d * d)
+    lam, w = np.linalg.eigh(rows @ rows.conj().T)
+    live = np.flatnonzero(lam > 4 * d * d * np.finfo(float).eps * lam[-1])
+    cuts = np.flatnonzero(np.diff(lam[live]) > _CLUSTER_REL * lam[live][1:]) + 1
+    dirs = [
+        a
+        for group in np.split(live, cuts)
+        if len(group)
+        for a in _split_cluster(s, w[:, group])
+    ]
+    a = np.array(dirs, dtype=complex).reshape(-1, d)  # (K, d) unit directions
+    images = np.moveaxis((s.reshape(d * d, d) @ a.T).reshape(d, d, -1), 2, 0)
+    keep = np.max(np.abs(images), axis=(1, 2)) > null_tol
+    a, images = a[keep], images[keep]
+    cubic = np.einsum("mi,mij,mj->m", np.conj(a), images, np.conj(a))
+    vectors = cubic[:, None] * a
+    # S is linear, so S(v) = c S(a)
+    outer = vectors[:, :, None] * vectors[:, None, :]
+    resid = np.max(np.abs(cubic[:, None, None] * images - outer), axis=(1, 2))
+    bound = 10 * tol * np.maximum(1.0, np.max(np.abs(vectors), axis=1) ** 2)
+    if np.any(resid > bound):
+        worst = float(np.max(resid[resid > bound]))
+        raise NoConvergence(
+            f"fixed point residual {worst:.3e} exceeds its bound", residual=worst
+        )
+    return DiagResult(vectors=vectors, residual=float(np.max(resid, initial=0.0)))
+
+
+def _split_cluster(s: np.ndarray, q: np.ndarray) -> list:
+    """One unit direction per fixed point in the cluster spanned by ``q``.
+
+    ``q`` holds orthonormal columns spanning {v_m} over the directions m of
+    one cluster; see ``diagonalize`` for the probe sequence.
+    """
+    g = q.shape[1]
+    if g == 1:
+        return [q[:, 0]]
+    basis = q.T
+    pairs = (
+        basis[t] + phase * basis[u]
+        for t in range(g)
+        for u in range(t + 1, g)
+        for phase in (1.0, 1j)
     )
+    for y in itertools.chain(basis, pairs):
+        a = np.conj(s @ y) @ q  # its Gram matrix is q^* S(y) S(y)^* q
+        mu, r = np.linalg.eigh(a.conj().T @ a)
+        cuts = np.flatnonzero(np.diff(mu) > _CLUSTER_REL * mu[-1]) + 1
+        if len(cuts):
+            return [
+                col
+                for part in np.split(r, cuts, axis=1)
+                for col in _split_cluster(s, q @ part)
+            ]
+    raise NoConvergence(f"no probe splits a cluster of {g} directions")
 
 
-def obtuse_fixed_points(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0) -> ObtuseSystem:
+def obtuse_fixed_points(tensor: Tensor3, tol: float = DEFAULT_TOL) -> ObtuseSystem:
     """Obtuse system encoded by a constant-coordinate doubly-symmetric tensor.
 
     For a tensor that also satisfies S^{i0}_k = delta_{ik}, the fixed-point
@@ -156,7 +208,7 @@ def obtuse_fixed_points(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0
     """
     if not tensor.has_constant:
         raise DimensionMismatch("tensor does not carry a constant coordinate")
-    return _obtuse_system(diagonalize(tensor, tol=tol, seed=seed).vectors, tol)
+    return _obtuse_system(diagonalize(tensor, tol=tol).vectors, tol)
 
 
 def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:
@@ -255,7 +307,7 @@ class RealificationResult:
         return float(np.max(np.abs(self.real_tensor.entries.imag)))
 
 
-def realify(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0) -> RealificationResult:
+def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     """Rotate an obtuse tensor into a real one.
 
     The slice S_0 = (S^{ij}_0) of a valid obtuse tensor is symmetric and
@@ -286,7 +338,7 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL, seed: int = 0) -> Realifi
     real_t = transform(v.conj().T, tensor, tol=tol)
     if not is_real_tensor(real_t, tol=max(tol, 1e-8)):
         raise NoConvergence("realified tensor failed the real criterion")
-    system = _obtuse_system(_fixed_points(real_t, tol, seed).vectors, tol)
+    system = _obtuse_system(_fixed_points(real_t, tol).vectors, tol)
     return RealificationResult(v=v, real_tensor=real_t, real_system=system)
 
 

@@ -122,3 +122,29 @@ def greedy_match(found, expected) -> float:
         used.add(best[1])
         worst = max(worst, best[0])
     return worst
+
+
+def scaled_family(n, k, c, rng, steps):
+    """Sampled systems whose first k atoms have probability c*h, and Lambda.
+
+    In the limit the k light atoms become Poisson directions of intensity c
+    and the other n - k directions are Brownian.  The real system (rows of
+    an orthogonal matrix with first column sqrt(p), from Gram-Schmidt run
+    twice, which is smooth in p) is rotated by a random diagonal phase
+    unitary u, which gives Lambda = u u^T.  The draws from ``rng`` match
+    the benchmark's generator of the same name.
+    """
+    rest = rng.dirichlet(np.full(n + 1 - k, 5.0))
+    phases = np.exp(2j * np.pi * rng.random(n))
+    systems = []
+    for h in steps:
+        p = np.concatenate([np.full(k, c * h), (1.0 - k * c * h) * rest])
+        cols = [np.sqrt(p)]
+        for e in np.eye(n + 1)[1:]:
+            for _ in range(2):
+                for q in cols:
+                    e = e - np.dot(q, e) * q
+            cols.append(e / np.linalg.norm(e))
+        real = (np.column_stack(cols) / np.sqrt(p)[:, None])[:, 1:]
+        systems.append(real * phases[None, :])
+    return systems, np.diag(phases**2)

@@ -169,6 +169,16 @@ class TestLimit:
         assert "error: DimensionMismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", ["validate", "tensor", "check", "diagonalize", "realify", "limit"]
+)
+def test_only_simulate_takes_a_seed(command):
+    # the other subcommands draw no random numbers
+    with pytest.raises(SystemExit) as exc:
+        main([command, "input.json", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 class TestSimulate:
     def test_walk_stats(self, tmp_path, capsys):
         f = write_json(tmp_path / "sys.json", reference_system_doc())

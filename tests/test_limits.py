@@ -23,7 +23,7 @@ from obtusewalk.errors import (
     NonPositiveStep,
     StructureViolation,
 )
-from obtusewalk.limits import _SHRINK_FACTOR, DEFAULT_STEPS
+from obtusewalk.limits import _SHRINK_FACTOR, DEFAULT_STEPS, _real_complement
 from conftest import (
     JUMP_LAMBDA,
     JUMP_M1,
@@ -32,6 +32,7 @@ from conftest import (
     REFERENCE_LAMBDA,
     greedy_match,
     jump_rv,
+    scaled_family,
 )
 
 
@@ -284,3 +285,45 @@ class TestClassify:
                 assert abs(np.real(np.vdot(b, v))) <= 1e-7
         gram = spec.brownian_basis @ spec.brownian_basis.conj().T
         np.testing.assert_allclose(gram, np.eye(spec.n_brownian), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, k, c, rng",
+        [
+            # sym2 ~ 1.8e-9 passes the structure gate; a second, tighter gate
+            # on sym1-sym3 used to reject it
+            (4, 2, 0.05, np.random.default_rng(0)),
+            # an extrapolation-noise direction with |v|^2 ~ 3.5e-17 sits
+            # below the eigensolver's resolution and is null
+            (2, 1, 0.059, np.random.default_rng([2])),
+        ],
+    )
+    def test_scaled_family(self, n, k, c, rng):
+        systems, lam = scaled_family(n, k, c, rng, DEFAULT_STEPS)
+        family = TensorFamily.from_samples(
+            DEFAULT_STEPS, [tensor_of(ObtuseRV.from_values(v)) for v in systems]
+        )
+        spec = classify(limit_tensor(family))
+        assert (spec.n_poisson, spec.n_brownian) == (k, n - k)
+        np.testing.assert_allclose(spec.intensities, np.full(k, c), rtol=1e-6)
+        assert np.max(np.abs(spec.lambda_matrix - lam)) <= 1e-6
+
+
+class TestRealComplement:
+    def test_empty_rows_give_identity(self):
+        np.testing.assert_array_equal(_real_complement(np.zeros((0, 3)), 3), np.eye(3))
+
+    def test_nearly_canonical_row(self):
+        # one row leaves exactly one complement vector, whatever its entries
+        comp = _real_complement(np.array([[-1.0, 1.3e-8]]), 2)
+        assert comp.shape == (1, 2)
+        np.testing.assert_allclose(comp, [[1.3e-8, 1.0]], atol=1e-15)
+
+    def test_exact_count_and_orthogonality(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 5, 9):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            for k in range(n + 1):
+                comp = _real_complement(q[:k], n)
+                assert comp.shape == (n - k, n)
+                np.testing.assert_allclose(comp @ comp.T, np.eye(n - k), atol=1e-12)
+                assert np.max(np.abs(comp @ q[:k].T), initial=0.0) <= 1e-12

@@ -1,5 +1,6 @@
 """Obtuse systems, their tensors, and the uniqueness/embedding results."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -290,6 +291,25 @@ class TestUniqueness:
         u, sigma = relate_same_probabilities(ObtuseRV(base), rotated)
         residual = np.max(np.abs(base.values @ u.T - rotated.values[sigma]))
         assert residual <= 1e-9
+
+    def test_uniform_fifteen_dimensional_system(self):
+        # 16 tied atoms: one matching, no search over 16! permutations
+        base = system_from_probabilities(np.full(16, 1.0 / 16))
+        u_true = haar_unitary(15, np.random.default_rng(15))
+        rotated = ObtuseRV(
+            ObtuseSystem(values=base.values @ u_true.T, probabilities=base.probabilities)
+        )
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            u, sigma = relate_same_probabilities(ObtuseRV(base), rotated)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 2**20
+        assert np.max(np.abs(base.values @ u.T - rotated.values[sigma])) <= 1e-9
+        assert np.max(np.abs(u.conj().T @ u - np.eye(15))) <= 1e-12
 
     def test_probability_mismatch_raises(self, reference_rv):
         other = ObtuseRV(system_from_probabilities([0.5, 0.3, 0.2]))

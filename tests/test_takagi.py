@@ -1,13 +1,13 @@
-"""Takagi factorization and its simultaneous variant."""
+"""Takagi factorization, and the joint one of a tensor's slice family."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obtusewalk import commuting_check, haar_unitary, simultaneous_takagi, takagi
-from obtusewalk.errors import NotCommuting, NotSymmetric
-from conftest import REFERENCE_LAMBDA
+from obtusewalk import Tensor3, diagonalize, haar_unitary, takagi, tensor_from_family
+from obtusewalk.errors import NotDoublySymmetric, NotSymmetric
+from conftest import REFERENCE_LAMBDA, greedy_match
 
 
 def random_symmetric(dim, rng):
@@ -98,60 +98,69 @@ class TestTakagi:
         assert_valid_factorization(m, takagi(m))
 
 
+def assert_joint_factorization(tensor, atol):
+    """Check S_k = U diag(conj(v_m^k)) U^T with U's columns v_m/|v_m|.
+
+    ``diagonalize`` gives this joint Takagi factorization of the slice
+    family; returns U and the diagonals of every slice.
+    """
+    vectors = diagonalize(tensor).vectors
+    u = (vectors / np.linalg.norm(vectors, axis=1)[:, None]).T
+    diags = [np.conj(vectors[:, k]) for k in range(tensor.dim)]
+    assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1]))) <= 1e-12
+    for k, d in enumerate(diags):
+        assert np.max(np.abs(u @ np.diag(d) @ u.T - tensor.k_slice(k))) <= atol
+    return u, diags
+
+
 class TestCommutingCheck:
     def test_tensor_slices_commute(self, reference_tensor):
+        # the conjugate products conj(S_i) S_j of a doubly-symmetric tensor
+        # commute; this is what makes a joint factorization possible
         slices = [reference_tensor.k_slice(k) for k in range(3)]
-        assert commuting_check(slices) <= 1e-10
-
-    def test_identity_family(self):
-        assert commuting_check([np.eye(3)]) == 0.0
-
-    def test_non_commuting_pair(self):
-        a1 = np.array([[1.0, 0.0], [0.0, 0.0]])
-        a2 = np.array([[0.0, 1.0], [1.0, 0.0]])
-        # conj(a1) a2 and conj(a2) a1 are the two nilpotent corners; their
-        # commutator is diag(1, -1)
-        assert commuting_check([a1, a2]) == pytest.approx(1.0)
+        g = [np.conj(a) @ b for a in slices for b in slices]
+        worst = max(float(np.max(np.abs(x @ y - y @ x))) for x in g for y in g)
+        assert worst <= 1e-10
 
 
 class TestSimultaneous:
+    """Joint Takagi factorization of a tensor's slices, from ``diagonalize``."""
+
     def test_reference_tensor_slices(self, reference_tensor):
-        slices = [reference_tensor.k_slice(k) for k in range(3)]
-        u, diags = simultaneous_takagi(slices)
-        for a, d in zip(slices, diags):
-            assert np.max(np.abs(u @ np.diag(d) @ u.T - a)) <= 1e-9
+        u, _ = assert_joint_factorization(reference_tensor, atol=1e-9)
+        assert u.shape == (3, 3)
 
     def test_identity_pair(self):
-        u, diags = simultaneous_takagi([np.eye(2), np.eye(2)])
-        for d in diags:
-            np.testing.assert_allclose(d, [1.0, 1.0], atol=1e-12)
-        assert np.max(np.abs(u @ u.T - np.eye(2))) <= 1e-12
+        # the coordinate pair e_1, e_2: the joint factor is the identity
+        u, diags = assert_joint_factorization(tensor_from_family(np.eye(2)), atol=1e-12)
+        assert greedy_match(u.T, np.eye(2)) <= 1e-12
+        np.testing.assert_allclose(diags[0] + diags[1], [1.0, 1.0], atol=1e-12)
 
     def test_already_diagonal(self):
-        fam = [np.diag([1.0, 2.0]).astype(complex), np.diag([3.0, 4.0]).astype(complex)]
-        u, diags = simultaneous_takagi(fam)
-        for a, d in zip(fam, diags):
-            assert np.max(np.abs(u @ np.diag(d) @ u.T - a)) <= 1e-10
+        # a scaled coordinate family has diagonal slices
+        tensor = tensor_from_family(np.diag([1.0, 2.0j, 0.5]))
+        for k in range(3):
+            s = tensor.k_slice(k)
+            assert np.max(np.abs(s - np.diag(np.diagonal(s)))) == 0.0
+        assert_joint_factorization(tensor, atol=1e-12)
 
     def test_constructed_family(self):
         rng = np.random.default_rng(4)
         u_true = haar_unitary(5, rng)
-        fam = []
-        for _ in range(3):
-            d = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            fam.append(u_true @ np.diag(d) @ u_true.T)
-        u, diags = simultaneous_takagi(fam)
-        for a, d in zip(fam, diags):
-            assert np.max(np.abs(u @ np.diag(d) @ u.T - a)) <= 1e-9
+        lengths = rng.uniform(0.4, 2.5, size=5)
+        tensor = tensor_from_family(u_true.T * lengths[:, None])
+        u, _ = assert_joint_factorization(tensor, atol=1e-9)
+        # the factor is u_true up to a column permutation
+        overlap = np.abs(u_true.conj().T @ u)
+        np.testing.assert_allclose(np.sort(overlap.max(axis=0)), np.ones(5), atol=1e-9)
 
     def test_non_commuting_raises(self):
+        # slices whose conjugate products do not commute fail sym3
         a1 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         a2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        with pytest.raises(NotCommuting):
-            simultaneous_takagi([a1, a2])
+        with pytest.raises(NotDoublySymmetric):
+            diagonalize(Tensor3(np.stack([a1, a2], axis=2), has_constant=False))
 
-    def test_seeded_reproducibility(self, reference_tensor):
-        slices = [reference_tensor.k_slice(k) for k in range(3)]
-        u1, _ = simultaneous_takagi(slices, seed=42)
-        u2, _ = simultaneous_takagi(slices, seed=42)
-        np.testing.assert_array_equal(u1, u2)
+    def test_deterministic(self, reference_tensor):
+        first = diagonalize(reference_tensor).vectors
+        assert np.array_equal(first, diagonalize(reference_tensor).vectors)

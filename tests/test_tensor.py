@@ -2,20 +2,25 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obtusewalk import (
     ObtuseRV,
+    ObtuseSystem,
     Tensor3,
+    TensorFamily,
+    classify,
     diagonalize,
     extract_phases,
     haar_unitary,
     is_real_tensor,
+    limit_tensor,
     obtuse_fixed_points,
     random_system,
     realify,
     relate_same_probabilities,
+    system_from_probabilities,
     tensor_from_family,
     tensor_of,
     transform,
@@ -28,12 +33,14 @@ from obtusewalk.errors import (
     S0NotUnitary,
     WrongCount,
 )
+from obtusewalk.limits import DEFAULT_STEPS
 from conftest import (
     REFERENCE_PROBS,
     REFERENCE_VALUES,
     bernoulli_rv,
     greedy_match,
     imaginary_rv,
+    jump_rv,
 )
 
 
@@ -144,6 +151,73 @@ class TestDiagonalize:
         assert greedy_match(recovered.vectors, family) <= 1e-8
 
 
+def fourier_block(k):
+    """Rows (w^{m t})_t, w = exp(2 pi i / k): orthogonal, all entries of modulus 1."""
+    return np.exp(2j * np.pi * np.outer(np.arange(k), np.arange(k)) / k)
+
+
+class TestClusters:
+    """Equal or nearly equal weights put several directions in one cluster."""
+
+    @given(
+        n=st.integers(1, 32),
+        kind=st.sampled_from(["tie", "near-tie", "fourier"]),
+        exponent=st.floats(3.0, 12.0),
+        seed=st.integers(0, 10**6),
+    )
+    @example(n=32, kind="tie", exponent=3.0, seed=0)
+    @example(n=32, kind="near-tie", exponent=12.0, seed=1)
+    @example(n=32, kind="fourier", exponent=3.0, seed=2)
+    @example(n=7, kind="fourier", exponent=3.0, seed=3)
+    @settings(deadline=None, max_examples=40, derandomize=True)
+    def test_recovers_clustered_systems(self, n, kind, exponent, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "fourier":
+            # uniform DFT system: (1, v_m) = (w^{m t})_t with k = n + 1 <= 8
+            # atoms, then a Fourier block of k <= 8 equal-length directions
+            # inside a random orthogonal family of dimension n + 1
+            k = min(n + 1, 8)
+            values = fourier_block(k)[:, 1:]
+            system = obtuse_fixed_points(tensor_of(ObtuseRV.from_values(values)))
+            assert greedy_match(system.values, values) <= 1e-9
+            d = n + 1
+            family = np.zeros((d, d), dtype=complex)
+            family[:k, :k] = 1.7 * fourier_block(k)
+            rest = haar_unitary(d - k, rng).T if d > k else np.zeros((0, 0))
+            family[k:, k:] = rest * rng.uniform(0.4, 2.5, size=d - k)[:, None]
+            recovered = diagonalize(tensor_from_family(family))
+            assert greedy_match(recovered.vectors, family) <= 1e-8
+            return
+        p = rng.dirichlet(np.full(n + 1, 5.0))
+        if kind == "tie":
+            m = int(rng.integers(2, n + 2))
+            p[:m] = np.mean(p[:m])
+        else:
+            p[1] = p[0] * (1.0 + 10.0**-exponent)
+            p /= np.sum(p)
+        base = system_from_probabilities(p)
+        values = base.values @ haar_unitary(n, rng).T
+        system = obtuse_fixed_points(
+            tensor_of(ObtuseRV(ObtuseSystem(values=values, probabilities=p)))
+        )
+        np.testing.assert_allclose(np.sort(system.probabilities), np.sort(p), atol=1e-12)
+        assert greedy_match(system.values, values) <= 1e-8
+
+
+def test_no_random_draws(monkeypatch, reference_tensor):
+    """Diagonalization, realification and classification draw no random numbers."""
+    family = TensorFamily(tensor_at=lambda h: tensor_of(jump_rv(h)), steps=DEFAULT_STEPS)
+    limit = limit_tensor(family)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a random generator was requested")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert len(diagonalize(reference_tensor).vectors) == 3
+    assert realify(reference_tensor).imag_residual() <= 1e-8
+    assert classify(limit, tol=1e-7).n_poisson == 1
+
+
 class TestObtuseFixedPoints:
     def test_reference_tensor(self, reference_rv, reference_tensor):
         system = obtuse_fixed_points(reference_tensor)
@@ -244,8 +318,6 @@ class TestRealify:
         for _ in range(5):
             dim = int(rng.integers(1, 5))
             probs = rng.dirichlet(np.full(dim + 1, 5.0))
-            from obtusewalk import system_from_probabilities
-
             real_sys = system_from_probabilities(probs)
             tensor = tensor_of(ObtuseRV(real_sys))
             u = haar_unitary(dim, rng)
@@ -277,8 +349,6 @@ class TestTriangularize:
         )
 
     def test_already_real_system(self):
-        from obtusewalk import system_from_probabilities
-
         system = system_from_probabilities([0.2, 0.3, 0.5])
         _, tri = triangularize_system(system.values)
         phases, real_sys = extract_phases(tri)
