@@ -5,7 +5,12 @@ compute its tensor, diagonalize or realify a tensor, extrapolate and
 classify a limit from a sampled family, simulate walks or limit processes,
 and check symmetry/structure relations.  Only ``simulate`` draws random
 numbers, from ``--seed``; every other subcommand is deterministic.  Reports
-go to stdout as JSON with full double precision.
+go to stdout, or to ``--out``, as one-line JSON with full double precision
+and sorted keys.  They are written without indentation because only then
+does the json module use its C encoder; the Python encoder it falls back to
+costs more than the mathematics behind a report.  The argument parser is
+built once per process and finds each subcommand's handler by name when
+``main`` runs.
 
 Exit codes: 0 success, 1 domain failure (invalid mathematical input), 2
 usage, parse or I/O errors.
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -42,7 +48,8 @@ def _load_json(path: str):
 
 
 def _emit(doc, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # dumps, not dump: json.dump always runs the Python encoder.
+    text = json.dumps(doc, sort_keys=True)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -211,6 +218,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obtusewalk",
@@ -221,33 +229,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate an obtuse system file")
     p.add_argument("input")
     _add_common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("tensor", help="3-tensor of an obtuse system")
     p.add_argument("input")
     _add_common(p)
-    p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("check", help="symmetry relations of a tensor file")
     p.add_argument("input")
     p.add_argument("--limit", action="store_true", help="also check limit structure")
     _add_common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("diagonalize", help="orthogonal family of a tensor")
     p.add_argument("input")
     _add_common(p)
-    p.set_defaults(func=cmd_diagonalize)
 
     p = sub.add_parser("realify", help="rotate a tensor or system to a real one")
     p.add_argument("input")
     _add_common(p)
-    p.set_defaults(func=cmd_realify)
 
     p = sub.add_parser("limit", help="limit tensor and classification of a family")
     p.add_argument("input")
     _add_common(p)
-    p.set_defaults(func=cmd_limit)
 
     p = sub.add_parser("simulate", help="simulate walk or limit paths")
     p.add_argument("input", help="system file (walk) or limit-spec file (limit)")
@@ -265,16 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", default=None, help="stats JSON file (default stdout)")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command](args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

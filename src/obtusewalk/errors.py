@@ -103,5 +103,9 @@ class TooManyJumps(ObtuseWalkError):
     """A limit path would draw more jumps than its jump-log budget admits."""
 
 
+class PathTooLarge(ObtuseWalkError):
+    """A limit path's time grid would exceed its byte budget."""
+
+
 class TooFewIncrements(ObtuseWalkError):
     """Bracket estimation needs more path increments."""

@@ -5,6 +5,11 @@ scalars, matrices {"dim", "entries"} with entries[i][j], tensors
 {"dim", "entries"} with entries[i][j][k] plus an optional "constant_index"
 flag (default true) marking whether index 0 is the constant coordinate.
 Floats are emitted with full round-trip precision by the json module.
+
+Writers build a whole array's nested scalar objects in one pass over its
+real and imaginary parts (``_complex_lists``); readers parse nested lists
+of scalars back into one array (``_complex_array``) and turn ragged,
+misnested or mistyped input into ``FormatError``.
 """
 
 from __future__ import annotations
@@ -34,22 +39,70 @@ def complex_from_json(obj) -> complex:
         raise FormatError(f"not a complex scalar: {obj!r}") from exc
 
 
+def _complex_lists(arr) -> list:
+    """Nested lists of {"re", "im"} objects with the shape of ``arr``.
+
+    Equal to ``complex_to_json`` applied entry by entry, but the floats come
+    from one ``tolist`` per part instead of a ``complex`` per numpy scalar.
+    """
+    arr = np.asarray(arr, dtype=complex)
+    if arr.size == 0:
+        return arr.real.tolist()
+    out = [
+        {"re": re, "im": im}
+        for re, im in zip(arr.real.ravel().tolist(), arr.imag.ravel().tolist())
+    ]
+    for n in reversed(arr.shape[1:]):
+        out = [out[k : k + n] for k in range(0, len(out), n)]
+    return out
+
+
+def _complex_array(obj, ndim: int, what: str) -> np.ndarray:
+    """Complex array with ``ndim`` axes from nested lists of complex scalars."""
+
+    def parse(x, depth):
+        if not isinstance(x, list):
+            raise FormatError(f"{what} must be nested lists of depth {ndim}")
+        if depth == ndim - 1:
+            return [complex_from_json(z) for z in x]
+        return [parse(y, depth + 1) for y in x]
+
+    nested = parse(obj, 0)
+    try:
+        arr = np.array(nested, dtype=complex)
+    except ValueError as exc:
+        raise FormatError(f"{what} must be a rectangular {ndim}-d array") from exc
+    if arr.ndim != ndim:
+        raise FormatError(f"{what} must be a {ndim}-d array")
+    return arr
+
+
+def _floats(obj, what: str) -> list:
+    try:
+        return [float(x) for x in obj]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what} must be a list of numbers") from exc
+
+
+def _check_dim(obj, actual: int, what: str) -> None:
+    """Reject a declared "dim" that is not an integer or differs from ``actual``."""
+    if "dim" not in obj:
+        return
+    try:
+        dim = int(obj["dim"])
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"dim must be an integer, got {obj['dim']!r}") from exc
+    if dim != actual:
+        raise FormatError(f"declared dim does not match the {what}")
+
+
 def vector_to_json(vec) -> list:
-    return [complex_to_json(z) for z in np.asarray(vec, dtype=complex)]
-
-
-def vector_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise FormatError("vector must be a list")
-    return np.array([complex_from_json(z) for z in obj], dtype=complex)
+    return _complex_lists(vec)
 
 
 def matrix_to_json(mat) -> dict:
     arr = np.asarray(mat, dtype=complex)
-    return {
-        "dim": int(arr.shape[0]),
-        "entries": [[complex_to_json(z) for z in row] for row in arr],
-    }
+    return {"dim": int(arr.shape[0]), "entries": _complex_lists(arr)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -57,10 +110,7 @@ def matrix_from_json(obj) -> np.ndarray:
         rows = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise FormatError("matrix must have an 'entries' field") from exc
-    arr = np.array([[complex_from_json(z) for z in row] for row in rows], dtype=complex)
-    if arr.ndim != 2:
-        raise FormatError("matrix entries must be a 2-d array")
-    return arr
+    return _complex_array(rows, 2, "matrix entries")
 
 
 def system_to_json(system: ObtuseSystem) -> dict:
@@ -74,19 +124,14 @@ def system_to_json(system: ObtuseSystem) -> dict:
 def system_values_from_json(obj):
     """Values and optional probabilities from a system document."""
     try:
-        values = np.array(
-            [[complex_from_json(z) for z in row] for row in obj["values"]],
-            dtype=complex,
-        )
+        raw = obj["values"]
     except (TypeError, KeyError) as exc:
         raise FormatError("system must have a 'values' field") from exc
-    if values.ndim != 2:
-        raise FormatError("system values must be a list of equal-length vectors")
-    if "dim" in obj and int(obj["dim"]) != values.shape[1]:
-        raise FormatError("declared dim does not match the vectors")
+    values = _complex_array(raw, 2, "system values")
+    _check_dim(obj, values.shape[1], "vectors")
     probs = obj.get("probabilities")
     if probs is not None:
-        probs = np.asarray([float(p) for p in probs])
+        probs = np.asarray(_floats(probs, "probabilities"))
     return values, probs
 
 
@@ -94,10 +139,7 @@ def tensor_to_json(tensor: Tensor3) -> dict:
     return {
         "dim": int(tensor.dim),
         "constant_index": bool(tensor.has_constant),
-        "entries": [
-            [[complex_to_json(z) for z in row] for row in plane]
-            for plane in tensor.entries
-        ],
+        "entries": _complex_lists(tensor.entries),
     }
 
 
@@ -106,15 +148,9 @@ def tensor_from_json(obj) -> Tensor3:
         raw = obj["entries"]
     except (TypeError, KeyError) as exc:
         raise FormatError("tensor must have an 'entries' field") from exc
-    arr = np.array(
-        [[[complex_from_json(z) for z in row] for row in plane] for plane in raw],
-        dtype=complex,
-    )
-    if arr.ndim != 3:
-        raise FormatError("tensor entries must be a 3-d array")
+    arr = _complex_array(raw, 3, "tensor entries")
     has_constant = bool(obj.get("constant_index", True))
-    if "dim" in obj and int(obj["dim"]) != arr.shape[0]:
-        raise FormatError("declared dim does not match the entries")
+    _check_dim(obj, arr.shape[0], "entries")
     try:
         return Tensor3(entries=arr, has_constant=has_constant)
     except DimensionMismatch as exc:
@@ -136,26 +172,38 @@ def limitspec_to_json(spec: LimitSpec) -> dict:
 
 
 def limitspec_from_json(obj) -> LimitSpec:
+    """Limit spec whose M, V, directions and basis all match Lambda's N."""
     try:
         tensor = tensor_from_json(obj["M"])
         lam = matrix_from_json(obj["Lambda"])
         v = matrix_from_json(obj["V"])
         poisson = obj.get("poisson", [])
         brownian = obj.get("brownian", [])
+        raw_dirs = [p["v"] for p in poisson]
+        intensities = np.array(_floats([p["intensity"] for p in poisson], "intensities"))
     except (TypeError, KeyError) as exc:
         raise FormatError("limit spec missing required fields") from exc
     n = lam.shape[0]
     dirs = (
-        np.array([vector_from_json(p["v"]) for p in poisson], dtype=complex)
-        if poisson
+        _complex_array(raw_dirs, 2, "poisson directions")
+        if raw_dirs
         else np.zeros((0, n), dtype=complex)
     )
-    intensities = np.array([float(p["intensity"]) for p in poisson])
     basis = (
-        np.array([vector_from_json(b) for b in brownian], dtype=complex)
+        _complex_array(brownian, 2, "brownian basis")
         if brownian
         else np.zeros((0, n), dtype=complex)
     )
+    if (lam.shape, v.shape, tensor.dim, dirs.shape[1], basis.shape[1]) != (
+        (n, n), (n, n), n, n, n
+    ):
+        raise FormatError(
+            f"limit spec parts disagree with Lambda {lam.shape}: M has dim "
+            f"{tensor.dim}, V {v.shape}, poisson directions {dirs.shape}, "
+            f"brownian basis {basis.shape}"
+        )
+    if not np.all((intensities > 0) & (intensities < np.inf)):
+        raise FormatError(f"poisson intensities must be positive and finite: {intensities}")
     return LimitSpec(
         dim=n,
         tensor=tensor,
@@ -178,12 +226,12 @@ def family_from_json(obj, default_steps) -> TensorFamily:
 
     if not isinstance(obj, dict):
         raise FormatError("family must be an object")
-    steps = obj.get("steps")
+    steps = _floats(obj["steps"], "steps") if obj.get("steps") is not None else None
     if "tensors" in obj:
         if steps is None or len(steps) != len(obj["tensors"]):
             raise FormatError("family needs matching 'steps' and 'tensors'")
         tensors = [tensor_from_json(t) for t in obj["tensors"]]
-        return TensorFamily.from_samples([float(h) for h in steps], tensors)
+        return TensorFamily.from_samples(steps, tensors)
     if "systems" in obj:
         if steps is None or len(steps) != len(obj["systems"]):
             raise FormatError("family needs matching 'steps' and 'systems'")
@@ -191,10 +239,9 @@ def family_from_json(obj, default_steps) -> TensorFamily:
         for doc in obj["systems"]:
             values, _ = system_values_from_json(doc)
             tensors.append(tensor_of(ObtuseRV.from_values(values)))
-        return TensorFamily.from_samples([float(h) for h in steps], tensors)
+        return TensorFamily.from_samples(steps, tensors)
     if "system" in obj:
         values, _ = system_values_from_json(obj["system"])
         tensor = tensor_of(ObtuseRV.from_values(values))
-        steps = [float(h) for h in steps] if steps else list(default_steps)
-        return TensorFamily.constant(tensor, steps=tuple(steps))
+        return TensorFamily.constant(tensor, steps=tuple(steps or default_steps))
     raise FormatError("family needs 'tensors', 'systems' or 'system'")

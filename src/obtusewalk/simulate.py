@@ -36,7 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveStep, TooFewIncrements, TooManyJumps
+from .errors import (
+    DimensionMismatch,
+    NonPositiveStep,
+    PathTooLarge,
+    TooFewIncrements,
+    TooManyJumps,
+)
 from .limits import LimitSpec
 from .obtuse import ObtuseRV
 
@@ -54,6 +60,24 @@ STEP_RTOL = 1e-10
 # probability.  Drawing and sorting the log peaks at about 3x its size.
 JUMP_LOG_BYTES = 2**27
 _JUMP_BYTES = np.dtype(float).itemsize + np.dtype(int).itemsize
+
+# Byte budget of the dt-grid of one limit path in C^N.  Per grid time the
+# path keeps a float64 time and a complex value (8 + 16 N bytes), and
+# building it holds at most 24 N + 24 bytes more at once: a jump direction's
+# complex outer product (16 N) with its count arrays (24), or the Brownian
+# draws and their running sum (16 B, B <= N) plus one real product (8 N).
+# 2**28 bytes admit 3.7 million grid times at N = 1 and 204 000 at N = 32.
+PATH_GRID_BYTES = 2**28
+
+# Largest expected jump count of one direction in a limit ensemble.  Counts
+# are int64, and a Poisson count of mean 2**62 reaches 2**63 only 2**31
+# standard deviations above its mean; numpy's sampler stops just below 2**63.
+MAX_ENSEMBLE_JUMPS = 2**62
+
+
+def _grid_row_bytes(dim: int) -> int:
+    """Peak bytes per grid time of a limit path in C^dim (see PATH_GRID_BYTES)."""
+    return 40 * dim + 32
 
 
 def _substream(seed: int, path_index: int) -> np.random.Generator:
@@ -121,13 +145,22 @@ def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: 
     Brownian increments are exact Gaussians.  Each Poisson direction jumps
     N ~ Poisson(intensity * T) times, at N sorted uniform times on [0, T],
     and contributes its compensated count times the direction vector.
-    Raises ``TooManyJumps`` before drawing when the expected number of jumps
-    exceeds the ``JUMP_LOG_BYTES`` budget.
+    Before allocating anything it raises ``NonPositiveStep`` for a step or
+    horizon that is not positive (or a step that is not finite),
+    ``PathTooLarge`` when the grid exceeds the ``PATH_GRID_BYTES`` budget
+    and ``TooManyJumps`` when the expected number of jumps exceeds the
+    ``JUMP_LOG_BYTES`` budget.
     """
-    if dt <= 0:
-        raise NonPositiveStep(f"grid step must be positive, got {dt}")
-    if T <= 0:
-        raise NonPositiveStep("horizon T must be positive")
+    if not 0 < dt < np.inf:
+        raise NonPositiveStep(f"grid step must be positive and finite, got {dt}")
+    if not T > 0:
+        raise NonPositiveStep(f"horizon T must be positive, got {T}")
+    max_rows = PATH_GRID_BYTES // _grid_row_bytes(spec.dim)
+    if not T / dt < max_rows - 0.5:
+        raise PathTooLarge(
+            f"{T / dt:.3g} grid steps on [0, {T:.6g}] exceed the {PATH_GRID_BYTES}-byte "
+            f"budget of a path in C^{spec.dim} ({max_rows} grid times)"
+        )
     n = max(1, int(round(T / dt)))
     times = np.arange(n + 1) * dt
     t_end = times[-1]
@@ -141,9 +174,11 @@ def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: 
 
     values = np.zeros((n + 1, spec.dim), dtype=complex)
     if spec.n_brownian:
-        db = rng.normal(0.0, np.sqrt(dt), size=(n, spec.n_brownian))
-        b = np.vstack([np.zeros((1, spec.n_brownian)), np.cumsum(db, axis=0)])
+        b = np.zeros((n + 1, spec.n_brownian))
+        b[1:] = rng.normal(0.0, np.sqrt(dt), size=(n, spec.n_brownian))
+        np.cumsum(b[1:], axis=0, out=b[1:])
         _real_product(b, spec.brownian_basis, values)
+        del b
 
     jump_times = []
     for v, lam in zip(spec.poisson_dirs, spec.intensities):
@@ -192,12 +227,22 @@ def walk_ensemble(rv: ObtuseRV, h: float, t_grid, n_paths: int, seed: int = 0) -
 
 
 def limit_ensemble(spec: LimitSpec, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
-    """Limit-martingale values at the grid times, shape (n_paths, n_t, N)."""
+    """Limit-martingale values at the grid times, shape (n_paths, n_t, N).
+
+    Raises ``DimensionMismatch`` for a grid that is not finite, nonnegative
+    and increasing, and ``TooManyJumps`` when a direction expects more than
+    ``MAX_ENSEMBLE_JUMPS`` jumps by the last grid time.
+    """
     grid = np.asarray(t_grid, dtype=float)
-    if np.any(grid < 0) or np.any(np.diff(grid) < 0):
-        raise DimensionMismatch("time grid must be nonnegative and increasing")
-    rng = np.random.default_rng([seed])
+    if not (np.all(np.isfinite(grid)) and np.all(grid >= 0) and np.all(np.diff(grid) >= 0)):
+        raise DimensionMismatch("time grid must be finite, nonnegative and increasing")
     n_t = len(grid)
+    if n_t and not np.all(spec.intensities * grid[-1] <= MAX_ENSEMBLE_JUMPS):
+        raise TooManyJumps(
+            f"intensity {np.max(spec.intensities):.3g} expects more than "
+            f"{MAX_ENSEMBLE_JUMPS:.3g} jumps on [0, {grid[-1]:.6g}]"
+        )
+    rng = np.random.default_rng([seed])
     out = np.zeros((n_paths, n_t, spec.dim), dtype=complex)
     if n_paths == 0 or n_t == 0:
         return out

@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from obtusewalk import ObtuseRV, serialize, tensor_of
+from obtusewalk import (
+    ObtuseRV,
+    classify,
+    cli,
+    limit_tensor,
+    random_system,
+    serialize,
+    tensor_of,
+)
 from obtusewalk.cli import main
 from obtusewalk.limits import DEFAULT_STEPS
 from conftest import (
@@ -127,18 +135,19 @@ class TestRealify:
         assert np.max(np.abs(recovered.imag)) <= 1e-8
 
 
+def jump_family_doc():
+    return {
+        "steps": list(DEFAULT_STEPS),
+        "systems": [
+            {"values": [serialize.vector_to_json(row) for row in jump_values(h)]}
+            for h in DEFAULT_STEPS
+        ],
+    }
+
+
 class TestLimit:
     def test_jump_family_file(self, tmp_path, capsys):
-        systems = []
-        for h in DEFAULT_STEPS:
-            vals = jump_values(h)
-            systems.append(
-                {"values": [[{"re": z.real, "im": z.imag} for z in row] for row in vals]}
-            )
-        f = write_json(
-            tmp_path / "family.json",
-            {"steps": list(DEFAULT_STEPS), "systems": systems},
-        )
+        f = write_json(tmp_path / "family.json", jump_family_doc())
         assert main(["limit", f, "--tol", "1e-7"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["poisson"]) == 1
@@ -177,6 +186,133 @@ def test_only_simulate_takes_a_seed(command):
     with pytest.raises(SystemExit) as exc:
         main([command, "input.json", "--seed", "1"])
     assert exc.value.code == 2
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestLimitReport:
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_report_is_the_spec_and_round_trips(self, tmp_path, n):
+        if n == 2:
+            doc, tol = jump_family_doc(), 1e-7
+        else:
+            system = random_system(n, np.random.default_rng(n))
+            doc, tol = {"system": serialize.system_to_json(system)}, 1e-9
+        f = write_json(tmp_path / "family.json", doc)
+        out = tmp_path / "limit.json"
+        assert main(["limit", f, "--out", str(out), "--tol", str(tol)]) == 0
+        family = serialize.family_from_json(doc, DEFAULT_STEPS)
+        spec = classify(limit_tensor(family, tol=tol), tol=tol)
+
+        report = json.loads(out.read_text())
+        assert set(report.pop("diagnostics")) == {
+            "worst_difference_ratio",
+            "structure_residuals",
+        }
+        assert report == serialize.limitspec_to_json(spec)
+        back = serialize.limitspec_from_json(report)
+        assert back.dim == spec.dim
+        for name in (
+            "lambda_matrix",
+            "v_matrix",
+            "poisson_dirs",
+            "intensities",
+            "brownian_basis",
+        ):
+            assert same_bits(getattr(back, name), getattr(spec, name)), name
+        assert same_bits(back.tensor.entries, spec.tensor.entries)
+        assert back.tensor.has_constant == spec.tensor.has_constant
+
+    def test_report_needs_no_python_encoder(self, tmp_path, monkeypatch):
+        # json.dumps with indent, and json.dump always, build their output
+        # with json.encoder._make_iterencode, the pure-Python encoder
+        f = write_json(tmp_path / "family.json", jump_family_doc())
+        out = tmp_path / "limit.json"
+
+        def python_encoder(*args, **kwargs):
+            raise AssertionError("report written by the pure-Python JSON encoder")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", python_encoder)
+        assert main(["limit", f, "--out", str(out), "--tol", "1e-7"]) == 0
+        assert len(out.read_text().splitlines()) == 1
+
+
+class TestParserReuse:
+    def test_handler_is_looked_up_per_call(self, tmp_path, monkeypatch):
+        f = write_json(tmp_path / "family.json", {"system": reference_system_doc()})
+        assert main(["limit", f, "--out", str(tmp_path / "a.json")]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_limit", lambda args: calls.append(args) or 0)
+        assert main(["limit", f]) == 0
+        assert [args.input for args in calls] == [f]
+
+    def test_out_does_not_stick(self, tmp_path, capsys):
+        f = write_json(tmp_path / "family.json", {"system": reference_system_doc()})
+        out = tmp_path / "limit.json"
+        assert main(["limit", f, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["limit", f]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(out.read_text())
+
+    def test_limit_flag_does_not_stick(self, tmp_path, capsys):
+        rv = ObtuseRV.from_values(REFERENCE_VALUES)
+        f = write_json(tmp_path / "t.json", serialize.tensor_to_json(tensor_of(rv)))
+        main(["check", f, "--limit"])
+        assert "structure" in json.loads(capsys.readouterr().out)
+        assert main(["check", f]) == 0
+        assert "structure" not in json.loads(capsys.readouterr().out)
+
+
+RAGGED_TENSOR = {"dim": 2, "entries": [[[1, 0], [0, 1]], [[0, 1]]]}
+
+
+def one_dim_spec_doc(**parts):
+    doc = {
+        "dim": 1,
+        "M": {"dim": 1, "constant_index": False, "entries": [[[0]]]},
+        "Lambda": {"dim": 1, "entries": [[1]]},
+        "V": {"dim": 1, "entries": [[1]]},
+        "poisson": [],
+        "brownian": [[1]],
+    }
+    doc.update(parts)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["check"], RAGGED_TENSOR),
+        (["limit"], {"steps": [0.01, 0.005], "tensors": [RAGGED_TENSOR] * 2}),
+        (["validate"], {"values": [[1, 2], [3]]}),
+        (["validate"], {"values": [[1, 2], [3, 4]], "dim": "x"}),
+        (["simulate", "--kind", "limit"], one_dim_spec_doc(brownian=[[1, 2]])),
+        (
+            ["simulate", "--kind", "limit"],
+            one_dim_spec_doc(poisson=[{"v": [1, 2], "intensity": 1.0}], brownian=[]),
+        ),
+        (
+            ["simulate", "--kind", "limit"],
+            one_dim_spec_doc(poisson=[{"v": [1], "intensity": -1.0}], brownian=[]),
+        ),
+    ],
+    ids=[
+        "check-ragged-tensor",
+        "limit-ragged-tensor",
+        "validate-ragged-system",
+        "validate-dim-not-int",
+        "simulate-brownian-length",
+        "simulate-poisson-length",
+        "simulate-negative-intensity",
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, doc):
+    f = write_json(tmp_path / "in.json", doc)
+    assert main([argv[0], f, *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestSimulate:

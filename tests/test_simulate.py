@@ -20,7 +20,13 @@ from obtusewalk import (
     walk_path,
 )
 from obtusewalk import simulate
-from obtusewalk.errors import NonPositiveStep, TooFewIncrements, TooManyJumps
+from obtusewalk.errors import (
+    DimensionMismatch,
+    NonPositiveStep,
+    PathTooLarge,
+    TooFewIncrements,
+    TooManyJumps,
+)
 from obtusewalk.limits import DEFAULT_STEPS, LimitSpec
 from obtusewalk.obtuse import Tensor3, random_system
 from conftest import REFERENCE_PROBS, REFERENCE_VALUES, bernoulli_rv, jump_rv
@@ -300,6 +306,75 @@ class TestPoissonJumps:
             limit_path(poisson_spec([1.01 * max_jumps]), 1.0, 0.5)
         path = limit_path(poisson_spec([1e5]), 1.0, 0.5)
         assert abs(len(path.jump_times) - 1e5) <= 5 * np.sqrt(1e5)
+
+
+def mixed_spec(n, k):
+    """Spec in C^n with k jump directions (rate 2) and n - k Brownian ones."""
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return LimitSpec(
+        dim=n,
+        tensor=Tensor3(np.zeros((n, n, n), dtype=complex), has_constant=False),
+        lambda_matrix=np.eye(n, dtype=complex),
+        v_matrix=np.eye(n, dtype=complex),
+        poisson_dirs=q[:k],
+        intensities=np.full(k, 2.0),
+        brownian_basis=q[k:],
+    )
+
+
+class TestBadGrids:
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: limit_path(poisson_spec([1.0]), 1.0, 1e-12), PathTooLarge),
+            (lambda: limit_path(poisson_spec([1.0]), np.inf, 0.01), PathTooLarge),
+            (lambda: limit_path(poisson_spec([1.0]), np.nan, 0.01), NonPositiveStep),
+            (lambda: limit_path(poisson_spec([1.0]), 1.0, np.nan), NonPositiveStep),
+            (lambda: limit_path(poisson_spec([1.0]), 1.0, np.inf), NonPositiveStep),
+            (lambda: limit_ensemble(poisson_spec([1.0]), [np.nan], 10), DimensionMismatch),
+            (lambda: limit_ensemble(poisson_spec([1.0]), [np.inf], 10), DimensionMismatch),
+            (lambda: limit_ensemble(poisson_spec([1e20]), [1.0], 10), TooManyJumps),
+        ],
+        ids=[
+            "path-dt-1e-12",
+            "path-T-inf",
+            "path-T-nan",
+            "path-dt-nan",
+            "path-dt-inf",
+            "ensemble-nan",
+            "ensemble-inf",
+            "ensemble-rate-1e20",
+        ],
+    )
+    def test_fails_fast(self, call, error):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(error):
+                call()
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 0), (4, 2), (8, 8)])
+    def test_budget_bounds_the_real_allocation(self, monkeypatch, n, k):
+        monkeypatch.setattr(simulate, "PATH_GRID_BYTES", 2**22)
+        spec = mixed_spec(n, k)
+        rows = simulate.PATH_GRID_BYTES // simulate._grid_row_bytes(n)
+        with pytest.raises(PathTooLarge):
+            limit_path(spec, 1.0, 1.0 / rows)
+        tracemalloc.start()
+        try:
+            path = limit_path(spec, 1.0, 1.0 / (rows - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path.times) == rows
+        assert peak <= simulate.PATH_GRID_BYTES
 
 
 class TestBrackets:
