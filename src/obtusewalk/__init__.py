@@ -44,7 +44,6 @@ from .multop import (
     chain_mult_op,
     conj_mult_op,
     direct_chain_mult_op,
-    direct_mult_op,
     expectation_functional,
     mult_op,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "basis_matrix",
     "mult_op",
     "conj_mult_op",
-    "direct_mult_op",
     "expectation_functional",
     "ChainOperator",
     "chain_mult_op",

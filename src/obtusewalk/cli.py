@@ -157,16 +157,15 @@ def cmd_limit(args) -> int:
     return 0
 
 
-def _write_paths_csv(path: str, paths: list) -> None:
+def _write_paths_csv(path: str, times: np.ndarray, values: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        dim = paths[0].dim if paths else 0
         header = ["path", "t"]
-        for i in range(1, dim + 1):
+        for i in range(1, values.shape[2] + 1):
             header += [f"re_{i}", f"im_{i}"]
         writer.writerow(header)
-        for idx, p in enumerate(paths):
-            for t, row in zip(p.times, p.values):
+        for idx, path_values in enumerate(values):
+            for t, row in zip(times, path_values):
                 out = [idx, repr(float(t))]
                 for z in row:
                     out += [repr(float(z.real)), repr(float(z.imag))]
@@ -188,29 +187,36 @@ def _ensemble_stats(values: np.ndarray, T: float) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    # one ensemble from the stream [seed]: CSV members first, on the fine grid
     doc = _load_json(args.input)
-    n_paths = args.paths
-    n_csv = min(n_paths, args.max_csv_paths) if args.out else 0
+    n_csv = min(args.paths, args.max_csv_paths) if args.out else 0
     if args.kind == "walk":
         values, _ = serialize.system_values_from_json(doc)
         rv = ObtuseRV.from_values(values, tol=args.tol)
-        ensemble = simulate.walk_ensemble(rv, args.h, [args.T], n_paths, seed=args.seed)
-        paths = [
-            simulate.walk_path(rv, args.h, args.T, seed=args.seed, path_index=k)
-            for k in range(n_csv)
-        ]
+        final = simulate._check([args.T], args.paths, args.h)
+        grid = functools.partial(simulate._path_grid, args.T, args.h, rv.dim, min_steps=1)
+        sample = functools.partial(simulate._walk_sample, rv, args.h)
     else:
         spec = serialize.limitspec_from_json(doc)
-        ensemble = simulate.limit_ensemble(spec, [args.T], n_paths, seed=args.seed)
-        paths = [
-            simulate.limit_path(spec, args.T, args.dt, seed=args.seed, path_index=k)
-            for k in range(n_csv)
-        ]
-    stats = _ensemble_stats(ensemble, args.T)
+        final = simulate._check([args.T], args.paths)
+        grid = functools.partial(simulate._path_grid, args.T, args.dt, spec.dim)
+        sample = functools.partial(simulate._limit_sample, spec)
+    times = grid(n_paths=n_csv) if n_csv else final
+    rng = np.random.default_rng([args.seed])
+    paths = sample(times, n_csv, rng)
+    rest = sample(final, args.paths - n_csv, rng)
+    stats = _ensemble_stats(np.concatenate([paths[:, -1:], rest]), args.T)
     if args.out:
-        _write_paths_csv(args.out, paths)
+        _write_paths_csv(args.out, times, paths)
     _emit(stats, args.stats)
     return 0
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -257,10 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=0.01, help="walk time step")
     p.add_argument("--T", type=float, default=1.0, help="time horizon")
     p.add_argument("--dt", type=float, default=0.001, help="limit-path grid step")
-    p.add_argument("--paths", type=int, default=1000, help="number of paths")
+    p.add_argument("--paths", type=_count, default=1000, help="number of paths")
     p.add_argument(
         "--max-csv-paths",
-        type=int,
+        type=_count,
         default=10,
         help="cap on the number of paths written to CSV",
     )

@@ -61,15 +61,6 @@ def conj_mult_op(tensor: Tensor3, i: int) -> np.ndarray:
     return np.conj(tensor.entries[i]).copy()
 
 
-def direct_mult_op(rv: ObtuseRV, i: int) -> np.ndarray:
-    """Oracle for ``mult_op``: entries E[conj(X^k) X^i X^j] from atom sums."""
-    vhat = rv.hatted
-    if not (0 <= i < vhat.shape[1]):
-        raise IndexError(f"coordinate {i} out of range")
-    p = rv.probabilities
-    return np.einsum("m,mk,m,mj->kj", p, np.conj(vhat), vhat[:, i], vhat)
-
-
 def expectation_functional(rv: ObtuseRV, monomials) -> complex:
     """E[f(X^1, ..., X^N)] via functional calculus on multiplication operators.
 

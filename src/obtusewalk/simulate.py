@@ -4,27 +4,30 @@ Walks are sums of sqrt(h)-scaled i.i.d. obtuse variables; limit processes
 are built exactly from their classification: independent real Brownian
 motions along the Brownian basis plus independent compensated Poisson
 processes (rate 1/|v|^2) along each jump direction.  No Euler
-discretization error enters anywhere: Gaussian increments are exact per
-time step and jump times are exact.
+discretization error enters anywhere.
 
-RNG contract: all randomness comes from ``numpy.random.default_rng``.
-Single paths use the stream ``[seed, path_index]`` (a ``SeedSequence`` over
-both words), so path k of a given seed is an independent, reproducible
-substream.  ``walk_path`` draws its n atoms with one ``choice``;
-``limit_path`` draws its Brownian increments with one ``normal`` call, then,
-for each jump direction in spec order, the jump count N_T ~ Poisson(rate T)
-followed by N_T uniforms on [0, T], sorted into the jump times.  Given
-N_T, the jump times of a Poisson process are N_T sorted uniforms (Devroye,
-*Non-Uniform Random Variate Generation*, 1986, ch. VI), so this is exact.
-Ensemble helpers are vectorized over paths and use the single stream
-``[seed]``; they draw sufficient statistics (multinomial atom counts,
-Poisson interval counts, Gaussian interval increments) and are therefore
-exact in distribution at the requested grid times.
+One sampler per process draws sufficient statistics of ``n_paths`` paths
+on a grid of times, exact in distribution there: the walk sampler the
+multinomial atom counts of each grid interval in turn (nothing for an
+interval without steps), the limit sampler all Gaussian increments in one
+``normal`` call, then the Poisson counts of all intervals in one
+``poisson`` call per jump direction, in spec order.  An ensemble is a
+sampler on the requested grid, a path a sampler with ``n_paths = 1`` on the
+fine grid of its step: the step's multiples below T, then T.  A limit path
+then draws one uniform per jump, by direction and then interval, for a jump
+time inside its interval: given the count, the jump times of a Poisson
+process in an interval are that many uniforms (Devroye, *Non-Uniform Random
+Variate Generation*, 1986, ch. VI).
+
+RNG contract: all randomness comes from ``numpy.random.default_rng``.  An
+ensemble uses the stream ``[seed]``, path k of a seed the independent
+substream ``[seed, k]``.  Draws come in the order above, so one stream can
+feed several grids in turn: ``obtusewalk simulate`` draws the members it
+writes to CSV on the fine grid, then the rest of its ensemble on [T].
 
 Arithmetic: the hot paths run in float64 only.  Products of real draws with
-complex atoms or bases are taken as two real matrix products, one for the
-real and one for the imaginary part, and the ensemble moments come from one
-real Gram matrix per ensemble.  Besides being cheaper than complex products,
+complex atoms or bases are two real matrix products, and the ensemble
+moments come from one real Gram matrix per ensemble.  Besides being cheaper,
 this keeps numpy's multinomial sampler fast: it runs several times slower
 after a complex BLAS product (zgemm) than after a real one, on the OpenBLAS
 build the benchmark records.
@@ -47,9 +50,10 @@ from .limits import LimitSpec
 from .obtuse import ObtuseRV
 
 # A horizon t spans n steps of size h when t/h lies at most this relative
-# distance below n.  t and h are usually decimals rounded to binary and t/h
-# rounds once more, so an exact multiple lands a few eps (2.2e-16) short of
-# n; 1e-10 covers that 1e5-fold and stays under one step below 1e10 steps.
+# distance below n, and a fine grid ends with T instead of a multiple of the
+# step this close to T.  t/h of decimals rounded to binary lands a few eps
+# (2.2e-16) off n; 1e-10 covers that 1e5-fold and stays under one step below
+# 1e10 steps.
 STEP_RTOL = 1e-10
 
 # Byte budget of the jump log of one limit path: a float64 time and an int64
@@ -57,16 +61,15 @@ STEP_RTOL = 1e-10
 # average, 8400 times the 1e3 jumps of a rate-1e3 path on [0, 1].  The budget
 # bounds the expected count rate * T before anything is drawn; a drawn count
 # exceeds it by more than 1 % (29 standard deviations) with negligible
-# probability.  Drawing and sorting the log peaks at about 3x its size.
+# probability.  Drawing and sorting the log peaks at 2.5x its size.
 JUMP_LOG_BYTES = 2**27
-_JUMP_BYTES = np.dtype(float).itemsize + np.dtype(int).itemsize
 
-# Byte budget of the dt-grid of one limit path in C^N.  Per grid time the
-# path keeps a float64 time and a complex value (8 + 16 N bytes), and
-# building it holds at most 24 N + 24 bytes more at once: a jump direction's
-# complex outer product (16 N) with its count arrays (24), or the Brownian
-# draws and their running sum (16 B, B <= N) plus one real product (8 N).
-# 2**28 bytes admit 3.7 million grid times at N = 1 and 204 000 at N = 32.
+# Byte budget of the fine grids of the paths drawn at once.  Per grid time a
+# path keeps a float64 time and a complex value (8 + 16 N bytes); sampling
+# peaks, by tracemalloc, at most at 40 N + 40 bytes for a walk (N + 1 atom
+# counts as int64 and float64, a real product, the step counts) and at
+# 32 N + 38 for a limit path.  2**28 bytes admit 3 million grid times at N = 1 and
+# 202 000 at N = 32.
 PATH_GRID_BYTES = 2**28
 
 # Largest expected jump count of one direction in a limit ensemble.  Counts
@@ -74,14 +77,17 @@ PATH_GRID_BYTES = 2**28
 # standard deviations above its mean; numpy's sampler stops just below 2**63.
 MAX_ENSEMBLE_JUMPS = 2**62
 
+# Bytes of int64 counts one multinomial call of the walk sampler returns: a
+# run of equal grid intervals is one call up to this size (a 1000-step path
+# at N <= 31), and an ensemble never holds the counts of all its grid times.
+# Blocks of megabytes fault in fresh pages on every call: at 2 MiB the
+# benchmark's 10 000-path ensembles ran about 25 % slower than at this size.
+_DRAW_BLOCK_BYTES = 2**18
+
 
 def _grid_row_bytes(dim: int) -> int:
-    """Peak bytes per grid time of a limit path in C^dim (see PATH_GRID_BYTES)."""
-    return 40 * dim + 32
-
-
-def _substream(seed: int, path_index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, path_index])
+    """Peak bytes per fine-grid time of a path in C^dim (see PATH_GRID_BYTES)."""
+    return 40 * dim + 48
 
 
 def _step_count(t, h: float) -> np.ndarray:
@@ -92,21 +98,121 @@ def _step_count(t, h: float) -> np.ndarray:
 def _real_product(x: np.ndarray, basis: np.ndarray, out: np.ndarray) -> None:
     """Write the real ``x`` times the complex ``basis`` into the complex ``out``.
 
-    Two float64 products, one per part of ``basis``: numpy would run the
-    mixed product as zgemm on a complex copy of ``x``.
+    Two float64 products, one per part of ``basis``, each reshaped to ``out``:
+    numpy would run the mixed product as zgemm on a complex copy of ``x``.
     """
-    out.real = x @ np.ascontiguousarray(basis.real)
-    out.imag = x @ np.ascontiguousarray(basis.imag)
+    out.real = (x @ np.ascontiguousarray(basis.real)).reshape(out.shape)
+    out.imag = (x @ np.ascontiguousarray(basis.imag)).reshape(out.shape)
+
+
+def _check(t_grid, n_paths: int, step: float | None = None) -> np.ndarray:
+    """The grid of a sampler as float64, once its input is checked.
+
+    Raises ``NonPositiveStep`` for a step that is not positive and finite or
+    takes ``MAX_ENSEMBLE_JUMPS`` steps to the last time, ``DimensionMismatch``
+    for a negative path count or a grid not finite, nonnegative, increasing.
+    """
+    if step is not None and not 0 < step < np.inf:
+        raise NonPositiveStep(f"time step must be positive and finite, got {step}")
+    if n_paths < 0:
+        raise DimensionMismatch(f"number of paths must be nonnegative, got {n_paths}")
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim != 1 or not np.all(np.isfinite(grid) & (grid >= 0)) or np.any(np.diff(grid) < 0):
+        raise DimensionMismatch("time grid must be finite, nonnegative and increasing")
+    if step is not None and grid.size and not float(grid[-1]) / step < MAX_ENSEMBLE_JUMPS:
+        raise NonPositiveStep(f"time step {step} takes over 2**62 steps up to {grid[-1]}")
+    return grid
+
+
+def _path_grid(T: float, step: float, dim: int, n_paths: int = 1, min_steps: int = 0):
+    """Fine grid of ``n_paths`` paths in C^dim: the multiples of step below T, then T.
+
+    Before allocating it raises ``NonPositiveStep`` for a step that is not
+    positive and finite or a horizon not positive or under ``min_steps``
+    steps, and ``PathTooLarge`` for a grid over ``PATH_GRID_BYTES``.
+    """
+    if not 0 < step < np.inf:
+        raise NonPositiveStep(f"time step must be positive and finite, got {step}")
+    if not T > 0:
+        raise NonPositiveStep(f"horizon T must be positive, got {T}")
+    intervals = np.ceil(T / step * (1.0 - STEP_RTOL))
+    max_rows = PATH_GRID_BYTES // (_grid_row_bytes(dim) * n_paths)
+    if not intervals < max_rows:
+        raise PathTooLarge(
+            f"{intervals:.3g} grid steps on [0, {T:.6g}] exceed the {PATH_GRID_BYTES}-byte "
+            f"budget of {n_paths} path(s) in C^{dim} ({max_rows} grid times)"
+        )
+    if _step_count(T, step) < min_steps:
+        raise NonPositiveStep(f"horizon T must cover at least {min_steps} step(s)")
+    return np.append(np.arange(int(intervals)) * step, T)
+
+
+def _walk_sample(rv: ObtuseRV, h: float, grid: np.ndarray, n_paths: int, rng) -> np.ndarray:
+    """Walk values at the grid times, shape (n_paths, n_t, N).
+
+    A run of equal intervals is one multinomial call of size (run, n_paths),
+    the draws of one call per interval, cut to ``_DRAW_BLOCK_BYTES``.
+    """
+    out = np.zeros((n_paths, len(grid), rv.dim), dtype=complex)
+    atoms = len(rv.probabilities)
+    max_run = max(1, _DRAW_BLOCK_BYTES // (np.dtype(int).itemsize * atoms * max(n_paths, 1)))
+    new = np.diff(_step_count(np.concatenate([[0.0], grid]), h))
+    edges = [0, *(np.flatnonzero(np.diff(new)) + 1), len(new)]
+    counts = np.zeros((n_paths, atoms))
+    for lo, hi in zip(edges, edges[1:]):
+        for start in range(lo, hi, max_run):
+            stop = min(start + max_run, hi)
+            size = (stop - start, n_paths)  # zero trials draw nothing from the stream
+            cum = rng.multinomial(new[start], rv.probabilities, size).astype(float)
+            cum[0] += counts
+            if len(cum) > cum[0].size:  # numpy's cumsum makes one call per column
+                np.cumsum(cum, axis=0, out=cum)
+            else:
+                for i in range(1, len(cum)):
+                    cum[i] += cum[i - 1]
+            counts = cum[-1].copy()
+            cum *= np.sqrt(h)
+            _real_product(cum.reshape(-1, atoms), rv.values, out[:, start:stop].transpose(1, 0, 2))
+    return out
+
+
+def _limit_sample(
+    spec: LimitSpec, grid: np.ndarray, n_paths: int, rng, jump_counts: list | None = None
+) -> np.ndarray:
+    """Limit-martingale values at the grid times, shape (n_paths, n_t, N).
+
+    Raises ``TooManyJumps`` when a direction expects more than
+    ``MAX_ENSEMBLE_JUMPS`` jumps by the last time.  Appends each direction's
+    interval counts, shape (n_paths, n_t), to ``jump_counts`` if given.
+    """
+    n_t = len(grid)
+    if n_t and not np.all(spec.intensities * grid[-1] <= MAX_ENSEMBLE_JUMPS):
+        raise TooManyJumps(f"a direction expects over 2**62 jumps on [0, {grid[-1]:.6g}]")
+    out = np.zeros((n_paths, n_t, spec.dim), dtype=complex)
+    dts = np.diff(np.concatenate([[0.0], grid]))
+    if spec.n_brownian:
+        db = rng.normal(0.0, 1.0, size=(n_paths, n_t, spec.n_brownian))
+        db *= np.sqrt(dts)[None, :, None]
+        np.cumsum(db, axis=1, out=db)
+        _real_product(db.reshape(-1, spec.n_brownian), spec.brownian_basis, out)
+        del db
+    for v, lam in zip(spec.poisson_dirs, spec.intensities):
+        dn = rng.poisson(lam * dts, size=(n_paths, n_t))
+        if jump_counts is not None:
+            jump_counts.append(dn)
+        compensated = (np.cumsum(dn, axis=1) - lam * grid[None, :])[:, :, None]
+        out.real += compensated * v.real
+        out.imag += compensated * v.imag
+    return out
 
 
 @dataclass(frozen=True)
 class Path:
     """A sampled trajectory in C^N.
 
-    ``values[k]`` is the state at ``times[k]``; walks carry uniform spacing
-    h.  For limit paths, ``jump_times``/``jump_dirs`` log every Poisson jump
-    (direction index into the generating spec), which makes the jump
-    structure testable.
+    ``values[k]`` is the state at ``times[k]``, a fine grid.  For limit
+    paths, ``jump_times``/``jump_dirs`` log every Poisson jump (direction
+    index into the generating spec), which makes the jump structure testable.
     """
 
     times: np.ndarray
@@ -125,139 +231,56 @@ class Path:
 
 
 def walk_path(rv: ObtuseRV, h: float, T: float, seed: int = 0, path_index: int = 0) -> Path:
-    """One trajectory of the rescaled walk sum sqrt(h) X_1 + ... on [0, T]."""
-    if h <= 0:
-        raise NonPositiveStep(f"time step must be positive, got {h}")
-    n = int(_step_count(T, h))
-    if n < 1:
-        raise NonPositiveStep("horizon T must cover at least one step")
-    rng = _substream(seed, path_index)
-    atoms = rng.choice(len(rv.probabilities), size=n, p=rv.probabilities)
-    increments = np.sqrt(h) * rv.values[atoms]
-    values = np.vstack([np.zeros((1, rv.dim), dtype=complex), np.cumsum(increments, axis=0)])
-    times = np.arange(n + 1) * h
-    return Path(times=times, values=values, kind="walk")
+    """One trajectory of the rescaled walk sum sqrt(h) X_1 + ... on [0, T].
+
+    The walk sampler on the fine grid of h; a horizon below one step raises
+    ``NonPositiveStep``, other errors as for ``_path_grid``.
+    """
+    times = _path_grid(T, h, rv.dim, min_steps=1)
+    values = _walk_sample(rv, h, times, 1, np.random.default_rng([seed, path_index]))
+    return Path(times=times, values=values[0], kind="walk")
 
 
 def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: int = 0) -> Path:
-    """One trajectory of the limit martingale, sampled on a dt-grid.
+    """One trajectory of the limit martingale, on the fine grid of dt, with its jump log.
 
-    Brownian increments are exact Gaussians.  Each Poisson direction jumps
-    N ~ Poisson(intensity * T) times, at N sorted uniform times on [0, T],
-    and contributes its compensated count times the direction vector.
-    Before allocating anything it raises ``NonPositiveStep`` for a step or
-    horizon that is not positive (or a step that is not finite),
-    ``PathTooLarge`` when the grid exceeds the ``PATH_GRID_BYTES`` budget
-    and ``TooManyJumps`` when the expected number of jumps exceeds the
-    ``JUMP_LOG_BYTES`` budget.
+    Errors as for ``_path_grid``, and ``TooManyJumps``, before drawing, when
+    the expected number of jumps exceeds the ``JUMP_LOG_BYTES`` budget.
     """
-    if not 0 < dt < np.inf:
-        raise NonPositiveStep(f"grid step must be positive and finite, got {dt}")
-    if not T > 0:
-        raise NonPositiveStep(f"horizon T must be positive, got {T}")
-    max_rows = PATH_GRID_BYTES // _grid_row_bytes(spec.dim)
-    if not T / dt < max_rows - 0.5:
-        raise PathTooLarge(
-            f"{T / dt:.3g} grid steps on [0, {T:.6g}] exceed the {PATH_GRID_BYTES}-byte "
-            f"budget of a path in C^{spec.dim} ({max_rows} grid times)"
-        )
-    n = max(1, int(round(T / dt)))
-    times = np.arange(n + 1) * dt
-    t_end = times[-1]
-    expected_jumps = float(np.sum(spec.intensities)) * t_end
-    if not expected_jumps <= JUMP_LOG_BYTES // _JUMP_BYTES:
-        raise TooManyJumps(
-            f"{expected_jumps:.3g} expected jumps on [0, {t_end:.6g}] exceed the "
-            f"{JUMP_LOG_BYTES}-byte jump log"
-        )
-    rng = _substream(seed, path_index)
-
-    values = np.zeros((n + 1, spec.dim), dtype=complex)
-    if spec.n_brownian:
-        b = np.zeros((n + 1, spec.n_brownian))
-        b[1:] = rng.normal(0.0, np.sqrt(dt), size=(n, spec.n_brownian))
-        np.cumsum(b[1:], axis=0, out=b[1:])
-        _real_product(b, spec.brownian_basis, values)
-        del b
-
-    jump_times = []
-    for v, lam in zip(spec.poisson_dirs, spec.intensities):
-        jumps = rng.uniform(0.0, t_end, size=rng.poisson(lam * t_end))
-        jumps.sort()
-        counts = np.searchsorted(jumps, times, side="right")
-        values += np.outer(counts - lam * times, v)
-        jump_times.append(jumps)
-    jt = np.concatenate(jump_times or [np.zeros(0)])
-    jd = np.repeat(np.arange(len(jump_times)), [len(j) for j in jump_times])
-    del jump_times
+    times = _path_grid(T, dt, spec.dim)
+    expected_jumps = float(np.sum(spec.intensities)) * T
+    if not expected_jumps <= JUMP_LOG_BYTES // 16:
+        raise TooManyJumps(f"{expected_jumps:.3g} expected jumps overflow the jump log")
+    rng = np.random.default_rng([seed, path_index])
+    counts = []
+    values = _limit_sample(spec, times, 1, rng, counts)[0]
+    # jump j of direction d in interval k: a uniform time in (times[k-1], times[k]]
+    dn = np.array(counts, dtype=int)
+    del counts
+    jd, k = np.divmod(np.repeat(np.arange(dn.size), dn.ravel()), len(times))
+    jt = times[k] - (times[k] - times[k - 1]) * rng.random(len(k))
+    del k
     order = np.argsort(jt, kind="stable")
-    return Path(
-        times=times, values=values, kind="limit", jump_times=jt[order], jump_dirs=jd[order]
-    )
-
-
-def _grid_steps(t_grid, h: float) -> np.ndarray:
-    steps = _step_count(t_grid, h)
-    if np.any(steps < 0) or np.any(np.diff(steps) < 0):
-        raise DimensionMismatch("time grid must be nonnegative and increasing")
-    return steps
+    return Path(times, values, "limit", jump_times=jt[order], jump_dirs=jd[order])
 
 
 def walk_ensemble(rv: ObtuseRV, h: float, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
     """Walk values at the grid times for many paths, shape (n_paths, n_t, N).
 
-    Exact in distribution: between grid times only the multinomial counts of
-    atoms matter, and those are drawn directly.
+    The walk sampler with the stream ``[seed]``; errors as for ``_check``.
     """
-    if h <= 0:
-        raise NonPositiveStep(f"time step must be positive, got {h}")
-    steps = _grid_steps(t_grid, h)
-    rng = np.random.default_rng([seed])
-    out = np.zeros((n_paths, len(steps), rv.dim), dtype=complex)
-    if n_paths == 0:
-        return out
-    counts = np.zeros((n_paths, len(rv.probabilities)))
-    prev = 0
-    for idx, s in enumerate(steps):
-        if s > prev:
-            counts = counts + rng.multinomial(s - prev, rv.probabilities, size=n_paths)
-            prev = s
-        _real_product(np.sqrt(h) * counts, rv.values, out[:, idx, :])
-    return out
+    grid = _check(t_grid, n_paths, h)
+    return _walk_sample(rv, h, grid, n_paths, np.random.default_rng([seed]))
 
 
 def limit_ensemble(spec: LimitSpec, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
     """Limit-martingale values at the grid times, shape (n_paths, n_t, N).
 
-    Raises ``DimensionMismatch`` for a grid that is not finite, nonnegative
-    and increasing, and ``TooManyJumps`` when a direction expects more than
-    ``MAX_ENSEMBLE_JUMPS`` jumps by the last grid time.
+    The limit sampler with the stream ``[seed]``; errors as for ``_check``
+    and ``_limit_sample``.
     """
-    grid = np.asarray(t_grid, dtype=float)
-    if not (np.all(np.isfinite(grid)) and np.all(grid >= 0) and np.all(np.diff(grid) >= 0)):
-        raise DimensionMismatch("time grid must be finite, nonnegative and increasing")
-    n_t = len(grid)
-    if n_t and not np.all(spec.intensities * grid[-1] <= MAX_ENSEMBLE_JUMPS):
-        raise TooManyJumps(
-            f"intensity {np.max(spec.intensities):.3g} expects more than "
-            f"{MAX_ENSEMBLE_JUMPS:.3g} jumps on [0, {grid[-1]:.6g}]"
-        )
-    rng = np.random.default_rng([seed])
-    out = np.zeros((n_paths, n_t, spec.dim), dtype=complex)
-    if n_paths == 0 or n_t == 0:
-        return out
-    dts = np.diff(np.concatenate([[0.0], grid]))
-    if spec.n_brownian:
-        db = rng.normal(0.0, 1.0, size=(n_paths, n_t, spec.n_brownian)) * np.sqrt(
-            dts
-        )[None, :, None]
-        _real_product(np.cumsum(db, axis=1), spec.brownian_basis, out)
-    for v, lam in zip(spec.poisson_dirs, spec.intensities):
-        dn = rng.poisson(lam * dts, size=(n_paths, n_t))
-        compensated = (np.cumsum(dn, axis=1) - lam * grid[None, :])[:, :, None]
-        out.real += compensated * v.real
-        out.imag += compensated * v.imag
-    return out
+    grid = _check(t_grid, n_paths)
+    return _limit_sample(spec, grid, n_paths, np.random.default_rng([seed]))
 
 
 @dataclass(frozen=True)
@@ -377,12 +400,7 @@ class MomentReport:
 
     @property
     def overall_distance(self) -> float:
-        return max(
-            self.mean_distance,
-            self.cov_conj_distance,
-            self.cov_plain_distance,
-            self.abs4_distance,
-        )
+        return max(self.mean_distance, self.covariance_distance, self.abs4_distance)
 
 
 def distribution_compare(walk_values: np.ndarray, limit_values: np.ndarray, t_grid) -> MomentReport:
@@ -398,21 +416,7 @@ def distribution_compare(walk_values: np.ndarray, limit_values: np.ndarray, t_gr
     lv = np.asarray(limit_values)
     if wv.shape[1:] != lv.shape[1:] or wv.shape[1] != len(grid):
         raise DimensionMismatch("ensembles must share the time grid and dimension")
-    if wv.shape[0] == 0 or lv.shape[0] == 0 or len(grid) == 0:
-        return MomentReport(
-            t_grid=grid,
-            mean_distance=0.0,
-            cov_conj_distance=0.0,
-            cov_plain_distance=0.0,
-            abs4_distance=0.0,
-        )
-    dists = [
-        float(np.max(np.abs(w - lim))) for w, lim in zip(_moments(wv), _moments(lv))
-    ]
-    return MomentReport(
-        t_grid=grid,
-        mean_distance=dists[0],
-        cov_conj_distance=dists[1],
-        cov_plain_distance=dists[2],
-        abs4_distance=dists[3],
-    )
+    dists = [0.0] * 4
+    if wv.shape[0] and lv.shape[0] and len(grid):
+        dists = [float(np.max(np.abs(w - lim))) for w, lim in zip(_moments(wv), _moments(lv))]
+    return MomentReport(grid, *dists)

@@ -106,6 +106,12 @@ def imaginary_rv() -> ObtuseRV:
     return ObtuseRV.from_values(np.array([[1j], [-1j]], dtype=complex))
 
 
+def direct_mult_op(rv: ObtuseRV, i: int) -> np.ndarray:
+    """Oracle for ``mult_op``: entries E[conj(X^k) X^i X^j] from atom sums."""
+    vhat = rv.hatted
+    return np.einsum("m,mk,m,mj->kj", rv.probabilities, np.conj(vhat), vhat[:, i], vhat)
+
+
 def greedy_match(found, expected) -> float:
     """Max distance of a greedy one-to-one matching between two families."""
     found = np.asarray(found)

@@ -20,7 +20,6 @@ from obtusewalk import (
     classify,
     diagonalize,
     direct_chain_mult_op,
-    direct_mult_op,
     distribution_compare,
     empirical_brackets,
     haar_unitary,
@@ -48,6 +47,7 @@ from conftest import (
     REFERENCE_PROBS,
     REFERENCE_VALUES,
     bernoulli_rv,
+    direct_mult_op,
     greedy_match,
     imaginary_rv,
     jump_rv,

@@ -377,3 +377,64 @@ class TestSimulate:
             )
             outs.append((tmp_path / name).read_text())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("kind", ["walk", "limit"])
+    def test_csv_paths_are_ensemble_members(self, tmp_path, capsys, kind):
+        # the first --max-csv-paths members are drawn on the fine grid, so with
+        # every member on disk the stats are the moments of the CSV end rows
+        if kind == "walk":
+            f = write_json(tmp_path / "in.json", reference_system_doc())
+        else:
+            f = str(tmp_path / "spec.json")
+            family = write_json(tmp_path / "family.json", jump_family_doc())
+            assert main(["limit", family, "--tol", "1e-7", "--out", f]) == 0
+        csv_file = str(tmp_path / "paths.csv")
+        argv = [
+            "simulate", f, "--kind", kind, "--h", "0.1", "--dt", "0.1", "--T", "0.45",
+            "--paths", "6", "--max-csv-paths", "6", "--seed", "3", "--out", csv_file,
+        ]
+        assert main(argv) == 0
+        stats = json.loads(capsys.readouterr().out)
+        with open(csv_file) as fh:
+            rows = np.array(list(csv.reader(fh))[1:], dtype=float)
+        last = np.flatnonzero(np.diff(rows[:, 0], append=np.inf))
+        assert rows[last, 0].tolist() == list(range(6))
+        assert np.all(rows[last, 1] == 0.45)
+        ends = rows[last, 2::2] + 1j * rows[last, 3::2]
+        assert stats == cli._ensemble_stats(ends[:, None, :], 0.45)
+
+    def test_csv_paths_lead_the_ensemble(self, tmp_path, capsys):
+        # writing paths changes which grid the first members are drawn on,
+        # not the stream: the walk's atom counts at T are the same draws
+        f = write_json(tmp_path / "sys.json", reference_system_doc())
+        argv = ["simulate", f, "--kind", "walk", "--h", "0.25", "--T", "0.25", "--paths", "40"]
+        assert main(argv) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 0
+        assert json.loads(capsys.readouterr().out) == plain
+
+    @pytest.mark.parametrize("option", ["--paths", "--max-csv-paths"])
+    def test_negative_counts_are_usage_errors(self, tmp_path, capsys, option):
+        f = write_json(tmp_path / "sys.json", reference_system_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", f, "--kind", "walk", option, "-1"])
+        assert exc.value.code == 2
+        assert "must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, error",
+        [
+            (["--h", "nan"], "NonPositiveStep"),
+            (["--h", "inf"], "NonPositiveStep"),
+            (["--h", "0"], "NonPositiveStep"),
+            (["--T", "nan"], "DimensionMismatch"),
+            (["--T", "inf"], "DimensionMismatch"),
+            (["--h", "1e-12", "--T", "1e6", "--out", "x.csv"], "PathTooLarge"),
+        ],
+        ids=["h-nan", "h-inf", "h-zero", "T-nan", "T-inf", "path-too-large"],
+    )
+    def test_bad_walk_steps_are_typed(self, tmp_path, capsys, monkeypatch, options, error):
+        monkeypatch.chdir(tmp_path)
+        f = write_json(tmp_path / "sys.json", reference_system_doc())
+        assert main(["simulate", f, "--kind", "walk", "--paths", "10", *options]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {error}: ")

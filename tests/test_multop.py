@@ -12,7 +12,6 @@ from obtusewalk import (
     chain_mult_op,
     conj_mult_op,
     direct_chain_mult_op,
-    direct_mult_op,
     expectation_functional,
     mult_op,
     random_system,
@@ -21,7 +20,13 @@ from obtusewalk import (
 from obtusewalk.errors import ChainTooLarge, DimensionMismatch
 from obtusewalk.multop import direct_expectation
 from obtusewalk.obtuse import Tensor3
-from conftest import REFERENCE_SLICE_1, REFERENCE_VALUES, bernoulli_rv, imaginary_rv
+from conftest import (
+    REFERENCE_SLICE_1,
+    REFERENCE_VALUES,
+    bernoulli_rv,
+    direct_mult_op,
+    imaginary_rv,
+)
 
 
 def kron_sum_chain(tensor, i, n_sites, h):

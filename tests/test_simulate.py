@@ -131,9 +131,10 @@ class TestStepCount:
     def test_path_and_ensemble_take_the_same_steps(self, h, T, n):
         assert T / h < n
         assert simulate._step_count(T, h) == n
-        assert simulate._grid_steps([T], h).tolist() == [n]
         path = walk_path(bernoulli_rv(), h, T, seed=0)
         assert len(path.times) == n + 1
+        # the ensemble's step rule takes k steps by the k-th fine-grid time
+        assert np.array_equal(simulate._step_count(path.times, h), np.arange(n + 1))
         assert path.times[-1] == pytest.approx(T, rel=1e-12)
 
     def test_horizon_below_one_step(self):
@@ -335,6 +336,16 @@ class TestBadGrids:
             (lambda: limit_ensemble(poisson_spec([1.0]), [np.nan], 10), DimensionMismatch),
             (lambda: limit_ensemble(poisson_spec([1.0]), [np.inf], 10), DimensionMismatch),
             (lambda: limit_ensemble(poisson_spec([1e20]), [1.0], 10), TooManyJumps),
+            (lambda: limit_ensemble(poisson_spec([1.0]), [1.0], -1), DimensionMismatch),
+            (lambda: walk_path(bernoulli_rv(), 1e-12, 1e6), PathTooLarge),
+            (lambda: walk_path(bernoulli_rv(), 0.01, np.inf), PathTooLarge),
+            (lambda: walk_path(bernoulli_rv(), np.nan, 1.0), NonPositiveStep),
+            (lambda: walk_ensemble(bernoulli_rv(), np.nan, [1.0], 10), NonPositiveStep),
+            (lambda: walk_ensemble(bernoulli_rv(), np.inf, [1.0], 10), NonPositiveStep),
+            (lambda: walk_ensemble(bernoulli_rv(), 1e-300, [1.0], 10), NonPositiveStep),
+            (lambda: walk_ensemble(bernoulli_rv(), 0.01, [np.nan], 10), DimensionMismatch),
+            (lambda: walk_ensemble(bernoulli_rv(), 0.01, [np.inf], 10), DimensionMismatch),
+            (lambda: walk_ensemble(bernoulli_rv(), 0.01, [1.0], -1), DimensionMismatch),
         ],
         ids=[
             "path-dt-1e-12",
@@ -345,6 +356,16 @@ class TestBadGrids:
             "ensemble-nan",
             "ensemble-inf",
             "ensemble-rate-1e20",
+            "ensemble-negative-paths",
+            "walk-path-h-1e-12",
+            "walk-path-T-inf",
+            "walk-path-h-nan",
+            "walk-ensemble-h-nan",
+            "walk-ensemble-h-inf",
+            "walk-ensemble-h-1e-300",
+            "walk-ensemble-nan",
+            "walk-ensemble-inf",
+            "walk-ensemble-negative-paths",
         ],
     )
     def test_fails_fast(self, call, error):
@@ -375,6 +396,67 @@ class TestBadGrids:
             tracemalloc.stop()
         assert len(path.times) == rows
         assert peak <= simulate.PATH_GRID_BYTES
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_walk_budget_bounds_the_real_allocation(self, monkeypatch, n):
+        monkeypatch.setattr(simulate, "PATH_GRID_BYTES", 2**22)
+        rv = ObtuseRV(random_system(n, np.random.default_rng(n)))
+        rows = simulate.PATH_GRID_BYTES // simulate._grid_row_bytes(n)
+        with pytest.raises(PathTooLarge):
+            walk_path(rv, 1.0 / rows, 1.0)
+        tracemalloc.start()
+        try:
+            path = walk_path(rv, 1.0 / (rows - 1), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(path.times) == rows
+        assert peak <= simulate.PATH_GRID_BYTES
+
+
+class TestOneSampler:
+    """Paths are the ensemble samplers on a fine grid that ends at T."""
+
+    @pytest.mark.parametrize("T, times", [(0.25, [0, 0.1, 0.2, 0.25]), (0.3, [0, 0.1, 0.2, 0.3])])
+    def test_fine_grid_ends_at_the_horizon(self, T, times):
+        # 3 * 0.1 rounds above 0.3, so the multiples below 0.3 stop at 0.2
+        walk = walk_path(bernoulli_rv(), 0.1, T, seed=1)
+        limit = limit_path(brownian_1d_spec(), T, 0.1, seed=1)
+        assert walk.times.tolist() == limit.times.tolist() == times
+        if T == 0.25:
+            # no step falls in (0.2, 0.25]
+            assert np.array_equal(walk.values[-1], walk.values[-2])
+
+    def test_path_is_the_sampler_on_its_grid(self, jump_spec):
+        rv = ObtuseRV.from_values(REFERENCE_VALUES)
+        walk = walk_path(rv, 0.01, 1.0, seed=5, path_index=2)
+        rng = np.random.default_rng([5, 2])
+        assert np.array_equal(walk.values, simulate._walk_sample(rv, 0.01, walk.times, 1, rng)[0])
+        limit = limit_path(jump_spec, 1.0, 0.01, seed=5, path_index=2)
+        rng = np.random.default_rng([5, 2])
+        assert np.array_equal(
+            limit.values, simulate._limit_sample(jump_spec, limit.times, 1, rng)[0]
+        )
+
+    def test_draw_blocks_do_not_change_the_draws(self, monkeypatch):
+        rv = ObtuseRV(random_system(3, np.random.default_rng(0)))
+        grid = [0.0, 0.0, 0.1, 0.2, 0.3, 0.35, 0.4, 0.5, 0.6, 0.6]
+        whole = walk_ensemble(rv, 0.05, grid, 300, seed=8)
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK_BYTES", 1)
+        assert np.array_equal(walk_ensemble(rv, 0.05, grid, 300, seed=8), whole)
+
+    def test_ensemble_never_holds_all_counts(self):
+        # 2000 paths and 200 grid times of 5 steps each, one run: all counts
+        # at once would be 9.6 MB of int64 next to the 12.8 MB result
+        rv = ObtuseRV(random_system(2, np.random.default_rng(0)))
+        tracemalloc.start()
+        try:
+            values = walk_ensemble(rv, 0.001, np.linspace(0.005, 1.0, 200), 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        all_counts = 200 * 2000 * 3 * np.dtype(int).itemsize
+        assert peak - values.nbytes <= all_counts / 4
 
 
 class TestBrackets:
