@@ -104,7 +104,7 @@ class TooManyJumps(ObtuseWalkError):
 
 
 class PathTooLarge(ObtuseWalkError):
-    """A limit path's time grid would exceed its byte budget."""
+    """A path's time grid or an ensemble would exceed its byte budget."""
 
 
 class TooFewIncrements(ObtuseWalkError):

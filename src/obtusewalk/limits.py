@@ -213,7 +213,8 @@ class LimitSymmetryReport:
 
     @property
     def ok(self) -> bool:
-        return max(self.residuals().values()) <= self.tol
+        # each residual on its own, so a NaN fails
+        return all(r <= self.tol for r in self.residuals().values())
 
 
 def _split_limit(m) -> tuple[np.ndarray, np.ndarray]:

@@ -72,6 +72,13 @@ JUMP_LOG_BYTES = 2**27
 # 202 000 at N = 32.
 PATH_GRID_BYTES = 2**28
 
+# Byte budget of one ensemble, n_paths x n_t grid cells at _grid_row_bytes(N)
+# each.  By tracemalloc a walk ensemble peaks at 40 N + 24 bytes a cell over
+# one grid time (the values, one time's atom counts as int64 and float64, a
+# real product) and at 16 N a cell over many; a limit ensemble at 32 N + 24
+# a cell.  2**31 bytes admit 1e5 paths at 10 grid times in C^32 (1.33e9).
+ENSEMBLE_BYTES = 2**31
+
 # Largest expected jump count of one direction in a limit ensemble.  Counts
 # are int64, and a Poisson count of mean 2**62 reaches 2**63 only 2**31
 # standard deviations above its mean; numpy's sampler stops just below 2**63.
@@ -88,6 +95,16 @@ _DRAW_BLOCK_BYTES = 2**18
 def _grid_row_bytes(dim: int) -> int:
     """Peak bytes per fine-grid time of a path in C^dim (see PATH_GRID_BYTES)."""
     return 40 * dim + 48
+
+
+def _check_ensemble(n_paths: int, n_t: int, dim: int) -> None:
+    """Raise ``PathTooLarge`` for an ensemble over ``ENSEMBLE_BYTES``, before allocating."""
+    max_cells = ENSEMBLE_BYTES // _grid_row_bytes(dim)
+    if n_paths * n_t > max_cells:
+        raise PathTooLarge(
+            f"{n_paths} paths at {n_t} grid times in C^{dim} exceed the "
+            f"{ENSEMBLE_BYTES}-byte ensemble budget ({max_cells} path-times)"
+        )
 
 
 def _step_count(t, h: float) -> np.ndarray:
@@ -151,8 +168,10 @@ def _walk_sample(rv: ObtuseRV, h: float, grid: np.ndarray, n_paths: int, rng) ->
     """Walk values at the grid times, shape (n_paths, n_t, N).
 
     A run of equal intervals is one multinomial call of size (run, n_paths),
-    the draws of one call per interval, cut to ``_DRAW_BLOCK_BYTES``.
+    the draws of one call per interval, cut to ``_DRAW_BLOCK_BYTES``.  Errors
+    as for ``_check_ensemble``.
     """
+    _check_ensemble(n_paths, len(grid), rv.dim)
     out = np.zeros((n_paths, len(grid), rv.dim), dtype=complex)
     atoms = len(rv.probabilities)
     max_run = max(1, _DRAW_BLOCK_BYTES // (np.dtype(int).itemsize * atoms * max(n_paths, 1)))
@@ -182,10 +201,12 @@ def _limit_sample(
     """Limit-martingale values at the grid times, shape (n_paths, n_t, N).
 
     Raises ``TooManyJumps`` when a direction expects more than
-    ``MAX_ENSEMBLE_JUMPS`` jumps by the last time.  Appends each direction's
-    interval counts, shape (n_paths, n_t), to ``jump_counts`` if given.
+    ``MAX_ENSEMBLE_JUMPS`` jumps by the last time, other errors as for
+    ``_check_ensemble``.  Appends each direction's interval counts, shape
+    (n_paths, n_t), to ``jump_counts`` if given.
     """
     n_t = len(grid)
+    _check_ensemble(n_paths, n_t, spec.dim)
     if n_t and not np.all(spec.intensities * grid[-1] <= MAX_ENSEMBLE_JUMPS):
         raise TooManyJumps(f"a direction expects over 2**62 jumps on [0, {grid[-1]:.6g}]")
     out = np.zeros((n_paths, n_t, spec.dim), dtype=complex)
@@ -267,7 +288,8 @@ def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: 
 def walk_ensemble(rv: ObtuseRV, h: float, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
     """Walk values at the grid times for many paths, shape (n_paths, n_t, N).
 
-    The walk sampler with the stream ``[seed]``; errors as for ``_check``.
+    The walk sampler with the stream ``[seed]``; errors as for ``_check``
+    and ``_check_ensemble``.
     """
     grid = _check(t_grid, n_paths, h)
     return _walk_sample(rv, h, grid, n_paths, np.random.default_rng([seed]))
@@ -276,8 +298,8 @@ def walk_ensemble(rv: ObtuseRV, h: float, t_grid, n_paths: int, seed: int = 0) -
 def limit_ensemble(spec: LimitSpec, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
     """Limit-martingale values at the grid times, shape (n_paths, n_t, N).
 
-    The limit sampler with the stream ``[seed]``; errors as for ``_check``
-    and ``_limit_sample``.
+    The limit sampler with the stream ``[seed]``; errors as for ``_check``,
+    ``_check_ensemble`` and ``_limit_sample``.
     """
     grid = _check(t_grid, n_paths)
     return _limit_sample(spec, grid, n_paths, np.random.default_rng([seed]))

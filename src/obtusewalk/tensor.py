@@ -11,6 +11,15 @@ triangularize-then-strip-phases).  The recovery of the family is one
 deterministic kernel, an eigendecomposition of sum_k S_k S_k^* whose
 clusters of equal weights are split by a fixed sequence of probes (see
 ``diagonalize``); it draws no random numbers.
+
+The same bijection checks its own input.  ``diagonalize`` and ``realify``
+run their kernel first and rebuild R = sum_m w_m v_m (x) v_m (x) conj(v_m)
+from the fixed points it found; R is doubly symmetric up to the family's
+orthogonality defect, and S is within max|S - R| of it, which bounds the
+residuals of S at O(d^4) (see ``_certifies``).  Only when that bound
+exceeds ``tol``, or the kernel fails, do they run the O(d^5) sweep
+``check_symmetries``, to name the failing relation.  Rebuilt tensors, like
+``tensor_of`` and ``tensor_from_family``, are one BLAS product.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .errors import (
     NotObtuse,
     NotOrthogonal,
     NotUnitary,
+    ObtuseWalkError,
     S0NotUnitary,
     WrongCount,
 )
@@ -34,6 +44,8 @@ from .obtuse import (
     DEFAULT_TOL,
     ObtuseSystem,
     Tensor3,
+    _khatri_rao,
+    _sym0,
     check_symmetries,
     validate_obtuse_system,
 )
@@ -75,9 +87,8 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
     arr = np.asarray(family, dtype=complex)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a family of vectors, got shape {arr.shape}")
-    k, d = arr.shape
-    if k:
-        norms2 = np.sum(np.abs(arr) ** 2, axis=1)
+    norms2 = np.sum(np.abs(arr) ** 2, axis=1)
+    if len(arr):
         if np.any(norms2 <= tol):
             raise NotOrthogonal("family contains a (near-)zero vector")
         gram = np.conj(arr) @ arr.T
@@ -86,17 +97,16 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
             raise NotOrthogonal(
                 f"family is not orthogonal: max off-diagonal {np.max(np.abs(off)):.3e}"
             )
-        entries = np.einsum("m,mi,mj,mk->ijk", 1.0 / norms2, arr, arr, np.conj(arr))
-    else:
-        entries = np.zeros((d, d, d), dtype=complex)
-    return Tensor3(entries=entries, has_constant=has_constant)
+    return Tensor3(entries=_khatri_rao(1.0 / norms2, arr), has_constant=has_constant)
 
 
 def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
     """Recover the orthogonal family {v : S(v) = v (x) v, v != 0}.
 
-    Requires the tensor to be doubly symmetric (sym1-sym3 within ``tol``).
-    The algorithm is direct and deterministic:
+    Requires the tensor to be doubly symmetric (sym1-sym3 within ``tol``),
+    which the fixed points themselves certify (``_certifies``); only a
+    tensor they fail to certify is swept, and ``NotDoublySymmetric`` names
+    the relation it fails.  The algorithm is direct and deterministic:
 
     1. G = sum_k S_k S_k^* equals sum_m v_m v_m^*, so its eigenvalues are
        the squared norms |v_m|^2 = 1/weight and its eigenvectors the
@@ -117,24 +127,113 @@ def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
        ``NoConvergence``.
 
     The vectors come out by decreasing weight, the directions of one
-    cluster in the order the probes separate them.  Cost, beyond the
-    O(d^5) symmetry sweep: one O(d^4) product for G, one d x d ``eigh``,
-    one O(d^4) product for the images S(a), and O(d^3) per probe; a cluster
-    of g directions takes at most g^2 probes, and generically one.
+    cluster in the order the probes separate them.  Cost: one O(d^4)
+    product for G, one d x d ``eigh``, one O(d^4) product for the images
+    S(a), O(d^3) per probe (a cluster of g directions takes at most g^2
+    probes, and generically one), and the O(d^4) certificate; the O(d^5)
+    sweep only for a tensor the certificate rejects.
     """
-    report = check_symmetries(tensor, tol=tol, include_constant=False)
-    if not report.doubly_symmetric:
-        raise NotDoublySymmetric(
-            f"tensor is not doubly symmetric: residuals {report.residuals()}"
-        )
-    return _fixed_points(tensor, tol)
+
+    def kernel():
+        result = _fixed_points(tensor, tol)
+        return result, result.vectors
+
+    what = "tensor is not doubly symmetric: residuals"
+    return _certified(tensor, tol, kernel, include_constant=False, what=what)
+
+
+def _certifies(s: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
+    """Whether the fixed points ``vectors`` of ``s`` certify sym1-sym3 within ``tol``.
+
+    With w_m = 1/|v_m|^2, R = sum_m w_m v_m (x) v_m (x) conj(v_m) and
+    delta = max|S - R|, each relation moves by at most the perturbation of
+    its terms:
+
+        sym1(S)   <= sym1(R) + 2 delta,
+        sym2,3(S) <= sym2,3(R) + 2 d delta (2 max|R| + delta),
+
+    since sym2 and sym3 compare sums of d products of two entries.  R is
+    symmetric in (i, j), sym1(R) = 0, and both product sums of R are
+    sum_{a,b} w_a w_b <a, b> times entries of a and b, whose a = b terms are
+    symmetric in (i, k), so
+
+        sym2,3(R) <= 2 sum_{a != b} w_a w_b |a|_inf^2 |b|_inf^2 |<a, b>|,
+
+    an O(K^2 d) Gram matrix.  Rounding enters three times, each bounded by
+    gamma_n = n u / (1 - n u), u = eps/2, as for any sum of n products
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    sections 3.1 and 3.6, complex arithmetic): the exact R of the computed
+    v_m lies within rho = gamma_{K+6} sum_m w_m |v_m|_inf^3 of the computed
+    one, which enlarges delta and max|R| by rho; each computed <a, b> lies
+    within gamma_{d+2} |a| |b| of the exact one; and the sweep's own sums
+    of d products lie within 2 gamma_{d+2} d max|S|^2 of the exact
+    residuals, a term added so that whatever the certificate accepts,
+    ``check_symmetries`` accepts at the same ``tol``.  Cost O(K d^3) for R;
+    a NaN anywhere rejects.
+    """
+    d = s.shape[0]
+    unit = np.finfo(float).eps / 2
+
+    def gamma(n):
+        return n * unit / (1 - n * unit)
+
+    mag = np.abs(vectors)
+    norms2 = np.einsum("mi,mi->m", mag, mag)
+    sup = mag.max(axis=1, initial=0.0)
+    w = 1.0 / norms2
+    r = _khatri_rao(w, vectors)
+    rho = gamma(len(vectors) + 6) * float(w @ sup**3)
+    delta = float(np.abs(s - r).max(initial=0.0)) + rho
+    big = float(np.abs(r).max(initial=0.0)) + rho  # max|S| <= big + delta
+    gram = np.abs(np.conj(vectors) @ vectors.T)
+    np.fill_diagonal(gram, 0.0)
+    c = w * sup**2
+    # sum_{a != b} c_a c_b gamma |a| |b| <= gamma (sum_a c_a |a|)^2
+    sym23 = 2 * (c @ gram @ c + gamma(d + 2) * float(c @ np.sqrt(norms2)) ** 2)
+    sym23 += 2 * d * delta * (2 * big + delta) + 2 * gamma(d + 2) * d * (big + delta) ** 2
+    # 16 u covers the rounding of the bounds themselves
+    return all(b * (1 + 16 * unit) <= tol for b in (2 * delta, float(sym23)))
+
+
+def _certified(tensor: Tensor3, tol: float, kernel, include_constant: bool, what: str):
+    """The result of ``kernel()`` on a tensor that its fixed points certify.
+
+    ``kernel`` returns the result and the fixed points of ``tensor`` it
+    found.  If they do not certify the tensor (``_certifies``), or the
+    kernel raises a domain or ``LinAlgError``, the tensor is swept once:
+    a failing relation raises ``NotDoublySymmetric`` ("<what> {residuals}"),
+    else the kernel's result or error stands.  The kernel is deterministic,
+    so this returns and raises what sweeping first would.  Non-finite values
+    (overflowed products of huge entries, a zero fixed point of a tensor
+    that is not doubly symmetric) fail the certificate and are the sweep's
+    to report, so they raise no warning here.
+    """
+    error = None
+    try:
+        with np.errstate(all="ignore"):
+            result, vectors = kernel()
+            if _certifies(tensor.entries, vectors, tol):
+                return result
+    except (ObtuseWalkError, np.linalg.LinAlgError) as exc:
+        error = exc
+    _require_symmetries(tensor, tol, include_constant=include_constant, what=what)
+    if error is not None:
+        raise error
+    return result
+
+
+def _require_symmetries(tensor: Tensor3, tol: float, include_constant: bool, what: str) -> None:
+    """Sweep ``tensor``; a failing relation raises ``NotDoublySymmetric``."""
+    report = check_symmetries(tensor, tol=tol, include_constant=include_constant)
+    if not report.ok:
+        raise NotDoublySymmetric(f"{what} {report.residuals()}")
 
 
 def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
-    """``diagonalize`` on a tensor already known to be doubly symmetric."""
+    """``diagonalize`` on a tensor known or yet to be certified doubly symmetric."""
     s = tensor.entries
     d = tensor.dim
-    scale = float(np.max(np.abs(s)))
+    scale = float(np.max(np.abs(s), initial=0.0))
     if scale <= tol:
         return DiagResult(vectors=np.zeros((0, d), dtype=complex), residual=0.0)
     # directions whose image is this small belong to the null space
@@ -208,6 +307,8 @@ def obtuse_fixed_points(tensor: Tensor3, tol: float = DEFAULT_TOL) -> ObtuseSyst
     """
     if not tensor.has_constant:
         raise DimensionMismatch("tensor does not carry a constant coordinate")
+    if not tensor.dim:
+        raise DimensionMismatch("the constant coordinate needs dimension >= 1")
     return _obtuse_system(diagonalize(tensor, tol=tol).vectors, tol)
 
 
@@ -279,9 +380,11 @@ def transform(u, tensor: Tensor3, tol: float = DEFAULT_TOL) -> Tensor3:
     ``transform(u.conj().T, transform(u, t))`` returns ``t``.
     """
     mat = _full_unitary(u, tensor, tol)
-    entries = np.einsum(
-        "im,jn,kp,mnp->ijk", mat, mat, np.conj(mat), tensor.entries, optimize=True
-    )
+    # three mode products, p then n then m: a ready-made einsum path search
+    # costs more than the products at small d
+    entries = tensor.entries @ mat.conj().T  # [m, n, k]
+    entries = np.tensordot(mat, entries, axes=(1, 1))  # [j, m, k]
+    entries = np.tensordot(mat, entries, axes=(1, 1))  # [i, j, k]
     return Tensor3(entries=entries, has_constant=tensor.has_constant)
 
 
@@ -315,15 +418,29 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     tensor by any such V produces a real doubly-symmetric tensor, and its
     fixed points give a real obtuse system with the original probabilities.
     The returned V is the full (N+1)-dimensional block unitary fixing e_0.
-    The rotation preserves the symmetry relations swept on the input.
+
+    The input must satisfy all four symmetry relations within ``tol``: sym0
+    is checked directly, O(d^2), and sym1-sym3 are certified by the fixed
+    points of the real tensor mapped back by V (see ``diagonalize``).  A
+    tensor they fail to certify is swept, and ``NotDoublySymmetric`` names
+    the failing relation.
     """
     if not tensor.has_constant:
         raise DimensionMismatch("realify expects a constant-coordinate tensor")
-    report = check_symmetries(tensor, tol=tol)
-    if not report.ok:
-        raise NotDoublySymmetric(
-            f"tensor fails symmetry relations: {report.residuals()}"
-        )
+    what = "tensor fails symmetry relations:"
+    if not _sym0(tensor.entries) <= tol:
+        # raises: the sweep computes the same sym0
+        _require_symmetries(tensor, tol, include_constant=True, what=what)
+
+    def kernel():
+        result, points = _realify(tensor, tol)
+        return result, points @ result.v.T
+
+    return _certified(tensor, tol, kernel, include_constant=True, what=what)
+
+
+def _realify(tensor: Tensor3, tol: float):
+    """``realify``'s result and the fixed points of its real tensor, unchecked."""
     d = tensor.dim
     s0 = tensor.entries[:, :, 0]
     uni_defect = float(np.max(np.abs(s0 @ s0.conj().T - np.eye(d))))
@@ -338,8 +455,9 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     real_t = transform(v.conj().T, tensor, tol=tol)
     if not is_real_tensor(real_t, tol=max(tol, 1e-8)):
         raise NoConvergence("realified tensor failed the real criterion")
-    system = _obtuse_system(_fixed_points(real_t, tol).vectors, tol)
-    return RealificationResult(v=v, real_tensor=real_t, real_system=system)
+    points = _fixed_points(real_t, tol).vectors
+    system = _obtuse_system(points, tol)
+    return RealificationResult(v=v, real_tensor=real_t, real_system=system), points
 
 
 def triangularize_system(values, tol: float = DEFAULT_TOL):

@@ -1,9 +1,10 @@
-"""Each public call sweeps a tensor's symmetry relations once.
+"""Each public call sweeps a tensor's symmetry relations at most once.
 
 ``check_symmetries`` is the O(d^5) boundary check of the pipeline; the
-internal steps after it trust the tensor it accepted.  A counter wrapped
-around every module binding of the sweep pins the number of sweeps per
-call.
+internal steps after it trust the tensor it accepted.  ``diagonalize`` and
+``realify`` certify a valid tensor by its fixed points instead and sweep
+only a tensor that the certificate rejects.  A counter wrapped around every
+module binding of the sweep pins the number of sweeps per call.
 """
 
 import json
@@ -13,9 +14,11 @@ import pytest
 
 from obtusewalk import (
     ObtuseRV,
+    Tensor3,
     TensorFamily,
     classify,
     cli,
+    diagonalize,
     limit_tensor,
     limits,
     obtuse,
@@ -24,6 +27,7 @@ from obtusewalk import (
     tensor,
     tensor_of,
 )
+from obtusewalk.errors import NotDoublySymmetric
 from obtusewalk.limits import DEFAULT_STEPS
 from conftest import jump_values
 
@@ -52,8 +56,37 @@ def random_tensor():
     return tensor_of(ObtuseRV(random_system(3, np.random.default_rng(7))))
 
 
-def test_realify_sweeps_once(sweeps, random_tensor):
-    realify(random_tensor)
+@pytest.fixture
+def broken_tensor(random_tensor):
+    entries = random_tensor.entries.copy()
+    entries[1, 2, 3] += 1e-6
+    return Tensor3(entries)
+
+
+@pytest.mark.parametrize("call", [diagonalize, realify])
+def test_valid_tensor_is_not_swept(sweeps, random_tensor, call):
+    call(random_tensor)
+    assert len(sweeps) == 0
+
+
+def test_realify_sweeps_once(sweeps, broken_tensor):
+    # only a tensor the certificate rejects is swept
+    with pytest.raises(NotDoublySymmetric):
+        realify(broken_tensor)
+    assert len(sweeps) == 1
+
+
+def test_diagonalize_sweeps_once(sweeps, broken_tensor):
+    with pytest.raises(NotDoublySymmetric):
+        diagonalize(broken_tensor)
+    assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("call", [diagonalize, realify])
+def test_uncertified_valid_tensor_is_swept_once(sweeps, call):
+    # at N = 32 the certificate's bound exceeds 1e-12, the sweep's residuals do not
+    valid = tensor_of(ObtuseRV(random_system(32, np.random.default_rng(3))))
+    call(valid, tol=1e-12)
     assert len(sweeps) == 1
 
 

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from obtusewalk import (
     ObtuseRV,
+    Tensor3,
+    TensorFamily,
     classify,
     cli,
     limit_tensor,
@@ -118,6 +121,15 @@ class TestCheck:
         f = write_json(tmp_path / "t.json", ONE_DIM_TENSOR_DOC)
         assert main(["check", f, "--limit"]) == 1
         assert "error: DimensionMismatch" in capsys.readouterr().err
+
+    def test_overflowed_residuals_fail(self, tmp_path, capsys):
+        # 1e160 times an (i, j)-symmetric valid tensor: sym2 and sym3 are NaN
+        s = tensor_of(ObtuseRV.from_values(REFERENCE_VALUES)).entries
+        huge = Tensor3(1e160 * (s + s.transpose(1, 0, 2)) / 2)
+        f = write_json(tmp_path / "t.json", serialize.tensor_to_json(huge))
+        assert main(["check", f]) == 1
+        report = json.loads(capsys.readouterr().out.replace("NaN", "null"))
+        assert not report["ok"] and report["symmetries"]["sym2"] is None
 
 
 class TestRealify:
@@ -438,3 +450,24 @@ class TestSimulate:
         f = write_json(tmp_path / "sys.json", reference_system_doc())
         assert main(["simulate", f, "--kind", "walk", "--paths", "10", *options]) == 1
         assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+    @pytest.mark.parametrize("kind", ["walk", "limit"])
+    def test_ensemble_over_budget_fails_before_allocating(self, tmp_path, capsys, kind):
+        # 1e11 paths would take 2.91 TiB at N = 2
+        if kind == "walk":
+            f = write_json(tmp_path / "in.json", reference_system_doc())
+        else:
+            rv = ObtuseRV.from_values(REFERENCE_VALUES)
+            spec = classify(limit_tensor(TensorFamily.constant(tensor_of(rv))))
+            f = write_json(tmp_path / "in.json", serialize.limitspec_to_json(spec))
+        args = ["simulate", f, "--kind", kind, "--stats", str(tmp_path / "s.json")]
+        assert main([*args, "--paths", "1"]) == 0  # loads what the command imports
+        tracemalloc.start()
+        try:
+            assert main([*args, "--paths", "100000000000"]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: PathTooLarge: ")
+        assert peak < 2**20

@@ -23,7 +23,12 @@ from obtusewalk.errors import (
     NonPositiveStep,
     StructureViolation,
 )
-from obtusewalk.limits import _SHRINK_FACTOR, DEFAULT_STEPS, _real_complement
+from obtusewalk.limits import (
+    _SHRINK_FACTOR,
+    DEFAULT_STEPS,
+    LimitSymmetryReport,
+    _real_complement,
+)
 from conftest import (
     JUMP_LAMBDA,
     JUMP_M1,
@@ -229,6 +234,12 @@ class TestLimitSymmetries:
         tensor = Tensor3(np.ones((1, 1, 1)), has_constant=True)
         with pytest.raises(DimensionMismatch):
             check_limit_symmetries(tensor)
+
+    def test_nan_residual_fails(self):
+        # overflowed sweep products give NaN; it fails after a zero residual
+        fields = dict.fromkeys(LimitSymmetryReport.__dataclass_fields__, 0.0)
+        report = LimitSymmetryReport(**{**fields, "sym2": float("nan"), "tol": 1e-9})
+        assert not report.ok
 
 
 class TestClassify:

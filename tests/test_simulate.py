@@ -414,6 +414,54 @@ class TestBadGrids:
         assert peak <= simulate.PATH_GRID_BYTES
 
 
+class TestEnsembleBudget:
+    """An ensemble over ``ENSEMBLE_BYTES`` fails before anything is allocated."""
+
+    @pytest.mark.parametrize("kind", ["walk", "limit"])
+    def test_fails_fast(self, kind):
+        # 1e11 paths at one grid time take 2.91 TiB at N = 2
+        rv = ObtuseRV.from_values(REFERENCE_VALUES)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathTooLarge):
+                if kind == "walk":
+                    walk_ensemble(rv, 0.01, [1.0], 10**11)
+                else:
+                    limit_ensemble(mixed_spec(2, 1), [1.0], 10**11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_admits_the_recorded_ensembles(self):
+        # 1e5 paths at 10 times in C^32, and the 1e4-path ensembles at N = 8
+        assert 10**5 * 10 <= simulate.ENSEMBLE_BYTES // simulate._grid_row_bytes(32)
+        assert 10**4 * 10 <= simulate.ENSEMBLE_BYTES // simulate._grid_row_bytes(8)
+
+    @pytest.mark.parametrize("n, n_t", [(1, 1), (2, 1), (8, 1), (2, 10), (8, 10)])
+    def test_budget_bounds_the_real_allocation(self, monkeypatch, n, n_t):
+        monkeypatch.setattr(simulate, "ENSEMBLE_BYTES", 2**22)
+        rv = ObtuseRV(random_system(n, np.random.default_rng(n)))
+        grid = np.linspace(0.1, 1.0, n_t)
+        paths = simulate.ENSEMBLE_BYTES // (simulate._grid_row_bytes(n) * n_t)
+        for sample in (
+            lambda count: walk_ensemble(rv, 0.01, grid, count),
+            lambda count: limit_ensemble(mixed_spec(n, 0), grid, count),
+            lambda count: limit_ensemble(mixed_spec(n, n), grid, count),
+        ):
+            with pytest.raises(PathTooLarge):
+                sample(paths + 1)
+            tracemalloc.start()
+            try:
+                values = sample(paths)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert values.shape == (paths, n_t, n)
+            assert peak <= simulate.ENSEMBLE_BYTES
+            del values
+
+
 class TestOneSampler:
     """Paths are the ensemble samplers on a fine grid that ends at T."""
 

@@ -134,6 +134,10 @@ class TestDiagonalize:
             rebuilt = tensor_from_family(recovered.vectors)
             assert np.max(np.abs(rebuilt.entries - tensor.entries)) <= 1e-8
 
+    def test_zero_dimensional_tensor(self):
+        result = diagonalize(Tensor3(np.zeros((0, 0, 0)), has_constant=False))
+        assert result.vectors.shape == (0, 0) and result.residual == 0.0
+
     def test_rejects_asymmetric_tensor(self):
         entries = np.zeros((2, 2, 2), dtype=complex)
         entries[0, 1, 0] = 1.0
@@ -262,6 +266,39 @@ class TestTransform:
     def test_rejects_non_unitary(self, reference_tensor):
         with pytest.raises(NotUnitary):
             transform(np.ones((2, 2)), reference_tensor)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_matches_the_einsum_formula(self, n):
+        # three mode products sum in another order than one einsum: each
+        # entry sums d^3 terms of size max|T|, so 4 d^3 eps max|T| bounds it
+        rng = np.random.default_rng(n)
+        t = tensor_of(ObtuseRV(random_system(n, rng)))
+        u = haar_unitary(n, rng)
+        full = np.eye(n + 1, dtype=complex)
+        full[1:, 1:] = u
+        want = np.einsum(
+            "im,jn,kp,mnp->ijk", full, full, np.conj(full), t.entries, optimize=True
+        )
+        bound = 4 * (n + 1) ** 3 * np.finfo(float).eps * np.max(np.abs(t.entries))
+        assert np.max(np.abs(transform(u, t).entries - want)) <= bound
+
+
+class TestKhatriRao:
+    @pytest.mark.parametrize("n", [1, 2, 8, 32])
+    def test_tensors_match_the_einsum_formula(self, n):
+        # one BLAS product sums the K terms of an entry in another order than
+        # the einsum loop: 4 K eps max_m w_m |v_m|_inf^3 bounds the difference
+        rng = np.random.default_rng(n)
+        rv = ObtuseRV(random_system(n, rng))
+        vhat, p = rv.hatted, rv.probabilities
+        want = np.einsum("m,mi,mj,mk->ijk", p, vhat, vhat, np.conj(vhat))
+        bound = 4 * (n + 1) * np.finfo(float).eps * np.max(p * np.max(np.abs(vhat), axis=1) ** 3)
+        assert np.max(np.abs(tensor_of(rv).entries - want)) <= bound
+        assert np.max(np.abs(tensor_from_family(vhat).entries - want)) <= bound
+
+    def test_empty_family(self):
+        out = tensor_from_family(np.zeros((0, 3)))
+        assert np.array_equal(out.entries, np.zeros((3, 3, 3)))
 
 
 class TestRealCriterion:
