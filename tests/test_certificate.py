@@ -32,6 +32,12 @@ def random_tensor(n, seed):
     return tensor_of(ObtuseRV(random_system(n, np.random.default_rng(seed))))
 
 
+def overflowed_tensor():
+    """1e160 times a valid (i, j)-symmetric tensor: sym2 and sym3 overflow to NaN."""
+    s = random_tensor(3, 2).entries
+    return Tensor3(1e160 * (s + s.transpose(1, 0, 2)) / 2)
+
+
 def kernel_points(t, tol):
     """The fixed points ``diagonalize`` and ``realify`` certify ``t`` with, if found."""
     points = []
@@ -120,20 +126,19 @@ def outcome(call):
         return exc
 
 
-def assert_same_outcome(got, want):
+def assert_same_outcome(got, want, where):
     if isinstance(want, Exception):
-        assert type(got) is type(want)
-        assert str(got) == str(want)
+        assert type(got) is type(want), where
+        assert str(got) == str(want), where
         return
     for field in ("vectors", "values", "probabilities", "v"):
         if hasattr(want, field):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert np.array_equal(getattr(got, field), getattr(want, field)), where
 
 
 def bad_inputs():
     """(label, tensor, tol): inputs on which some of the calls fail, and how."""
-    t3 = random_tensor(3, 1)
-    s = t3.entries
+    s = random_tensor(3, 1).entries
     sym0 = s.copy()
     sym0[1, 0, 1] += 1e-6
     sym0[0, 1, 1] += 1e-6
@@ -146,8 +151,6 @@ def bad_inputs():
     asym[1, 0, 1] += 1e-6
     delta = np.zeros((3, 3, 3), dtype=complex)
     delta[np.arange(3), np.arange(3), np.arange(3)] = 1.0
-    huge = random_tensor(3, 2).entries
-    huge = 1e160 * (huge + huge.transpose(1, 0, 2)) / 2
     return [
         ("sym0", Tensor3(sym0), 1e-9),
         ("sym1", Tensor3(sym1), 1e-9),
@@ -158,7 +161,7 @@ def bad_inputs():
         # fixed-point residuals of valid tensors miss bounds this tight
         ("no-convergence", random_tensor(8, 1), 1e-15),
         ("no-convergence-realify", random_tensor(3, 0), 1e-15),
-        ("overflow", Tensor3(huge), 1e-9),
+        ("overflow", overflowed_tensor(), 1e-9),
     ]
 
 
@@ -175,7 +178,7 @@ class TestSameErrors:
             for name, call in self.CALLS.items():
                 want = outcome(lambda: sweep_first(name, t, tol))
                 got = outcome(lambda: call(t, tol=tol))
-                assert_same_outcome(got, want)
+                assert_same_outcome(got, want, (label, name))
                 seen.add(type(want).__name__)
         # the corpus reaches every error these calls raise on bad input
         assert {
@@ -189,27 +192,21 @@ class TestSameErrors:
         for n in (1, 2, 8):
             t = random_tensor(n, 7)
             for name, call in self.CALLS.items():
-                assert_same_outcome(call(t), sweep_first(name, t, obtuse.DEFAULT_TOL))
+                want = sweep_first(name, t, obtuse.DEFAULT_TOL)
+                assert_same_outcome(call(t), want, (n, name))
 
 
 class TestOverflow:
-    """1e160 times a valid (i, j)-symmetric tensor: sym2 and sym3 overflow to NaN."""
-
-    @pytest.fixture
-    def huge(self):
-        s = random_tensor(3, 2).entries
-        return Tensor3(1e160 * (s + s.transpose(1, 0, 2)) / 2)
-
-    def test_sweep_rejects_nan_residuals(self, huge):
+    def test_sweep_rejects_nan_residuals(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = check_symmetries(huge)
+            report = check_symmetries(overflowed_tensor())
         assert report.sym1 == 0.0 and np.isnan(report.sym2) and np.isnan(report.sym3)
         assert not report.doubly_symmetric and not report.ok
 
     @pytest.mark.parametrize("call", [diagonalize, obtuse_fixed_points, realify])
-    def test_certified_calls_reject_it_without_warnings(self, huge, call):
+    def test_certified_calls_reject_it_without_warnings(self, call):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotDoublySymmetric):
-                call(huge)
+                call(overflowed_tensor())
