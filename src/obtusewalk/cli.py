@@ -48,8 +48,9 @@ def _load_json(path: str):
 
 
 def _emit(doc, out: str | None) -> None:
-    # dumps, not dump: json.dump always runs the Python encoder.
-    text = json.dumps(doc, sort_keys=True)
+    # dumps, not dump: json.dump always runs the Python encoder.  Reports are
+    # trees built by serialize, so no cycle check is needed.
+    text = json.dumps(doc, sort_keys=True, check_circular=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -219,8 +220,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="numerical tolerance")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 

@@ -335,7 +335,7 @@ def check_symmetries(
     if include_constant is None:
         include_constant = tensor.has_constant
     sym0 = _sym0(s) if include_constant else None
-    sym1 = float(np.max(np.abs(s - s.transpose(1, 0, 2)))) if tensor.dim else 0.0
+    sym1 = _sym1(s)
     sym2, sym3 = _product_symmetries(s)
     return SymmetryReport(sym0=sym0, sym1=sym1, sym2=sym2, sym3=sym3, tol=tol)
 
@@ -345,6 +345,11 @@ def _sym0(s: np.ndarray) -> float:
     if not s.shape[0]:
         raise DimensionMismatch("the constant coordinate needs dimension >= 1")
     return float(np.max(np.abs(s[:, 0, :] - np.eye(s.shape[0]))))
+
+
+def _sym1(s: np.ndarray) -> float:
+    """max |S^{ij}_k - S^{ji}_k| of the entries ``s``, O(d^3)."""
+    return float(np.max(np.abs(s - s.transpose(1, 0, 2)))) if s.shape[0] else 0.0
 
 
 def _product_symmetries(s: np.ndarray) -> tuple[float, float]:

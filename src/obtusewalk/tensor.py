@@ -16,10 +16,12 @@ The same bijection checks its own input.  ``diagonalize`` and ``realify``
 run their kernel first and rebuild R = sum_m w_m v_m (x) v_m (x) conj(v_m)
 from the fixed points it found; R is doubly symmetric up to the family's
 orthogonality defect, and S is within max|S - R| of it, which bounds the
-residuals of S at O(d^4) (see ``_certifies``).  Only when that bound
+residuals of S at O(d^4) (see ``_certificate_bounds``).  Only when that bound
 exceeds ``tol``, or the kernel fails, do they run the O(d^5) sweep
-``check_symmetries``, to name the failing relation.  Rebuilt tensors, like
-``tensor_of`` and ``tensor_from_family``, are one BLAS product.
+``check_symmetries``, to name the failing relation.  ``limits`` gates
+``limit_tensor`` samples and ``classify`` with the same bounds.  Rebuilt
+tensors, like ``tensor_of`` and ``tensor_from_family``, are one BLAS
+product.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ from .takagi import takagi
 # residual if split by one eigendecomposition; 1e-4 leaves a wide margin,
 # and the probes resolve what a cluster holds
 _CLUSTER_REL = 1e-4
+
+# unit roundoff u of double precision
+_UNIT = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,30 @@ def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
 def _certifies(s: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
     """Whether the fixed points ``vectors`` of ``s`` certify sym1-sym3 within ``tol``.
 
+    Both bounds of ``_certificate_bounds`` must be at most ``tol``; a NaN
+    bound rejects.
+    """
+    return all(b <= tol for b in _certificate_bounds(s, vectors))
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): relative error of a sum of n products."""
+    return n * _UNIT / (1 - n * _UNIT)
+
+
+def _sweep_rounding(d: int, scale: float) -> float:
+    """2 gamma_{d+2} d scale^2, the sweep's rounding on entries up to ``scale``.
+
+    A term of the sym2/sym3 bound of ``_certificate_bounds``, whose other
+    terms are nonnegative: no certificate of a tensor with max|S| = ``scale``
+    fits under a tolerance below this.  Overflow gives inf, not an error.
+    """
+    return float(2 * _gamma(d + 2) * d * np.float64(scale) ** 2)
+
+
+def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> tuple[float, float]:
+    """Upper bounds on sym1 and on sym2, sym3 of ``s`` from its fixed points.
+
     With w_m = 1/|v_m|^2, R = sum_m w_m v_m (x) v_m (x) conj(v_m) and
     delta = max|S - R|, each relation moves by at most the perturbation of
     its terms:
@@ -169,30 +198,25 @@ def _certifies(s: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
     of d products lie within 2 gamma_{d+2} d max|S|^2 of the exact
     residuals, a term added so that whatever the certificate accepts,
     ``check_symmetries`` accepts at the same ``tol``.  Cost O(K d^3) for R;
-    a NaN anywhere rejects.
+    a NaN anywhere makes a bound NaN.
     """
     d = s.shape[0]
-    unit = np.finfo(float).eps / 2
-
-    def gamma(n):
-        return n * unit / (1 - n * unit)
-
     mag = np.abs(vectors)
     norms2 = np.einsum("mi,mi->m", mag, mag)
     sup = mag.max(axis=1, initial=0.0)
     w = 1.0 / norms2
     r = _khatri_rao(w, vectors)
-    rho = gamma(len(vectors) + 6) * float(w @ sup**3)
+    rho = _gamma(len(vectors) + 6) * float(w @ sup**3)
     delta = float(np.abs(s - r).max(initial=0.0)) + rho
     big = float(np.abs(r).max(initial=0.0)) + rho  # max|S| <= big + delta
     gram = np.abs(np.conj(vectors) @ vectors.T)
     np.fill_diagonal(gram, 0.0)
     c = w * sup**2
     # sum_{a != b} c_a c_b gamma |a| |b| <= gamma (sum_a c_a |a|)^2
-    sym23 = 2 * (c @ gram @ c + gamma(d + 2) * float(c @ np.sqrt(norms2)) ** 2)
-    sym23 += 2 * d * delta * (2 * big + delta) + 2 * gamma(d + 2) * d * (big + delta) ** 2
+    sym23 = 2 * (c @ gram @ c + _gamma(d + 2) * (c @ np.sqrt(norms2)) ** 2)
+    sym23 += 2 * d * delta * (2 * big + delta) + _sweep_rounding(d, big + delta)
     # 16 u covers the rounding of the bounds themselves
-    return all(b * (1 + 16 * unit) <= tol for b in (2 * delta, float(sym23)))
+    return float(2 * delta * (1 + 16 * _UNIT)), float(sym23 * (1 + 16 * _UNIT))
 
 
 def _certified(tensor: Tensor3, tol: float, kernel, include_constant: bool, what: str):

@@ -1,10 +1,12 @@
 """Each public call sweeps a tensor's symmetry relations at most once.
 
 ``check_symmetries`` is the O(d^5) boundary check of the pipeline; the
-internal steps after it trust the tensor it accepted.  ``diagonalize`` and
-``realify`` certify a valid tensor by its fixed points instead and sweep
-only a tensor that the certificate rejects.  A counter wrapped around every
-module binding of the sweep pins the number of sweeps per call.
+internal steps after it trust the tensor it accepted.  ``diagonalize``,
+``realify``, ``classify`` and ``limit_tensor`` (for samples of dimension
+``limits._CERTIFY_MIN_DIM`` or more) certify a valid tensor by its fixed
+points instead and sweep only a tensor that the certificate rejects.  A
+counter wrapped around every module binding of the sweep pins the number of
+sweeps per call.
 """
 
 import json
@@ -95,10 +97,25 @@ def test_limit_tensor_sweeps_constant_family_once(sweeps, random_tensor):
     assert len(sweeps) == 1
 
 
-def test_classify_sweeps_once(sweeps, random_tensor):
+def test_classify_does_not_sweep_a_valid_limit(sweeps, random_tensor):
     result = limit_tensor(TensorFamily.constant(random_tensor))
     sweeps.clear()
     classify(result)
+    assert len(sweeps) == 0
+
+
+def test_large_constant_family_is_not_swept(sweeps):
+    valid = tensor_of(ObtuseRV(random_system(32, np.random.default_rng(5))))
+    classify(limit_tensor(TensorFamily.constant(valid)))
+    assert len(sweeps) == 0
+
+
+def test_broken_large_sample_is_swept_once(sweeps):
+    entries = tensor_of(ObtuseRV(random_system(16, np.random.default_rng(5)))).entries.copy()
+    entries[1, 2, 3] += 1e-6
+    assert len(entries) >= limits._CERTIFY_MIN_DIM
+    with pytest.raises(NotDoublySymmetric, match="sample at h="):
+        limit_tensor(TensorFamily.constant(Tensor3(entries)))
     assert len(sweeps) == 1
 
 
@@ -107,8 +124,9 @@ def test_cli_limit_on_system_file(sweeps, tmp_path):
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"system": system_doc(random_system(3, rng).values)}))
     assert cli.main(["limit", str(path), "--out", str(tmp_path / "out.json")]) == 0
-    # one sweep of the shared sample, one of the limit tensor
-    assert len(sweeps) == 2
+    # one sweep of the shared sample (d = 4 is below the certificate's
+    # crossover); the limit tensor certifies
+    assert len(sweeps) == 1
 
 
 def test_cli_limit_on_sampled_family(sweeps, tmp_path):
@@ -120,5 +138,5 @@ def test_cli_limit_on_sampled_family(sweeps, tmp_path):
     path.write_text(json.dumps(doc))
     out = str(tmp_path / "out.json")
     assert cli.main(["limit", str(path), "--tol", "1e-7", "--out", out]) == 0
-    # one sweep per distinct sample, one of the limit tensor
-    assert len(sweeps) == len(DEFAULT_STEPS) + 1
+    # one sweep per distinct sample; the limit tensor certifies
+    assert len(sweeps) == len(DEFAULT_STEPS)

@@ -200,19 +200,44 @@ def test_only_simulate_takes_a_seed(command):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["tensor"],
+        ["check"],
+        ["diagonalize"],
+        ["realify"],
+        ["limit"],
+        ["simulate", "--kind", "walk"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_tolerance_is_a_usage_error(capsys, argv, tol):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "input.json", *argv[1:], "--tol", tol])
+    assert exc.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def same_bits(a, b):
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def limit_family_doc(n):
+    """The jump family at N = 2, a constant random family otherwise, and a tol."""
+    if n == 2:
+        return jump_family_doc(), 1e-7
+    system = random_system(n, np.random.default_rng(n))
+    return {"system": serialize.system_to_json(system)}, 1e-9
+
+
 class TestLimitReport:
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_report_is_the_spec_and_round_trips(self, tmp_path, n):
-        if n == 2:
-            doc, tol = jump_family_doc(), 1e-7
-        else:
-            system = random_system(n, np.random.default_rng(n))
-            doc, tol = {"system": serialize.system_to_json(system)}, 1e-9
+        doc, tol = limit_family_doc(n)
         f = write_json(tmp_path / "family.json", doc)
         out = tmp_path / "limit.json"
         assert main(["limit", f, "--out", str(out), "--tol", str(tol)]) == 0
@@ -237,6 +262,22 @@ class TestLimitReport:
             assert same_bits(getattr(back, name), getattr(spec, name)), name
         assert same_bits(back.tensor.entries, spec.tensor.entries)
         assert back.tensor.has_constant == spec.tensor.has_constant
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_report_bytes_are_json_dumps(self, tmp_path, n):
+        # the report skips json's cycle check and keeps its exact bytes
+        doc, tol = limit_family_doc(n)
+        f = write_json(tmp_path / "family.json", doc)
+        out = tmp_path / "limit.json"
+        assert main(["limit", f, "--out", str(out), "--tol", str(tol)]) == 0
+        result = limit_tensor(serialize.family_from_json(doc, DEFAULT_STEPS), tol=tol)
+        spec = classify(result, tol=tol)
+        want = serialize.limitspec_to_json(spec)
+        want["diagnostics"] = {
+            "worst_difference_ratio": result.worst_ratio,
+            "structure_residuals": spec.structure.residuals(),
+        }
+        assert out.read_text() == json.dumps(want, sort_keys=True) + "\n"
 
     def test_report_needs_no_python_encoder(self, tmp_path, monkeypatch):
         # json.dumps with indent, and json.dump always, build their output
