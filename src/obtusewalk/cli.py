@@ -6,11 +6,11 @@ classify a limit from a sampled family, simulate walks or limit processes,
 and check symmetry/structure relations.  Only ``simulate`` draws random
 numbers, from ``--seed``; every other subcommand is deterministic.  Reports
 go to stdout, or to ``--out``, as one-line JSON with full double precision
-and sorted keys.  They are written without indentation because only then
-does the json module use its C encoder; the Python encoder it falls back to
-costs more than the mathematics behind a report.  The argument parser is
-built once per process and finds each subcommand's handler by name when
-``main`` runs.
+and sorted keys: each handler builds a document whose complex arrays stay
+arrays (``serialize.*_doc``), and ``_emit`` writes it with
+``serialize.dumps``, the bytes of ``json.dumps(plain, sort_keys=True)``
+at one float repr per distinct entry.  The argument parser is built once per
+process and finds each subcommand's handler by name when ``main`` runs.
 
 Exit codes: 0 success, 1 domain failure (invalid mathematical input), 2
 usage, parse or I/O errors.
@@ -48,9 +48,7 @@ def _load_json(path: str):
 
 
 def _emit(doc, out: str | None) -> None:
-    # dumps, not dump: json.dump always runs the Python encoder.  Reports are
-    # trees built by serialize, so no cycle check is needed.
-    text = json.dumps(doc, sort_keys=True, check_circular=False)
+    text = serialize.dumps(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -90,7 +88,7 @@ def cmd_validate(args) -> int:
 
 def cmd_tensor(args) -> int:
     rv = _load_system(args.input, args.tol)
-    _emit(serialize.tensor_to_json(tensor_of(rv)), args.out)
+    _emit(serialize.tensor_doc(tensor_of(rv)), args.out)
     return 0
 
 
@@ -110,13 +108,13 @@ def cmd_diagonalize(args) -> int:
     tensor = serialize.tensor_from_json(_load_json(args.input))
     if tensor.has_constant:
         system = obtuse_fixed_points(tensor, tol=args.tol)
-        _emit(serialize.system_to_json(system), args.out)
+        _emit(serialize.system_doc(system), args.out)
     else:
         result = diagonalize(tensor, tol=args.tol)
         _emit(
             {
                 "dim": tensor.dim,
-                "vectors": [serialize.vector_to_json(v) for v in result.vectors],
+                "vectors": result.vectors,
                 "weights": [float(w) for w in result.weights],
                 "residual": result.residual,
             },
@@ -127,7 +125,7 @@ def cmd_diagonalize(args) -> int:
 
 def cmd_realify(args) -> int:
     doc = _load_json(args.input)
-    if "values" in doc:
+    if isinstance(doc, dict) and "values" in doc:
         values, _ = serialize.system_values_from_json(doc)
         tensor = tensor_of(ObtuseRV.from_values(values, tol=args.tol))
     else:
@@ -135,9 +133,9 @@ def cmd_realify(args) -> int:
     result = realify(tensor, tol=args.tol)
     _emit(
         {
-            "V": serialize.matrix_to_json(result.v),
-            "R": serialize.tensor_to_json(result.real_tensor),
-            "system": serialize.system_to_json(result.real_system),
+            "V": serialize.matrix_doc(result.v),
+            "R": serialize.tensor_doc(result.real_tensor),
+            "system": serialize.system_doc(result.real_system),
             "imag_residual": result.imag_residual(),
         },
         args.out,
@@ -149,7 +147,7 @@ def cmd_limit(args) -> int:
     family = serialize.family_from_json(_load_json(args.input), limits.DEFAULT_STEPS)
     result = limits.limit_tensor(family, tol=args.tol)
     spec = limits.classify(result, tol=args.tol)
-    doc = serialize.limitspec_to_json(spec)
+    doc = serialize.limitspec_doc(spec)
     doc["diagnostics"] = {
         "worst_difference_ratio": result.worst_ratio,
         "structure_residuals": spec.structure.residuals(),
@@ -180,9 +178,9 @@ def _ensemble_stats(values: np.ndarray, T: float) -> dict:
     return {
         "n_paths": int(values.shape[0]),
         "T": float(T),
-        "mean": serialize.vector_to_json(mean),
-        "cov_conj_over_T": serialize.matrix_to_json(cov_conj / T),
-        "cov_plain_over_T": serialize.matrix_to_json(cov_plain / T),
+        "mean": mean,
+        "cov_conj_over_T": serialize.matrix_doc(cov_conj / T),
+        "cov_plain_over_T": serialize.matrix_doc(cov_plain / T),
         "abs4": [float(x) for x in abs4],
     }
 

@@ -4,15 +4,32 @@ Complex scalars are objects {"re": ..., "im": ...}; vectors are lists of
 scalars, matrices {"dim", "entries"} with entries[i][j], tensors
 {"dim", "entries"} with entries[i][j][k] plus an optional "constant_index"
 flag (default true) marking whether index 0 is the constant coordinate.
-Floats are emitted with full round-trip precision by the json module.
+Floats are written with full round-trip precision, as the json module
+writes them.
 
-Writers build a whole array's nested scalar objects in one pass over its
-real and imaginary parts (``_complex_lists``); readers parse nested lists
-of scalars back into one array (``_complex_array``) and turn ragged,
-misnested or mistyped input into ``FormatError``.
+Each format has one document builder, ``*_doc``, whose complex arrays stay
+numpy arrays.  ``*_to_json`` returns the plain document (``_plain``: every
+array becomes nested lists of {"re", "im"} objects, ``_complex_lists``),
+and ``dumps`` writes a document's text, byte for byte
+``json.dumps(plain, sort_keys=True)``, without building the plain one.  It
+encodes the skeleton with one call of json's C encoder, each array held by
+a placeholder string, and splices in the arrays' text.  That text costs one
+``%r`` pair per distinct entry of the document, keyed by its 16 bytes (so
+-0.0 and 0.0 stay apart): the zeros of a Brownian limit's M, the
+symmetric half of a tensor and the zero imaginary parts of a real one share
+one text each.
+
+Readers parse nested lists of scalars back into one array
+(``_complex_array``) and turn ragged, misnested or mistyped input into
+``FormatError``: numbers must be JSON numbers (not strings or booleans),
+flags booleans and dims integers.
 """
 
 from __future__ import annotations
+
+import functools
+import json
+import math
 
 import numpy as np
 
@@ -30,12 +47,27 @@ def complex_to_json(z) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _real(x) -> float:
+    """A JSON number as a float; a bool, string or other value is a ``TypeError``.
+
+    An integer beyond the float range raises ``OverflowError``.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"not a number: {x!r}")
+    return float(x)
+
+
 def complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
+    """A complex scalar: {"re": x, "im": y}, with y 0 when absent, or a real number."""
+    if isinstance(obj, dict):
+        re, im = obj.get("re"), obj.get("im", 0.0)
+        if type(re) is float is type(im):  # what json.load gives for most scalars
+            return complex(re, im)
+    else:
+        re, im = obj, 0.0
     try:
-        return complex(float(obj["re"]), float(obj.get("im", 0.0)))
-    except (TypeError, KeyError) as exc:
+        return complex(_real(re), _real(im))
+    except (TypeError, OverflowError) as exc:
         raise FormatError(f"not a complex scalar: {obj!r}") from exc
 
 
@@ -54,7 +86,96 @@ def _complex_lists(arr) -> list:
     ]
     for n in reversed(arr.shape[1:]):
         out = [out[k : k + n] for k in range(0, len(out), n)]
+    return out if arr.ndim else out[0]
+
+
+def _plain(doc):
+    """``doc`` with each numpy array replaced by ``_complex_lists`` of it."""
+    if isinstance(doc, np.ndarray):
+        return _complex_lists(doc)
+    if isinstance(doc, dict):
+        return {key: _plain(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(value) for value in doc]
+    return doc
+
+
+_HOLE = "\x00"  # placeholder string of an array in the skeleton
+_HOLE_TEXT = json.dumps(_HOLE)
+_ENTRY = '{"im": %r, "re": %r}'.__mod__
+
+
+def dumps(doc) -> str:
+    """The text ``json.dumps(_plain(doc), sort_keys=True)`` of ``doc``, whose
+    numpy arrays stand for nested lists of {"re", "im"} objects."""
+    arrays = []
+
+    def hold(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj)
+        return _HOLE
+
+    parts = json.dumps(doc, sort_keys=True, default=hold).split(_HOLE_TEXT)
+    if len(parts) != len(arrays) + 1:  # a string of the document spells a hole
+        return json.dumps(_plain(doc), sort_keys=True)
+    out = [parts[0]]
+    for text, part in zip(_array_texts(arrays), parts[1:]):
+        out += (text, part)
+    return "".join(out)
+
+
+def _array_texts(arrays) -> list:
+    """JSON text of each array, one ``%r`` pair per distinct entry of them all."""
+    if not arrays:
+        return []
+    arrays = [np.asarray(a, dtype=complex) for a in arrays]
+    items = _entry_texts(np.concatenate([a.reshape(-1) for a in arrays]))
+    out, start = [], 0
+    for a in arrays:
+        frame = _frame(a.shape)
+        parts = [None] * (2 * len(frame) - 1)
+        parts[0::2] = frame
+        parts[1::2] = items[start : start + a.size]
+        start += a.size
+        text = "".join(parts)
+        if "n" in text:
+            # %r spells nan, inf and -inf; json spells NaN, Infinity and -Infinity
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        out.append(text)
     return out
+
+
+def _entry_texts(flat: np.ndarray) -> list:
+    """Text of each entry of a 1-d complex array, shared by entries with the same bits."""
+    if flat.size == 0:
+        return []
+    bits = flat.view(np.uint64).reshape(-1, 2)
+    order = np.lexsort(bits.T)
+    run = bits[order]
+    first = np.ones(len(run), dtype=bool)
+    np.any(run[1:] != run[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(run), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    entries = flat[order[first]]
+    texts = list(map(_ENTRY, zip(entries.imag.tolist(), entries.real.tolist())))
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+@functools.lru_cache(maxsize=64)
+def _frame(shape: tuple) -> tuple:
+    """Text around the entries of nested lists of ``shape``: strings f_0 .. f_n
+    such that f_0 e_1 f_1 .. e_n f_n is the list, e_k its k-th entry in C order."""
+    n = math.prod(shape)
+    if n == 0:
+        return (json.dumps(np.zeros(shape).tolist()),)
+    closed = np.zeros(n - 1, dtype=np.intp)  # lists closed after each entry
+    stride = 1
+    for m in reversed(shape[1:]):
+        stride *= m
+        closed[stride - 1 :: stride] += 1
+    seps = ["]" * c + ", " + "[" * c for c in range(len(shape))]
+    return ("[" * len(shape), *map(seps.__getitem__, closed.tolist()), "]" * len(shape))
 
 
 def _complex_array(obj, ndim: int, what: str) -> np.ndarray:
@@ -79,8 +200,8 @@ def _complex_array(obj, ndim: int, what: str) -> np.ndarray:
 
 def _floats(obj, what: str) -> list:
     try:
-        return [float(x) for x in obj]
-    except (TypeError, ValueError) as exc:
+        return [_real(x) for x in obj]
+    except (TypeError, OverflowError) as exc:
         raise FormatError(f"{what} must be a list of numbers") from exc
 
 
@@ -88,10 +209,9 @@ def _check_dim(obj, actual: int, what: str) -> None:
     """Reject a declared "dim" that is not an integer or differs from ``actual``."""
     if "dim" not in obj:
         return
-    try:
-        dim = int(obj["dim"])
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"dim must be an integer, got {obj['dim']!r}") from exc
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise FormatError(f"dim must be an integer, got {dim!r}")
     if dim != actual:
         raise FormatError(f"declared dim does not match the {what}")
 
@@ -100,9 +220,13 @@ def vector_to_json(vec) -> list:
     return _complex_lists(vec)
 
 
-def matrix_to_json(mat) -> dict:
+def matrix_doc(mat) -> dict:
     arr = np.asarray(mat, dtype=complex)
-    return {"dim": int(arr.shape[0]), "entries": _complex_lists(arr)}
+    return {"dim": int(arr.shape[0]), "entries": arr}
+
+
+def matrix_to_json(mat) -> dict:
+    return _plain(matrix_doc(mat))
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -113,16 +237,20 @@ def matrix_from_json(obj) -> np.ndarray:
     return _complex_array(rows, 2, "matrix entries")
 
 
-def system_to_json(system: ObtuseSystem) -> dict:
+def system_doc(system: ObtuseSystem) -> dict:
     return {
         "dim": int(system.dim),
-        "values": [vector_to_json(v) for v in system.values],
+        "values": np.asarray(system.values, dtype=complex),
         "probabilities": [float(p) for p in system.probabilities],
     }
 
 
+def system_to_json(system: ObtuseSystem) -> dict:
+    return _plain(system_doc(system))
+
+
 def system_values_from_json(obj):
-    """Values and optional probabilities from a system document."""
+    """Values and optional probabilities, one finite number per value, from a system document."""
     try:
         raw = obj["values"]
     except (TypeError, KeyError) as exc:
@@ -131,16 +259,25 @@ def system_values_from_json(obj):
     _check_dim(obj, values.shape[1], "vectors")
     probs = obj.get("probabilities")
     if probs is not None:
-        probs = np.asarray(_floats(probs, "probabilities"))
+        probs = _floats(probs, "probabilities")
+        if len(probs) != len(values) or not all(map(math.isfinite, probs)):
+            raise FormatError(
+                f"probabilities must be {len(values)} finite numbers, one per value"
+            )
+        probs = np.asarray(probs)
     return values, probs
 
 
-def tensor_to_json(tensor: Tensor3) -> dict:
+def tensor_doc(tensor: Tensor3) -> dict:
     return {
         "dim": int(tensor.dim),
         "constant_index": bool(tensor.has_constant),
-        "entries": _complex_lists(tensor.entries),
+        "entries": np.asarray(tensor.entries, dtype=complex),
     }
+
+
+def tensor_to_json(tensor: Tensor3) -> dict:
+    return _plain(tensor_doc(tensor))
 
 
 def tensor_from_json(obj) -> Tensor3:
@@ -149,7 +286,9 @@ def tensor_from_json(obj) -> Tensor3:
     except (TypeError, KeyError) as exc:
         raise FormatError("tensor must have an 'entries' field") from exc
     arr = _complex_array(raw, 3, "tensor entries")
-    has_constant = bool(obj.get("constant_index", True))
+    has_constant = obj.get("constant_index", True)
+    if not isinstance(has_constant, bool):
+        raise FormatError(f"constant_index must be true or false, got {has_constant!r}")
     _check_dim(obj, arr.shape[0], "entries")
     try:
         return Tensor3(entries=arr, has_constant=has_constant)
@@ -157,18 +296,22 @@ def tensor_from_json(obj) -> Tensor3:
         raise FormatError(str(exc)) from exc
 
 
-def limitspec_to_json(spec: LimitSpec) -> dict:
+def limitspec_doc(spec: LimitSpec) -> dict:
     return {
         "dim": int(spec.dim),
-        "M": tensor_to_json(spec.tensor),
-        "Lambda": matrix_to_json(spec.lambda_matrix),
-        "V": matrix_to_json(spec.v_matrix),
+        "M": tensor_doc(spec.tensor),
+        "Lambda": matrix_doc(spec.lambda_matrix),
+        "V": matrix_doc(spec.v_matrix),
         "poisson": [
-            {"v": vector_to_json(v), "intensity": float(lam)}
-            for v, lam in zip(spec.poisson_dirs, spec.intensities)
+            {"v": v, "intensity": float(lam)}
+            for v, lam in zip(np.asarray(spec.poisson_dirs, dtype=complex), spec.intensities)
         ],
-        "brownian": [vector_to_json(v) for v in spec.brownian_basis],
+        "brownian": np.asarray(spec.brownian_basis, dtype=complex),
     }
+
+
+def limitspec_to_json(spec: LimitSpec) -> dict:
+    return _plain(limitspec_doc(spec))
 
 
 def limitspec_from_json(obj) -> LimitSpec:
@@ -227,14 +370,15 @@ def family_from_json(obj, default_steps) -> TensorFamily:
     if not isinstance(obj, dict):
         raise FormatError("family must be an object")
     steps = _floats(obj["steps"], "steps") if obj.get("steps") is not None else None
+    for key in ("tensors", "systems"):
+        if key in obj and (
+            steps is None or not isinstance(obj[key], list) or len(steps) != len(obj[key])
+        ):
+            raise FormatError(f"family needs matching 'steps' and '{key}' lists")
     if "tensors" in obj:
-        if steps is None or len(steps) != len(obj["tensors"]):
-            raise FormatError("family needs matching 'steps' and 'tensors'")
         tensors = [tensor_from_json(t) for t in obj["tensors"]]
         return TensorFamily.from_samples(steps, tensors)
     if "systems" in obj:
-        if steps is None or len(steps) != len(obj["systems"]):
-            raise FormatError("family needs matching 'steps' and 'systems'")
         tensors = []
         for doc in obj["systems"]:
             values, _ = system_values_from_json(doc)

@@ -11,14 +11,21 @@ from obtusewalk import (
     ObtuseRV,
     Tensor3,
     TensorFamily,
+    check_limit_symmetries,
+    check_symmetries,
     classify,
     cli,
+    diagonalize,
     limit_tensor,
+    obtuse_fixed_points,
     random_system,
+    realify,
     serialize,
     tensor_of,
+    validate_obtuse_system,
 )
 from obtusewalk.cli import main
+from obtusewalk.obtuse import DEFAULT_TOL
 from obtusewalk.limits import DEFAULT_STEPS
 from conftest import (
     JUMP_POISSON_DIR,
@@ -293,6 +300,128 @@ class TestLimitReport:
         assert len(out.read_text().splitlines()) == 1
 
 
+def plain_bytes(doc):
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def run_to_file(tmp_path, argv, out_flag="--out"):
+    out = tmp_path / "report.json"
+    rc = main([*argv, out_flag, str(out)])
+    return rc, out.read_text()
+
+
+class TestReportBytes:
+    """Every subcommand writes json.dumps(<plain doc>, sort_keys=True) byte for byte.
+
+    The plain documents come from the library and the ``*_to_json`` writers.
+    """
+
+    def reference_tensor(self):
+        return tensor_of(ObtuseRV.from_values(REFERENCE_VALUES))
+
+    def jump_limit(self):
+        family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
+        return classify(limit_tensor(family, tol=1e-7), tol=1e-7)
+
+    def test_validate(self, tmp_path):
+        f = write_json(tmp_path / "sys.json", reference_system_doc())
+        report = validate_obtuse_system(REFERENCE_VALUES, tol=DEFAULT_TOL)
+        want = {
+            "ok": True,
+            "probabilities": [float(p) for p in report.probabilities],
+            "max_pair_residual": report.max_pair_residual,
+            "worst_pair": list(report.worst_pair),
+            "prob_sum_residual": report.prob_sum_residual,
+            "mean_residual": report.mean_residual,
+            "identity_residual": report.identity_residual,
+        }
+        assert run_to_file(tmp_path, ["validate", f]) == (0, plain_bytes(want))
+
+    def test_tensor(self, tmp_path):
+        f = write_json(tmp_path / "sys.json", reference_system_doc())
+        want = serialize.tensor_to_json(self.reference_tensor())
+        assert run_to_file(tmp_path, ["tensor", f]) == (0, plain_bytes(want))
+
+    def test_check_limit(self, tmp_path):
+        tensor = self.reference_tensor()
+        f = write_json(tmp_path / "t.json", serialize.tensor_to_json(tensor))
+        report = check_symmetries(tensor, tol=DEFAULT_TOL)
+        lim = check_limit_symmetries(tensor, tol=DEFAULT_TOL)
+        want = {
+            "symmetries": report.residuals(),
+            "ok": bool(report.ok and lim.ok),
+            "structure": lim.residuals(),
+        }
+        rc, text = run_to_file(tmp_path, ["check", f, "--limit"])
+        assert (rc, text) == (0 if want["ok"] else 1, plain_bytes(want))
+
+    def test_diagonalize_system(self, tmp_path):
+        tensor = self.reference_tensor()
+        f = write_json(tmp_path / "t.json", serialize.tensor_to_json(tensor))
+        want = serialize.system_to_json(obtuse_fixed_points(tensor, tol=DEFAULT_TOL))
+        assert run_to_file(tmp_path, ["diagonalize", f]) == (0, plain_bytes(want))
+
+    def test_diagonalize_inner_tensor(self, tmp_path):
+        # a limit's M has no constant coordinate: the vectors-and-weights branch
+        tensor = self.jump_limit().tensor
+        assert not tensor.has_constant
+        f = write_json(tmp_path / "m.json", serialize.tensor_to_json(tensor))
+        result = diagonalize(tensor, tol=DEFAULT_TOL)
+        assert len(result.vectors) > 0
+        want = {
+            "dim": tensor.dim,
+            "vectors": [serialize.vector_to_json(v) for v in result.vectors],
+            "weights": [float(w) for w in result.weights],
+            "residual": result.residual,
+        }
+        assert run_to_file(tmp_path, ["diagonalize", f]) == (0, plain_bytes(want))
+
+    def test_realify(self, tmp_path):
+        f = write_json(tmp_path / "sys.json", reference_system_doc())
+        result = realify(self.reference_tensor(), tol=DEFAULT_TOL)
+        want = {
+            "V": serialize.matrix_to_json(result.v),
+            "R": serialize.tensor_to_json(result.real_tensor),
+            "system": serialize.system_to_json(result.real_system),
+            "imag_residual": result.imag_residual(),
+        }
+        assert run_to_file(tmp_path, ["realify", f]) == (0, plain_bytes(want))
+
+    def test_limit(self, tmp_path):
+        f = write_json(tmp_path / "family.json", jump_family_doc())
+        family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
+        result = limit_tensor(family, tol=1e-7)
+        spec = classify(result, tol=1e-7)
+        want = serialize.limitspec_to_json(spec)
+        want["diagnostics"] = {
+            "worst_difference_ratio": result.worst_ratio,
+            "structure_residuals": spec.structure.residuals(),
+        }
+        rc, text = run_to_file(tmp_path, ["limit", f, "--tol", "1e-7"])
+        assert (rc, text) == (0, plain_bytes(want))
+
+    @pytest.mark.parametrize("kind", ["walk", "limit"])
+    def test_simulate_stats(self, tmp_path, kind):
+        # every member goes to the CSV, whose end rows give the plain stats
+        if kind == "walk":
+            f = write_json(tmp_path / "in.json", reference_system_doc())
+        else:
+            f = write_json(tmp_path / "spec.json", serialize.limitspec_to_json(self.jump_limit()))
+        csv_file = tmp_path / "paths.csv"
+        argv = [
+            "simulate", f, "--kind", kind, "--h", "0.1", "--dt", "0.1", "--T", "0.45",
+            "--paths", "7", "--max-csv-paths", "7", "--seed", "3", "--out", str(csv_file),
+        ]
+        rc, text = run_to_file(tmp_path, argv, "--stats")
+        with open(csv_file) as fh:
+            rows = np.array(list(csv.reader(fh))[1:], dtype=float)
+        last = rows[np.flatnonzero(np.diff(rows[:, 0], append=np.inf))]
+        ends = np.empty((len(last), 1, (rows.shape[1] - 2) // 2), dtype=complex)
+        ends.real[:, 0], ends.imag[:, 0] = last[:, 2::2], last[:, 3::2]
+        want = serialize._plain(cli._ensemble_stats(ends, 0.45))
+        assert (rc, text) == (0, plain_bytes(want))
+
+
 class TestParserReuse:
     def test_handler_is_looked_up_per_call(self, tmp_path, monkeypatch):
         f = write_json(tmp_path / "family.json", {"system": reference_system_doc()})
@@ -335,6 +464,18 @@ def one_dim_spec_doc(**parts):
     return doc
 
 
+def system_doc_with(entry):
+    """The reference system file with its first scalar replaced by ``entry``."""
+    doc = reference_system_doc()
+    doc["values"][0][0] = entry
+    return doc
+
+
+# two atoms on C^1: an obtuse system whose probabilities are both 1/2
+HALVES = {"values": [[1], [-1]]}
+STRING_SCALAR = {"re": "abc", "im": 0.0}
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [
@@ -351,6 +492,18 @@ def one_dim_spec_doc(**parts):
             ["simulate", "--kind", "limit"],
             one_dim_spec_doc(poisson=[{"v": [1], "intensity": -1.0}], brownian=[]),
         ),
+        (["tensor"], system_doc_with(STRING_SCALAR)),
+        (["check"], {"dim": 1, "entries": [[[STRING_SCALAR]]]}),
+        (["limit"], {"system": system_doc_with(STRING_SCALAR)}),
+        (["limit"], {"steps": [0.1], "tensors": 5}),
+        (["limit"], {"steps": [0.1], "systems": 5}),
+        (["validate"], dict(HALVES, probabilities=[0.5])),
+        (["tensor"], dict(HALVES, probabilities=[0.5])),
+        (["validate"], dict(HALVES, probabilities=[0.5, float("nan")])),
+        (["validate"], system_doc_with(True)),
+        (["check"], {"dim": 1, "constant_index": "no", "entries": [[[1]]]}),
+        (["validate"], dict(HALVES, dim=1.5)),
+        (["realify"], 5),
     ],
     ids=[
         "check-ragged-tensor",
@@ -360,6 +513,18 @@ def one_dim_spec_doc(**parts):
         "simulate-brownian-length",
         "simulate-poisson-length",
         "simulate-negative-intensity",
+        "tensor-string-scalar",
+        "check-string-scalar",
+        "limit-string-scalar",
+        "limit-tensors-not-a-list",
+        "limit-systems-not-a-list",
+        "validate-short-probabilities",
+        "tensor-short-probabilities",
+        "validate-nan-probability",
+        "validate-boolean-scalar",
+        "check-string-constant-index",
+        "validate-fractional-dim",
+        "realify-not-an-object",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, doc):
@@ -454,7 +619,7 @@ class TestSimulate:
         assert rows[last, 0].tolist() == list(range(6))
         assert np.all(rows[last, 1] == 0.45)
         ends = rows[last, 2::2] + 1j * rows[last, 3::2]
-        assert stats == cli._ensemble_stats(ends[:, None, :], 0.45)
+        assert stats == json.loads(serialize.dumps(cli._ensemble_stats(ends[:, None, :], 0.45)))
 
     def test_csv_paths_lead_the_ensemble(self, tmp_path, capsys):
         # writing paths changes which grid the first members are drawn on,

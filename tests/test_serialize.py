@@ -1,9 +1,11 @@
 """JSON writers and readers: array-wise complex lists, typed reader errors."""
 
+import json
+
 import numpy as np
 import pytest
 
-from obtusewalk import serialize
+from obtusewalk import random_system, serialize, tensor_of
 from obtusewalk.serialize import FormatError
 
 
@@ -63,3 +65,88 @@ def test_complex_array_inverts_complex_lists(shape):
     back = serialize._complex_array(serialize._complex_lists(arr), len(shape), "x")
     assert back.shape == shape
     assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+
+
+def oracle_text(arr):
+    return json.dumps(serialize._complex_lists(arr), sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "shape", [(0,), (0, 3), (3, 0), (2, 0, 4), (), (3,), (4, 4), (33, 33, 33)]
+)
+def test_dumps_matches_json_dumps_of_complex_lists(shape):
+    arr = np.asarray(awkward_array(shape))
+    assert serialize.dumps(arr) == oracle_text(arr)
+
+
+def test_dumps_of_an_all_zero_tensor():
+    arr = np.zeros((33, 33, 33), dtype=complex)
+    assert serialize.dumps(arr) == oracle_text(arr)
+
+
+def test_dumps_keeps_signed_zeros_apart():
+    # -0.0 == 0.0, so entries keyed by value would share one text
+    re, im = np.meshgrid([0.0, -0.0], [0.0, -0.0])
+    arr = np.empty((6, 4), dtype=complex)
+    arr.real, arr.imag = np.tile(re, (3, 2)), np.tile(im, (3, 2))
+    assert len({z.tobytes() for z in arr.reshape(-1)}) == 4
+    assert serialize.dumps(arr) == oracle_text(arr)
+    assert serialize.dumps(arr[::-1]) == oracle_text(arr[::-1])
+
+
+def test_dumps_spells_non_finite_floats_as_json_does():
+    arr = awkward_array((5, 4))
+    arr.real[0] = [np.nan, np.inf, -np.inf, 1.0]
+    arr.imag[1] = [-np.inf, np.nan, np.inf, -np.nan]
+    text = serialize.dumps(arr)
+    assert text == oracle_text(arr)
+    assert "NaN" in text and ": Infinity" in text and "-Infinity" in text
+
+
+def test_dumps_writes_documents_as_json_dumps_of_their_plain_form():
+    rng = np.random.default_rng(2)
+    system = random_system(3, rng)
+    doc = {
+        "system": serialize.system_doc(system),
+        "tensor": serialize.tensor_doc(tensor_of(system)),
+        "rows": [{"v": v, "w": float(w)} for v, w in zip(system.values, system.probabilities)],
+        "empty": np.zeros((0, 3), dtype=complex),
+        "real": np.eye(2),
+        "flag": True,
+        "text": "hé",
+    }
+    assert serialize.dumps(doc) == json.dumps(serialize._plain(doc), sort_keys=True)
+    assert serialize._plain(serialize.system_doc(system)) == serialize.system_to_json(system)
+
+
+def test_dumps_of_a_document_whose_string_spells_a_placeholder():
+    doc = {"a": "\x00", "b": np.ones(2), "c": ["\x00", np.zeros((1, 1))]}
+    assert serialize.dumps(doc) == json.dumps(serialize._plain(doc), sort_keys=True)
+
+
+def test_dumps_rejects_what_json_rejects():
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        serialize.dumps({"n": np.int64(1)})
+
+
+@pytest.mark.parametrize(
+    "read, obj",
+    [
+        (serialize.complex_from_json, {"re": "abc"}),
+        (serialize.complex_from_json, {"re": 1.0, "im": "1"}),
+        (serialize.complex_from_json, True),
+        (serialize.complex_from_json, {"im": 1.0}),
+        (serialize.complex_from_json, 10**400),
+        (serialize.tensor_from_json, {"entries": [[[1]]], "constant_index": "no"}),
+        (serialize.tensor_from_json, {"entries": [[[1]]], "dim": True}),
+        (serialize.system_values_from_json, {"values": [[1], [-1]], "dim": 1.5}),
+        (serialize.system_values_from_json, {"values": [[1], [-1]], "probabilities": [0.5]}),
+        (serialize.system_values_from_json, {"values": [[1], [-1]], "probabilities": ["0.5", 0.5]}),
+        (lambda obj: serialize.family_from_json(obj, (0.1,)), {"steps": [0.1], "tensors": 5}),
+        (lambda obj: serialize.family_from_json(obj, (0.1,)), {"steps": [0.1], "systems": {"a": 1}}),
+        (lambda obj: serialize.family_from_json(obj, (0.1,)), {"steps": [False], "system": {}}),
+    ],
+)
+def test_readers_reject_mistyped_values(read, obj):
+    with pytest.raises(FormatError):
+        read(obj)
