@@ -1,10 +1,11 @@
 """Complex obtuse random walks and their continuous-time limits.
 
 Numerical toolkit for complex obtuse random variables, their
-doubly-symmetric 3-tensors, Takagi-based diagonalization and realification,
-multiplication-operator representations, and the classification and
-simulation of the limiting normal martingales (mixed Brownian /
-compensated-Poisson processes in C^N).
+doubly-symmetric 3-tensors, Takagi factorization (one SVD and the principal
+square root of a symmetric unitary matrix), diagonalization and
+realification, multiplication-operator representations, and the
+classification and simulation of the limiting normal martingales (mixed
+Brownian / compensated-Poisson processes in C^N).
 """
 
 from .errors import ObtuseWalkError

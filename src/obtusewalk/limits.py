@@ -36,7 +36,7 @@ from .errors import (
     StructureViolation,
 )
 from .obtuse import DEFAULT_TOL, Tensor3, _sym0, _sym1, check_symmetries
-from .takagi import takagi
+from .takagi import _unitary_sqrt
 from .tensor import _certificate_bounds, _certifies, _fixed_points, _sweep_rounding
 
 # successive extrapolation differences must shrink at least this fast; the
@@ -313,9 +313,10 @@ class LimitSpec:
 
     ``poisson_dirs[m]`` jumps with rate ``intensities[m] = 1/|v|^2``;
     ``brownian_basis`` spans (orthonormally) the subspace carrying the
-    Brownian part; ``v_matrix`` is a unitary with V V^T = Lambda rotating a
-    real picture onto the complex one.  ``structure`` is the structure
-    report ``classify`` checked the limit tensor against.
+    Brownian part; ``v_matrix`` is the principal square root of Lambda, a
+    unitary with V V^T = Lambda rotating a real picture onto the complex
+    one.  ``structure`` is the structure report ``classify`` checked the
+    limit tensor against.
     """
 
     dim: int
@@ -378,8 +379,8 @@ def _structure(m, inner_t: Tensor3, lam: np.ndarray, tol: float):
 def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     """Split a limit tensor into Poisson directions and a Brownian subspace.
 
-    The Poisson directions are the fixed points of the inner tensor; V comes
-    from a Takagi factorization of Lambda.  The real pre-images V* v of the
+    The Poisson directions are the fixed points of the inner tensor; V is
+    the principal square root of Lambda.  The real pre-images V* v of the
     jump directions must be real vectors; their real orthocomplement, pushed
     forward by V, spans the Brownian part.  Dimensions always add up to N.
 
@@ -405,12 +406,12 @@ def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     if len(dirs) > n:
         raise InconsistentCount(f"{len(dirs)} jump directions in dimension {n}")
 
-    v = takagi(lam, tol=max(tol, 1e-9)).unitary
+    v = _unitary_sqrt(lam)
     w = dirs @ np.conj(v)
     imag = float(np.max(np.abs(w.imag), initial=0.0))
     if imag > max(tol, 1e-7):
         raise InconsistentCount(
-            f"jump directions have no real pre-image under the Takagi factor "
+            f"jump directions have no real pre-image under the square root of Lambda "
             f"(residual {imag:.3e})"
         )
     brownian = _real_complement(w.real, n) @ v.T

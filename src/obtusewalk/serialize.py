@@ -20,9 +20,9 @@ symmetric half of a tensor and the zero imaginary parts of a real one share
 one text each.
 
 Readers parse nested lists of scalars back into one array
-(``_complex_array``) and turn ragged, misnested or mistyped input into
-``FormatError``: numbers must be JSON numbers (not strings or booleans),
-flags booleans and dims integers.
+(``_complex_array``) and turn ragged, misnested, mistyped or non-finite
+input into ``FormatError``: numbers must be JSON numbers (not strings or
+booleans), array entries finite, flags booleans and dims integers.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def _frame(shape: tuple) -> tuple:
 
 
 def _complex_array(obj, ndim: int, what: str) -> np.ndarray:
-    """Complex array with ``ndim`` axes from nested lists of complex scalars."""
+    """Complex array with ``ndim`` axes from nested lists of finite complex scalars."""
 
     def parse(x, depth):
         if not isinstance(x, list):
@@ -195,6 +195,10 @@ def _complex_array(obj, ndim: int, what: str) -> np.ndarray:
         raise FormatError(f"{what} must be a rectangular {ndim}-d array") from exc
     if arr.ndim != ndim:
         raise FormatError(f"{what} must be a {ndim}-d array")
+    if not np.isfinite(arr).all():
+        bad = tuple(np.argwhere(~np.isfinite(arr))[0])
+        index = "".join(f"[{i}]" for i in bad)
+        raise FormatError(f"{what}{index} is not finite: {arr[bad]}")
     return arr
 
 
@@ -363,7 +367,8 @@ def family_from_json(obj, default_steps) -> TensorFamily:
 
     Accepted shapes: {"steps", "tensors"}, {"steps", "systems"} (a system
     per step; tensors are computed), or {"system"} with optional "steps"
-    (h-independent family).
+    (h-independent family; only an absent or null "steps" means
+    ``default_steps``).
     """
     from .obtuse import ObtuseRV, tensor_of
 
@@ -387,5 +392,5 @@ def family_from_json(obj, default_steps) -> TensorFamily:
     if "system" in obj:
         values, _ = system_values_from_json(obj["system"])
         tensor = tensor_of(ObtuseRV.from_values(values))
-        return TensorFamily.constant(tensor, steps=tuple(steps or default_steps))
+        return TensorFamily.constant(tensor, steps=default_steps if steps is None else steps)
     raise FormatError("family needs 'tensors', 'systems' or 'system'")

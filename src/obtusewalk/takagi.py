@@ -1,14 +1,13 @@
 """Takagi factorization of complex symmetric matrices.
 
 A complex symmetric M factors as M = U diag(d) U^T with U unitary and d real
-nonnegative (the singular values of M).  The routine here goes through the
-Hermitian positive-semidefinite matrix conj(M) M, whose eigenbasis gives
-conj(U) up to a phase per eigenvector; phases are then fixed so the diagonal
-becomes real nonnegative.  Clusters of equal singular values need one extra
-step: on such a cluster the matrix acts as s times a unitary symmetric B,
-and B itself splits as O D O^T with O real orthogonal and D unit-modulus
-diagonal, because the real and imaginary parts of B are commuting real
-symmetric matrices.
+nonnegative (the singular values of M).  The routine here is one SVD
+M = Z diag(s) W^H and a square root per cluster of equal singular values
+(Chebotarev & Teretenkov, *Appl. Math. Comput.* 234, 2014): there
+M = s Z_c B Z_c^T with B = W_c^H conj(Z_c) symmetric unitary, so
+U_c = Z_c B^{1/2}, and U_c = Z_c on the null space.  The square root is the
+principal one, ``_unitary_sqrt``, which ``tensor.realify`` and
+``limits.classify`` take directly of S_0's inner block and of Lambda.
 
 The joint factorization of a tensor's slice family, S_k = U diag(conj(v^k))
 U^T with U the normalized fixed points, is what ``tensor.diagonalize``
@@ -24,9 +23,16 @@ import numpy as np
 from .errors import DimensionMismatch, NoConvergence, NotSymmetric
 from .obtuse import DEFAULT_TOL
 
-_CLUSTER_REL = 1e-10
-# the squared route cannot resolve singular values below sqrt(eps) * s_max
-_NULL_REL = 1e-8
+_EPS = np.finfo(float).eps
+# singular values closer than this fraction of the largest share a cluster: a
+# pair split at relative gap g costs eps/g, one kept together only rounding
+_CLUSTER_REL = 1e-4
+# the SVD is backward stable, so singular values up to n eps s_max times this
+# are indistinguishable from 0: their vectors span the null space
+_NULL_EPS = _EPS
+# max|V V^T - U| of ``_unitary_sqrt`` is within this multiple of n eps plus U's
+# symmetric-unitary defect; 3.1 at worst over 27000 hard spectra with N <= 32
+_SQRT_SLACK = 8.0
 
 
 @dataclass(frozen=True)
@@ -41,13 +47,6 @@ class TakagiResult:
         return self.unitary @ np.diag(self.diagonal) @ self.unitary.T
 
 
-def _as_square(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
-    return arr
-
-
 def _diag_unitary_symmetric(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a unitary symmetric B as O @ diag(d) @ O.T, O real orthogonal.
 
@@ -56,36 +55,67 @@ def _diag_unitary_symmetric(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the eigenbasis of Re(B) and re-diagonalize Im(B) inside each degenerate
     eigenspace.
     """
-    x = np.ascontiguousarray(b.real)
-    y = np.ascontiguousarray(b.imag)
-    k = b.shape[0]
-    _, o = np.linalg.eigh(x)
-    # refine within degenerate blocks of Re(B) so Im(B) becomes diagonal too
-    xv = np.diagonal(o.T @ x @ o).copy()
-    start = 0
-    while start < k:
-        stop = start + 1
-        while stop < k and xv[stop] - xv[start] <= 1e-8:
-            stop += 1
-        if stop - start > 1:
-            block = o[:, start:stop]
-            _, q = np.linalg.eigh(block.T @ y @ block)
-            o[:, start:stop] = block @ q
-        start = stop
-    d = np.diagonal(o.T @ b @ o).copy()
-    return o, d
+    xv, o = np.linalg.eigh(b.real)
+    cuts = np.flatnonzero(np.diff(xv) > 1e-8) + 1
+    if len(cuts) < len(xv) - 1:  # Re(B) has a degenerate eigenspace
+        for c in np.split(np.arange(len(xv)), cuts):
+            if len(c) > 1:
+                o[:, c] = o[:, c] @ np.linalg.eigh(o[:, c].T @ b.imag @ o[:, c])[1]
+    return o, np.einsum("ij,ij->j", o, b @ o)
+
+
+def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
+    """Principal square root V = O diag(e^{i theta/2}) O^T of a symmetric unitary U.
+
+    With U = O diag(e^{i theta}) O^T, O real orthogonal and theta in
+    (-pi, pi] (-pi read as pi: U = -I gives V = iI for either signed zero),
+    V is symmetric unitary, V V^T = U, and a matrix function of U (Higham,
+    *Functions of Matrices*, SIAM 2008, ch. 6): independent of O inside an
+    eigenspace, it moves with U except across an eigenvalue at -1.
+
+    Re(U) merges a conjugate pair e^{+-i theta}, so O comes from a real
+    symmetric matrix that keeps it apart.  The rough angles of
+    ``_diag_unitary_symmetric`` put a cut mid-way in their largest gap on
+    the circle, W = e^{i(pi - cut)} U turns it to -1, and Im (I + W)^{-1}
+    is -H/2 for the Cayley transform H of W, with eigenvalues tan(phi/2)
+    over W's angles phi.  Raises ``NoConvergence`` when max|V V^T - U|
+    exceeds ``_SQRT_SLACK`` (n eps + U's defect from symmetric unitarity).
+    """
+    n = len(u)
+    if not n:
+        return np.zeros((0, 0), dtype=complex)
+    angles = np.sort(np.angle(_diag_unitary_symmetric(u)[1]))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    k = int(np.argmax(gaps))
+    w = np.exp(1j * (np.pi - angles[k] - gaps[k] / 2)) * u
+    o = np.linalg.eigh(np.linalg.inv(np.eye(n) + w).imag)[1]
+    theta = np.angle(np.einsum("ij,ij->j", o, u @ o))
+    theta[theta == -np.pi] = np.pi
+    v = (o * np.exp(0.5j * theta)) @ o.T
+    residual = float(np.max(np.abs(v @ v.T - u)))
+    slack = _SQRT_SLACK * n * _EPS  # U's defect is measured only past it
+    if not residual <= slack and not residual <= slack + _SQRT_SLACK * max(
+        np.max(np.abs(u @ u.conj().T - np.eye(n))), np.max(np.abs(u - u.T))
+    ):
+        raise NoConvergence(f"square root residual {residual:.3e} exceeds its bound", residual)
+    return v
 
 
 def takagi(m, tol: float = DEFAULT_TOL) -> TakagiResult:
     """Takagi-factorize a complex symmetric matrix.
 
-    Returns unitary U and real nonnegative d, sorted descending, with
-    M = U diag(d) U^T.  Raises ``NotSymmetric`` when M is not symmetric within
-    ``tol`` and ``NoConvergence`` if the final residual exceeds the tolerance
-    (which indicates pathological input rather than an unlucky run: the
-    algorithm is direct, not iterative).
+    Returns unitary U and real nonnegative d, the singular values sorted
+    descending, with M = U diag(d) U^T.  Raises ``DimensionMismatch`` when M
+    is not a finite square matrix, ``NotSymmetric`` when it is not symmetric
+    within ``tol`` and ``NoConvergence`` if the final residual exceeds the
+    tolerance (which indicates pathological input rather than an unlucky
+    run: the algorithm is direct, not iterative).
     """
-    arr = _as_square(m)
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DimensionMismatch("matrix entries must be finite")
     n = arr.shape[0]
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
     sym_defect = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
@@ -93,44 +123,13 @@ def takagi(m, tol: float = DEFAULT_TOL) -> TakagiResult:
         raise NotSymmetric(f"matrix is not symmetric: defect {sym_defect:.3e}")
     arr = 0.5 * (arr + arr.T)
 
-    h = np.conj(arr) @ arr
-    eigvals, w = np.linalg.eigh(h)
-    s = np.sqrt(np.clip(eigvals, 0.0, None))
-    smax = float(s[-1]) if n else 0.0
-    cluster_tol = max(smax * _CLUSTER_REL, 1e-14)
-    null_tol = max(smax * _NULL_REL, 1e-14)
-
-    cols = np.zeros((n, n), dtype=complex)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and s[stop] - s[start] <= cluster_tol:
-            stop += 1
-        wc = w[:, start:stop]
-        s_rep = float(np.mean(s[start:stop]))
-        if s_rep <= null_tol:
-            cols[:, start:stop] = np.conj(wc)
-        else:
-            a = wc.T @ arr @ wc
-            o, dphase = _diag_unitary_symmetric(a / s_rep)
-            # snap phases onto the unit circle so the factor stays exactly
-            # unitary even when s_rep carries eigensolver noise
-            mod = np.abs(dphase)
-            dphase = np.where(mod > 0, dphase / np.where(mod > 0, mod, 1.0), 1.0)
-            g = o * np.sqrt(dphase)[None, :]
-            cols[:, start:stop] = np.conj(wc) @ g
-        start = stop
-
-    # read the diagonal off M itself; the squared route above loses half the
-    # significant digits on small singular values
-    dvals = np.maximum(np.real(np.diagonal(cols.conj().T @ arr @ np.conj(cols))), 0.0)
-    order = np.argsort(-dvals, kind="stable")
-    u = cols[:, order]
-    d = dvals[order]
-    residual = float(np.max(np.abs(u @ np.diag(d) @ u.T - arr))) if n else 0.0
+    u, s, wh = np.linalg.svd(arr)
+    top = s.max(initial=0.0)
+    live = np.flatnonzero(s > n * _NULL_EPS * top)
+    for c in np.split(live, np.flatnonzero(-np.diff(s[live]) > _CLUSTER_REL * top) + 1):
+        if len(c):
+            u[:, c] = u[:, c] @ _unitary_sqrt(wh[c] @ np.conj(u[:, c]))
+    residual = float(np.max(np.abs((u * s) @ u.T - arr))) if n else 0.0
     if residual > max(tol, tol * scale):
-        raise NoConvergence(
-            f"factorization residual {residual:.3e} exceeds tolerance",
-            residual=residual,
-        )
-    return TakagiResult(unitary=u, diagonal=d, residual=residual)
+        raise NoConvergence(f"factorization residual {residual:.3e} exceeds tolerance", residual)
+    return TakagiResult(unitary=u, diagonal=s, residual=residual)

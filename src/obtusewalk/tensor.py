@@ -6,11 +6,11 @@ the family is recovered as the non-zero fixed points {v : S(v) = v (x) v}.
 This module implements both directions of that bijection, the unitary
 transform S = U o T of tensors, the criterion telling real tensors apart
 from complex ones, and the two constructive routes that turn a complex
-obtuse system into a real one (Takagi of the time-zero slice, and
-triangularize-then-strip-phases).  The recovery of the family is one
-deterministic kernel, an eigendecomposition of sum_k S_k S_k^* whose
-clusters of equal weights are split by a fixed sequence of probes (see
-``diagonalize``); it draws no random numbers.
+obtuse system into a real one (the principal square root of the time-zero
+slice, and triangularize-then-strip-phases).  The recovery of the family
+is one deterministic kernel, an eigendecomposition of sum_k S_k S_k^*
+whose clusters of equal weights are split by a fixed sequence of probes
+(see ``diagonalize``); it draws no random numbers.
 
 The same bijection checks its own input.  ``diagonalize`` and ``realify``
 run their kernel first and rebuild R = sum_m w_m v_m (x) v_m (x) conj(v_m)
@@ -51,7 +51,7 @@ from .obtuse import (
     check_symmetries,
     validate_obtuse_system,
 )
-from .takagi import takagi
+from .takagi import _unitary_sqrt
 
 # eigenvalues of G = sum_k S_k S_k^* (or of a probe) whose gap is below this
 # fraction of the larger one share a cluster.  An eigenvector is accurate to
@@ -441,7 +441,8 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     unitary, hence factors as V V^T with V unitary (Takagi).  Conjugating the
     tensor by any such V produces a real doubly-symmetric tensor, and its
     fixed points give a real obtuse system with the original probabilities.
-    The returned V is the full (N+1)-dimensional block unitary fixing e_0.
+    The returned V fixes e_0 and is the principal square root of the inner
+    block of S_0 (``takagi._unitary_sqrt``), so a real tensor gets V = I.
 
     The input must satisfy all four symmetry relations within ``tol``: sym0
     is checked directly, O(d^2), and sym1-sym3 are certified by the fixed
@@ -471,10 +472,8 @@ def _realify(tensor: Tensor3, tol: float):
     if uni_defect > max(tol, 1e-8):
         raise S0NotUnitary(f"time-zero slice not unitary: defect {uni_defect:.3e}")
 
-    inner = s0[1:, 1:]
-    v_inner = takagi(inner, tol=max(tol, 1e-10)).unitary
     v = np.eye(d, dtype=complex)
-    v[1:, 1:] = v_inner
+    v[1:, 1:] = _unitary_sqrt(s0[1:, 1:])
 
     real_t = transform(v.conj().T, tensor, tol=tol)
     if not is_real_tensor(real_t, tol=max(tol, 1e-8)):

@@ -188,6 +188,16 @@ class TestLimit:
         v = serialize.matrix_from_json(doc["V"])
         assert np.max(np.abs(v @ v.T - lam)) <= 1e-9
 
+    @pytest.mark.parametrize("steps", [[], [1e400], [0, -1]])
+    def test_explicit_steps_are_never_replaced(self, tmp_path, capsys, steps):
+        # only an absent or null "steps" means the default grid
+        doc = {"system": HALVES, "steps": steps}
+        f = write_json(tmp_path / "family.json", doc)
+        assert main(["limit", f]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        doc["steps"] = None
+        assert main(["limit", write_json(tmp_path / "null.json", doc)]) == 0
+
     def test_one_dimensional_family(self, tmp_path, capsys):
         tensors = [ONE_DIM_TENSOR_DOC] * len(DEFAULT_STEPS)
         f = write_json(
@@ -531,6 +541,28 @@ def test_malformed_input_exits_2(tmp_path, capsys, argv, doc):
     f = write_json(tmp_path / "in.json", doc)
     assert main([argv[0], f, *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["tensor"], ["realify"], ["limit"], ["simulate", "--kind", "walk"]]
+)
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-1e400"])
+def test_non_finite_system_entry_is_a_format_error(tmp_path, capsys, argv, value):
+    text = '{"values": [[-1], [%s]]}' % value
+    if argv[0] == "limit":
+        text = '{"system": %s}' % text
+    f = tmp_path / "in.json"
+    f.write_text(text)
+    assert main([argv[0], str(f), *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: system values[1][0] is not finite: "), err
+
+
+def test_non_finite_tensor_entry_names_the_entry(tmp_path, capsys):
+    doc = serialize.tensor_to_json(tensor_of(ObtuseRV.from_values(REFERENCE_VALUES)))
+    doc["entries"][1][2][0] = {"re": 0.5, "im": float("nan")}
+    assert main(["check", write_json(tmp_path / "t.json", doc)]) == 2
+    assert capsys.readouterr().err == "error: tensor entries[1][2][0] is not finite: (0.5+nanj)\n"
 
 
 class TestSimulate:

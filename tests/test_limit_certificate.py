@@ -33,7 +33,7 @@ from obtusewalk.errors import (
     StructureViolation,
 )
 from obtusewalk.obtuse import _khatri_rao
-from obtusewalk.takagi import takagi
+from obtusewalk.takagi import _unitary_sqrt
 from conftest import scaled_family
 
 
@@ -191,12 +191,12 @@ def classify_sweep_first(m, tol):
     if not report.ok:
         raise StructureViolation(f"limit tensor fails structure relations: {report.residuals()}")
     dirs = tensor._fixed_points(Tensor3(inner, has_constant=False), tol).vectors
-    v = takagi(lam, tol=max(tol, 1e-9)).unitary
+    v = _unitary_sqrt(lam)
     w = dirs @ np.conj(v)
     imag = float(np.max(np.abs(w.imag), initial=0.0))
     if imag > max(tol, 1e-7):
         raise InconsistentCount(
-            f"jump directions have no real pre-image under the Takagi factor "
+            f"jump directions have no real pre-image under the square root of Lambda "
             f"(residual {imag:.3e})"
         )
     return dirs, v, limits._real_complement(w.real, n) @ v.T

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obtusewalk import Tensor3, diagonalize, haar_unitary, takagi, tensor_from_family
-from obtusewalk.errors import NotDoublySymmetric, NotSymmetric
+from obtusewalk.errors import DimensionMismatch, NotDoublySymmetric, NotSymmetric
 from conftest import REFERENCE_LAMBDA, greedy_match
 
 
@@ -81,6 +81,13 @@ class TestTakagi:
         with pytest.raises(NotSymmetric):
             takagi(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(DimensionMismatch, match="finite"):
+            takagi(m)
+
     def test_two_hundred_random_matrices(self):
         rng = np.random.default_rng(0)
         for k in range(200):
@@ -90,6 +97,42 @@ class TestTakagi:
             assert_valid_factorization(m, result)
             sv = np.linalg.svd(m, compute_uv=False)
             np.testing.assert_allclose(result.diagonal, sv, atol=1e-10)
+
+    def test_graded_singular_values(self):
+        # the SVD resolves singular values far below sqrt(eps) s_max
+        rng = np.random.default_rng(12)
+        u = haar_unitary(3, rng)
+        m = u @ np.diag([1.0, 1e-4, 1e-8]) @ u.T
+        assert_valid_factorization(m, takagi(m), atol=1e-15)
+        for _ in range(600):
+            dim = int(rng.integers(2, 17))
+            d = np.sort(10.0 ** rng.uniform(-12, 0, dim))[::-1]
+            u = haar_unitary(dim, rng)
+            m = u @ np.diag(d) @ u.T
+            result = takagi(m)
+            assert_valid_factorization(m, result, atol=1e-13)
+            np.testing.assert_allclose(result.diagonal, d, rtol=1e-10, atol=1e-15)
+
+    def test_near_tied_singular_values(self):
+        # a pair of relative gap 1e-16 .. 1e-2, split or clustered
+        rng = np.random.default_rng(13)
+        for _ in range(600):
+            dim = int(rng.integers(2, 12))
+            d = rng.uniform(0.1, 1.0, dim)
+            k = int(rng.integers(1, dim))
+            d[k] = d[k - 1] * (1 - 10.0 ** rng.uniform(-16, -2))
+            u = haar_unitary(dim, rng)
+            m = u @ np.diag(d) @ u.T
+            assert_valid_factorization(m, takagi(m), atol=1e-11)
+
+    def test_symmetric_unitary_input(self):
+        # every singular value is 1: one cluster, one square root
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            dim = int(rng.integers(1, 12))
+            o = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            m = (o * np.exp(1j * rng.choice([-np.pi, 0.5, 2.0], dim))) @ o.T
+            assert_valid_factorization(m, takagi(m), atol=1e-13)
 
     @given(dim=st.integers(2, 8), seed=st.integers(0, 10**6))
     @settings(deadline=None, max_examples=30, derandomize=True)
