@@ -31,6 +31,7 @@ from .errors import ObtuseWalkError
 from .obtuse import (
     DEFAULT_TOL,
     ObtuseRV,
+    _bound,
     check_symmetries,
     tensor_of,
     validate_obtuse_system,
@@ -59,7 +60,7 @@ def _emit(doc, out: str | None) -> None:
 def _load_system(path: str, tol: float) -> ObtuseRV:
     values, probs = serialize.system_values_from_json(_load_json(path))
     rv = ObtuseRV.from_values(values, tol=tol)
-    if probs is not None and np.max(np.abs(probs - rv.probabilities)) > max(tol, 1e-9):
+    if probs is not None and not np.max(np.abs(probs - rv.probabilities)) <= _bound(tol, 1.0):
         raise ObtuseWalkError("declared probabilities disagree with the values")
     return rv
 
@@ -68,11 +69,8 @@ def cmd_validate(args) -> int:
     doc = _load_json(args.input)
     values, probs = serialize.system_values_from_json(doc)
     report = validate_obtuse_system(values, tol=args.tol)
-    ok = report.ok
-    if probs is not None and np.max(np.abs(probs - report.probabilities)) > max(
-        args.tol, 1e-9
-    ):
-        ok = False
+    agrees = probs is None or np.max(np.abs(probs - report.probabilities)) <= _bound(args.tol, 1.0)
+    ok = report.ok and bool(agrees)
     out = {
         "ok": bool(ok),
         "probabilities": [float(p) for p in report.probabilities],
@@ -150,6 +148,7 @@ def cmd_limit(args) -> int:
     doc = serialize.limitspec_doc(spec)
     doc["diagnostics"] = {
         "worst_difference_ratio": result.worst_ratio,
+        "extrapolation_error": result.noise,
         "structure_residuals": spec.structure.residuals(),
     }
     _emit(doc, args.out)
@@ -226,7 +225,7 @@ def _tolerance(text: str) -> float:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="numerical tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="relative tolerance")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 

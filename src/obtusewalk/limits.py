@@ -12,12 +12,12 @@ martingale: jumps happen along the fixed points of M with Poisson rates
 Both steps gate their input the way ``diagonalize`` does: the fixed points
 certify double symmetry at O(d^4) (``tensor._certificate_bounds``), and the
 O(d^5) sweep runs only where the certificate rejects or cannot pay off.
-``limit_tensor`` certifies a sample from dimension ``_CERTIFY_MIN_DIM`` on,
-when its entries are small enough for the bound to fit.  ``classify``
-certifies the inner tensor and checks sym1 and the four Lambda relations
-exactly; on a certified report sym2 and sym3 are the certificate's upper
-bounds, not swept residuals.  A rejected tensor is swept once, with the
-results and errors of sweeping first.
+``limit_tensor`` certifies a sample from dimension ``_CERTIFY_MIN_DIM`` on.
+``classify`` certifies the inner tensor and checks sym1 and the four Lambda
+relations exactly; on a certified report sym2 and sym3 are the
+certificate's upper bounds, not swept residuals.  A rejected tensor is swept
+once, with the results and errors of sweeping first.  Every bound is
+relative (``obtuse._bound``).
 """
 
 from __future__ import annotations
@@ -31,18 +31,20 @@ from .errors import (
     InconsistentCount,
     NoApparentLimit,
     NonPositiveStep,
-    NotDoublySymmetric,
     ObtuseWalkError,
     StructureViolation,
 )
-from .obtuse import DEFAULT_TOL, Tensor3, _sym0, _sym1, check_symmetries
+from .obtuse import DEFAULT_TOL, Tensor3, _bound, _sym1, check_symmetries
 from .takagi import _unitary_sqrt
-from .tensor import _certificate_bounds, _certifies, _fixed_points, _sweep_rounding
+from .tensor import _certificate_bounds, _certified, _fixed_points, _require_symmetries
 
-# successive extrapolation differences must shrink at least this fast; the
-# exact asymptotic ratio on the default quarter grid is 2 for sqrt(h)
-# families, so the gate leaves slack below it
-_SHRINK_FACTOR = 1.6
+# bound on an entry's extrapolation error over max(1, max|limit|): it is at most
+# 3.1e-6 with a sqrt(h) expansion (N = 2 jumps of intensity <= 0.09, DEFAULT_STEPS)
+# and 2.7e-4 or more without (alternating sign, p = c h^2 or c sqrt(h), e^{i log h})
+_EXTRAPOLATION_TOL = 1e-5
+
+# differences below this fraction of max(1, max|S|) are rounding: no trend
+_RATIO_FLOOR = 1e-11
 
 DEFAULT_STEPS = tuple(0.1 * 4.0**-k for k in range(5))
 
@@ -55,7 +57,7 @@ _CERTIFY_MIN_DIM = 10
 
 def rescale_tensor(tensor: Tensor3, h: float) -> Tensor3:
     """Tensor of the rescaled variable: entries h^{e_i + e_j - e_k} S^{ij}_k."""
-    if h <= 0:
+    if not 0 < h < np.inf:
         raise NonPositiveStep(f"time step must be positive, got {h}")
     if not tensor.has_constant:
         raise DimensionMismatch("rescaling applies to constant-coordinate tensors")
@@ -77,10 +79,11 @@ class TensorFamily:
         steps = tuple(float(h) for h in self.steps)
         if len(steps) < 3:
             raise DimensionMismatch("need at least 3 sample steps")
-        if any(h <= 0 for h in steps) or any(
-            a <= b for a, b in zip(steps, steps[1:])
+        # written so that NaN fails: every comparison with it is false
+        if not all(0 < h < np.inf for h in steps) or not all(
+            a > b for a, b in zip(steps, steps[1:])
         ):
-            raise NonPositiveStep("steps must be positive and strictly decreasing")
+            raise NonPositiveStep(f"steps must be positive, finite and decreasing: {steps}")
         object.__setattr__(self, "steps", steps)
 
     @classmethod
@@ -102,28 +105,23 @@ class TensorFamily:
         return [self.tensor_at(h) for h in self.steps]
 
 
-def _extrapolate(seqs: np.ndarray, ratio: float, scale: float):
-    """Limits of sequences sampled on a geometric grid of steps.
+def _extrapolate(seqs: np.ndarray, x: np.ndarray):
+    """Limits at x = 0 of sequences sampled at the nodes ``x``, and their errors.
 
-    Axis 0 of ``seqs`` runs over the samples, the other axes over the
-    sequences.  Assumes corrections in powers of sqrt(h): on a grid with
-    step ratio ``ratio`` the m-th correction decays by ratio^{m/2} per
-    sample, and is eliminated by one Richardson stage each.  Returns
-    ``(limits, failed, shrink)`` per sequence: whether the successive-
-    difference diagnostic failed, and the largest shrink ratio b/a seen.
+    Axis 0 of ``seqs`` runs over the samples, at decreasing nodes x = sqrt(h).
+    Level L of the Richardson table removes the x^L term by Neville's rule
+    at 0, T_i <- (T_{i+1} - q T_i) / (1 - q), q = x_{i+L} / x_i, on any grid.
+    The error estimate is the distance from the last entry to the one before
+    it without the coarsest sample (Sidi, *Practical Extrapolation Methods*,
+    CUP 2003, ch. 1).
     """
-    floor = 1e-11 * max(scale, 1.0)
-    diffs = np.abs(np.diff(seqs, axis=0))
-    a, b = diffs[:-1], diffs[1:]
-    above = b > floor
-    failed = np.any(above & ((a <= floor) | (b > a / _SHRINK_FACTOR)), axis=0)
-    shrink = np.max(np.where(above, b / np.maximum(a, floor), 0.0), axis=0)
     table = seqs
-    for level in range(1, len(seqs)):
-        q = ratio ** (level / 2.0)
+    shape = (-1,) + (1,) * (seqs.ndim - 1)
+    for level in range(1, len(x)):
+        q = (x[level:] / x[:-level]).reshape(shape)
+        finer = table[-1]
         table = (table[1:] - q * table[:-1]) / (1.0 - q)
-    settled = np.all(diffs <= floor, axis=0)
-    return np.where(settled, seqs[-1], table[0]), failed, shrink
+    return table[0], np.abs(table[0] - finer)
 
 
 def _first_entry(mask: np.ndarray) -> tuple:
@@ -135,14 +133,16 @@ def _first_entry(mask: np.ndarray) -> tuple:
 class LimitTensorResult:
     """Extrapolated limit tensor plus convergence diagnostics.
 
-    ``worst_ratio`` is the largest shrink ratio of successive differences
-    over all entries and ``worst_entry`` the first entry reaching it.
+    ``noise``, the largest error estimate of an entry, is added to the
+    tolerance of ``classify``.  ``worst_ratio`` is the largest shrink ratio of
+    successive differences and ``worst_entry`` the first entry reaching it.
     """
 
     tensor: Tensor3
     lambda_matrix: np.ndarray
     worst_ratio: float
     worst_entry: tuple
+    noise: float
 
 
 def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorResult:
@@ -151,18 +151,17 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     Entries M^{ij}_0 extrapolate S^{ij}_0(h); entries M^{ij}_k (all indices
     >= 1) extrapolate sqrt(h) S^{ij}_k(h); every other entry is forced to
     zero by the rescaling exponents and is asserted, not estimated.  Raises
-    ``NoApparentLimit`` when successive differences of some entry stop
-    shrinking, and ``NotDoublySymmetric`` if a sample violates the tensor
-    symmetries.  A sample object repeated across steps (a constant family)
-    is checked once.  From dimension ``_CERTIFY_MIN_DIM`` on, a sample whose
-    sweep rounding 2 gamma_{d+2} d max|S|^2 fits under the tolerance is
-    certified by its fixed points, with sym0 checked directly; any other
-    sample, or one the certificate rejects, is swept.
+    ``NoApparentLimit`` at the first entry whose error estimate
+    (``_extrapolate``) exceeds ``_bound(_EXTRAPOLATION_TOL, max|M|)``, and
+    ``NotDoublySymmetric`` if a sample violates the tensor symmetries.  A
+    sample object repeated across steps (a constant family) is checked once.
+    From dimension ``_CERTIFY_MIN_DIM`` on, a sample is certified by its
+    fixed points, with sym0 checked directly (``tensor._certified``); any
+    other sample, or one the certificate rejects, is swept.
     """
     steps = np.array(family.steps)
     samples = family.sample()
     d = samples[0].dim
-    gate = max(tol, 1e-8)
     checked = set()
     for h, s in zip(steps, samples):
         if s.dim != d or not s.has_constant:
@@ -170,27 +169,28 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
         if id(s) in checked:
             continue
         checked.add(id(s))
-        if _certified_sample(s, gate):
-            continue
-        rep = check_symmetries(s, tol=gate)
-        if not rep.ok:
-            raise NotDoublySymmetric(
-                f"sample at h={h} violates tensor symmetries: {rep.residuals()}"
-            )
-    ratios = steps[1:] / steps[:-1]
-    ratio = float(np.exp(np.mean(np.log(ratios))))
+        what = f"sample at h={h} violates tensor symmetries:"
+        if d < _CERTIFY_MIN_DIM:
+            _require_symmetries(s, tol, include_constant=True, what=what)
+        else:
+            _certified(s, tol, lambda: (None, _fixed_points(s, tol).vectors), True, what)
 
     stack = np.stack([s.entries for s in samples])  # (n_samples, d, d, d)
-    scale = float(np.max(np.abs(stack)))
+    x = np.sqrt(steps)
     # (n_samples, N, N, N + 1): S^{ij}_0 and sqrt(h) S^{ij}_k over i, j >= 1
     seqs = stack[:, 1:, 1:, :].copy()
-    seqs[..., 1:] *= np.sqrt(steps)[:, None, None, None]
-    lims, failed, shrink = _extrapolate(seqs, ratio, scale)
+    seqs[..., 1:] *= x[:, None, None, None]
+    lims, errors = _extrapolate(seqs, x)
+    bound = _bound(_EXTRAPOLATION_TOL, np.max(np.abs(lims), initial=0.0))
+    failed = ~(errors <= bound)
     if np.any(failed):
         entry = _first_entry(failed)
-        raise NoApparentLimit(
-            "entry ({},{},{}) shows no convergent trend".format(*entry), entry=entry
-        )
+        msg = "entry ({},{},{}) shows no convergent trend: extrapolation error {:.2e} > {:.2e}"
+        raise NoApparentLimit(msg.format(*entry, errors[failed][0], bound), entry=entry)
+    floor = _bound(_RATIO_FLOOR, float(np.max(np.abs(stack))))
+    diffs = np.abs(np.diff(seqs, axis=0))
+    a, b = diffs[:-1], diffs[1:]
+    shrink = np.max(np.where(b > floor, b / np.maximum(a, floor), 0.0), axis=0)
     worst_ratio = float(np.max(shrink, initial=0.0))
     worst_entry = _first_entry(shrink == worst_ratio) if worst_ratio > 0.0 else None
     entries = np.zeros((d, d, d), dtype=complex)
@@ -201,28 +201,8 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
         lambda_matrix=entries[1:, 1:, 0].copy(),
         worst_ratio=worst_ratio,
         worst_entry=worst_entry,
+        noise=float(np.max(errors, initial=0.0)),
     )
-
-
-def _certified_sample(s: Tensor3, tol: float) -> bool:
-    """Whether the fixed points of a sample certify its four relations within ``tol``.
-
-    Tried only from dimension ``_CERTIFY_MIN_DIM`` on, with sym0 within
-    ``tol``, and when the sweep rounding of the bound fits under ``tol``:
-    samples with entries near 1e4, as in scaled families, never certify at
-    1e-8, so they go to the sweep without running the kernel.
-    """
-    entries = s.entries
-    d = s.dim
-    if d < _CERTIFY_MIN_DIM or not _sym0(entries) <= tol:
-        return False
-    with np.errstate(all="ignore"):
-        if not _sweep_rounding(d, np.max(np.abs(entries))) <= tol:
-            return False
-        try:
-            return _certifies(entries, _fixed_points(s, tol).vectors, tol)
-        except (ObtuseWalkError, np.linalg.LinAlgError):
-            return False
 
 
 @dataclass(frozen=True)
@@ -235,6 +215,9 @@ class LimitSymmetryReport:
     sum_m conj(M^{km}_j) Lambda^{im} = M^{ij}_k.  In a report that
     ``classify`` certified, sym2 and sym3 are the certificate's upper bound
     on both residuals; every other field is exact.
+    ``ok`` bounds each residual by ``_bound(tol, s)``, with ``scale`` = max|M|,
+    ``dim`` = N and s = scale for sym1, N scale^2 for sym2 and sym3, N scale
+    for exchange and reduction, 1 for the Lambda relations.
     """
 
     sym1: float
@@ -245,6 +228,8 @@ class LimitSymmetryReport:
     exchange: float
     reduction: float
     tol: float
+    dim: int
+    scale: float
 
     def residuals(self) -> dict:
         return {
@@ -259,8 +244,10 @@ class LimitSymmetryReport:
 
     @property
     def ok(self) -> bool:
+        m, nm = self.scale, self.dim * self.scale
+        bounds = [_bound(self.tol, s) for s in (m, nm * m, nm * m, 1.0, 1.0, nm, nm)]
         # each residual on its own, so a NaN fails
-        return all(r <= self.tol for r in self.residuals().values())
+        return all(r <= b for r, b in zip(self.residuals().values(), bounds))
 
 
 def _split_limit(m) -> tuple[np.ndarray, np.ndarray]:
@@ -304,7 +291,8 @@ def check_limit_symmetries(m, tol: float = DEFAULT_TOL) -> LimitSymmetryReport:
     """
     inner, lam = _split_limit(m)
     rep = check_symmetries(Tensor3(inner, has_constant=False), tol=tol)
-    return LimitSymmetryReport(rep.sym1, rep.sym2, rep.sym3, *_lambda_relations(inner, lam), tol)
+    relations = _lambda_relations(inner, lam)
+    return LimitSymmetryReport(rep.sym1, rep.sym2, rep.sym3, *relations, tol, rep.dim, rep.scale)
 
 
 @dataclass(frozen=True)
@@ -353,20 +341,20 @@ def _real_complement(rows: np.ndarray, n: int) -> np.ndarray:
 
 def _structure(m, inner_t: Tensor3, lam: np.ndarray, tol: float):
     """``classify``'s structure report and the fixed points of its inner tensor."""
-    gate = max(tol, 1e-8)
     inner = inner_t.entries
+    big = float(np.abs(inner).max(initial=0.0))
     error = None
     try:
         with np.errstate(all="ignore"):
             dirs = _fixed_points(inner_t, tol).vectors
             _, sym23 = _certificate_bounds(inner, dirs)
             relations = _lambda_relations(inner, lam)
-        report = LimitSymmetryReport(_sym1(inner), sym23, sym23, *relations, gate)
+        report = LimitSymmetryReport(_sym1(inner), sym23, sym23, *relations, tol, len(inner), big)
         if report.ok:
             return report, dirs
     except (ObtuseWalkError, np.linalg.LinAlgError) as exc:
         error = exc
-    report = check_limit_symmetries(m, tol=gate)
+    report = check_limit_symmetries(m, tol=tol)
     if not report.ok:
         raise StructureViolation(
             f"limit tensor fails structure relations: {report.residuals()}"
@@ -390,16 +378,18 @@ def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     V* v are.  So if the computed factor gives a non-real pre-image, every
     factor does, and ``InconsistentCount`` is raised.
 
-    The structure report is the one gate on the limit relations, at
-    max(tol, 1e-8).  The fixed points come first and certify sym2 and sym3;
-    sym1 and the Lambda relations are computed exactly.  So on a certified
-    report sym2 and sym3 are upper bounds (``LimitSymmetryReport``).  A
-    tensor that fails this check, or on which the kernel raises, is swept
-    once by ``check_limit_symmetries``: a failing relation raises
+    Every check uses one tolerance, ``tol`` plus a ``LimitTensorResult``'s
+    ``noise``.  The structure report is the one gate on the limit relations.
+    The fixed points come first and certify sym2 and sym3; sym1 and the
+    Lambda relations are computed exactly.  So on a certified report sym2 and
+    sym3 are upper bounds (``LimitSymmetryReport``).  A tensor that fails
+    this check, or on which the kernel raises, is swept once by
+    ``check_limit_symmetries``: a failing relation raises
     ``StructureViolation``, then the kernel's error stands, else the swept
     report is kept.
     """
     inner, lam = _split_limit(m)
+    tol += m.noise if isinstance(m, LimitTensorResult) else 0.0
     n = inner.shape[0]
     inner_t = Tensor3(inner, has_constant=False)
     report, dirs = _structure(m, inner_t, lam, tol)
@@ -409,7 +399,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     v = _unitary_sqrt(lam)
     w = dirs @ np.conj(v)
     imag = float(np.max(np.abs(w.imag), initial=0.0))
-    if imag > max(tol, 1e-7):
+    if not imag <= _bound(tol, float(np.max(np.abs(w), initial=0.0))):
         raise InconsistentCount(
             f"jump directions have no real pre-image under the square root of Lambda "
             f"(residual {imag:.3e})"

@@ -17,6 +17,7 @@ multiple threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +31,28 @@ from .errors import (
     SingularSystem,
 )
 
+# relative tolerance of every check (``_bound``), about 1e7 unit roundoffs
 DEFAULT_TOL = 1e-9
 
-# probabilities closer than this are treated as tied when matching atoms
+# probabilities this close are equal: tied atoms, a sum of 1 (n eps, n <= 4500)
 TIE_EPS = 1e-12
 
 # bytes of products one block of the sym2/sym3 sweep holds: a block then fits
 # in one core's L2 cache (2 MiB per core on the reference Xeon host), and the
 # sweep's working memory is a few blocks instead of the d^4 intermediates
 _SWEEP_BLOCK_BYTES = 2 * 2**20
+
+
+def _bound(tol: float, scale: float) -> float:
+    """The largest residual a check accepts: tol * max(1, scale).
+
+    ``scale`` is the size of the terms compared (README "Checks"), as a sum is
+    off by a multiple of its terms' moduli (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., 3.1).  An overflowed scale gives NaN,
+    which fails every check written ``residual <= bound``.
+    """
+    bound = tol * max(1.0, scale)
+    return bound if bound < math.inf else math.nan
 
 
 def _as_vectors(values) -> np.ndarray:
@@ -69,7 +83,7 @@ class SystemValidation:
     ``pair_residuals[i, j]`` is ``|<v_i, v_j> + 1|`` for i != j (zero on the
     diagonal).  The three aggregate residuals correspond to sum(p) = 1,
     sum(p v) = 0 and sum(p |v><v|) = I, which hold automatically for a true
-    obtuse system.
+    obtuse system.  ``ok`` bounds the pair residuals by ``_bound(tol, max|v|^2)``.
     """
 
     probabilities: np.ndarray
@@ -90,7 +104,7 @@ class SystemValidation:
 
     @property
     def ok(self) -> bool:
-        return self.max_pair_residual <= self.tol
+        return self.max_pair_residual <= _bound(self.tol, 1 / self.probabilities.min() - 1)
 
 
 def validate_obtuse_system(values, tol: float = DEFAULT_TOL) -> SystemValidation:
@@ -141,7 +155,7 @@ class ObtuseSystem:
             i, j = report.worst_pair
             raise NotObtuse(
                 f"vectors {i} and {j} have inner product residual "
-                f"{report.max_pair_residual:.3e} > {tol:.1e}",
+                f"{report.max_pair_residual:.3e} > {tol:.1e} max(1, max|v|^2)",
                 pair=(i, j),
                 residual=report.max_pair_residual,
             )
@@ -203,18 +217,19 @@ def rv_is_centered_normalized(values, probabilities, tol: float = DEFAULT_TOL):
 
     Works for any number of atoms n in C^d, not only n = d+1.  Returns
     ``(ok, mean_residual, covariance_residual)`` where the covariance is
-    E[conj(X^i) X^j].
+    E[conj(X^i) X^j], both bounded by ``_bound(tol, max p|x|^2)``.
     """
     arr = _as_vectors(values)
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (arr.shape[0],):
         raise DimensionMismatch("one probability per atom required")
-    if np.any(p <= 0.0) or abs(float(np.sum(p)) - 1.0) > 1e-12:
+    if np.any(p <= 0.0) or not abs(float(np.sum(p)) - 1.0) <= TIE_EPS:
         raise DimensionMismatch("probabilities must be positive and sum to 1")
     mean_res = float(np.linalg.norm(p @ arr))
     cov = np.einsum("m,mi,mj->ij", p, np.conj(arr), arr)
     cov_res = float(np.max(np.abs(cov - np.eye(arr.shape[1]))))
-    return (mean_res <= tol and cov_res <= tol), mean_res, cov_res
+    bound = _bound(tol, np.max(p * np.sum(np.abs(arr) ** 2, axis=1)))
+    return bool(mean_res <= bound and cov_res <= bound), mean_res, cov_res
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +309,8 @@ class SymmetryReport:
     sym2: symmetry of sum_m S^{im}_j S^{kl}_m in (i, k),
     sym3: symmetry of sum_m S^{im}_j conj(S^{lm}_k) in (i, k).
 
-    Each residual is compared with ``tol`` on its own, so a NaN residual
-    (overflowed products) fails the check.
+    ``ok`` bounds sym0, sym1 by ``_bound(tol, scale)``, scale = max|S|, and sym2,
+    sym3 by ``_bound(tol, dim scale^2)``, each on its own: a NaN fails.
     """
 
     sym0: float | None
@@ -303,14 +318,19 @@ class SymmetryReport:
     sym2: float
     sym3: float
     tol: float
+    dim: int
+    scale: float
 
     @property
     def doubly_symmetric(self) -> bool:
-        return all(r <= self.tol for r in (self.sym1, self.sym2, self.sym3))
+        m = self.scale
+        entry, product = _bound(self.tol, m), _bound(self.tol, self.dim * m * m)
+        return self.sym1 <= entry and self.sym2 <= product and self.sym3 <= product
 
     @property
     def ok(self) -> bool:
-        return (self.sym0 is None or self.sym0 <= self.tol) and self.doubly_symmetric
+        sym0_ok = self.sym0 is None or self.sym0 <= _bound(self.tol, self.scale)
+        return sym0_ok and self.doubly_symmetric
 
     def residuals(self) -> dict:
         out = {"sym1": self.sym1, "sym2": self.sym2, "sym3": self.sym3}
@@ -337,7 +357,7 @@ def check_symmetries(
     sym0 = _sym0(s) if include_constant else None
     sym1 = _sym1(s)
     sym2, sym3 = _product_symmetries(s)
-    return SymmetryReport(sym0=sym0, sym1=sym1, sym2=sym2, sym3=sym3, tol=tol)
+    return SymmetryReport(sym0, sym1, sym2, sym3, tol, len(s), float(np.abs(s).max(initial=0)))
 
 
 def _sym0(s: np.ndarray) -> float:
@@ -422,13 +442,9 @@ def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL
     wy = np.sqrt(py)[:, None] * y.hatted
     big = wy[sigma].T @ np.conj(wx)
     u = big[1:, 1:]
-    corner = max(
-        abs(big[0, 0] - 1.0),
-        float(np.max(np.abs(big[0, 1:]))),
-        float(np.max(np.abs(big[1:, 0]))),
-    )
+    corner = max(abs(big[0, 0] - 1.0), np.abs(big[0, 1:]).max(), np.abs(big[1:, 0]).max())
     moved = float(np.max(np.abs(x.values @ u.T - y.values[sigma])))
-    if max(corner, moved) > max(tol, 1e-8):
+    if not max(corner, moved) <= _bound(tol, 1 / px.min() - 1):
         raise AmbiguousMatching(
             f"matched atoms yield no unitary relation (corner {corner:.3e}, "
             f"residual {moved:.3e})"
@@ -455,7 +471,7 @@ def embed_general(values, probabilities, y: ObtuseRV, tol: float = DEFAULT_TOL):
         raise DimensionMismatch(f"the obtuse factor must live in C^{n - 1}")
     if p.shape != (n,) or np.max(np.abs(p - y.probabilities)) > TIE_EPS:
         raise ProbabilityMismatch("probabilities must match atom by atom")
-    ok, mean_res, cov_res = rv_is_centered_normalized(arr, p, tol=max(tol, 1e-8))
+    ok, mean_res, cov_res = rv_is_centered_normalized(arr, p, tol=tol)
     if not ok:
         raise DimensionMismatch(
             f"variable is not centered normalized (mean {mean_res:.2e}, "
@@ -470,7 +486,7 @@ def embed_general(values, probabilities, y: ObtuseRV, tol: float = DEFAULT_TOL):
 
     last_res = float(np.max(np.abs(a @ w[n - 1] - arr[n - 1])))
     iso_res = float(np.max(np.abs(a @ a.conj().T - np.eye(d))))
-    if last_res > max(tol, 1e-8) or iso_res > max(tol, 1e-8):
+    if not max(last_res, iso_res) <= _bound(tol, 1 / p.min() - 1):
         raise SingularSystem(
             f"embedding inconsistent (last atom {last_res:.2e}, isometry {iso_res:.2e})"
         )
@@ -492,7 +508,7 @@ def system_from_probabilities(probabilities) -> ObtuseSystem:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or len(p) < 2:
         raise DimensionMismatch("need at least two probabilities")
-    if np.any(p <= 0.0) or abs(float(np.sum(p)) - 1.0) > 1e-12:
+    if np.any(p <= 0.0) or not abs(float(np.sum(p)) - 1.0) <= TIE_EPS:
         raise DimensionMismatch("probabilities must be positive and sum to 1")
     n = len(p)
     first = np.sqrt(p)

@@ -21,12 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotSymmetric
-from .obtuse import DEFAULT_TOL
+from .obtuse import DEFAULT_TOL, _bound
 
 _EPS = np.finfo(float).eps
 # singular values closer than this fraction of the largest share a cluster: a
 # pair split at relative gap g costs eps/g, one kept together only rounding
 _CLUSTER_REL = 1e-4
+# eigenvalues of Re(B) in [-1, 1] this close share an eigenspace: eigh's
+# vectors are accurate to eps/gap, so Im(B) is diagonalized there again
+_RE_DEGENERATE = 1e-8
 # the SVD is backward stable, so singular values up to n eps s_max times this
 # are indistinguishable from 0: their vectors span the null space
 _NULL_EPS = _EPS
@@ -56,7 +59,7 @@ def _diag_unitary_symmetric(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenspace.
     """
     xv, o = np.linalg.eigh(b.real)
-    cuts = np.flatnonzero(np.diff(xv) > 1e-8) + 1
+    cuts = np.flatnonzero(np.diff(xv) > _RE_DEGENERATE) + 1
     if len(cuts) < len(xv) - 1:  # Re(B) has a degenerate eigenspace
         for c in np.split(np.arange(len(xv)), cuts):
             if len(c) > 1:
@@ -107,9 +110,9 @@ def takagi(m, tol: float = DEFAULT_TOL) -> TakagiResult:
     Returns unitary U and real nonnegative d, the singular values sorted
     descending, with M = U diag(d) U^T.  Raises ``DimensionMismatch`` when M
     is not a finite square matrix, ``NotSymmetric`` when it is not symmetric
-    within ``tol`` and ``NoConvergence`` if the final residual exceeds the
-    tolerance (which indicates pathological input rather than an unlucky
-    run: the algorithm is direct, not iterative).
+    within tol max(1, max|M|) and ``NoConvergence`` if the final residual
+    exceeds that bound (which indicates pathological input rather than an
+    unlucky run: the algorithm is direct, not iterative).
     """
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -119,7 +122,7 @@ def takagi(m, tol: float = DEFAULT_TOL) -> TakagiResult:
     n = arr.shape[0]
     scale = float(np.max(np.abs(arr))) if arr.size else 0.0
     sym_defect = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-    if sym_defect > max(tol, tol * scale):
+    if not sym_defect <= _bound(tol, scale):
         raise NotSymmetric(f"matrix is not symmetric: defect {sym_defect:.3e}")
     arr = 0.5 * (arr + arr.T)
 
@@ -130,6 +133,6 @@ def takagi(m, tol: float = DEFAULT_TOL) -> TakagiResult:
         if len(c):
             u[:, c] = u[:, c] @ _unitary_sqrt(wh[c] @ np.conj(u[:, c]))
     residual = float(np.max(np.abs((u * s) @ u.T - arr))) if n else 0.0
-    if residual > max(tol, tol * scale):
+    if not residual <= _bound(tol, scale):
         raise NoConvergence(f"factorization residual {residual:.3e} exceeds tolerance", residual)
     return TakagiResult(unitary=u, diagonal=s, residual=residual)

@@ -17,8 +17,8 @@ run their kernel first and rebuild R = sum_m w_m v_m (x) v_m (x) conj(v_m)
 from the fixed points it found; R is doubly symmetric up to the family's
 orthogonality defect, and S is within max|S - R| of it, which bounds the
 residuals of S at O(d^4) (see ``_certificate_bounds``).  Only when that bound
-exceeds ``tol``, or the kernel fails, do they run the O(d^5) sweep
-``check_symmetries``, to name the failing relation.  ``limits`` gates
+exceeds what the sweep accepts, or the kernel fails, do they run the O(d^5)
+sweep ``check_symmetries``, to name the failing relation.  ``limits`` gates
 ``limit_tensor`` samples and ``classify`` with the same bounds.  Rebuilt
 tensors, like ``tensor_of`` and ``tensor_from_family``, are one BLAS
 product.
@@ -45,7 +45,9 @@ from .errors import (
 from .obtuse import (
     DEFAULT_TOL,
     ObtuseSystem,
+    SymmetryReport,
     Tensor3,
+    _bound,
     _khatri_rao,
     _sym0,
     check_symmetries,
@@ -98,7 +100,7 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
             raise NotOrthogonal("family contains a (near-)zero vector")
         gram = np.conj(arr) @ arr.T
         off = gram - np.diag(np.diagonal(gram))
-        if float(np.max(np.abs(off))) > max(tol, tol * float(np.max(norms2))):
+        if not float(np.max(np.abs(off))) <= _bound(tol, float(np.max(norms2))):
             raise NotOrthogonal(
                 f"family is not orthogonal: max off-diagonal {np.max(np.abs(off)):.3e}"
             )
@@ -108,8 +110,8 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
 def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
     """Recover the orthogonal family {v : S(v) = v (x) v, v != 0}.
 
-    Requires the tensor to be doubly symmetric (sym1-sym3 within ``tol``),
-    which the fixed points themselves certify (``_certifies``); only a
+    Requires the tensor to be doubly symmetric (``SymmetryReport``),
+    which the fixed points themselves certify (``_certified``); only a
     tensor they fail to certify is swept, and ``NotDoublySymmetric`` names
     the relation it fails.  The algorithm is direct and deterministic:
 
@@ -127,9 +129,9 @@ def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
        cluster.
     3. Each direction a is rescaled to its fixed point v = c a with the
        cubic form c = conj(a)^T S(a) conj(a).  A direction with
-       max|S(a)| <= tol * max|S| belongs to the null space.  A fixed point
-       whose residual max|S(v) - v v^T| exceeds the bound raises
-       ``NoConvergence``.
+       max|S(a)| <= tol * max(1, max|S|) belongs to the null space.  A fixed
+       point whose residual max|S(v) - v v^T| exceeds
+       tol * max(1, d max|S| max|v|) raises ``NoConvergence``.
 
     The vectors come out by decreasing weight, the directions of one
     cluster in the order the probes separate them.  Cost: one O(d^4)
@@ -150,25 +152,17 @@ def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
 def _certifies(s: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
     """Whether the fixed points ``vectors`` of ``s`` certify sym1-sym3 within ``tol``.
 
-    Both bounds of ``_certificate_bounds`` must be at most ``tol``; a NaN
-    bound rejects.
+    The bounds of ``_certificate_bounds`` must pass the sweep's own check
+    (``SymmetryReport``); a NaN bound rejects.
     """
-    return all(b <= tol for b in _certificate_bounds(s, vectors))
+    sym1, sym23 = _certificate_bounds(s, vectors)
+    scale = float(np.abs(s).max(initial=0.0))
+    return SymmetryReport(None, sym1, sym23, sym23, tol, len(s), scale).ok
 
 
 def _gamma(n: int) -> float:
     """gamma_n = n u / (1 - n u): relative error of a sum of n products."""
     return n * _UNIT / (1 - n * _UNIT)
-
-
-def _sweep_rounding(d: int, scale: float) -> float:
-    """2 gamma_{d+2} d scale^2, the sweep's rounding on entries up to ``scale``.
-
-    A term of the sym2/sym3 bound of ``_certificate_bounds``, whose other
-    terms are nonnegative: no certificate of a tensor with max|S| = ``scale``
-    fits under a tolerance below this.  Overflow gives inf, not an error.
-    """
-    return float(2 * _gamma(d + 2) * d * np.float64(scale) ** 2)
 
 
 def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> tuple[float, float]:
@@ -214,7 +208,7 @@ def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> tuple[float, floa
     c = w * sup**2
     # sum_{a != b} c_a c_b gamma |a| |b| <= gamma (sum_a c_a |a|)^2
     sym23 = 2 * (c @ gram @ c + _gamma(d + 2) * (c @ np.sqrt(norms2)) ** 2)
-    sym23 += 2 * d * delta * (2 * big + delta) + _sweep_rounding(d, big + delta)
+    sym23 += 2 * d * (delta * (2 * big + delta) + _gamma(d + 2) * (big + delta) * (big + delta))
     # 16 u covers the rounding of the bounds themselves
     return float(2 * delta * (1 + 16 * _UNIT)), float(sym23 * (1 + 16 * _UNIT))
 
@@ -223,20 +217,25 @@ def _certified(tensor: Tensor3, tol: float, kernel, include_constant: bool, what
     """The result of ``kernel()`` on a tensor that its fixed points certify.
 
     ``kernel`` returns the result and the fixed points of ``tensor`` it
-    found.  If they do not certify the tensor (``_certifies``), or the
-    kernel raises a domain or ``LinAlgError``, the tensor is swept once:
-    a failing relation raises ``NotDoublySymmetric`` ("<what> {residuals}"),
+    found.  With ``include_constant``, sym0 is checked directly first, O(d^2).
+    If the fixed points do not certify the tensor (``_certifies``), or the
+    kernel raises a domain or ``LinAlgError``, the tensor is swept once: a
+    failing relation raises ``NotDoublySymmetric`` ("<what> {residuals}"),
     else the kernel's result or error stands.  The kernel is deterministic,
     so this returns and raises what sweeping first would.  Non-finite values
     (overflowed products of huge entries, a zero fixed point of a tensor
     that is not doubly symmetric) fail the certificate and are the sweep's
     to report, so they raise no warning here.
     """
+    s = tensor.entries
+    if include_constant and not _sym0(s) <= _bound(tol, np.abs(s).max()):
+        # raises: the sweep computes the same sym0
+        _require_symmetries(tensor, tol, include_constant=True, what=what)
     error = None
     try:
         with np.errstate(all="ignore"):
             result, vectors = kernel()
-            if _certifies(tensor.entries, vectors, tol):
+            if _certifies(s, vectors, tol):
                 return result
     except (ObtuseWalkError, np.linalg.LinAlgError) as exc:
         error = exc
@@ -261,7 +260,7 @@ def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
     if scale <= tol:
         return DiagResult(vectors=np.zeros((0, d), dtype=complex), residual=0.0)
     # directions whose image is this small belong to the null space
-    null_tol = max(tol * scale, tol)
+    null_tol = _bound(tol, scale)
 
     rows = s.reshape(d, d * d)
     lam, w = np.linalg.eigh(rows @ rows.conj().T)
@@ -282,7 +281,8 @@ def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
     # S is linear, so S(v) = c S(a)
     outer = vectors[:, :, None] * vectors[:, None, :]
     resid = np.max(np.abs(cubic[:, None, None] * images - outer), axis=(1, 2))
-    bound = 10 * tol * np.maximum(1.0, np.max(np.abs(vectors), axis=1) ** 2)
+    # S(v) sums d products of entries of S and of v
+    bound = _bound(tol, d * scale * float(np.abs(vectors).max(initial=0.0)))
     if np.any(resid > bound):
         worst = float(np.max(resid[resid > bound]))
         raise NoConvergence(
@@ -343,8 +343,7 @@ def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:
         raise WrongCount(
             f"expected {n_plus_1} fixed points, found {len(vecs)}"
         )
-    first = vecs[:, 0]
-    if float(np.max(np.abs(first - 1.0))) > max(tol, 1e-7):
+    if not np.abs(vecs[:, 0] - 1.0).max() <= _bound(tol, np.abs(vecs).max() ** 2):
         raise WrongCount(
             "fixed points do not all have first coordinate 1; "
             "the tensor lacks the constant-coordinate relation"
@@ -358,7 +357,7 @@ def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:
     values = vecs[order][:, 1:]
     probs = probs_all[list(order)]
     system = ObtuseSystem(values=values, probabilities=probs)
-    report = validate_obtuse_system(values, tol=max(tol, 1e-8))
+    report = validate_obtuse_system(values, tol=tol)
     if not report.ok:
         raise NotObtuse(
             "recovered fixed points do not form an obtuse system",
@@ -379,15 +378,12 @@ def _full_unitary(u, tensor: Tensor3, tol: float) -> np.ndarray:
     if mat.shape != (d, d):
         raise DimensionMismatch(f"unitary of shape {mat.shape} does not fit dim {d}")
     defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d))))
-    if defect > max(tol, 1e-8):
+    if not defect <= _bound(tol, 1.0):
         raise NotUnitary(f"matrix is not unitary: defect {defect:.3e}")
     if tensor.has_constant:
-        corner = max(
-            abs(mat[0, 0] - 1.0),
-            float(np.max(np.abs(mat[0, 1:]))) if d > 1 else 0.0,
-            float(np.max(np.abs(mat[1:, 0]))) if d > 1 else 0.0,
-        )
-        if corner > max(tol, 1e-8):
+        e0 = np.eye(d)[0]
+        corner = float(max(np.abs(mat[0] - e0).max(), np.abs(mat[:, 0] - e0).max()))
+        if not corner <= _bound(tol, 1.0):
             raise DimensionMismatch(
                 "unitary must fix the constant coordinate e_0 "
                 f"(corner defect {corner:.3e})"
@@ -415,11 +411,12 @@ def transform(u, tensor: Tensor3, tol: float = DEFAULT_TOL) -> Tensor3:
 def is_real_tensor(tensor: Tensor3, tol: float = DEFAULT_TOL) -> bool:
     """Whether the tensor belongs to a real-valued obtuse variable.
 
-    The criterion is the extra symmetry S^{ij}_k = S^{kj}_i, not realness of
-    the entries: a complex variable can have an all-real tensor.
+    The criterion is the extra symmetry S^{ij}_k = S^{kj}_i, within
+    ``_bound(tol, max|S|)``, not realness of the entries: a complex variable
+    can have an all-real tensor.
     """
     s = tensor.entries
-    return float(np.max(np.abs(s - s.transpose(2, 1, 0)))) <= tol
+    return bool(np.abs(s - s.transpose(2, 1, 0)).max() <= _bound(tol, np.abs(s).max()))
 
 
 @dataclass(frozen=True)
@@ -444,7 +441,7 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     The returned V fixes e_0 and is the principal square root of the inner
     block of S_0 (``takagi._unitary_sqrt``), so a real tensor gets V = I.
 
-    The input must satisfy all four symmetry relations within ``tol``: sym0
+    The input must satisfy all four symmetry relations (``SymmetryReport``): sym0
     is checked directly, O(d^2), and sym1-sym3 are certified by the fixed
     points of the real tensor mapped back by V (see ``diagonalize``).  A
     tensor they fail to certify is swept, and ``NotDoublySymmetric`` names
@@ -453,9 +450,6 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     if not tensor.has_constant:
         raise DimensionMismatch("realify expects a constant-coordinate tensor")
     what = "tensor fails symmetry relations:"
-    if not _sym0(tensor.entries) <= tol:
-        # raises: the sweep computes the same sym0
-        _require_symmetries(tensor, tol, include_constant=True, what=what)
 
     def kernel():
         result, points = _realify(tensor, tol)
@@ -469,14 +463,14 @@ def _realify(tensor: Tensor3, tol: float):
     d = tensor.dim
     s0 = tensor.entries[:, :, 0]
     uni_defect = float(np.max(np.abs(s0 @ s0.conj().T - np.eye(d))))
-    if uni_defect > max(tol, 1e-8):
+    if not uni_defect <= _bound(tol, 1.0):
         raise S0NotUnitary(f"time-zero slice not unitary: defect {uni_defect:.3e}")
 
     v = np.eye(d, dtype=complex)
     v[1:, 1:] = _unitary_sqrt(s0[1:, 1:])
 
     real_t = transform(v.conj().T, tensor, tol=tol)
-    if not is_real_tensor(real_t, tol=max(tol, 1e-8)):
+    if not is_real_tensor(real_t, tol=tol):
         raise NoConvergence("realified tensor failed the real criterion")
     points = _fixed_points(real_t, tol).vectors
     system = _obtuse_system(points, tol)
@@ -513,18 +507,15 @@ def extract_phases(triangular, tol: float = DEFAULT_TOL):
     triangularized obtuse system (residual imaginary parts stay large).
     """
     arr = np.asarray(triangular, dtype=complex)
-    n = arr.shape[1]
-    phases = np.ones(n, dtype=complex)
-    for j in range(n):
-        pivot = arr[j, j]
-        if abs(pivot) < 1e-12:
-            raise NotObtuse(f"triangular pivot {j} vanishes; system degenerate")
-        phases[j] = pivot / abs(pivot)
+    pivots = arr.diagonal()
+    if not pivots.all():
+        raise NotObtuse(f"triangular pivot {np.argmin(pivots != 0)} vanishes; system degenerate")
+    phases = pivots / np.abs(pivots)
     real_values = arr * np.conj(phases)[None, :]
     imag_max = float(np.max(np.abs(real_values.imag)))
-    if imag_max > max(tol, 1e-8):
+    if not imag_max <= _bound(tol, np.abs(arr).max()):
         raise NotObtuse(
             f"phases do not make the system real (residual {imag_max:.3e})"
         )
-    system = ObtuseSystem.from_values(real_values.real.astype(complex), tol=max(tol, 1e-8))
+    system = ObtuseSystem.from_values(real_values.real.astype(complex), tol=tol)
     return phases, system

@@ -11,7 +11,8 @@ and one Brownian direction proportional to (i, 1).
 import numpy as np
 import pytest
 
-from obtusewalk import ObtuseRV, tensor_of
+from obtusewalk import ObtuseRV, haar_unitary, tensor_of
+from obtusewalk.takagi import _unitary_sqrt
 
 REFERENCE_VALUES = np.array(
     [
@@ -154,3 +155,62 @@ def scaled_family(n, k, c, rng, steps):
         real = (np.column_stack(cols) / np.sqrt(p)[:, None])[:, 1:]
         systems.append(real * phases[None, :])
     return systems, np.diag(phases**2)
+
+
+def _gram_schmidt(p):
+    """Orthogonal matrix with first column sqrt(p), smooth in p.
+
+    The other columns come from Gram-Schmidt, run twice, on e_1, e_2, ...;
+    Householder QR could flip a column's sign from one p to the next.
+    """
+    cols = [np.sqrt(p)]
+    for e in np.eye(len(p))[1:]:
+        for _ in range(2):
+            for q in cols:
+                e = e - np.dot(q, e) * q
+        cols.append(e / np.linalg.norm(e))
+    return np.column_stack(cols)
+
+
+def closed_form_family(lam, o, c, rest, steps):
+    """Systems with the limit (Lambda, c_1..c_K), and their jump directions.
+
+    At step h the real system of the probabilities p(h) = (c h, (1 - sum(c)
+    h) rest), the rows of Q = ``_gram_schmidt(p)`` over sqrt(p) without
+    their first entry, is rotated to (real @ O^T) @ V^T, V the principal
+    square root of the symmetric unitary Lambda.  The real limit has
+    E[X X^T] = I and a jump of intensity c_p along c_p^{-1/2} u_p, u_p the
+    limit of row p of Q without its first entry.  With s = sqrt(p) and
+    T_k = s_0^2 + sum_{j >= k} s_j^2, Gram-Schmidt gives column k of Q as
+    e_k - (s_k / T_k)(s_0 e_0 + sum_{j >= k} s_j e_j) over sqrt(T_{k+1} / T_k).
+    As s_0..s_{K-1} go to 0 (K <= N, so the last atom is heavy), Q[0, N]
+    tends to -1 and Q[p, p] to 1 for 0 < p < K, every other entry of those
+    rows to 0: u_0 = -e_N and u_p = e_p in the coordinates 1..N.  Rotated,
+    the limit has Lambda = V V^T, the intensities c_p and the directions
+    c_p^{-1/2} V O u_p.  Returns ``(systems, directions)``.
+    """
+    c = np.asarray(c, dtype=float)
+    n, k = len(o), len(c)
+    rotation = _unitary_sqrt(lam) @ o
+    systems = []
+    for h in steps:
+        p = np.concatenate([c * h, (1.0 - c.sum() * h) * rest])
+        real = _gram_schmidt(p)[:, 1:] / np.sqrt(p)[:, None]
+        systems.append(real @ rotation.T)
+    u = np.eye(n)[np.r_[n - 1, 0 : k - 1]]
+    u[0] *= -1.0
+    return systems, (u @ rotation.T) / np.sqrt(c)[:, None]
+
+
+def closed_form_spec(n, k, rng, c_range=(2.5e-4, 5e-4)):
+    """A random limit in C^n: dense Lambda, real rotation O, k distinct c_p.
+
+    Lambda = W W^T for a Haar unitary W, O is the Q of a real Gaussian, the
+    intensities are log-uniform over ``c_range`` and the other
+    probabilities Dirichlet(5).  Returns ``(lam, o, c, rest)``.
+    """
+    w = haar_unitary(n, rng)
+    o = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    c = np.exp(rng.uniform(*np.log(c_range), size=k))
+    rest = rng.dirichlet(np.full(n + 1 - k, 5.0))
+    return w @ w.T, o, c, rest

@@ -175,6 +175,7 @@ class TestLimit:
         assert doc["poisson"][0]["intensity"] == pytest.approx(1.0, abs=1e-7)
         assert len(doc["brownian"]) == 1
         assert 0.0 < doc["diagnostics"]["worst_difference_ratio"] < 1.0
+        assert 0.0 <= doc["diagnostics"]["extrapolation_error"] <= 1e-10
         assert max(doc["diagnostics"]["structure_residuals"].values()) <= 1e-8
 
     def test_constant_family_file(self, tmp_path, capsys):
@@ -264,6 +265,7 @@ class TestLimitReport:
         report = json.loads(out.read_text())
         assert set(report.pop("diagnostics")) == {
             "worst_difference_ratio",
+            "extrapolation_error",
             "structure_residuals",
         }
         assert report == serialize.limitspec_to_json(spec)
@@ -292,6 +294,7 @@ class TestLimitReport:
         want = serialize.limitspec_to_json(spec)
         want["diagnostics"] = {
             "worst_difference_ratio": result.worst_ratio,
+            "extrapolation_error": result.noise,
             "structure_residuals": spec.structure.residuals(),
         }
         assert out.read_text() == json.dumps(want, sort_keys=True) + "\n"
@@ -405,6 +408,7 @@ class TestReportBytes:
         want = serialize.limitspec_to_json(spec)
         want["diagnostics"] = {
             "worst_difference_ratio": result.worst_ratio,
+            "extrapolation_error": result.noise,
             "structure_residuals": spec.structure.residuals(),
         }
         rc, text = run_to_file(tmp_path, ["limit", f, "--tol", "1e-7"])

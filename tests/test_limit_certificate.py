@@ -32,7 +32,7 @@ from obtusewalk.errors import (
     ObtuseWalkError,
     StructureViolation,
 )
-from obtusewalk.obtuse import _khatri_rao
+from obtusewalk.obtuse import _bound, _khatri_rao
 from obtusewalk.takagi import _unitary_sqrt
 from conftest import scaled_family
 
@@ -99,6 +99,20 @@ def perturbed_samples():
 
 
 @pytest.fixture
+def sample_sweeps(monkeypatch):
+    """List that records one entry per sweep of a ``limit_tensor`` sample."""
+    calls = []
+    original = tensor.check_symmetries
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "check_symmetries", counting)
+    return calls
+
+
+@pytest.fixture
 def limit_sweeps(monkeypatch):
     """List that records one entry per ``check_limit_symmetries`` call of ``classify``."""
     calls = []
@@ -124,14 +138,13 @@ class TestNoLoosening:
         certified = swept = 0
         for n, m in perturbed_limits():
             for tol in (1e-9, 1e-6):
-                gate = max(tol, 1e-8)
                 limit_sweeps.clear()
                 got = outcome(lambda: classify(m, tol=tol))
                 if limit_sweeps:
                     swept += 1
                     continue
                 certified += 1
-                want = limits.check_limit_symmetries(m, tol=gate)
+                want = limits.check_limit_symmetries(m, tol=tol)
                 assert want.ok, (n, tol, want.residuals())
                 if isinstance(got, Exception):
                     continue  # raised after the gate, by the Takagi step
@@ -143,20 +156,29 @@ class TestNoLoosening:
         # the corpus reaches both sides of the gate
         assert certified >= 20 and swept >= 20, (certified, swept)
 
-    def test_sample_gate_certifies_only_what_the_sweep_accepts(self):
+    def test_sample_gate_certifies_only_what_the_sweep_accepts(self, sample_sweeps):
         certified = rejected = 0
         for n, s in perturbed_samples():
             for tol in (1e-8, 1e-11):
-                if limits._certified_sample(s, tol):
-                    certified += 1
-                    report = check_symmetries(s, tol=tol)
-                    assert report.ok, (n, tol, report.residuals())
-                    points = tensor._fixed_points(s, tol).vectors
-                    sym1, sym23 = tensor._certificate_bounds(s.entries, points)
-                    assert sym1 >= report.sym1, (n, tol)
-                    assert sym23 >= max(report.sym2, report.sym3), (n, tol)
+                sample_sweeps.clear()
+                family = TensorFamily.constant(s)
+                got = outcome(lambda: limit_tensor(family, tol=tol))
+                swept = bool(sample_sweeps)
+                want = outcome(lambda: limit_tensor_sweep_first(family, tol))
+                if isinstance(want, Exception):
+                    assert_same_error(got, want, (n, tol))
                 else:
+                    assert np.array_equal(got.tensor.entries, want.tensor.entries), (n, tol)
+                if swept:
                     rejected += 1
+                    continue
+                certified += 1
+                report = check_symmetries(s, tol=tol)
+                assert report.ok, (n, tol, report.residuals())
+                points = tensor._fixed_points(s, tol).vectors
+                sym1, sym23 = tensor._certificate_bounds(s.entries, points)
+                assert sym1 >= report.sym1, (n, tol)
+                assert sym23 >= max(report.sym2, report.sym3), (n, tol)
         assert certified >= 8 and rejected >= 8, (certified, rejected)
 
 
@@ -168,33 +190,31 @@ class TestFastPath:
                 classify(valid_limit(n, k, rng))
         assert limit_sweeps == []
 
-    def test_scaled_samples_skip_the_kernel(self, monkeypatch):
-        # entries of 5e2 to 1e4: the sweep rounding alone exceeds the 1e-8 gate
-        def no_kernel(*args, **kwargs):
-            raise AssertionError("the kernel ran on a sample that cannot certify")
-
-        monkeypatch.setattr(limits, "_fixed_points", no_kernel)
+    def test_scaled_samples_certify(self, sample_sweeps):
+        # entries of 5e2 to 1e4: the sweep's rounding, 2 gamma_{d+2} d max|S|^2
+        # ~ 3e-7, fits under the relative bound of sym2 and sym3
         steps = tuple(0.01 * 4.0**-k for k in range(5))
         systems, _ = scaled_family(16, 3, 3e-4, np.random.default_rng(4), steps)
         samples = [tensor_of(ObtuseRV.from_values(v)) for v in systems]
         for s in samples:
             assert s.dim >= limits._CERTIFY_MIN_DIM
-            assert tensor._sweep_rounding(s.dim, np.max(np.abs(s.entries))) > 1e-8
+            assert np.max(np.abs(s.entries)) >= 5e2
         limit_tensor(TensorFamily.from_samples(steps, samples))
+        assert sample_sweeps == []
 
 
 def classify_sweep_first(m, tol):
     """``classify`` in the order of the previous release: sweep, then the kernel."""
     inner, lam = limits._split_limit(m)
     n = inner.shape[0]
-    report = limits.check_limit_symmetries(m, tol=max(tol, 1e-8))
+    report = limits.check_limit_symmetries(m, tol=tol)
     if not report.ok:
         raise StructureViolation(f"limit tensor fails structure relations: {report.residuals()}")
     dirs = tensor._fixed_points(Tensor3(inner, has_constant=False), tol).vectors
     v = _unitary_sqrt(lam)
     w = dirs @ np.conj(v)
     imag = float(np.max(np.abs(w.imag), initial=0.0))
-    if imag > max(tol, 1e-7):
+    if not imag <= _bound(tol, float(np.max(np.abs(w), initial=0.0))):
         raise InconsistentCount(
             f"jump directions have no real pre-image under the square root of Lambda "
             f"(residual {imag:.3e})"
@@ -209,7 +229,7 @@ def limit_tensor_sweep_first(family, tol):
         if id(s) in checked:
             continue
         checked.add(id(s))
-        report = check_symmetries(s, tol=max(tol, 1e-8))
+        report = check_symmetries(s, tol=tol)
         if not report.ok:
             raise NotDoublySymmetric(
                 f"sample at h={h} violates tensor symmetries: {report.residuals()}"
@@ -232,17 +252,17 @@ def overflowed_limit():
 
 
 def unreal_jump_limit():
-    """One jump whose pre-image has imaginary part 1.2e-7 at N = 32.
+    """One jump whose pre-image has imaginary part 1.2e-8 at N = 32.
 
     Lambda = diag(phases)^2, so the Takagi factor is diag(phases) up to a
-    signed permutation.  The jump phases (1 + 1.2e-7 i e_1) break exchange
-    and reduction by only 2 * 1.2e-7 / N = 7.5e-9 each, within the 1e-8
-    gate, while the imaginary part exceeds 1e-7.
+    signed permutation.  The jump phases (1 + 1.2e-8 i e_1) break exchange
+    and reduction by only 2 * 1.2e-8 / N = 7.5e-10 each, within their bound
+    of 1e-9 (max|M| = 1/N), while the imaginary part exceeds 1e-9.
     """
     n = 32
     phases = np.exp(2j * np.pi * np.random.default_rng(1).random(n))
     b = np.zeros(n)
-    b[0] = 1.2e-7
+    b[0] = 1.2e-8
     return limit_of((phases * (1 + 1j * b))[None, :], np.diag(phases))
 
 

@@ -24,12 +24,14 @@ from obtusewalk.errors import (
     StructureViolation,
 )
 from obtusewalk.limits import (
-    _SHRINK_FACTOR,
+    _EXTRAPOLATION_TOL,
+    _RATIO_FLOOR,
     DEFAULT_STEPS,
     LimitSymmetryReport,
     _real_complement,
 )
 from conftest import (
+    _gram_schmidt,
     JUMP_LAMBDA,
     JUMP_M1,
     JUMP_M2,
@@ -39,6 +41,9 @@ from conftest import (
     jump_rv,
     scaled_family,
 )
+
+
+SCALED_STEPS = tuple(0.01 * 4.0**-k for k in range(5))
 
 
 def jump_family():
@@ -58,37 +63,62 @@ def oscillating_family(reference_tensor):
 
 
 def loop_limit(family):
-    """Per-entry reference for ``limit_tensor``: one scalar Richardson table
-    and shrink gate per entry, in (i, j, k) order.
+    """Per-entry reference for ``limit_tensor``: one Neville table on the
+    nodes sqrt(h), error gate and shrink ratio per entry, in (i, j, k) order.
 
-    Returns ``(entries, worst_ratio, worst_entry)``; raises
-    ``NoApparentLimit`` at the first failing entry.
+    Returns ``(entries, worst_ratio, worst_entry, noise)``; raises
+    ``NoApparentLimit`` at the first entry whose error estimate fails.
     """
-    steps = np.array(family.steps)
+    x = np.sqrt(np.array(family.steps))
     stack = np.stack([s.entries for s in family.sample()])
-    ratio = float(np.exp(np.mean(np.log(steps[1:] / steps[:-1]))))
-    floor = 1e-11 * max(float(np.max(np.abs(stack))), 1.0)
+    floor = _RATIO_FLOOR * max(float(np.max(np.abs(stack))), 1.0)
     d = stack.shape[1]
     entries = np.zeros((d, d, d), dtype=complex)
+    errors = {}
     worst, worst_entry = 0.0, None
     for i in range(1, d):
         for j in range(1, d):
             for k in range(d):
-                seq = stack[:, i, j, k] if k == 0 else np.sqrt(steps) * stack[:, i, j, k]
+                seq = stack[:, i, j, k] if k == 0 else x * stack[:, i, j, k]
                 diffs = np.abs(np.diff(seq))
                 for a, b in zip(diffs, diffs[1:]):
-                    if b <= floor:
-                        continue
-                    if a <= floor or b > a / _SHRINK_FACTOR:
-                        raise NoApparentLimit("no trend", entry=(i, j, k))
-                    if b / a > worst:
-                        worst, worst_entry = b / a, (i, j, k)
+                    if b > floor and b / max(a, floor) > worst:
+                        worst, worst_entry = b / max(a, floor), (i, j, k)
                 table = seq
                 for level in range(1, len(seq)):
-                    q = ratio ** (level / 2.0)
+                    q = x[level:] / x[:-level]
+                    finer = table[-1]
                     table = (table[1:] - q * table[:-1]) / (1.0 - q)
-                entries[i, j, k] = seq[-1] if np.all(diffs <= floor) else table[0]
-    return entries, worst, worst_entry
+                entries[i, j, k] = table[0]
+                errors[i, j, k] = abs(table[0] - finer)
+    bound = _EXTRAPOLATION_TOL * max(1.0, float(np.max(np.abs(entries))))
+    for entry, error in errors.items():
+        if not error <= bound:
+            raise NoApparentLimit("no trend", entry=entry)
+    return entries, worst, worst_entry, max(errors.values())
+
+
+def light_family(n, steps, seed, p_light=lambda h: 3e-4 * h, rotate=None):
+    """One light atom of probability ``p_light(h)`` in C^n, as in ``scaled_family``.
+
+    ``rotate(values, index, h)`` changes the values of sample ``index``.
+    """
+    rng = np.random.default_rng(seed)
+    rest = rng.dirichlet(np.full(n, 5.0))
+    phases = np.exp(2j * np.pi * rng.random(n))
+    samples = []
+    for index, h in enumerate(steps):
+        p = np.concatenate([[p_light(h)], (1.0 - p_light(h)) * rest])
+        values = _gram_schmidt(p)[:, 1:] / np.sqrt(p)[:, None] * phases
+        if rotate is not None:
+            values = rotate(values, index, h)
+        samples.append(tensor_of(ObtuseRV.from_values(values)))
+    return TensorFamily.from_samples(steps, samples)
+
+
+def flip_first(values, index, h):
+    """Coordinate 0 of the values times (-1)^index: valid samples, no limit."""
+    return values * np.where(np.arange(values.shape[1]) == 0, (-1.0) ** index, 1.0)
 
 
 def brownian_limit_tensor(n):
@@ -163,8 +193,9 @@ class TestLimitTensor:
         assert exc.value.entry == (1, 1, 0)
 
     def test_worst_ratio_reports_converging_entries(self):
+        # a sqrt(h) correction shrinks by sqrt(1/4) per quarter step
         result = limit_tensor(jump_family())
-        assert 0.0 < result.worst_ratio < 1.0 / _SHRINK_FACTOR
+        assert result.worst_ratio == pytest.approx(0.5, rel=1e-2)
         i, j, k = result.worst_entry
         d = result.tensor.dim
         assert 1 <= i < d and 1 <= j < d and 0 <= k < d
@@ -199,7 +230,58 @@ class TestLimitTensor:
             return
         result = limit_tensor(family)
         assert np.array_equal(result.tensor.entries, expected[0])
-        assert (result.worst_ratio, result.worst_entry) == expected[1:]
+        assert (result.worst_ratio, result.worst_entry) == expected[1:3]
+        # np.abs of an array and abs of a scalar may round apart by an ulp
+        assert result.noise == pytest.approx(expected[3], rel=1e-15)
+
+    @pytest.mark.parametrize("steps", [DEFAULT_STEPS, SCALED_STEPS])
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_alternating_sign_has_no_limit(self, n, steps):
+        # the entries with an odd number of indices 1 alternate in sign and
+        # go to 0, while a Richardson table without a gate returns 0.1 to 0.4
+        with pytest.raises(NoApparentLimit) as exc:
+            limit_tensor(light_family(n, steps, seed=n, rotate=flip_first))
+        assert exc.value.entry[:2].count(1) + (exc.value.entry[2] == 1) in (1, 3)
+        assert "({},{},{})".format(*exc.value.entry) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "p_light, rotate",
+        [
+            (lambda h: 3e-4 * h * h, None),  # sqrt(h) S diverges like h^{-1/2}
+            (lambda h: 3e-4 * np.sqrt(h), None),  # sqrt(h) S goes like h^{1/4}
+            (lambda h: 3e-4 * h, lambda v, i, h: v * np.exp(1j * np.log(h))),
+        ],
+        ids=["c-h2", "c-sqrt-h", "log-phase"],
+    )
+    def test_families_without_sqrt_h_expansion_have_no_limit(self, p_light, rotate):
+        for steps in (DEFAULT_STEPS, SCALED_STEPS):
+            family = light_family(4, steps, seed=1, p_light=p_light, rotate=rotate)
+            with pytest.raises(NoApparentLimit):
+                limit_tensor(family)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [(0.01, 0.004, 0.001, 0.0005, 0.0001), (0.01, 0.009, 0.002, 0.0019, 0.0001)],
+    )
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_non_geometric_grid(self, n, steps):
+        systems, lam = scaled_family(n, 1, 3e-4, np.random.default_rng(n), steps)
+        family = TensorFamily.from_samples(
+            steps, [tensor_of(ObtuseRV.from_values(v)) for v in systems]
+        )
+        spec = classify(limit_tensor(family))
+        assert (spec.n_poisson, spec.n_brownian) == (1, n - 1)
+        np.testing.assert_allclose(spec.intensities, [3e-4], rtol=1e-9)
+        # nodes 0.009 / 0.01 apart amplify rounding by 1 / (1 - q) ~ 20
+        assert np.max(np.abs(spec.lambda_matrix - lam)) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_steps(self, reference_tensor, bad):
+        for steps in ((0.1, bad, 0.01), (bad, 0.1, 0.01), (0.1, 0.01, bad)):
+            with pytest.raises(NonPositiveStep):
+                TensorFamily.constant(reference_tensor, steps=steps)
+        with pytest.raises(NonPositiveStep):
+            rescale_tensor(reference_tensor, bad)
 
     @pytest.mark.parametrize("n_tensors", [3, 5])
     def test_from_samples_rejects_mismatched_lengths(self, reference_tensor, n_tensors):
