@@ -129,6 +129,18 @@ def _first_entry(mask: np.ndarray) -> tuple:
     return tuple(int(x) for x in np.argwhere(mask)[0] + (1, 1, 0))
 
 
+def _sample_points(sample: Tensor3, tol: float) -> np.ndarray:
+    """Fixed points of ``sample``, or none if the kernel fails on it.
+
+    An empty family certifies nothing, so the sweep alone then decides the
+    sample: a valid one passes even where the kernel cannot resolve it.
+    """
+    try:
+        return _fixed_points(sample, tol).vectors
+    except (ObtuseWalkError, np.linalg.LinAlgError):
+        return np.zeros((0, sample.dim), dtype=complex)
+
+
 @dataclass(frozen=True)
 class LimitTensorResult:
     """Extrapolated limit tensor plus convergence diagnostics.
@@ -157,7 +169,8 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     sample object repeated across steps (a constant family) is checked once.
     From dimension ``_CERTIFY_MIN_DIM`` on, a sample is certified by its
     fixed points, with sym0 checked directly (``tensor._certified``); any
-    other sample, or one the certificate rejects, is swept.
+    other sample, or one the certificate rejects or the fixed-point kernel
+    fails on, is swept, so no error of the kernel escapes.
     """
     steps = np.array(family.steps)
     samples = family.sample()
@@ -173,7 +186,7 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
         if d < _CERTIFY_MIN_DIM:
             _require_symmetries(s, tol, include_constant=True, what=what)
         else:
-            _certified(s, tol, lambda: (None, _fixed_points(s, tol).vectors), True, what)
+            _certified(s, tol, lambda: (None, _sample_points(s, tol)), True, what)
 
     stack = np.stack([s.entries for s in samples])  # (n_samples, d, d, d)
     x = np.sqrt(steps)

@@ -48,9 +48,14 @@ def _bound(tol: float, scale: float) -> float:
 
     ``scale`` is the size of the terms compared (README "Checks"), as a sum is
     off by a multiple of its terms' moduli (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., 3.1).  An overflowed scale gives NaN,
-    which fails every check written ``residual <= bound``.
+    Numerical Algorithms*, 2nd ed., 3.1); an array of scales gives one bound
+    per residual.  An overflowed scale gives NaN, which fails every check
+    written ``residual <= bound``.
     """
+    if isinstance(scale, np.ndarray):
+        bound = tol * np.maximum(1.0, scale)
+        return np.where(bound < math.inf, bound, math.nan)
+    # a number takes the scalar path: numpy's ufuncs cost 10 times as much on one
     bound = tol * max(1.0, scale)
     return bound if bound < math.inf else math.nan
 
@@ -83,7 +88,10 @@ class SystemValidation:
     ``pair_residuals[i, j]`` is ``|<v_i, v_j> + 1|`` for i != j (zero on the
     diagonal).  The three aggregate residuals correspond to sum(p) = 1,
     sum(p v) = 0 and sum(p |v><v|) = I, which hold automatically for a true
-    obtuse system.  ``ok`` bounds the pair residuals by ``_bound(tol, max|v|^2)``.
+    obtuse system.  ``ok`` bounds each pair residual by its own term size,
+    ``pair_bounds[i, j] = _bound(tol, |v_i| |v_j|)``, so a long vector does
+    not loosen the bound of the others; ``worst_pair`` is the pair farthest
+    over its bound.
     """
 
     probabilities: np.ndarray
@@ -94,8 +102,14 @@ class SystemValidation:
     tol: float
 
     @property
+    def pair_bounds(self) -> np.ndarray:
+        norms = np.sqrt(1.0 / self.probabilities - 1.0)  # |v_i|
+        return _bound(self.tol, np.outer(norms, norms))
+
+    @property
     def worst_pair(self) -> tuple[int, int]:
-        i, j = divmod(int(np.argmax(self.pair_residuals)), self.pair_residuals.shape[1])
+        excess = self.pair_residuals / self.pair_bounds
+        i, j = divmod(int(np.argmax(excess)), self.pair_residuals.shape[1])
         return i, j
 
     @property
@@ -104,7 +118,11 @@ class SystemValidation:
 
     @property
     def ok(self) -> bool:
-        return self.max_pair_residual <= _bound(self.tol, 1 / self.probabilities.min() - 1)
+        # no pair bound is below tol, so most systems pass on their largest
+        # residual alone; otherwise each pair on its own, so a NaN fails
+        if self.max_pair_residual <= self.tol:
+            return True
+        return bool(np.all(self.pair_residuals <= self.pair_bounds))
 
 
 def validate_obtuse_system(values, tol: float = DEFAULT_TOL) -> SystemValidation:
@@ -153,11 +171,12 @@ class ObtuseSystem:
         report = validate_obtuse_system(values, tol)
         if not report.ok:
             i, j = report.worst_pair
+            residual = float(report.pair_residuals[i, j])
             raise NotObtuse(
                 f"vectors {i} and {j} have inner product residual "
-                f"{report.max_pair_residual:.3e} > {tol:.1e} max(1, max|v|^2)",
+                f"{residual:.3e} > {report.pair_bounds[i, j]:.3e}",
                 pair=(i, j),
-                residual=report.max_pair_residual,
+                residual=residual,
             )
         return cls(values=_as_vectors(values), probabilities=report.probabilities)
 
@@ -442,9 +461,14 @@ def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL
     wy = np.sqrt(py)[:, None] * y.hatted
     big = wy[sigma].T @ np.conj(wx)
     u = big[1:, 1:]
-    corner = max(abs(big[0, 0] - 1.0), np.abs(big[0, 1:]).max(), np.abs(big[1:, 0]).max())
+    corner = max(
+        abs(big[0, 0] - 1.0),
+        float(np.max(np.abs(big[0, 1:]))),
+        float(np.max(np.abs(big[1:, 0]))),
+    )
     moved = float(np.max(np.abs(x.values @ u.T - y.values[sigma])))
-    if not max(corner, moved) <= _bound(tol, 1 / px.min() - 1):
+    # B is unitary by construction; U moves values of length up to max|v|
+    if not (corner <= _bound(tol, 1.0) and moved <= _bound(tol, np.sqrt(1 / px.min() - 1))):
         raise AmbiguousMatching(
             f"matched atoms yield no unitary relation (corner {corner:.3e}, "
             f"residual {moved:.3e})"
@@ -486,7 +510,8 @@ def embed_general(values, probabilities, y: ObtuseRV, tol: float = DEFAULT_TOL):
 
     last_res = float(np.max(np.abs(a @ w[n - 1] - arr[n - 1])))
     iso_res = float(np.max(np.abs(a @ a.conj().T - np.eye(d))))
-    if not max(last_res, iso_res) <= _bound(tol, 1 / p.min() - 1):
+    # A A* = I is unitarity; A maps the last value w_{n-1} onto x_{n-1}
+    if not (iso_res <= _bound(tol, 1.0) and last_res <= _bound(tol, np.linalg.norm(w[n - 1]))):
         raise SingularSystem(
             f"embedding inconsistent (last atom {last_res:.2e}, isometry {iso_res:.2e})"
         )

@@ -62,6 +62,10 @@ from .takagi import _unitary_sqrt
 # and the probes resolve what a cluster holds
 _CLUSTER_REL = 1e-4
 
+# a triangular pivot below this has no phase to strip: the first N values are
+# (numerically) dependent, so the system is degenerate
+_PIVOT_FLOOR = 1e-12
+
 # unit roundoff u of double precision
 _UNIT = np.finfo(float).eps / 2
 
@@ -100,7 +104,9 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
             raise NotOrthogonal("family contains a (near-)zero vector")
         gram = np.conj(arr) @ arr.T
         off = gram - np.diag(np.diagonal(gram))
-        if not float(np.max(np.abs(off))) <= _bound(tol, float(np.max(norms2))):
+        # each pair at its own term size |v_i| |v_j|
+        norms = np.sqrt(norms2)
+        if not np.all(np.abs(off) <= _bound(tol, np.outer(norms, norms))):
             raise NotOrthogonal(
                 f"family is not orthogonal: max off-diagonal {np.max(np.abs(off)):.3e}"
             )
@@ -343,12 +349,15 @@ def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:
         raise WrongCount(
             f"expected {n_plus_1} fixed points, found {len(vecs)}"
         )
-    if not np.abs(vecs[:, 0] - 1.0).max() <= _bound(tol, np.abs(vecs).max() ** 2):
+    norms2 = np.sum(np.abs(vecs) ** 2, axis=1)
+    first = vecs[:, 0]
+    # an entry of v is as large as |v|: each vector at its own scale
+    if not np.all(np.abs(first - 1.0) <= _bound(tol, np.sqrt(norms2))):
         raise WrongCount(
             "fixed points do not all have first coordinate 1; "
             "the tensor lacks the constant-coordinate relation"
         )
-    probs_all = 1.0 / np.sum(np.abs(vecs) ** 2, axis=1)
+    probs_all = 1.0 / norms2
     # deterministic atom order: descending probability, then entries
     order = sorted(
         range(len(vecs)),
@@ -381,8 +390,11 @@ def _full_unitary(u, tensor: Tensor3, tol: float) -> np.ndarray:
     if not defect <= _bound(tol, 1.0):
         raise NotUnitary(f"matrix is not unitary: defect {defect:.3e}")
     if tensor.has_constant:
-        e0 = np.eye(d)[0]
-        corner = float(max(np.abs(mat[0] - e0).max(), np.abs(mat[:, 0] - e0).max()))
+        corner = max(
+            abs(mat[0, 0] - 1.0),
+            float(np.max(np.abs(mat[0, 1:]))) if d > 1 else 0.0,
+            float(np.max(np.abs(mat[1:, 0]))) if d > 1 else 0.0,
+        )
         if not corner <= _bound(tol, 1.0):
             raise DimensionMismatch(
                 "unitary must fix the constant coordinate e_0 "
@@ -507,10 +519,13 @@ def extract_phases(triangular, tol: float = DEFAULT_TOL):
     triangularized obtuse system (residual imaginary parts stay large).
     """
     arr = np.asarray(triangular, dtype=complex)
-    pivots = arr.diagonal()
-    if not pivots.all():
-        raise NotObtuse(f"triangular pivot {np.argmin(pivots != 0)} vanishes; system degenerate")
-    phases = pivots / np.abs(pivots)
+    n = arr.shape[1]
+    phases = np.ones(n, dtype=complex)
+    for j in range(n):
+        pivot = arr[j, j]
+        if abs(pivot) < _PIVOT_FLOOR:
+            raise NotObtuse(f"triangular pivot {j} vanishes; system degenerate")
+        phases[j] = pivot / abs(pivot)
     real_values = arr * np.conj(phases)[None, :]
     imag_max = float(np.max(np.abs(real_values.imag)))
     if not imag_max <= _bound(tol, np.abs(arr).max()):

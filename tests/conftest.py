@@ -11,7 +11,7 @@ and one Brownian direction proportional to (i, 1).
 import numpy as np
 import pytest
 
-from obtusewalk import ObtuseRV, haar_unitary, tensor_of
+from obtusewalk import ObtuseRV, TensorFamily, haar_unitary, tensor_of
 from obtusewalk.takagi import _unitary_sqrt
 
 REFERENCE_VALUES = np.array(
@@ -131,30 +131,36 @@ def greedy_match(found, expected) -> float:
     return worst
 
 
-def scaled_family(n, k, c, rng, steps):
+# the steps of the benchmark's scaled families
+SCALED_STEPS = tuple(0.01 * 4.0**-k for k in range(5))
+
+
+def scaled_family(n, k, c, rng, steps, light=None):
     """Sampled systems whose first k atoms have probability c*h, and Lambda.
 
     In the limit the k light atoms become Poisson directions of intensity c
     and the other n - k directions are Brownian.  The real system (rows of
-    an orthogonal matrix with first column sqrt(p), from Gram-Schmidt run
-    twice, which is smooth in p) is rotated by a random diagonal phase
-    unitary u, which gives Lambda = u u^T.  The draws from ``rng`` match
+    ``_gram_schmidt(p)`` over sqrt(p)) is rotated by a random diagonal phase
+    unitary u, which gives Lambda = u u^T.  ``light(h)``, if given, replaces
+    c*h as the probability of a light atom.  The draws from ``rng`` match
     the benchmark's generator of the same name.
     """
     rest = rng.dirichlet(np.full(n + 1 - k, 5.0))
     phases = np.exp(2j * np.pi * rng.random(n))
     systems = []
     for h in steps:
-        p = np.concatenate([np.full(k, c * h), (1.0 - k * c * h) * rest])
-        cols = [np.sqrt(p)]
-        for e in np.eye(n + 1)[1:]:
-            for _ in range(2):
-                for q in cols:
-                    e = e - np.dot(q, e) * q
-            cols.append(e / np.linalg.norm(e))
-        real = (np.column_stack(cols) / np.sqrt(p)[:, None])[:, 1:]
+        q = c * h if light is None else light(h)
+        p = np.concatenate([np.full(k, q), (1.0 - k * q) * rest])
+        real = _gram_schmidt(p)[:, 1:] / np.sqrt(p)[:, None]
         systems.append(real * phases[None, :])
     return systems, np.diag(phases**2)
+
+
+def sampled_family(steps, systems):
+    """The ``TensorFamily`` of the tensors of value arrays, one per step."""
+    return TensorFamily.from_samples(
+        steps, [tensor_of(ObtuseRV.from_values(v)) for v in systems]
+    )
 
 
 def _gram_schmidt(p):

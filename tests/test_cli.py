@@ -80,6 +80,12 @@ class TestValidate:
         assert not report["ok"]
         assert sorted(report["worst_pair"]) == [0, 2]
 
+    def test_long_vector_does_not_excuse_the_others(self, tmp_path, capsys):
+        values = [[1e5, 0], [0, 1], [0, 1]]
+        doc = {"dim": 2, "values": [[{"re": x, "im": 0} for x in v] for v in values]}
+        assert main(["validate", write_json(tmp_path / "sys.json", doc)]) == 1
+        assert not json.loads(capsys.readouterr().out)["ok"]
+
 
 class TestTensor:
     def test_reference_entries(self, tmp_path, capsys):

@@ -15,15 +15,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obtusewalk import ObtuseRV, TensorFamily, classify, limit_tensor, serialize, tensor_of
+from obtusewalk import classify, limit_tensor, serialize
 from obtusewalk.cli import main
 from obtusewalk.limits import DEFAULT_STEPS
-from conftest import closed_form_family, closed_form_spec, greedy_match, scaled_family
+from conftest import (
+    SCALED_STEPS,
+    closed_form_family,
+    closed_form_spec,
+    greedy_match,
+    sampled_family,
+    scaled_family,
+)
 
 DATA = Path(__file__).parent / "data"
-
-# the steps and intensity range of the benchmark's scaled families
-SCALED_STEPS = tuple(0.01 * 4.0**-k for k in range(5))
 
 
 def corpus():
@@ -64,8 +68,7 @@ def assert_limit(spec, lam, c, dirs=None):
 class TestCorpus:
     def test_library(self):
         for n, lam, c, systems, dirs in corpus():
-            samples = [tensor_of(ObtuseRV.from_values(v)) for v in systems]
-            result = limit_tensor(TensorFamily.from_samples(SCALED_STEPS, samples))
+            result = limit_tensor(sampled_family(SCALED_STEPS, systems))
             assert_limit(classify(result), lam, c, dirs)
 
     def test_cli(self, tmp_path):
@@ -99,8 +102,7 @@ KNOWN_DEFECTS = [(0.01 * m, 1) for m in range(1, 10)] + [
 @pytest.mark.parametrize("c, seed", KNOWN_DEFECTS)
 def test_known_defect_families(c, seed):
     systems, lam = scaled_family(2, 1, c, np.random.default_rng([seed]), DEFAULT_STEPS)
-    samples = [tensor_of(ObtuseRV.from_values(v)) for v in systems]
-    spec = classify(limit_tensor(TensorFamily.from_samples(DEFAULT_STEPS, samples)))
+    spec = classify(limit_tensor(sampled_family(DEFAULT_STEPS, systems)))
     assert (spec.n_poisson, spec.n_brownian) == (1, 1)
     np.testing.assert_allclose(spec.intensities, [c], rtol=1e-6)
     assert np.max(np.abs(spec.lambda_matrix - lam)) <= 1e-6

@@ -28,13 +28,14 @@ from obtusewalk import (
 )
 from obtusewalk.errors import (
     InconsistentCount,
+    NoConvergence,
     NotDoublySymmetric,
     ObtuseWalkError,
     StructureViolation,
 )
 from obtusewalk.obtuse import _bound, _khatri_rao
 from obtusewalk.takagi import _unitary_sqrt
-from conftest import scaled_family
+from conftest import SCALED_STEPS, sampled_family, scaled_family
 
 
 def limit_of(vectors, v):
@@ -96,6 +97,12 @@ def perturbed_samples():
             t = s.copy()
             t[1:, 1:, :] += noise(rng, (d, d, d), eps, symmetric)[1:, 1:, :]
             yield n, Tensor3(t)
+
+
+def scaled_16():
+    """A scaled family in C^16 with three jumps: samples of d = 17 and entries up to 1e4."""
+    systems, _ = scaled_family(16, 3, 3e-4, np.random.default_rng(4), SCALED_STEPS)
+    return sampled_family(SCALED_STEPS, systems)
 
 
 @pytest.fixture
@@ -193,14 +200,27 @@ class TestFastPath:
     def test_scaled_samples_certify(self, sample_sweeps):
         # entries of 5e2 to 1e4: the sweep's rounding, 2 gamma_{d+2} d max|S|^2
         # ~ 3e-7, fits under the relative bound of sym2 and sym3
-        steps = tuple(0.01 * 4.0**-k for k in range(5))
-        systems, _ = scaled_family(16, 3, 3e-4, np.random.default_rng(4), steps)
-        samples = [tensor_of(ObtuseRV.from_values(v)) for v in systems]
-        for s in samples:
+        family = scaled_16()
+        for s in family.sample():
             assert s.dim >= limits._CERTIFY_MIN_DIM
             assert np.max(np.abs(s.entries)) >= 5e2
-        limit_tensor(TensorFamily.from_samples(steps, samples))
+        limit_tensor(family)
         assert sample_sweeps == []
+
+    @pytest.mark.parametrize(
+        "error", [NoConvergence("forced", residual=1.0), np.linalg.LinAlgError("forced")]
+    )
+    def test_kernel_failure_leaves_a_sample_to_the_sweep(self, monkeypatch, sample_sweeps, error):
+        family = scaled_16()
+        expected = limit_tensor(family)
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(limits, "_fixed_points", failing)
+        result = limit_tensor(family)
+        assert len(sample_sweeps) == len(SCALED_STEPS)
+        assert np.array_equal(result.tensor.entries, expected.tensor.entries)
 
 
 def classify_sweep_first(m, tol):

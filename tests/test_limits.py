@@ -31,19 +31,17 @@ from obtusewalk.limits import (
     _real_complement,
 )
 from conftest import (
-    _gram_schmidt,
     JUMP_LAMBDA,
     JUMP_M1,
     JUMP_M2,
     JUMP_POISSON_DIR,
     REFERENCE_LAMBDA,
+    SCALED_STEPS,
     greedy_match,
     jump_rv,
+    sampled_family,
     scaled_family,
 )
-
-
-SCALED_STEPS = tuple(0.01 * 4.0**-k for k in range(5))
 
 
 def jump_family():
@@ -98,22 +96,13 @@ def loop_limit(family):
     return entries, worst, worst_entry, max(errors.values())
 
 
-def light_family(n, steps, seed, p_light=lambda h: 3e-4 * h, rotate=None):
-    """One light atom of probability ``p_light(h)`` in C^n, as in ``scaled_family``.
-
-    ``rotate(values, index, h)`` changes the values of sample ``index``.
-    """
-    rng = np.random.default_rng(seed)
-    rest = rng.dirichlet(np.full(n, 5.0))
-    phases = np.exp(2j * np.pi * rng.random(n))
-    samples = []
-    for index, h in enumerate(steps):
-        p = np.concatenate([[p_light(h)], (1.0 - p_light(h)) * rest])
-        values = _gram_schmidt(p)[:, 1:] / np.sqrt(p)[:, None] * phases
-        if rotate is not None:
-            values = rotate(values, index, h)
-        samples.append(tensor_of(ObtuseRV.from_values(values)))
-    return TensorFamily.from_samples(steps, samples)
+def light_family(n, steps, seed, light=None, rotate=None):
+    """``scaled_family`` with one light atom, c = 3e-4; ``rotate(values, index, h)``
+    changes the values of sample ``index``."""
+    systems, _ = scaled_family(n, 1, 3e-4, np.random.default_rng(seed), steps, light)
+    if rotate is not None:
+        systems = [rotate(v, i, h) for i, (v, h) in enumerate(zip(systems, steps))]
+    return sampled_family(steps, systems)
 
 
 def flip_first(values, index, h):
@@ -245,7 +234,7 @@ class TestLimitTensor:
         assert "({},{},{})".format(*exc.value.entry) in str(exc.value)
 
     @pytest.mark.parametrize(
-        "p_light, rotate",
+        "light, rotate",
         [
             (lambda h: 3e-4 * h * h, None),  # sqrt(h) S diverges like h^{-1/2}
             (lambda h: 3e-4 * np.sqrt(h), None),  # sqrt(h) S goes like h^{1/4}
@@ -253,9 +242,9 @@ class TestLimitTensor:
         ],
         ids=["c-h2", "c-sqrt-h", "log-phase"],
     )
-    def test_families_without_sqrt_h_expansion_have_no_limit(self, p_light, rotate):
+    def test_families_without_sqrt_h_expansion_have_no_limit(self, light, rotate):
         for steps in (DEFAULT_STEPS, SCALED_STEPS):
-            family = light_family(4, steps, seed=1, p_light=p_light, rotate=rotate)
+            family = light_family(4, steps, seed=1, light=light, rotate=rotate)
             with pytest.raises(NoApparentLimit):
                 limit_tensor(family)
 
@@ -266,10 +255,7 @@ class TestLimitTensor:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_non_geometric_grid(self, n, steps):
         systems, lam = scaled_family(n, 1, 3e-4, np.random.default_rng(n), steps)
-        family = TensorFamily.from_samples(
-            steps, [tensor_of(ObtuseRV.from_values(v)) for v in systems]
-        )
-        spec = classify(limit_tensor(family))
+        spec = classify(limit_tensor(sampled_family(steps, systems)))
         assert (spec.n_poisson, spec.n_brownian) == (1, n - 1)
         np.testing.assert_allclose(spec.intensities, [3e-4], rtol=1e-9)
         # nodes 0.009 / 0.01 apart amplify rounding by 1 / (1 - q) ~ 20
@@ -392,10 +378,7 @@ class TestClassify:
     )
     def test_scaled_family(self, n, k, c, rng):
         systems, lam = scaled_family(n, k, c, rng, DEFAULT_STEPS)
-        family = TensorFamily.from_samples(
-            DEFAULT_STEPS, [tensor_of(ObtuseRV.from_values(v)) for v in systems]
-        )
-        spec = classify(limit_tensor(family))
+        spec = classify(limit_tensor(sampled_family(DEFAULT_STEPS, systems)))
         assert (spec.n_poisson, spec.n_brownian) == (k, n - k)
         np.testing.assert_allclose(spec.intensities, np.full(k, c), rtol=1e-6)
         assert np.max(np.abs(spec.lambda_matrix - lam)) <= 1e-6

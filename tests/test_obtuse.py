@@ -24,10 +24,12 @@ from obtusewalk import (
 )
 from obtusewalk.obtuse import _SWEEP_BLOCK_BYTES
 from obtusewalk.errors import (
+    AmbiguousMatching,
     DimensionMismatch,
     MinimalSupport,
     NotObtuse,
     ProbabilityMismatch,
+    SingularSystem,
 )
 from conftest import (
     REFERENCE_PROBS,
@@ -57,6 +59,26 @@ class TestValidation:
         with pytest.raises(NotObtuse) as err:
             ObtuseSystem.from_values(values)
         assert err.value.pair in {(0, 2), (2, 0)}
+
+    def test_long_vector_does_not_excuse_the_others(self):
+        # |v_0|^2 = 1e10: at tol max|v|^2 the residuals 1, 1 and 2 would pass
+        values = [[1e5, 0], [0, 1], [0, 1]]
+        report = validate_obtuse_system(values)
+        assert report.max_pair_residual == 2.0
+        assert not report.ok
+        with pytest.raises(NotObtuse):
+            ObtuseSystem.from_values(values)
+
+    def test_light_atom_does_not_excuse_a_heavy_pair(self):
+        values = system_from_probabilities([1e-8, 0.3, 0.3, 0.4 - 1e-8]).values.copy()
+        assert validate_obtuse_system(values).ok
+        values[1] *= 1 + 5e-4  # residual 5e-4 on every pair of atom 1
+        report = validate_obtuse_system(values)
+        assert not report.ok
+        assert 1 in report.worst_pair and 0 not in report.worst_pair
+        with pytest.raises(NotObtuse) as err:
+            ObtuseSystem.from_values(values)
+        assert err.value.residual == pytest.approx(5e-4, rel=1e-3)
 
     def test_one_dimensional_bernoulli(self):
         report = validate_obtuse_system(np.array([[1.0], [-1.0]]))
@@ -311,6 +333,15 @@ class TestUniqueness:
         assert np.max(np.abs(base.values @ u.T - rotated.values[sigma])) <= 1e-9
         assert np.max(np.abs(u.conj().T @ u - np.eye(15))) <= 1e-12
 
+    def test_light_atom_does_not_excuse_a_broken_match(self):
+        # corner 4.6e-4: at tol max|v|^2 = 0.1 the relation would be accepted
+        x = ObtuseRV(system_from_probabilities([1e-8, 0.3, 0.3, 0.4 - 1e-8]))
+        values = x.values.copy()
+        values[1] *= 1 + 1e-3
+        y = ObtuseRV(ObtuseSystem(values=values, probabilities=x.probabilities))
+        with pytest.raises(AmbiguousMatching):
+            relate_same_probabilities(x, y)
+
     def test_probability_mismatch_raises(self, reference_rv):
         other = ObtuseRV(system_from_probabilities([0.5, 0.3, 0.2]))
         with pytest.raises(ProbabilityMismatch):
@@ -339,6 +370,14 @@ class TestEmbedding:
         rv = bernoulli_rv()
         a = embed_general(rv.values, rv.probabilities, rv)
         np.testing.assert_allclose(a, [[1.0]], atol=1e-12)
+
+    def test_light_atom_does_not_excuse_a_broken_isometry(self):
+        x = ObtuseRV(system_from_probabilities([1e-8, 0.3, 0.3, 0.4 - 1e-8]))
+        values = x.values.copy()
+        values[1] *= 1 + 1e-3
+        y = ObtuseRV(ObtuseSystem(values=values, probabilities=x.probabilities))
+        with pytest.raises(SingularSystem):
+            embed_general(x.values, x.probabilities, y)
 
     def test_minimal_support_enforced(self):
         rv = bernoulli_rv()

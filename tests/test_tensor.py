@@ -34,6 +34,7 @@ from obtusewalk.errors import (
     WrongCount,
 )
 from obtusewalk.limits import DEFAULT_STEPS
+from obtusewalk.tensor import _obtuse_system
 from conftest import (
     REFERENCE_PROBS,
     REFERENCE_VALUES,
@@ -95,6 +96,11 @@ class TestFromFamily:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(NotOrthogonal):
             tensor_from_family([[1.0, 0.0], [1.0, 1.0]])
+
+    def test_long_vector_does_not_excuse_the_others(self):
+        # <v_1, v_2> = 1e-6 is held to tol, not to tol |v_0|^2 = 10
+        with pytest.raises(NotOrthogonal):
+            tensor_from_family([[1e5, 0, 0], [0, 1, 0], [0, 1e-6, 1]])
 
 
 def check_sym(tensor):
@@ -234,6 +240,15 @@ class TestObtuseFixedPoints:
         delta = tensor_from_family(np.eye(3), has_constant=True)
         with pytest.raises(WrongCount):
             obtuse_fixed_points(delta)
+
+    def test_first_coordinate_at_each_vectors_scale(self):
+        # |v_0|^2 = 1e8 must not excuse a defect of 1e-6 in a short vector
+        vecs = system_from_probabilities([1e-8, 0.3, 0.3, 0.4 - 1e-8]).values
+        vecs = np.hstack([np.ones((4, 1)), vecs])
+        assert len(_obtuse_system(vecs, 1e-9).values) == 4
+        vecs[2, 0] += 1e-6
+        with pytest.raises(WrongCount):
+            _obtuse_system(vecs, 1e-9)
 
     def test_bernoulli(self):
         system = obtuse_fixed_points(tensor_of(bernoulli_rv()))
