@@ -9,15 +9,14 @@ unitary, and together they pin down the law of the limiting normal
 martingale: jumps happen along the fixed points of M with Poisson rates
 1/|v|^2; the remaining dimensions carry a rotated real Brownian motion.
 
-Both steps gate their input the way ``diagonalize`` does: the fixed points
-certify double symmetry at O(d^4) (``tensor._certificate_bounds``), and the
-O(d^5) sweep runs only where the certificate rejects or cannot pay off.
-``limit_tensor`` certifies a sample from dimension ``_CERTIFY_MIN_DIM`` on.
-``classify`` certifies the inner tensor and checks sym1 and the four Lambda
-relations exactly; on a certified report sym2 and sym3 are the
-certificate's upper bounds, not swept residuals.  A rejected tensor is swept
-once, with the results and errors of sweeping first.  Every bound is
-relative (``obtuse._bound``).
+Both steps check their tensors in the gate of ``diagonalize``
+(``tensor._certify_or_sweep``): the fixed points certify double symmetry at
+O(d^4), and a tensor they fail to certify is swept once, with the results
+and errors of sweeping first.  The one exception is by size: ``limit_tensor``
+sweeps a sample below dimension ``_CERTIFY_MIN_DIM``, where the sweep is the
+cheaper check.  ``classify`` adds the four Lambda relations to the gate's
+report, so on a certified report sym2 and sym3 are the certificate's upper
+bounds, not swept residuals.  Every bound is relative (``obtuse._bound``).
 """
 
 from __future__ import annotations
@@ -31,12 +30,12 @@ from .errors import (
     InconsistentCount,
     NoApparentLimit,
     NonPositiveStep,
-    ObtuseWalkError,
+    NotDoublySymmetric,
     StructureViolation,
 )
-from .obtuse import DEFAULT_TOL, Tensor3, _bound, _sym1, check_symmetries
+from .obtuse import DEFAULT_TOL, Tensor3, _bound, check_symmetries
 from .takagi import _unitary_sqrt
-from .tensor import _certificate_bounds, _certified, _fixed_points, _require_symmetries
+from .tensor import _certify_or_sweep, _fixed_points
 
 # bound on an entry's extrapolation error over max(1, max|limit|): it is at most
 # 3.1e-6 with a sqrt(h) expansion (N = 2 jumps of intensity <= 0.09, DEFAULT_STEPS)
@@ -129,18 +128,6 @@ def _first_entry(mask: np.ndarray) -> tuple:
     return tuple(int(x) for x in np.argwhere(mask)[0] + (1, 1, 0))
 
 
-def _sample_points(sample: Tensor3, tol: float) -> np.ndarray:
-    """Fixed points of ``sample``, or none if the kernel fails on it.
-
-    An empty family certifies nothing, so the sweep alone then decides the
-    sample: a valid one passes even where the kernel cannot resolve it.
-    """
-    try:
-        return _fixed_points(sample, tol).vectors
-    except (ObtuseWalkError, np.linalg.LinAlgError):
-        return np.zeros((0, sample.dim), dtype=complex)
-
-
 @dataclass(frozen=True)
 class LimitTensorResult:
     """Extrapolated limit tensor plus convergence diagnostics.
@@ -166,11 +153,10 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     ``NoApparentLimit`` at the first entry whose error estimate
     (``_extrapolate``) exceeds ``_bound(_EXTRAPOLATION_TOL, max|M|)``, and
     ``NotDoublySymmetric`` if a sample violates the tensor symmetries.  A
-    sample object repeated across steps (a constant family) is checked once.
-    From dimension ``_CERTIFY_MIN_DIM`` on, a sample is certified by its
-    fixed points, with sym0 checked directly (``tensor._certified``); any
-    other sample, or one the certificate rejects or the fixed-point kernel
-    fails on, is swept, so no error of the kernel escapes.
+    sample object repeated across steps (a constant family) is checked once:
+    from dimension ``_CERTIFY_MIN_DIM`` on in the gate of ``diagonalize``
+    (``tensor._certify_or_sweep``), below it by one sweep.  The sample's
+    report alone decides it, so no error of the fixed-point kernel escapes.
     """
     steps = np.array(family.steps)
     samples = family.sample()
@@ -182,11 +168,15 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
         if id(s) in checked:
             continue
         checked.add(id(s))
-        what = f"sample at h={h} violates tensor symmetries:"
         if d < _CERTIFY_MIN_DIM:
-            _require_symmetries(s, tol, include_constant=True, what=what)
+            report = check_symmetries(s, tol=tol)
         else:
-            _certified(s, tol, lambda: (None, _sample_points(s, tol)), True, what)
+            _, report, _ = _certify_or_sweep(
+                s, tol, lambda: (None, _fixed_points(s, tol).vectors), include_constant=True
+            )
+        if not report.ok:
+            what = f"sample at h={h} violates tensor symmetries:"
+            raise NotDoublySymmetric(f"{what} {report.residuals()}")
 
     stack = np.stack([s.entries for s in samples])  # (n_samples, d, d, d)
     x = np.sqrt(steps)
@@ -352,31 +342,6 @@ def _real_complement(rows: np.ndarray, n: int) -> np.ndarray:
     return comp * np.where(pivots < 0, -1.0, 1.0)[:, None]
 
 
-def _structure(m, inner_t: Tensor3, lam: np.ndarray, tol: float):
-    """``classify``'s structure report and the fixed points of its inner tensor."""
-    inner = inner_t.entries
-    big = float(np.abs(inner).max(initial=0.0))
-    error = None
-    try:
-        with np.errstate(all="ignore"):
-            dirs = _fixed_points(inner_t, tol).vectors
-            _, sym23 = _certificate_bounds(inner, dirs)
-            relations = _lambda_relations(inner, lam)
-        report = LimitSymmetryReport(_sym1(inner), sym23, sym23, *relations, tol, len(inner), big)
-        if report.ok:
-            return report, dirs
-    except (ObtuseWalkError, np.linalg.LinAlgError) as exc:
-        error = exc
-    report = check_limit_symmetries(m, tol=tol)
-    if not report.ok:
-        raise StructureViolation(
-            f"limit tensor fails structure relations: {report.residuals()}"
-        )
-    if error is not None:
-        raise error
-    return report, dirs
-
-
 def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     """Split a limit tensor into Poisson directions and a Brownian subspace.
 
@@ -392,20 +357,33 @@ def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     factor does, and ``InconsistentCount`` is raised.
 
     Every check uses one tolerance, ``tol`` plus a ``LimitTensorResult``'s
-    ``noise``.  The structure report is the one gate on the limit relations.
-    The fixed points come first and certify sym2 and sym3; sym1 and the
-    Lambda relations are computed exactly.  So on a certified report sym2 and
-    sym3 are upper bounds (``LimitSymmetryReport``).  A tensor that fails
-    this check, or on which the kernel raises, is swept once by
-    ``check_limit_symmetries``: a failing relation raises
-    ``StructureViolation``, then the kernel's error stands, else the swept
-    report is kept.
+    ``noise``.  The structure report is the one gate on the limit relations:
+    the report of the inner tensor from the gate of ``diagonalize``
+    (``tensor._certify_or_sweep``) plus the four Lambda relations, computed
+    exactly.  The fixed points certify it when the whole report passes, and
+    then sym2 and sym3 are upper bounds (``LimitSymmetryReport``); otherwise,
+    or if the kernel raises, the inner tensor is swept once.  A failing
+    relation raises ``StructureViolation``, then the kernel's error stands.
     """
     inner, lam = _split_limit(m)
     tol += m.noise if isinstance(m, LimitTensorResult) else 0.0
     n = inner.shape[0]
     inner_t = Tensor3(inner, has_constant=False)
-    report, dirs = _structure(m, inner_t, lam, tol)
+    relations = _lambda_relations(inner, lam)
+
+    def structure(rep) -> LimitSymmetryReport:
+        return LimitSymmetryReport(rep.sym1, rep.sym2, rep.sym3, *relations, tol, n, rep.scale)
+
+    def kernel():
+        dirs = _fixed_points(inner_t, tol).vectors
+        return dirs, dirs
+
+    dirs, rep, error = _certify_or_sweep(inner_t, tol, kernel, accept=lambda r: structure(r).ok)
+    report = structure(rep)
+    if not report.ok:
+        raise StructureViolation(f"limit tensor fails structure relations: {report.residuals()}")
+    if error is not None:
+        raise error
     if len(dirs) > n:
         raise InconsistentCount(f"{len(dirs)} jump directions in dimension {n}")
 

@@ -159,6 +159,25 @@ def validate_obtuse_system(values, tol: float = DEFAULT_TOL) -> SystemValidation
     )
 
 
+def _require_obtuse(values, tol: float, what: str = "") -> SystemValidation:
+    """``validate_obtuse_system``, raising ``NotObtuse`` unless the report is ok.
+
+    The error names the pair farthest over its bound (``worst_pair``) with
+    that pair's own residual and bound, after the prefix ``what``.
+    """
+    report = validate_obtuse_system(values, tol)
+    if not report.ok:
+        i, j = report.worst_pair
+        residual = float(report.pair_residuals[i, j])
+        raise NotObtuse(
+            f"{what}vectors {i} and {j} have inner product residual "
+            f"{residual:.3e} > {report.pair_bounds[i, j]:.3e}",
+            pair=(i, j),
+            residual=residual,
+        )
+    return report
+
+
 @dataclass(frozen=True)
 class ObtuseSystem:
     """An obtuse system: N+1 vectors of C^N plus their probabilities."""
@@ -168,16 +187,7 @@ class ObtuseSystem:
 
     @classmethod
     def from_values(cls, values, tol: float = DEFAULT_TOL) -> "ObtuseSystem":
-        report = validate_obtuse_system(values, tol)
-        if not report.ok:
-            i, j = report.worst_pair
-            residual = float(report.pair_residuals[i, j])
-            raise NotObtuse(
-                f"vectors {i} and {j} have inner product residual "
-                f"{residual:.3e} > {report.pair_bounds[i, j]:.3e}",
-                pair=(i, j),
-                residual=residual,
-            )
+        report = _require_obtuse(values, tol)
         return cls(values=_as_vectors(values), probabilities=report.probabilities)
 
     @property

@@ -24,8 +24,10 @@ from .errors import DimensionMismatch, NoConvergence, NotSymmetric
 from .obtuse import DEFAULT_TOL, _bound
 
 _EPS = np.finfo(float).eps
-# singular values closer than this fraction of the largest share a cluster: a
-# pair split at relative gap g costs eps/g, one kept together only rounding
+# singular values (here) or eigenvalues (``tensor.diagonalize``) at a relative
+# gap below this share a cluster: a vector split off at gap g is accurate to
+# eps/g, which misses a 1e-9 residual below g ~ 1e-7, so 1e-4 leaves a wide
+# margin; a cluster is resolved as one block (a square root here, probes there)
 _CLUSTER_REL = 1e-4
 # eigenvalues of Re(B) in [-1, 1] this close share an eigenspace: eigh's
 # vectors are accurate to eps/gap, so Im(B) is diagonalized there again

@@ -12,14 +12,15 @@ is one deterministic kernel, an eigendecomposition of sum_k S_k S_k^*
 whose clusters of equal weights are split by a fixed sequence of probes
 (see ``diagonalize``); it draws no random numbers.
 
-The same bijection checks its own input.  ``diagonalize`` and ``realify``
-run their kernel first and rebuild R = sum_m w_m v_m (x) v_m (x) conj(v_m)
+The same bijection checks its own input, in one gate, ``_certify_or_sweep``.
+It runs a kernel first and rebuilds R = sum_m w_m v_m (x) v_m (x) conj(v_m)
 from the fixed points it found; R is doubly symmetric up to the family's
-orthogonality defect, and S is within max|S - R| of it, which bounds the
-residuals of S at O(d^4) (see ``_certificate_bounds``).  Only when that bound
-exceeds what the sweep accepts, or the kernel fails, do they run the O(d^5)
-sweep ``check_symmetries``, to name the failing relation.  ``limits`` gates
-``limit_tensor`` samples and ``classify`` with the same bounds.  Rebuilt
+orthogonality defect, and S is within max|S - R| of it, which bounds sym2
+and sym3 of S at O(d^4) (see ``_certificate_bounds``), while sym0 and sym1
+are computed exactly.  Only when that report fails, or the kernel fails,
+does the gate run the O(d^5) sweep ``check_symmetries``, once.
+``diagonalize``, ``realify``, and in ``limits`` both ``classify`` and the
+``limit_tensor`` samples of dimension 10 or more go through it.  Rebuilt
 tensors, like ``tensor_of`` and ``tensor_from_family``, are one BLAS
 product.
 """
@@ -49,18 +50,12 @@ from .obtuse import (
     Tensor3,
     _bound,
     _khatri_rao,
+    _require_obtuse,
     _sym0,
+    _sym1,
     check_symmetries,
-    validate_obtuse_system,
 )
-from .takagi import _unitary_sqrt
-
-# eigenvalues of G = sum_k S_k S_k^* (or of a probe) whose gap is below this
-# fraction of the larger one share a cluster.  An eigenvector is accurate to
-# about eps/gap, so directions closer than ~1e-7 could not meet a 1e-9
-# residual if split by one eigendecomposition; 1e-4 leaves a wide margin,
-# and the probes resolve what a cluster holds
-_CLUSTER_REL = 1e-4
+from .takagi import _CLUSTER_REL, _unitary_sqrt
 
 # a triangular pivot below this has no phase to strip: the first N values are
 # (numerically) dependent, so the system is degenerate
@@ -116,8 +111,8 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
 def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
     """Recover the orthogonal family {v : S(v) = v (x) v, v != 0}.
 
-    Requires the tensor to be doubly symmetric (``SymmetryReport``),
-    which the fixed points themselves certify (``_certified``); only a
+    Requires the tensor to be doubly symmetric (``SymmetryReport``), which
+    the fixed points themselves certify (``_certify_or_sweep``); only a
     tensor they fail to certify is swept, and ``NotDoublySymmetric`` names
     the relation it fails.  The algorithm is direct and deterministic:
 
@@ -151,19 +146,12 @@ def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
         result = _fixed_points(tensor, tol)
         return result, result.vectors
 
-    what = "tensor is not doubly symmetric: residuals"
-    return _certified(tensor, tol, kernel, include_constant=False, what=what)
-
-
-def _certifies(s: np.ndarray, vectors: np.ndarray, tol: float) -> bool:
-    """Whether the fixed points ``vectors`` of ``s`` certify sym1-sym3 within ``tol``.
-
-    The bounds of ``_certificate_bounds`` must pass the sweep's own check
-    (``SymmetryReport``); a NaN bound rejects.
-    """
-    sym1, sym23 = _certificate_bounds(s, vectors)
-    scale = float(np.abs(s).max(initial=0.0))
-    return SymmetryReport(None, sym1, sym23, sym23, tol, len(s), scale).ok
+    result, report, error = _certify_or_sweep(tensor, tol, kernel)
+    if not report.ok:
+        raise NotDoublySymmetric(f"tensor is not doubly symmetric: residuals {report.residuals()}")
+    if error is not None:
+        raise error
+    return result
 
 
 def _gamma(n: int) -> float:
@@ -171,20 +159,17 @@ def _gamma(n: int) -> float:
     return n * _UNIT / (1 - n * _UNIT)
 
 
-def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> tuple[float, float]:
-    """Upper bounds on sym1 and on sym2, sym3 of ``s`` from its fixed points.
+def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> float:
+    """Upper bound on sym2 and sym3 of ``s`` from its fixed points ``vectors``.
 
     With w_m = 1/|v_m|^2, R = sum_m w_m v_m (x) v_m (x) conj(v_m) and
     delta = max|S - R|, each relation moves by at most the perturbation of
-    its terms:
+    its terms, and sym2 and sym3 compare sums of d products of two entries:
 
-        sym1(S)   <= sym1(R) + 2 delta,
-        sym2,3(S) <= sym2,3(R) + 2 d delta (2 max|R| + delta),
+        sym2,3(S) <= sym2,3(R) + 2 d delta (2 max|R| + delta).
 
-    since sym2 and sym3 compare sums of d products of two entries.  R is
-    symmetric in (i, j), sym1(R) = 0, and both product sums of R are
-    sum_{a,b} w_a w_b <a, b> times entries of a and b, whose a = b terms are
-    symmetric in (i, k), so
+    Both product sums of R are sum_{a,b} w_a w_b <a, b> times entries of a
+    and b, whose a = b terms are symmetric in (i, k), so
 
         sym2,3(R) <= 2 sum_{a != b} w_a w_b |a|_inf^2 |b|_inf^2 |<a, b>|,
 
@@ -198,7 +183,7 @@ def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> tuple[float, floa
     of d products lie within 2 gamma_{d+2} d max|S|^2 of the exact
     residuals, a term added so that whatever the certificate accepts,
     ``check_symmetries`` accepts at the same ``tol``.  Cost O(K d^3) for R;
-    a NaN anywhere makes a bound NaN.
+    a NaN anywhere makes the bound NaN.
     """
     d = s.shape[0]
     mag = np.abs(vectors)
@@ -215,47 +200,41 @@ def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> tuple[float, floa
     # sum_{a != b} c_a c_b gamma |a| |b| <= gamma (sum_a c_a |a|)^2
     sym23 = 2 * (c @ gram @ c + _gamma(d + 2) * (c @ np.sqrt(norms2)) ** 2)
     sym23 += 2 * d * (delta * (2 * big + delta) + _gamma(d + 2) * (big + delta) * (big + delta))
-    # 16 u covers the rounding of the bounds themselves
-    return float(2 * delta * (1 + 16 * _UNIT)), float(sym23 * (1 + 16 * _UNIT))
+    # 16 u covers the rounding of the bound itself
+    return float(sym23 * (1 + 16 * _UNIT))
 
 
-def _certified(tensor: Tensor3, tol: float, kernel, include_constant: bool, what: str):
-    """The result of ``kernel()`` on a tensor that its fixed points certify.
+def _certify_or_sweep(
+    tensor: Tensor3, tol: float, kernel, include_constant: bool = False, accept=None
+):
+    """The symmetry report of ``tensor``, certified by its fixed points if they can.
 
-    ``kernel`` returns the result and the fixed points of ``tensor`` it
-    found.  With ``include_constant``, sym0 is checked directly first, O(d^2).
-    If the fixed points do not certify the tensor (``_certifies``), or the
-    kernel raises a domain or ``LinAlgError``, the tensor is swept once: a
-    failing relation raises ``NotDoublySymmetric`` ("<what> {residuals}"),
-    else the kernel's result or error stands.  The kernel is deterministic,
-    so this returns and raises what sweeping first would.  Non-finite values
-    (overflowed products of huge entries, a zero fixed point of a tensor
-    that is not doubly symmetric) fail the certificate and are the sweep's
-    to report, so they raise no warning here.
+    ``kernel()`` returns a result and the fixed points of ``tensor`` it
+    found.  Their certificate reports sym0 (with ``include_constant``) and
+    sym1 exactly and sym2, sym3 by ``_certificate_bounds``, and stands if it
+    passes ``accept`` (default: its own ``ok``).  Otherwise, or if the kernel
+    raises a domain or ``LinAlgError``, the tensor is swept once and the
+    sweep's report stands.  Returns ``(result, report, error)`` with the
+    kernel's error, if any, for the caller to raise once the report passes:
+    the kernel is deterministic, so that is what sweeping first gave.
+    Non-finite values (overflowed products of huge entries, a zero fixed
+    point of a tensor that is not doubly symmetric) fail the certificate and
+    are the sweep's to report, so they raise no warning here.
     """
     s = tensor.entries
-    if include_constant and not _sym0(s) <= _bound(tol, np.abs(s).max()):
-        # raises: the sweep computes the same sym0
-        _require_symmetries(tensor, tol, include_constant=True, what=what)
-    error = None
+    sym0 = _sym0(s) if include_constant else None
+    result = error = None
     try:
         with np.errstate(all="ignore"):
             result, vectors = kernel()
-            if _certifies(s, vectors, tol):
-                return result
+            bound = _certificate_bounds(s, vectors)
+            scale = float(np.abs(s).max(initial=0.0))
+            report = SymmetryReport(sym0, _sym1(s), bound, bound, tol, len(s), scale)
+            if report.ok if accept is None else accept(report):
+                return result, report, None
     except (ObtuseWalkError, np.linalg.LinAlgError) as exc:
         error = exc
-    _require_symmetries(tensor, tol, include_constant=include_constant, what=what)
-    if error is not None:
-        raise error
-    return result
-
-
-def _require_symmetries(tensor: Tensor3, tol: float, include_constant: bool, what: str) -> None:
-    """Sweep ``tensor``; a failing relation raises ``NotDoublySymmetric``."""
-    report = check_symmetries(tensor, tol=tol, include_constant=include_constant)
-    if not report.ok:
-        raise NotDoublySymmetric(f"{what} {report.residuals()}")
+    return result, check_symmetries(tensor, tol=tol, include_constant=include_constant), error
 
 
 def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
@@ -365,15 +344,8 @@ def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:
     )
     values = vecs[order][:, 1:]
     probs = probs_all[list(order)]
-    system = ObtuseSystem(values=values, probabilities=probs)
-    report = validate_obtuse_system(values, tol=tol)
-    if not report.ok:
-        raise NotObtuse(
-            "recovered fixed points do not form an obtuse system",
-            pair=report.worst_pair,
-            residual=report.max_pair_residual,
-        )
-    return system
+    _require_obtuse(values, tol, "recovered fixed points do not form an obtuse system: ")
+    return ObtuseSystem(values=values, probabilities=probs)
 
 
 def _full_unitary(u, tensor: Tensor3, tol: float) -> np.ndarray:
@@ -453,21 +425,25 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     The returned V fixes e_0 and is the principal square root of the inner
     block of S_0 (``takagi._unitary_sqrt``), so a real tensor gets V = I.
 
-    The input must satisfy all four symmetry relations (``SymmetryReport``): sym0
-    is checked directly, O(d^2), and sym1-sym3 are certified by the fixed
-    points of the real tensor mapped back by V (see ``diagonalize``).  A
+    The input must satisfy all four symmetry relations (``SymmetryReport``),
+    which the fixed points of the real tensor, mapped back by V, certify in
+    the gate of ``diagonalize`` (``_certify_or_sweep``), with sym0 exact.  A
     tensor they fail to certify is swept, and ``NotDoublySymmetric`` names
     the failing relation.
     """
     if not tensor.has_constant:
         raise DimensionMismatch("realify expects a constant-coordinate tensor")
-    what = "tensor fails symmetry relations:"
 
     def kernel():
         result, points = _realify(tensor, tol)
         return result, points @ result.v.T
 
-    return _certified(tensor, tol, kernel, include_constant=True, what=what)
+    result, report, error = _certify_or_sweep(tensor, tol, kernel, include_constant=True)
+    if not report.ok:
+        raise NotDoublySymmetric(f"tensor fails symmetry relations: {report.residuals()}")
+    if error is not None:
+        raise error
+    return result
 
 
 def _realify(tensor: Tensor3, tol: float):
@@ -496,13 +472,7 @@ def triangularize_system(values, tol: float = DEFAULT_TOL):
     vector i has zeros after coordinate i+1.  This is the first step of the
     constructive route from a complex obtuse system to a real one.
     """
-    report = validate_obtuse_system(values, tol=tol)
-    if not report.ok:
-        raise NotObtuse(
-            "values do not form an obtuse system",
-            pair=report.worst_pair,
-            residual=report.max_pair_residual,
-        )
+    _require_obtuse(values, tol, "values do not form an obtuse system: ")
     arr = np.asarray(values, dtype=complex)
     n = arr.shape[1]
     q, _ = np.linalg.qr(arr[:n].T)

@@ -11,7 +11,7 @@ and one Brownian direction proportional to (i, 1).
 import numpy as np
 import pytest
 
-from obtusewalk import ObtuseRV, TensorFamily, haar_unitary, tensor_of
+from obtusewalk import ObtuseRV, TensorFamily, haar_unitary, tensor, tensor_of
 from obtusewalk.takagi import _unitary_sqrt
 
 REFERENCE_VALUES = np.array(
@@ -85,6 +85,20 @@ JUMP_M1 = np.array([[1, -1j], [1j, 1]], dtype=complex) / (2 * np.sqrt(2))
 JUMP_M2 = np.array([[1j, 1], [-1, 1j]], dtype=complex) / (2 * np.sqrt(2))
 JUMP_LAMBDA = np.array([[0, 1j], [1j, 0]], dtype=complex)
 JUMP_POISSON_DIR = np.array([1, 1j]) / np.sqrt(2)
+
+
+@pytest.fixture
+def gate_sweeps(monkeypatch):
+    """List that records one entry per sweep of the gate ``tensor._certify_or_sweep``."""
+    calls = []
+    original = tensor.check_symmetries
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "check_symmetries", counting)
+    return calls
 
 
 @pytest.fixture

@@ -1,11 +1,11 @@
 """The reconstruction certificate that gates ``diagonalize`` and ``realify``.
 
 Both run their kernel first and accept a tensor when the fixed points it
-found rebuild it closely enough (``tensor._certifies``); the O(d^5) sweep
-runs only for a tensor they fail to certify.  These tests pin the three
-promises of that order: it never accepts what the sweep rejects, valid
-input never reaches the sweep, and every result and error is the one the
-sweep-first order gave.
+found rebuild it closely enough (the gate ``tensor._certify_or_sweep``); the
+O(d^5) sweep runs only for a tensor they fail to certify.  These tests pin
+the three promises of that order: it never accepts what the sweep rejects,
+valid input never reaches the sweep, and every result and error is the one
+the sweep-first order gave.
 """
 
 import warnings
@@ -74,17 +74,22 @@ def perturbed_corpus():
 
 
 class TestNoLoosening:
-    def test_certificate_accepts_only_what_the_sweep_accepts(self):
+    def test_certificate_accepts_only_what_the_sweep_accepts(self, gate_sweeps):
         accepted = rejected = 0
         for n, t in perturbed_corpus():
             for tol in (1e-9, 1e-12):
                 sweep = check_symmetries(t, tol=tol, include_constant=False)
                 for points in kernel_points(t, tol):
-                    if tensor._certifies(t.entries, points, tol):
-                        accepted += 1
-                        assert sweep.doubly_symmetric, (n, tol, sweep.residuals())
-                    else:
+                    gate_sweeps.clear()
+                    _, report, _ = tensor._certify_or_sweep(t, tol, lambda: (None, points))
+                    if gate_sweeps:
                         rejected += 1
+                        continue
+                    accepted += 1
+                    assert sweep.doubly_symmetric, (n, tol, sweep.residuals())
+                    # the certified report: sym1 exact, sym2 and sym3 bounded above
+                    assert report.sym1 == sweep.sym1, (n, tol)
+                    assert report.sym2 >= sweep.sym2 and report.sym3 >= sweep.sym3, (n, tol)
         # the corpus reaches both sides of the gate
         assert accepted >= 20 and rejected >= 20, (accepted, rejected)
 

@@ -1,12 +1,13 @@
 """The reconstruction certificate that gates ``classify`` and ``limit_tensor``.
 
-``classify`` certifies the inner tensor of a limit by its fixed points and
-checks sym1 and the Lambda relations exactly; ``limit_tensor`` certifies a
-sample from dimension ``limits._CERTIFY_MIN_DIM`` on.  Only a tensor they
-fail to certify is swept.  These tests pin the promises of that order: it
-never accepts what the sweep rejects, a certified report bounds the swept
-residuals from above, and every result and error is the one the
-sweep-first order gave.
+Both go through the gate ``tensor._certify_or_sweep``: ``classify``
+certifies the inner tensor of a limit by its fixed points and adds the
+Lambda relations, computed exactly, to the gate's report; ``limit_tensor``
+certifies a sample from dimension ``limits._CERTIFY_MIN_DIM`` on.  Only a
+tensor the gate fails to certify is swept.  These tests pin the promises of
+that order: it never accepts what the sweep rejects, a certified report
+bounds the swept residuals from above, and every result and error is the
+one the sweep-first order gave.
 """
 
 import warnings
@@ -106,31 +107,18 @@ def scaled_16():
 
 
 @pytest.fixture
-def sample_sweeps(monkeypatch):
-    """List that records one entry per sweep of a ``limit_tensor`` sample."""
-    calls = []
-    original = tensor.check_symmetries
+def gate_reports(monkeypatch):
+    """List that records the report of each gate call ``limits`` makes."""
+    reports = []
+    original = limits._certify_or_sweep
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        reports.append(out[1])
+        return out
 
-    monkeypatch.setattr(tensor, "check_symmetries", counting)
-    return calls
-
-
-@pytest.fixture
-def limit_sweeps(monkeypatch):
-    """List that records one entry per ``check_limit_symmetries`` call of ``classify``."""
-    calls = []
-    original = limits.check_limit_symmetries
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(limits, "check_limit_symmetries", counting)
-    return calls
+    monkeypatch.setattr(limits, "_certify_or_sweep", recording)
+    return reports
 
 
 def outcome(call):
@@ -141,13 +129,13 @@ def outcome(call):
 
 
 class TestNoLoosening:
-    def test_classify_certifies_only_what_the_sweep_accepts(self, limit_sweeps):
+    def test_classify_certifies_only_what_the_sweep_accepts(self, gate_sweeps):
         certified = swept = 0
         for n, m in perturbed_limits():
             for tol in (1e-9, 1e-6):
-                limit_sweeps.clear()
+                gate_sweeps.clear()
                 got = outcome(lambda: classify(m, tol=tol))
-                if limit_sweeps:
+                if gate_sweeps:
                     swept += 1
                     continue
                 certified += 1
@@ -163,14 +151,16 @@ class TestNoLoosening:
         # the corpus reaches both sides of the gate
         assert certified >= 20 and swept >= 20, (certified, swept)
 
-    def test_sample_gate_certifies_only_what_the_sweep_accepts(self, sample_sweeps):
+    def test_sample_gate_certifies_only_what_the_sweep_accepts(self, gate_sweeps, gate_reports):
         certified = rejected = 0
         for n, s in perturbed_samples():
             for tol in (1e-8, 1e-11):
-                sample_sweeps.clear()
+                gate_sweeps.clear()
+                gate_reports.clear()
                 family = TensorFamily.constant(s)
                 got = outcome(lambda: limit_tensor(family, tol=tol))
-                swept = bool(sample_sweeps)
+                swept = bool(gate_sweeps)
+                cert = gate_reports[0]
                 want = outcome(lambda: limit_tensor_sweep_first(family, tol))
                 if isinstance(want, Exception):
                     assert_same_error(got, want, (n, tol))
@@ -182,22 +172,21 @@ class TestNoLoosening:
                 certified += 1
                 report = check_symmetries(s, tol=tol)
                 assert report.ok, (n, tol, report.residuals())
-                points = tensor._fixed_points(s, tol).vectors
-                sym1, sym23 = tensor._certificate_bounds(s.entries, points)
-                assert sym1 >= report.sym1, (n, tol)
-                assert sym23 >= max(report.sym2, report.sym3), (n, tol)
+                # the certified report: sym0 and sym1 exact, sym2 and sym3 one upper bound
+                assert cert.sym0 == report.sym0 and cert.sym1 == report.sym1, (n, tol)
+                assert cert.sym2 == cert.sym3 >= max(report.sym2, report.sym3), (n, tol)
         assert certified >= 8 and rejected >= 8, (certified, rejected)
 
 
 class TestFastPath:
-    def test_valid_limits_certify(self, limit_sweeps):
+    def test_valid_limits_certify(self, gate_sweeps):
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 5, 8, 16, 32):
             for k in sorted({0, n // 2, n}):
                 classify(valid_limit(n, k, rng))
-        assert limit_sweeps == []
+        assert gate_sweeps == []
 
-    def test_scaled_samples_certify(self, sample_sweeps):
+    def test_scaled_samples_certify(self, gate_sweeps):
         # entries of 5e2 to 1e4: the sweep's rounding, 2 gamma_{d+2} d max|S|^2
         # ~ 3e-7, fits under the relative bound of sym2 and sym3
         family = scaled_16()
@@ -205,12 +194,12 @@ class TestFastPath:
             assert s.dim >= limits._CERTIFY_MIN_DIM
             assert np.max(np.abs(s.entries)) >= 5e2
         limit_tensor(family)
-        assert sample_sweeps == []
+        assert gate_sweeps == []
 
     @pytest.mark.parametrize(
         "error", [NoConvergence("forced", residual=1.0), np.linalg.LinAlgError("forced")]
     )
-    def test_kernel_failure_leaves_a_sample_to_the_sweep(self, monkeypatch, sample_sweeps, error):
+    def test_kernel_failure_leaves_a_sample_to_the_sweep(self, monkeypatch, gate_sweeps, error):
         family = scaled_16()
         expected = limit_tensor(family)
 
@@ -219,7 +208,7 @@ class TestFastPath:
 
         monkeypatch.setattr(limits, "_fixed_points", failing)
         result = limit_tensor(family)
-        assert len(sample_sweeps) == len(SCALED_STEPS)
+        assert len(gate_sweeps) == len(SCALED_STEPS)
         assert np.array_equal(result.tensor.entries, expected.tensor.entries)
 
 

@@ -28,12 +28,14 @@ from obtusewalk import (
 )
 from obtusewalk.errors import (
     NotDoublySymmetric,
+    NotObtuse,
     NotOrthogonal,
     NotUnitary,
     S0NotUnitary,
     WrongCount,
 )
 from obtusewalk.limits import DEFAULT_STEPS
+from obtusewalk.obtuse import validate_obtuse_system
 from obtusewalk.tensor import _obtuse_system
 from conftest import (
     REFERENCE_PROBS,
@@ -413,6 +415,30 @@ class TestTriangularize:
         _, tri = triangularize_system(np.array([[1j], [-1j]]))
         phases, real_sys = extract_phases(tri)
         assert greedy_match(real_sys.values, [[1.0], [-1.0]]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "call, pair",
+        [
+            (triangularize_system, (1, 3)),
+            (ObtuseSystem.from_values, (1, 3)),
+            # atoms by decreasing probability: 3, 2, 1, 0
+            (lambda v: _obtuse_system(np.hstack([np.ones((4, 1)), v]), 1e-9), (0, 2)),
+        ],
+        ids=["triangularize_system", "from_values", "_obtuse_system"],
+    )
+    def test_error_names_one_pair_with_its_own_residual(self, call, pair):
+        # pair (0, 1) has the largest residual, 1.4e-6, but also the loose
+        # bound of the long v_0 (p = 1e-8); pair (1, 3) is farthest over its own
+        values = system_from_probabilities([1e-8, 0.3, 0.3, 0.4 - 1e-8]).values.copy()
+        values[0] += 1e-6 * np.eye(3)[1]
+        values[1] *= 1 + 1e-8
+        report = validate_obtuse_system(values)
+        assert report.worst_pair == (1, 3) and report.max_pair_residual > 1e-6
+        with pytest.raises(NotObtuse) as info:
+            call(values)
+        assert info.value.pair == pair
+        assert info.value.residual == pytest.approx(report.pair_residuals[1, 3], rel=1e-12)
+        assert f"{info.value.residual:.3e}" in str(info.value)
 
     def test_agrees_with_realify_in_law(self, reference_rv, reference_tensor):
         _, tri = triangularize_system(REFERENCE_VALUES)
