@@ -33,8 +33,8 @@ from .errors import (
     NotDoublySymmetric,
     StructureViolation,
 )
-from .obtuse import DEFAULT_TOL, Tensor3, _bound, check_symmetries
-from .takagi import _unitary_sqrt
+from .obtuse import DEFAULT_TOL, SymmetryReport, Tensor3, _bound, check_symmetries
+from .takagi import unitary_sqrt
 from .tensor import _certify_or_sweep, _fixed_points
 
 # bound on an entry's extrapolation error over max(1, max|limit|): it is at most
@@ -209,36 +209,28 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
 
 
 @dataclass(frozen=True)
-class LimitSymmetryReport:
-    """Residuals of the limit-tensor structure relations.
+class LimitSymmetryReport(SymmetryReport):
+    """The inner tensor's ``SymmetryReport`` plus the four Lambda relations.
 
-    sym1..sym3 are the double-symmetry relations of the inner tensor;
-    ``lambda_symmetry``/``lambda_unitarity`` check Lambda; ``exchange`` is
-    the symmetry of sum_m M^{ij}_m Lambda^{mk} in (i, k); ``reduction`` is
+    sym1..sym3 are the double-symmetry relations of the inner tensor M, and
+    sym0 is None (M has no constant coordinate); ``lambda_symmetry`` and
+    ``lambda_unitarity`` check Lambda; ``exchange`` is the symmetry of
+    sum_m M^{ij}_m Lambda^{mk} in (i, k); ``reduction`` is
     sum_m conj(M^{km}_j) Lambda^{im} = M^{ij}_k.  In a report that
     ``classify`` certified, sym2 and sym3 are the certificate's upper bound
-    on both residuals; every other field is exact.
-    ``ok`` bounds each residual by ``_bound(tol, s)``, with ``scale`` = max|M|,
-    ``dim`` = N and s = scale for sym1, N scale^2 for sym2 and sym3, N scale
-    for exchange and reduction, 1 for the Lambda relations.
+    on both residuals; every other field is exact.  ``ok`` adds to the
+    tensor report's bounds ``_bound(tol, 1)`` for the Lambda relations and
+    ``_bound(tol, N max|M|)`` for exchange and reduction.
     """
 
-    sym1: float
-    sym2: float
-    sym3: float
     lambda_symmetry: float
     lambda_unitarity: float
     exchange: float
     reduction: float
-    tol: float
-    dim: int
-    scale: float
 
     def residuals(self) -> dict:
         return {
-            "sym1": self.sym1,
-            "sym2": self.sym2,
-            "sym3": self.sym3,
+            **super().residuals(),
             "lambda_symmetry": self.lambda_symmetry,
             "lambda_unitarity": self.lambda_unitarity,
             "exchange": self.exchange,
@@ -247,30 +239,33 @@ class LimitSymmetryReport:
 
     @property
     def ok(self) -> bool:
-        m, nm = self.scale, self.dim * self.scale
-        bounds = [_bound(self.tol, s) for s in (m, nm * m, nm * m, 1.0, 1.0, nm, nm)]
+        unit, nm = _bound(self.tol, 1.0), _bound(self.tol, self.dim * self.scale)
         # each residual on its own, so a NaN fails
-        return all(r <= b for r, b in zip(self.residuals().values(), bounds))
+        return (
+            super().ok
+            and self.lambda_symmetry <= unit
+            and self.lambda_unitarity <= unit
+            and self.exchange <= nm
+            and self.reduction <= nm
+        )
 
 
 def _split_limit(m) -> tuple[np.ndarray, np.ndarray]:
-    """Inner entries and Lambda from either a full or an inner limit tensor."""
+    """Inner entries and Lambda of a full limit tensor or a ``LimitTensorResult``."""
     if isinstance(m, LimitTensorResult):
-        inner, lam = m.tensor.entries[1:, 1:, 1:], m.lambda_matrix
-    elif isinstance(m, Tensor3) and m.has_constant:
-        inner, lam = m.entries[1:, 1:, 1:], m.entries[1:, 1:, 0].copy()
-    elif isinstance(m, Tensor3):
+        m = m.tensor
+    if not isinstance(m, Tensor3):
+        raise DimensionMismatch(f"unsupported limit tensor input {type(m)!r}")
+    if not m.has_constant:
         raise DimensionMismatch(
             "an inner tensor alone does not determine Lambda; pass the full "
             "limit tensor (constant coordinate included)"
         )
-    else:
-        raise DimensionMismatch(f"unsupported limit tensor input {type(m)!r}")
-    if inner.shape[0] == 0:
+    if m.dim < 2:
         raise DimensionMismatch(
             "a limit tensor of dimension < 2 has N = 0 and no inner tensor"
         )
-    return inner, lam
+    return m.entries[1:, 1:, 1:], m.entries[1:, 1:, 0].copy()
 
 
 def _lambda_relations(inner: np.ndarray, lam: np.ndarray) -> tuple:
@@ -287,15 +282,21 @@ def _lambda_relations(inner: np.ndarray, lam: np.ndarray) -> tuple:
     return lam_sym, lam_uni, exchange, reduction
 
 
+def _limit_report(rep: SymmetryReport, relations: tuple) -> LimitSymmetryReport:
+    """The report ``rep`` of an inner tensor plus its ``_lambda_relations``."""
+    return LimitSymmetryReport(
+        None, rep.sym1, rep.sym2, rep.sym3, rep.tol, rep.dim, rep.scale, *relations
+    )
+
+
 def check_limit_symmetries(m, tol: float = DEFAULT_TOL) -> LimitSymmetryReport:
     """Structure-relation report for a limit tensor (report-only, no raise).
 
-    Always the exhaustive O(N^5) sweep of the inner tensor's relations.
+    Always the exhaustive O(N^5) sweep of the inner tensor's relations, once.
     """
     inner, lam = _split_limit(m)
     rep = check_symmetries(Tensor3(inner, has_constant=False), tol=tol)
-    relations = _lambda_relations(inner, lam)
-    return LimitSymmetryReport(rep.sym1, rep.sym2, rep.sym3, *relations, tol, rep.dim, rep.scale)
+    return _limit_report(rep, _lambda_relations(inner, lam))
 
 
 @dataclass(frozen=True)
@@ -371,15 +372,14 @@ def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     inner_t = Tensor3(inner, has_constant=False)
     relations = _lambda_relations(inner, lam)
 
-    def structure(rep) -> LimitSymmetryReport:
-        return LimitSymmetryReport(rep.sym1, rep.sym2, rep.sym3, *relations, tol, n, rep.scale)
-
     def kernel():
         dirs = _fixed_points(inner_t, tol).vectors
         return dirs, dirs
 
-    dirs, rep, error = _certify_or_sweep(inner_t, tol, kernel, accept=lambda r: structure(r).ok)
-    report = structure(rep)
+    dirs, rep, error = _certify_or_sweep(
+        inner_t, tol, kernel, accept=lambda r: _limit_report(r, relations).ok
+    )
+    report = _limit_report(rep, relations)
     if not report.ok:
         raise StructureViolation(f"limit tensor fails structure relations: {report.residuals()}")
     if error is not None:
@@ -387,7 +387,7 @@ def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     if len(dirs) > n:
         raise InconsistentCount(f"{len(dirs)} jump directions in dimension {n}")
 
-    v = _unitary_sqrt(lam)
+    v = unitary_sqrt(lam)
     w = dirs @ np.conj(v)
     imag = float(np.max(np.abs(w.imag), initial=0.0))
     if not imag <= _bound(tol, float(np.max(np.abs(w), initial=0.0))):

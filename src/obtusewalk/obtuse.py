@@ -70,17 +70,6 @@ def _as_vectors(values) -> np.ndarray:
     return arr
 
 
-def inner(x, y) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    return complex(np.vdot(np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)))
-
-
-def probabilities_of(values) -> np.ndarray:
-    """p_i = 1/(1 + |v_i|^2) for each vector of the family."""
-    arr = _as_vectors(values)
-    return 1.0 / (1.0 + np.sum(np.abs(arr) ** 2, axis=1))
-
-
 @dataclass(frozen=True)
 class SystemValidation:
     """Residual report for an obtuse-system check.
@@ -231,14 +220,6 @@ class ObtuseRV:
     @property
     def hatted(self) -> np.ndarray:
         return self.system.hatted
-
-    def unitary_matrix(self) -> np.ndarray:
-        """(N+1)x(N+1) matrix with rows sqrt(p_i) (1, v_i)."""
-        return np.sqrt(self.probabilities)[:, None] * self.hatted
-
-    def unitarity_defect(self) -> float:
-        u = self.unitary_matrix()
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
 def rv_is_centered_normalized(values, probabilities, tol: float = DEFAULT_TOL):

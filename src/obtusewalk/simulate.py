@@ -64,19 +64,16 @@ STEP_RTOL = 1e-10
 # probability.  Drawing and sorting the log peaks at 2.5x its size.
 JUMP_LOG_BYTES = 2**27
 
-# Byte budget of the fine grids of the paths drawn at once.  Per grid time a
-# path keeps a float64 time and a complex value (8 + 16 N bytes); sampling
-# peaks, by tracemalloc, at most at 40 N + 40 bytes for a walk (N + 1 atom
-# counts as int64 and float64, a real product, the step counts) and at
-# 32 N + 38 for a limit path.  2**28 bytes admit 3 million grid times at N = 1 and
-# 202 000 at N = 32.
-PATH_GRID_BYTES = 2**28
-
 # Byte budget of one ensemble, n_paths x n_t grid cells at _grid_row_bytes(N)
-# each.  By tracemalloc a walk ensemble peaks at 40 N + 24 bytes a cell over
-# one grid time (the values, one time's atom counts as int64 and float64, a
-# real product) and at 16 N a cell over many; a limit ensemble at 32 N + 24
-# a cell.  2**31 bytes admit 1e5 paths at 10 grid times in C^32 (1.33e9).
+# each; a path is a one-member ensemble on its fine grid.  By tracemalloc a
+# walk ensemble peaks at 40 N + 24 bytes a cell over one grid time (the
+# values, one time's atom counts as int64 and float64, a real product) and at
+# 16 N a cell over many; a limit ensemble at 32 N + 24 a cell.  A path keeps
+# a float64 time and a complex value per grid time (8 + 16 N bytes) and
+# peaks at most at 40 N + 40 bytes for a walk (N + 1 atom counts as int64
+# and float64, a real product, the step counts) and at 32 N + 38 for a limit
+# path.  2**31 bytes admit 1e5 paths at 10 grid times in C^32 (1.33e9), and
+# a path of 24 million grid times at N = 1 or 1.6 million at N = 32.
 ENSEMBLE_BYTES = 2**31
 
 # Largest expected jump count of one direction in a limit ensemble.  Counts
@@ -93,7 +90,7 @@ _DRAW_BLOCK_BYTES = 2**18
 
 
 def _grid_row_bytes(dim: int) -> int:
-    """Peak bytes per fine-grid time of a path in C^dim (see PATH_GRID_BYTES)."""
+    """Peak bytes per fine-grid time of a path in C^dim (see ENSEMBLE_BYTES)."""
     return 40 * dim + 48
 
 
@@ -102,7 +99,7 @@ def _check_ensemble(n_paths: int, n_t: int, dim: int) -> None:
     max_cells = ENSEMBLE_BYTES // _grid_row_bytes(dim)
     if n_paths * n_t > max_cells:
         raise PathTooLarge(
-            f"{n_paths} paths at {n_t} grid times in C^{dim} exceed the "
+            f"{n_paths} paths at {n_t:.0f} grid times in C^{dim} exceed the "
             f"{ENSEMBLE_BYTES}-byte ensemble budget ({max_cells} path-times)"
         )
 
@@ -146,19 +143,15 @@ def _path_grid(T: float, step: float, dim: int, n_paths: int = 1, min_steps: int
 
     Before allocating it raises ``NonPositiveStep`` for a step that is not
     positive and finite or a horizon not positive or under ``min_steps``
-    steps, and ``PathTooLarge`` for a grid over ``PATH_GRID_BYTES``.
+    steps, and ``PathTooLarge`` for paths over the ensemble budget
+    (``_check_ensemble``).
     """
     if not 0 < step < np.inf:
         raise NonPositiveStep(f"time step must be positive and finite, got {step}")
     if not T > 0:
         raise NonPositiveStep(f"horizon T must be positive, got {T}")
     intervals = np.ceil(T / step * (1.0 - STEP_RTOL))
-    max_rows = PATH_GRID_BYTES // (_grid_row_bytes(dim) * n_paths)
-    if not intervals < max_rows:
-        raise PathTooLarge(
-            f"{intervals:.3g} grid steps on [0, {T:.6g}] exceed the {PATH_GRID_BYTES}-byte "
-            f"budget of {n_paths} path(s) in C^{dim} ({max_rows} grid times)"
-        )
+    _check_ensemble(n_paths, intervals + 1, dim)
     if _step_count(T, step) < min_steps:
         raise NonPositiveStep(f"horizon T must cover at least {min_steps} step(s)")
     return np.append(np.arange(int(intervals)) * step, T)

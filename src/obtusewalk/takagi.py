@@ -6,8 +6,10 @@ M = Z diag(s) W^H and a square root per cluster of equal singular values
 (Chebotarev & Teretenkov, *Appl. Math. Comput.* 234, 2014): there
 M = s Z_c B Z_c^T with B = W_c^H conj(Z_c) symmetric unitary, so
 U_c = Z_c B^{1/2}, and U_c = Z_c on the null space.  The square root is the
-principal one, ``_unitary_sqrt``, which ``tensor.realify`` and
-``limits.classify`` take directly of S_0's inner block and of Lambda.
+principal one, ``unitary_sqrt``, which ``tensor.realify`` and
+``limits.classify`` take directly of S_0's inner block and of Lambda; it
+takes U's eigenvalues once, for a cut, and a real eigenbasis from one
+Hermitian eigensolve.
 
 The joint factorization of a tensor's slice family, S_k = U diag(conj(v^k))
 U^T with U the normalized fixed points, is what ``tensor.diagonalize``
@@ -29,13 +31,10 @@ _EPS = np.finfo(float).eps
 # eps/g, which misses a 1e-9 residual below g ~ 1e-7, so 1e-4 leaves a wide
 # margin; a cluster is resolved as one block (a square root here, probes there)
 _CLUSTER_REL = 1e-4
-# eigenvalues of Re(B) in [-1, 1] this close share an eigenspace: eigh's
-# vectors are accurate to eps/gap, so Im(B) is diagonalized there again
-_RE_DEGENERATE = 1e-8
 # the SVD is backward stable, so singular values up to n eps s_max times this
 # are indistinguishable from 0: their vectors span the null space
 _NULL_EPS = _EPS
-# max|V V^T - U| of ``_unitary_sqrt`` is within this multiple of n eps plus U's
+# max|V V^T - U| of ``unitary_sqrt`` is within this multiple of n eps plus U's
 # symmetric-unitary defect; 3.1 at worst over 27000 hard spectra with N <= 32
 _SQRT_SLACK = 8.0
 
@@ -52,24 +51,7 @@ class TakagiResult:
         return self.unitary @ np.diag(self.diagonal) @ self.unitary.T
 
 
-def _diag_unitary_symmetric(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a unitary symmetric B as O @ diag(d) @ O.T, O real orthogonal.
-
-    Re(B) and Im(B) are commuting real symmetric matrices (a consequence of
-    B being unitary and symmetric), so a joint real eigenbasis exists: take
-    the eigenbasis of Re(B) and re-diagonalize Im(B) inside each degenerate
-    eigenspace.
-    """
-    xv, o = np.linalg.eigh(b.real)
-    cuts = np.flatnonzero(np.diff(xv) > _RE_DEGENERATE) + 1
-    if len(cuts) < len(xv) - 1:  # Re(B) has a degenerate eigenspace
-        for c in np.split(np.arange(len(xv)), cuts):
-            if len(c) > 1:
-                o[:, c] = o[:, c] @ np.linalg.eigh(o[:, c].T @ b.imag @ o[:, c])[1]
-    return o, np.einsum("ij,ij->j", o, b @ o)
-
-
-def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
+def unitary_sqrt(u: np.ndarray) -> np.ndarray:
     """Principal square root V = O diag(e^{i theta/2}) O^T of a symmetric unitary U.
 
     With U = O diag(e^{i theta}) O^T, O real orthogonal and theta in
@@ -79,17 +61,18 @@ def _unitary_sqrt(u: np.ndarray) -> np.ndarray:
     eigenspace, it moves with U except across an eigenvalue at -1.
 
     Re(U) merges a conjugate pair e^{+-i theta}, so O comes from a real
-    symmetric matrix that keeps it apart.  The rough angles of
-    ``_diag_unitary_symmetric`` put a cut mid-way in their largest gap on
-    the circle, W = e^{i(pi - cut)} U turns it to -1, and Im (I + W)^{-1}
-    is -H/2 for the Cayley transform H of W, with eigenvalues tan(phi/2)
-    over W's angles phi.  Raises ``NoConvergence`` when max|V V^T - U|
-    exceeds ``_SQRT_SLACK`` (n eps + U's defect from symmetric unitarity).
+    symmetric matrix that keeps it apart.  U is normal, so the angles of its
+    eigenvalues (``eigvals``) are accurate to about n eps; they put a cut
+    mid-way in their largest gap on the circle, W = e^{i(pi - cut)} U turns
+    it to -1, and Im (I + W)^{-1} is -H/2 for the Cayley transform H of W,
+    with eigenvalues tan(phi/2) over W's angles phi.  Raises ``NoConvergence``
+    when max|V V^T - U| exceeds ``_SQRT_SLACK`` (n eps + U's defect from
+    symmetric unitarity).
     """
     n = len(u)
     if not n:
         return np.zeros((0, 0), dtype=complex)
-    angles = np.sort(np.angle(_diag_unitary_symmetric(u)[1]))
+    angles = np.sort(np.angle(np.linalg.eigvals(u)))
     gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
     k = int(np.argmax(gaps))
     w = np.exp(1j * (np.pi - angles[k] - gaps[k] / 2)) * u
@@ -133,7 +116,7 @@ def takagi(m, tol: float = DEFAULT_TOL) -> TakagiResult:
     live = np.flatnonzero(s > n * _NULL_EPS * top)
     for c in np.split(live, np.flatnonzero(-np.diff(s[live]) > _CLUSTER_REL * top) + 1):
         if len(c):
-            u[:, c] = u[:, c] @ _unitary_sqrt(wh[c] @ np.conj(u[:, c]))
+            u[:, c] = u[:, c] @ unitary_sqrt(wh[c] @ np.conj(u[:, c]))
     residual = float(np.max(np.abs((u * s) @ u.T - arr))) if n else 0.0
     if not residual <= _bound(tol, scale):
         raise NoConvergence(f"factorization residual {residual:.3e} exceeds tolerance", residual)

@@ -55,7 +55,7 @@ from .obtuse import (
     _sym1,
     check_symmetries,
 )
-from .takagi import _CLUSTER_REL, _unitary_sqrt
+from .takagi import _CLUSTER_REL, unitary_sqrt
 
 # a triangular pivot below this has no phase to strip: the first N values are
 # (numerically) dependent, so the system is degenerate
@@ -423,7 +423,7 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     tensor by any such V produces a real doubly-symmetric tensor, and its
     fixed points give a real obtuse system with the original probabilities.
     The returned V fixes e_0 and is the principal square root of the inner
-    block of S_0 (``takagi._unitary_sqrt``), so a real tensor gets V = I.
+    block of S_0 (``takagi.unitary_sqrt``), so a real tensor gets V = I.
 
     The input must satisfy all four symmetry relations (``SymmetryReport``),
     which the fixed points of the real tensor, mapped back by V, certify in
@@ -455,7 +455,7 @@ def _realify(tensor: Tensor3, tol: float):
         raise S0NotUnitary(f"time-zero slice not unitary: defect {uni_defect:.3e}")
 
     v = np.eye(d, dtype=complex)
-    v[1:, 1:] = _unitary_sqrt(s0[1:, 1:])
+    v[1:, 1:] = unitary_sqrt(s0[1:, 1:])
 
     real_t = transform(v.conj().T, tensor, tol=tol)
     if not is_real_tensor(real_t, tol=tol):

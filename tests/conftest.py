@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from obtusewalk import ObtuseRV, TensorFamily, haar_unitary, tensor, tensor_of
-from obtusewalk.takagi import _unitary_sqrt
+from obtusewalk.takagi import unitary_sqrt
 
 REFERENCE_VALUES = np.array(
     [
@@ -211,7 +211,7 @@ def closed_form_family(lam, o, c, rest, steps):
     """
     c = np.asarray(c, dtype=float)
     n, k = len(o), len(c)
-    rotation = _unitary_sqrt(lam) @ o
+    rotation = unitary_sqrt(lam) @ o
     systems = []
     for h in steps:
         p = np.concatenate([c * h, (1.0 - c.sum() * h) * rest])

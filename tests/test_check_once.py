@@ -4,7 +4,8 @@
 internal steps after it trust the tensor it accepted.  ``diagonalize``,
 ``realify``, ``classify`` and ``limit_tensor`` (for samples of dimension
 ``limits._CERTIFY_MIN_DIM`` or more) certify a valid tensor by its fixed
-points instead and sweep only a tensor that the certificate rejects.  A
+points instead and sweep only a tensor that the certificate rejects.
+``obtusewalk check --limit`` sweeps only the inner tensor, once.  A
 counter wrapped around every module binding of the sweep pins the number of
 sweeps per call.
 """
@@ -26,6 +27,7 @@ from obtusewalk import (
     obtuse,
     random_system,
     realify,
+    serialize,
     tensor,
     tensor_of,
 )
@@ -140,3 +142,12 @@ def test_cli_limit_on_sampled_family(sweeps, tmp_path):
     assert cli.main(["limit", str(path), "--tol", "1e-7", "--out", out]) == 0
     # one sweep per distinct sample; the limit tensor certifies
     assert len(sweeps) == len(DEFAULT_STEPS)
+
+
+def test_cli_check_limit_sweeps_the_inner_tensor_once(sweeps, random_tensor, tmp_path):
+    limit = limit_tensor(TensorFamily.constant(random_tensor)).tensor
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(serialize.tensor_to_json(limit)))
+    sweeps.clear()
+    assert cli.main(["check", str(path), "--limit", "--out", str(tmp_path / "out.json")]) == 0
+    assert [t.dim for t in sweeps] == [limit.dim - 1]

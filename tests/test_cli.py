@@ -12,7 +12,6 @@ from obtusewalk import (
     Tensor3,
     TensorFamily,
     check_limit_symmetries,
-    check_symmetries,
     classify,
     cli,
     diagonalize,
@@ -362,17 +361,24 @@ class TestReportBytes:
         assert run_to_file(tmp_path, ["tensor", f]) == (0, plain_bytes(want))
 
     def test_check_limit(self, tmp_path):
+        # a walk tensor's inner block is not doubly symmetric on its own
         tensor = self.reference_tensor()
         f = write_json(tmp_path / "t.json", serialize.tensor_to_json(tensor))
-        report = check_symmetries(tensor, tol=DEFAULT_TOL)
-        lim = check_limit_symmetries(tensor, tol=DEFAULT_TOL)
-        want = {
-            "symmetries": report.residuals(),
-            "ok": bool(report.ok and lim.ok),
-            "structure": lim.residuals(),
-        }
-        rc, text = run_to_file(tmp_path, ["check", f, "--limit"])
-        assert (rc, text) == (0 if want["ok"] else 1, plain_bytes(want))
+        want = {"ok": False, "structure": check_limit_symmetries(tensor).residuals()}
+        assert run_to_file(tmp_path, ["check", f, "--limit"]) == (1, plain_bytes(want))
+
+    @pytest.mark.parametrize("family", ["constant", "jump"])
+    def test_check_limit_passes_a_limit_tensor(self, tmp_path, family):
+        if family == "constant":
+            limit, tol = limit_tensor(TensorFamily.constant(self.reference_tensor())), DEFAULT_TOL
+        else:
+            tensors = [tensor_of(ObtuseRV.from_values(jump_values(h))) for h in DEFAULT_STEPS]
+            limit = limit_tensor(TensorFamily.from_samples(DEFAULT_STEPS, tensors), tol=1e-7)
+            tol = 1e-9
+        f = write_json(tmp_path / "m.json", serialize.tensor_to_json(limit.tensor))
+        want = {"ok": True, "structure": check_limit_symmetries(limit, tol=tol).residuals()}
+        got = run_to_file(tmp_path, ["check", f, "--limit", "--tol", str(tol)])
+        assert got == (0, plain_bytes(want))
 
     def test_diagonalize_system(self, tmp_path):
         tensor = self.reference_tensor()

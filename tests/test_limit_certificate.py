@@ -35,7 +35,7 @@ from obtusewalk.errors import (
     StructureViolation,
 )
 from obtusewalk.obtuse import _bound, _khatri_rao
-from obtusewalk.takagi import _unitary_sqrt
+from obtusewalk.takagi import unitary_sqrt
 from conftest import SCALED_STEPS, sampled_family, scaled_family
 
 
@@ -220,7 +220,7 @@ def classify_sweep_first(m, tol):
     if not report.ok:
         raise StructureViolation(f"limit tensor fails structure relations: {report.residuals()}")
     dirs = tensor._fixed_points(Tensor3(inner, has_constant=False), tol).vectors
-    v = _unitary_sqrt(lam)
+    v = unitary_sqrt(lam)
     w = dirs @ np.conj(v)
     imag = float(np.max(np.abs(w.imag), initial=0.0))
     if not imag <= _bound(tol, float(np.max(np.abs(w), initial=0.0))):

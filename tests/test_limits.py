@@ -5,6 +5,7 @@ import pytest
 
 from obtusewalk import (
     ObtuseRV,
+    SymmetryReport,
     Tensor3,
     TensorFamily,
     check_limit_symmetries,
@@ -303,10 +304,15 @@ class TestLimitSymmetries:
         with pytest.raises(DimensionMismatch):
             check_limit_symmetries(tensor)
 
-    def test_nan_residual_fails(self):
+    @pytest.mark.parametrize(
+        "field", ["sym2", "lambda_symmetry", "lambda_unitarity", "exchange", "reduction"]
+    )
+    def test_nan_residual_fails(self, field):
         # overflowed sweep products give NaN; it fails after a zero residual
         fields = dict.fromkeys(LimitSymmetryReport.__dataclass_fields__, 0.0)
-        report = LimitSymmetryReport(**{**fields, "sym2": float("nan"), "tol": 1e-9})
+        report = LimitSymmetryReport(**{**fields, "sym0": None, field: float("nan"), "tol": 1e-9})
+        assert isinstance(report, SymmetryReport)
+        assert field in report.residuals() and "sym0" not in report.residuals()
         assert not report.ok
 
 

@@ -383,9 +383,9 @@ class TestBadGrids:
 
     @pytest.mark.parametrize("n, k", [(1, 1), (4, 0), (4, 2), (8, 8)])
     def test_budget_bounds_the_real_allocation(self, monkeypatch, n, k):
-        monkeypatch.setattr(simulate, "PATH_GRID_BYTES", 2**22)
+        monkeypatch.setattr(simulate, "ENSEMBLE_BYTES", 2**22)
         spec = mixed_spec(n, k)
-        rows = simulate.PATH_GRID_BYTES // simulate._grid_row_bytes(n)
+        rows = simulate.ENSEMBLE_BYTES // simulate._grid_row_bytes(n)
         with pytest.raises(PathTooLarge):
             limit_path(spec, 1.0, 1.0 / rows)
         tracemalloc.start()
@@ -395,13 +395,13 @@ class TestBadGrids:
         finally:
             tracemalloc.stop()
         assert len(path.times) == rows
-        assert peak <= simulate.PATH_GRID_BYTES
+        assert peak <= simulate.ENSEMBLE_BYTES
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_walk_budget_bounds_the_real_allocation(self, monkeypatch, n):
-        monkeypatch.setattr(simulate, "PATH_GRID_BYTES", 2**22)
+        monkeypatch.setattr(simulate, "ENSEMBLE_BYTES", 2**22)
         rv = ObtuseRV(random_system(n, np.random.default_rng(n)))
-        rows = simulate.PATH_GRID_BYTES // simulate._grid_row_bytes(n)
+        rows = simulate.ENSEMBLE_BYTES // simulate._grid_row_bytes(n)
         with pytest.raises(PathTooLarge):
             walk_path(rv, 1.0 / rows, 1.0)
         tracemalloc.start()
@@ -411,7 +411,7 @@ class TestBadGrids:
         finally:
             tracemalloc.stop()
         assert len(path.times) == rows
-        assert peak <= simulate.PATH_GRID_BYTES
+        assert peak <= simulate.ENSEMBLE_BYTES
 
 
 class TestEnsembleBudget:

@@ -1,6 +1,6 @@
 """The principal square root of a symmetric unitary matrix, and the pipeline on it.
 
-``takagi._unitary_sqrt`` gives ``realify`` its V (of the inner time-zero
+``takagi.unitary_sqrt`` gives ``realify`` its V (of the inner time-zero
 slice) and ``classify`` its V (of Lambda).  It is a matrix function, so a
 real tensor gets V = I, a diagonal Lambda a diagonal V, and V moves with the
 last bits of its input.  The hard spectra are those that defeat an
@@ -25,7 +25,7 @@ from obtusewalk import (
     tensor_of,
 )
 from obtusewalk.errors import NoConvergence
-from obtusewalk.takagi import _unitary_sqrt
+from obtusewalk.takagi import unitary_sqrt
 
 
 def orthogonal(n, rng):
@@ -77,32 +77,32 @@ class TestKernel:
         rng = np.random.default_rng(1)
         for _ in range(100):
             u = conjugate_pair(gap, rng)
-            assert_principal_root(u, _unitary_sqrt(u))
+            assert_principal_root(u, unitary_sqrt(u))
 
     def test_eigenvalues_at_and_near_minus_one(self):
         rng = np.random.default_rng(2)
         for _ in range(300):
             u = near_minus_one(rng)
-            v = _unitary_sqrt(u)
+            v = unitary_sqrt(u)
             assert np.max(np.abs(v @ v.T - u)) <= 1e-13
 
     def test_degenerate_clusters(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             u = clustered(rng)
-            assert_principal_root(u, _unitary_sqrt(u))
+            assert_principal_root(u, unitary_sqrt(u))
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_minus_identity_gives_i_identity(self, zero):
         u = np.full((3, 3), zero, dtype=complex)
         u.real[:] = -np.eye(3)
         u.imag[:] = zero
-        assert np.max(np.abs(_unitary_sqrt(u) - 1j * np.eye(3))) <= 1e-16
+        assert np.max(np.abs(unitary_sqrt(u) - 1j * np.eye(3))) <= 1e-16
 
     def test_identity_and_diagonal(self):
-        assert np.array_equal(_unitary_sqrt(np.eye(4, dtype=complex)), np.eye(4))
+        assert np.array_equal(unitary_sqrt(np.eye(4, dtype=complex)), np.eye(4))
         phases = np.exp(1j * np.random.default_rng(4).uniform(-3, 3, 5))
-        v = _unitary_sqrt(np.diag(phases))
+        v = unitary_sqrt(np.diag(phases))
         assert np.array_equal(v, np.diag(np.diagonal(v)))
         assert np.max(np.abs(np.diagonal(v) ** 2 - phases)) <= 1e-15
 
@@ -113,14 +113,14 @@ class TestKernel:
         u = symmetric_unitary([0.3, 0.3, 0.3, -2.0, -2.0, 2.5], rng)
         for _ in range(20):
             o = orthogonal(6, rng)
-            assert np.max(np.abs(_unitary_sqrt(o @ u @ o.T) - o @ _unitary_sqrt(u) @ o.T)) <= 1e-13
+            assert np.max(np.abs(unitary_sqrt(o @ u @ o.T) - o @ unitary_sqrt(u) @ o.T)) <= 1e-13
 
     def test_residual_is_checked(self, monkeypatch):
         # the package exports the function takagi under the module's name
         monkeypatch.setattr(importlib.import_module("obtusewalk.takagi"), "_SQRT_SLACK", 0.0)
         u = conjugate_pair(0.5, np.random.default_rng(6))
         with pytest.raises(NoConvergence):
-            _unitary_sqrt(u)
+            unitary_sqrt(u)
 
 
 def einsum_tensor(rv):
