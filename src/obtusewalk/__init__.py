@@ -44,7 +44,6 @@ from .multop import (
     basis_matrix,
     chain_mult_op,
     conj_mult_op,
-    direct_chain_mult_op,
     expectation_functional,
     mult_op,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "expectation_functional",
     "ChainOperator",
     "chain_mult_op",
-    "direct_chain_mult_op",
     "TensorFamily",
     "LimitTensorResult",
     "LimitSymmetryReport",

@@ -191,14 +191,15 @@ def cmd_simulate(args) -> int:
         values, _ = serialize.system_values_from_json(doc)
         rv = ObtuseRV.from_values(values, tol=args.tol)
         final = simulate._check([args.T], args.paths, args.h)
-        grid = functools.partial(simulate._path_grid, args.T, args.h, rv.dim, min_steps=1)
+        step, dim, min_steps = args.h, rv.dim, 1
         sample = functools.partial(simulate._walk_sample, rv, args.h)
     else:
         spec = serialize.limitspec_from_json(doc)
         final = simulate._check([args.T], args.paths)
-        grid = functools.partial(simulate._path_grid, args.T, args.dt, spec.dim)
+        step, dim, min_steps = args.dt, spec.dim, 0
         sample = functools.partial(simulate._limit_sample, spec)
-    times = grid(n_paths=n_csv) if n_csv else final
+    simulate._grid_size(args.T, step, min_steps)  # with or without CSV members
+    times = simulate._path_grid(args.T, step, dim, n_csv, min_steps) if n_csv else final
     rng = np.random.default_rng([args.seed])
     paths = sample(times, n_csv, rng)
     rest = sample(final, args.paths - n_csv, rng)
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on the number of paths written to CSV",
     )
     p.add_argument("--stats", default=None, help="stats JSON file (default stdout)")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_count, default=0, help="random seed")
     _add_common(p)
 
     return parser

@@ -95,16 +95,20 @@ class InconsistentCount(ObtuseWalkError):
     """Jump directions are inconsistent with the Brownian decomposition."""
 
 
-class ChainTooLarge(ObtuseWalkError):
-    """Requested chain operator would exceed the dense-size cap."""
+class TooLarge(ObtuseWalkError):
+    """An allocation would exceed the memory budget (``obtuse.MEMORY_BYTES``)."""
+
+
+class ChainTooLarge(TooLarge):
+    """A chain operator's dense matrix would exceed the memory budget."""
 
 
 class TooManyJumps(ObtuseWalkError):
-    """A limit path would draw more jumps than its jump-log budget admits."""
+    """A limit path would draw more jumps than the memory budget or int64 counts admit."""
 
 
-class PathTooLarge(ObtuseWalkError):
-    """A path's time grid or an ensemble would exceed its byte budget."""
+class PathTooLarge(TooLarge):
+    """A path or an ensemble would exceed the memory budget."""
 
 
 class TooFewIncrements(ObtuseWalkError):

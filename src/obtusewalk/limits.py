@@ -17,6 +17,8 @@ sweeps a sample below dimension ``_CERTIFY_MIN_DIM``, where the sweep is the
 cheaper check.  ``classify`` adds the four Lambda relations to the gate's
 report, so on a certified report sym2 and sym3 are the certificate's upper
 bounds, not swept residuals.  Every bound is relative (``obtuse._bound``).
+``limit_tensor`` holds its peak, a multiple of its samples, to the memory
+budget ``obtuse.MEMORY_BYTES`` before it checks or stacks them.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .errors import (
     NonPositiveStep,
     NotDoublySymmetric,
     StructureViolation,
+    TooLarge,
 )
-from .obtuse import DEFAULT_TOL, SymmetryReport, Tensor3, _bound, check_symmetries
+from .obtuse import DEFAULT_TOL, SymmetryReport, Tensor3, _bound, _require_memory, check_symmetries
 from .takagi import unitary_sqrt
 from .tensor import _certify_or_sweep, _fixed_points
 
@@ -52,6 +55,11 @@ DEFAULT_STEPS = tuple(0.1 * 4.0**-k for k in range(5))
 # its fixed points and certificate, 0.49 against 0.25 ms at d = 10, and 33
 # against 3.6 ms at d = 33
 _CERTIFY_MIN_DIM = 10
+
+# peak bytes of limit_tensor over its samples' bytes, by tracemalloc: 3.6-4.7x
+# for the stack, its rescaled copy and the Richardson levels (N = 16-48, 3-60
+# samples), 1x more for samples the family computes in the call
+_LIMIT_PEAK_FACTOR = 6
 
 
 def rescale_tensor(tensor: Tensor3, h: float) -> Tensor3:
@@ -157,10 +165,13 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     from dimension ``_CERTIFY_MIN_DIM`` on in the gate of ``diagonalize``
     (``tensor._certify_or_sweep``), below it by one sweep.  The sample's
     report alone decides it, so no error of the fixed-point kernel escapes.
+    First, ``TooLarge`` for samples over the memory budget at that peak.
     """
     steps = np.array(family.steps)
     samples = family.sample()
     d = samples[0].dim
+    n_bytes = _LIMIT_PEAK_FACTOR * len(samples) * samples[0].entries.nbytes
+    _require_memory(n_bytes, TooLarge, f"{len(samples)} samples of dimension {d}")
     checked = set()
     for h, s in zip(steps, samples):
         if s.dim != d or not s.has_constant:

@@ -6,8 +6,8 @@ and in that basis it reads sum_{j,k} S^{ij}_k a^j_k where a^j_k is the
 elementary matrix sending e_j to e_k.  The same story on a product of n
 copies (a finite chain) gives the discrete precursors of quantum noises:
 single-site ampliations summed over sites with the time-step weights h and
-sqrt(h).  Every operator built from the tensor has an independent oracle
-built directly from atom sums on the probability space.
+sqrt(h), in one dense matrix within ``obtuse.MEMORY_BYTES``.  Every operator
+built from the tensor has an independent oracle built from atom sums alone.
 """
 
 from __future__ import annotations
@@ -17,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import obtuse
 from .errors import ChainTooLarge, DimensionMismatch
-from .obtuse import ObtuseRV, Tensor3
-
-# Byte budget of the one dense D x D complex matrix a chain operator holds:
-# 14x the 76.5 MB operator of 3-dimensional sites at 7 sites (D = 2187), and
-# well inside a host with 8 GiB.  It admits D <= 8192.
-CHAIN_MATRIX_BYTES = 2**30
+from .obtuse import ObtuseRV, Tensor3, _require_memory, tensor_of
 
 
 def basis_matrix(i: int, j: int, dim: int) -> np.ndarray:
@@ -70,8 +66,6 @@ def expectation_functional(rv: ObtuseRV, monomials) -> complex:
     <e_0, f(M_{X^1}, ...) e_0> computed with the operator matrices; it agrees
     with the probabilistic expectation sum_m p_m f(v_m).
     """
-    from .obtuse import tensor_of
-
     tensor = tensor_of(rv)
     dim = tensor.dim
     e0 = np.zeros(dim, dtype=complex)
@@ -114,21 +108,17 @@ class ChainOperator:
 
 
 def _chain_dim(site_dim: int, n_sites: int) -> int:
-    """D = site_dim**n_sites, or ChainTooLarge if a D x D matrix busts the budget.
+    """D = site_dim**n_sites, or ChainTooLarge if a complex D x D matrix busts the budget.
 
     The exponent is clipped before the power is taken: for site_dim >= 2,
-    site_dim**k > max_dim once k exceeds the bit length of max_dim, so a huge
-    n_sites is rejected without computing a huge integer.
+    16 site_dim**(2k) exceeds the memory budget once k reaches its bit length,
+    so a huge n_sites is rejected without computing a huge integer.
     """
     if n_sites < 1:
         raise DimensionMismatch("need at least one site")
-    max_dim = math.isqrt(CHAIN_MATRIX_BYTES // np.dtype(complex).itemsize)
-    dim = site_dim ** min(n_sites, max_dim.bit_length())
-    if dim > max_dim:
-        raise ChainTooLarge(
-            f"a chain of {n_sites} sites of dimension {site_dim} needs a matrix "
-            f"above {CHAIN_MATRIX_BYTES} bytes"
-        )
+    dim = site_dim ** min(n_sites, obtuse.MEMORY_BYTES.bit_length())
+    what = f"a chain of {n_sites} sites of dimension {site_dim}"
+    _require_memory(np.dtype(complex).itemsize * dim**2, ChainTooLarge, what)
     return dim
 
 
@@ -146,7 +136,7 @@ def chain_mult_op(tensor: Tensor3, i: int, n_sites: int, h: float) -> ChainOpera
     the time coordinate sum of h X^0 = n h for i = 0; the operator is the
     correspondingly weighted sum of single-site ampliations of ``mult_op``.
 
-    Cost: one D x D allocation (D = d**n_sites, at most ``CHAIN_MATRIX_BYTES``)
+    Cost: one D x D allocation (D = d**n_sites, within ``obtuse.MEMORY_BYTES``)
     and n_sites * D * d additions.  With L = d**site and
     R = d**(n_sites - site - 1), the ampliation at a site touches only the
     entries ((a, k, b), (a, j, b)) of the result, a < L and b < R; they form

@@ -42,6 +42,17 @@ TIE_EPS = 1e-12
 # sweep's working memory is a few blocks instead of the d^4 intermediates
 _SWEEP_BLOCK_BYTES = 2 * 2**20
 
+# byte budget of every allocation that grows with the input (ensembles, paths,
+# chain matrices, limit_tensor): it admits the recorded 1e5-path x 10-time
+# ensembles in C^32 and fits a host with 8 GiB
+MEMORY_BYTES = 2**31
+
+
+def _require_memory(n_bytes, error: type, what: str) -> None:
+    """Raise ``error`` if ``n_bytes`` (NaN too) exceed ``MEMORY_BYTES``, read at call time."""
+    if not n_bytes <= MEMORY_BYTES:
+        raise error(f"{what} would exceed the {MEMORY_BYTES}-byte memory budget")
+
 
 def _bound(tol: float, scale: float) -> float:
     """The largest residual a check accepts: tol * max(1, scale).

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .limits import LimitSpec, TensorFamily
-from .obtuse import ObtuseSystem, Tensor3
+from .obtuse import ObtuseRV, ObtuseSystem, Tensor3, tensor_of
 
 
 class FormatError(ValueError):
@@ -370,8 +370,6 @@ def family_from_json(obj, default_steps) -> TensorFamily:
     (h-independent family; only an absent or null "steps" means
     ``default_steps``).
     """
-    from .obtuse import ObtuseRV, tensor_of
-
     if not isinstance(obj, dict):
         raise FormatError("family must be an object")
     steps = _floats(obj["steps"], "steps") if obj.get("steps") is not None else None

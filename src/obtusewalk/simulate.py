@@ -13,11 +13,12 @@ interval without steps), the limit sampler all Gaussian increments in one
 ``normal`` call, then the Poisson counts of all intervals in one
 ``poisson`` call per jump direction, in spec order.  An ensemble is a
 sampler on the requested grid, a path a sampler with ``n_paths = 1`` on the
-fine grid of its step: the step's multiples below T, then T.  A limit path
-then draws one uniform per jump, by direction and then interval, for a jump
-time inside its interval: given the count, the jump times of a Poisson
-process in an interval are that many uniforms (Devroye, *Non-Uniform Random
-Variate Generation*, 1986, ch. VI).
+fine grid of its step: the step's multiples below T, then T.  Both are held
+to the memory budget ``obtuse.MEMORY_BYTES`` before they allocate, a limit
+path with its jump log.  A limit path then draws one uniform per jump, by
+direction and then interval, for a jump time inside its interval: given the
+count, the jump times of a Poisson process in an interval are that many
+uniforms (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. VI).
 
 RNG contract: all randomness comes from ``numpy.random.default_rng``.  An
 ensemble uses the stream ``[seed]``, path k of a seed the independent
@@ -47,7 +48,7 @@ from .errors import (
     TooManyJumps,
 )
 from .limits import LimitSpec
-from .obtuse import ObtuseRV
+from .obtuse import ObtuseRV, _require_memory
 
 # A horizon t spans n steps of size h when t/h lies at most this relative
 # distance below n, and a fine grid ends with T instead of a multiple of the
@@ -56,25 +57,10 @@ from .obtuse import ObtuseRV
 # 1e10 steps.
 STEP_RTOL = 1e-10
 
-# Byte budget of the jump log of one limit path: a float64 time and an int64
-# direction index per jump, so 2**27 bytes admit 2**23 (8.4 million) jumps on
-# average, 8400 times the 1e3 jumps of a rate-1e3 path on [0, 1].  The budget
-# bounds the expected count rate * T before anything is drawn; a drawn count
-# exceeds it by more than 1 % (29 standard deviations) with negligible
-# probability.  Drawing and sorting the log peaks at 2.5x its size.
-JUMP_LOG_BYTES = 2**27
-
-# Byte budget of one ensemble, n_paths x n_t grid cells at _grid_row_bytes(N)
-# each; a path is a one-member ensemble on its fine grid.  By tracemalloc a
-# walk ensemble peaks at 40 N + 24 bytes a cell over one grid time (the
-# values, one time's atom counts as int64 and float64, a real product) and at
-# 16 N a cell over many; a limit ensemble at 32 N + 24 a cell.  A path keeps
-# a float64 time and a complex value per grid time (8 + 16 N bytes) and
-# peaks at most at 40 N + 40 bytes for a walk (N + 1 atom counts as int64
-# and float64, a real product, the step counts) and at 32 N + 38 for a limit
-# path.  2**31 bytes admit 1e5 paths at 10 grid times in C^32 (1.33e9), and
-# a path of 24 million grid times at N = 1 or 1.6 million at N = 32.
-ENSEMBLE_BYTES = 2**31
+# Peak bytes per expected jump of a limit path's log (a float64 time, an int64
+# direction): drawing the times holds six arrays of the jump count, 3x the log
+# by tracemalloc.  A count rarely exceeds rate * T by 1 % (67 sd at the budget).
+_BYTES_PER_JUMP = 48
 
 # Largest expected jump count of one direction in a limit ensemble.  Counts
 # are int64, and a Poisson count of mean 2**62 reaches 2**63 only 2**31
@@ -90,18 +76,19 @@ _DRAW_BLOCK_BYTES = 2**18
 
 
 def _grid_row_bytes(dim: int) -> int:
-    """Peak bytes per fine-grid time of a path in C^dim (see ENSEMBLE_BYTES)."""
+    """Peak bytes of a path at a grid time in C^dim: by tracemalloc at most 40 N + 24
+    for an ensemble (values, one time's atom counts as int64 and float64, a real
+    product) and 40 N + 40 for a path, which also keeps a float64 time."""
     return 40 * dim + 48
 
 
-def _check_ensemble(n_paths: int, n_t: int, dim: int) -> None:
-    """Raise ``PathTooLarge`` for an ensemble over ``ENSEMBLE_BYTES``, before allocating."""
-    max_cells = ENSEMBLE_BYTES // _grid_row_bytes(dim)
-    if n_paths * n_t > max_cells:
-        raise PathTooLarge(
-            f"{n_paths} paths at {n_t:.0f} grid times in C^{dim} exceed the "
-            f"{ENSEMBLE_BYTES}-byte ensemble budget ({max_cells} path-times)"
-        )
+def _check_ensemble(n_paths: int, n_t: int, dim: int, jumps: float = 0.0) -> None:
+    """Before allocating, raise for paths and a log of ``jumps`` expected jumps over the
+    memory budget: ``TooManyJumps`` if the log is the larger part, else ``PathTooLarge``."""
+    grid_bytes, log_bytes = n_paths * n_t * _grid_row_bytes(dim), _BYTES_PER_JUMP * jumps
+    error = TooManyJumps if log_bytes > grid_bytes else PathTooLarge
+    what = f"{n_paths} paths at {n_t:.0f} grid times in C^{dim} and {jumps:.3g} expected jumps"
+    _require_memory(grid_bytes + log_bytes, error, what)
 
 
 def _step_count(t, h: float) -> np.ndarray:
@@ -138,23 +125,26 @@ def _check(t_grid, n_paths: int, step: float | None = None) -> np.ndarray:
     return grid
 
 
-def _path_grid(T: float, step: float, dim: int, n_paths: int = 1, min_steps: int = 0):
-    """Fine grid of ``n_paths`` paths in C^dim: the multiples of step below T, then T.
-
-    Before allocating it raises ``NonPositiveStep`` for a step that is not
-    positive and finite or a horizon not positive or under ``min_steps``
-    steps, and ``PathTooLarge`` for paths over the ensemble budget
-    (``_check_ensemble``).
-    """
+def _grid_size(T: float, step: float, min_steps: int = 0) -> float:
+    """Times on the fine grid of step up to T (inf for T = inf), or ``NonPositiveStep``
+    for a step not positive and finite or a horizon not positive or under ``min_steps``."""
     if not 0 < step < np.inf:
         raise NonPositiveStep(f"time step must be positive and finite, got {step}")
     if not T > 0:
         raise NonPositiveStep(f"horizon T must be positive, got {T}")
-    intervals = np.ceil(T / step * (1.0 - STEP_RTOL))
-    _check_ensemble(n_paths, intervals + 1, dim)
-    if _step_count(T, step) < min_steps:
+    if T / step * (1.0 + STEP_RTOL) < min_steps:  # _step_count(T, step) < min_steps
         raise NonPositiveStep(f"horizon T must cover at least {min_steps} step(s)")
-    return np.append(np.arange(int(intervals)) * step, T)
+    return np.ceil(T / step * (1.0 - STEP_RTOL)) + 1
+
+
+def _path_grid(T: float, step: float, dim: int, n_paths=1, min_steps=0, jumps=0.0):
+    """Fine grid of ``n_paths`` paths in C^dim: the multiples of step below T, then T.
+
+    Errors as for ``_grid_size`` and ``_check_ensemble``, with ``jumps`` logged.
+    """
+    n_t = _grid_size(T, step, min_steps)
+    _check_ensemble(n_paths, n_t, dim, jumps)
+    return np.append(np.arange(int(n_t) - 1) * step, T)
 
 
 def _walk_sample(rv: ObtuseRV, h: float, grid: np.ndarray, n_paths: int, rng) -> np.ndarray:
@@ -258,13 +248,10 @@ def walk_path(rv: ObtuseRV, h: float, T: float, seed: int = 0, path_index: int =
 def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: int = 0) -> Path:
     """One trajectory of the limit martingale, on the fine grid of dt, with its jump log.
 
-    Errors as for ``_path_grid``, and ``TooManyJumps``, before drawing, when
-    the expected number of jumps exceeds the ``JUMP_LOG_BYTES`` budget.
+    Errors as for ``_path_grid``, which holds the grid and the expected jump
+    log to the memory budget before anything is drawn.
     """
-    times = _path_grid(T, dt, spec.dim)
-    expected_jumps = float(np.sum(spec.intensities)) * T
-    if not expected_jumps <= JUMP_LOG_BYTES // 16:
-        raise TooManyJumps(f"{expected_jumps:.3g} expected jumps overflow the jump log")
+    times = _path_grid(T, dt, spec.dim, jumps=float(np.sum(spec.intensities)) * T)
     rng = np.random.default_rng([seed, path_index])
     counts = []
     values = _limit_sample(spec, times, 1, rng, counts)[0]

@@ -19,7 +19,6 @@ from obtusewalk import (
     check_symmetries,
     classify,
     diagonalize,
-    direct_chain_mult_op,
     distribution_compare,
     empirical_brackets,
     haar_unitary,
@@ -38,6 +37,7 @@ from obtusewalk import (
 )
 from obtusewalk.cli import main
 from obtusewalk.limits import DEFAULT_STEPS
+from obtusewalk.multop import direct_chain_mult_op
 from conftest import (
     JUMP_LAMBDA,
     JUMP_M1,

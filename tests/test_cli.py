@@ -679,7 +679,7 @@ class TestSimulate:
         assert main([*argv, "--out", str(tmp_path / "p.csv")]) == 0
         assert json.loads(capsys.readouterr().out) == plain
 
-    @pytest.mark.parametrize("option", ["--paths", "--max-csv-paths"])
+    @pytest.mark.parametrize("option", ["--paths", "--max-csv-paths", "--seed"])
     def test_negative_counts_are_usage_errors(self, tmp_path, capsys, option):
         f = write_json(tmp_path / "sys.json", reference_system_doc())
         with pytest.raises(SystemExit) as exc:
@@ -704,6 +704,36 @@ class TestSimulate:
         f = write_json(tmp_path / "sys.json", reference_system_doc())
         assert main(["simulate", f, "--kind", "walk", "--paths", "10", *options]) == 1
         assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+    @pytest.mark.parametrize("route", [[], ["--out", "paths.csv"]], ids=["stats", "csv"])
+    @pytest.mark.parametrize(
+        "kind, options, error",
+        [
+            ("walk", ["--T", "0"], "NonPositiveStep"),
+            ("walk", ["--h", "0.1", "--T", "0.05"], "NonPositiveStep"),
+            ("walk", ["--T", "-1"], "DimensionMismatch"),
+            ("limit", ["--T", "0"], "NonPositiveStep"),
+            ("limit", ["--dt", "nan"], "NonPositiveStep"),
+            ("limit", ["--dt", "0"], "NonPositiveStep"),
+            ("limit", ["--T", "nan"], "DimensionMismatch"),
+        ],
+        ids=["walk-T-zero", "walk-T-below-h", "walk-T-negative", "limit-T-zero",
+             "limit-dt-nan", "limit-dt-zero", "limit-T-nan"],
+    )
+    def test_grid_checks_hold_with_or_without_csv(
+        self, tmp_path, capsys, monkeypatch, kind, options, error, route
+    ):
+        monkeypatch.chdir(tmp_path)
+        if kind == "walk":
+            f = write_json(tmp_path / "in.json", reference_system_doc())
+        else:
+            rv = ObtuseRV.from_values(REFERENCE_VALUES)
+            spec = classify(limit_tensor(TensorFamily.constant(tensor_of(rv))))
+            f = write_json(tmp_path / "in.json", serialize.limitspec_to_json(spec))
+        assert main(["simulate", f, "--kind", kind, "--paths", "10", *options, *route]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {error}: ")
+        assert not (tmp_path / "paths.csv").exists()
 
     @pytest.mark.parametrize("kind", ["walk", "limit"])
     def test_ensemble_over_budget_fails_before_allocating(self, tmp_path, capsys, kind):

@@ -1,5 +1,8 @@
 """Rescaling, limit extraction, structure relations, classification."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from obtusewalk import (
     SymmetryReport,
     Tensor3,
     TensorFamily,
+    chain_mult_op,
     check_limit_symmetries,
     classify,
     diagonalize,
@@ -17,15 +21,21 @@ from obtusewalk import (
     rescale_tensor,
     tensor_of,
     transform,
+    walk_path,
 )
+from obtusewalk import obtuse
 from obtusewalk.errors import (
+    ChainTooLarge,
     DimensionMismatch,
     NoApparentLimit,
     NonPositiveStep,
+    PathTooLarge,
     StructureViolation,
+    TooLarge,
 )
 from obtusewalk.limits import (
     _EXTRAPOLATION_TOL,
+    _LIMIT_PEAK_FACTOR,
     _RATIO_FLOOR,
     DEFAULT_STEPS,
     LimitSymmetryReport,
@@ -38,6 +48,7 @@ from conftest import (
     JUMP_POISSON_DIR,
     REFERENCE_LAMBDA,
     SCALED_STEPS,
+    bernoulli_rv,
     greedy_match,
     jump_rv,
     sampled_family,
@@ -409,3 +420,62 @@ class TestRealComplement:
                 assert comp.shape == (n - k, n)
                 np.testing.assert_allclose(comp @ comp.T, np.eye(n - k), atol=1e-12)
                 assert np.max(np.abs(comp @ q[:k].T), initial=0.0) <= 1e-12
+
+
+def constant_family(n):
+    return TensorFamily.constant(tensor_of(ObtuseRV(random_system(n, np.random.default_rng(n)))))
+
+
+def computed_family(n, n_samples):
+    """A family in C^n whose tensor_at builds a fresh sample at every step."""
+    entries = tensor_of(ObtuseRV(random_system(n, np.random.default_rng(n)))).entries
+    steps = tuple(0.1 * 2.0**-k for k in range(n_samples))
+    return TensorFamily(tensor_at=lambda h: Tensor3(entries.copy()), steps=steps)
+
+
+class TestMemoryBudget:
+    """``limit_tensor`` is held to ``obtuse.MEMORY_BYTES`` by a model of its peak."""
+
+    @staticmethod
+    def model(family):
+        d = family.tensor_at(family.steps[0]).dim
+        return _LIMIT_PEAK_FACTOR * len(family.steps) * 16 * d**3
+
+    def test_rejects_before_allocating(self, monkeypatch):
+        family = constant_family(32)
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", self.model(family) - 1)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(TooLarge):
+                limit_tensor(family)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: constant_family(32), lambda: computed_family(16, 12)],
+        ids=["constant-N32", "computed-N16-12-samples"],
+    )
+    def test_model_bounds_the_peak(self, monkeypatch, make):
+        family = make()
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", self.model(family))
+        tracemalloc.start()
+        try:
+            result = limit_tensor(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.tensor.dim == family.tensor_at(family.steps[0]).dim
+        assert peak <= obtuse.MEMORY_BYTES, peak / obtuse.MEMORY_BYTES
+
+    def test_one_error_class(self, reference_tensor):
+        assert issubclass(PathTooLarge, TooLarge) and issubclass(ChainTooLarge, TooLarge)
+        with pytest.raises(TooLarge):
+            chain_mult_op(reference_tensor, 1, 11, 0.01)
+        with pytest.raises(TooLarge):
+            walk_path(bernoulli_rv(), 1e-12, 1e6)

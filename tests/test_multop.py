@@ -11,14 +11,13 @@ from obtusewalk import (
     basis_matrix,
     chain_mult_op,
     conj_mult_op,
-    direct_chain_mult_op,
     expectation_functional,
     mult_op,
     random_system,
     tensor_of,
 )
 from obtusewalk.errors import ChainTooLarge, DimensionMismatch
-from obtusewalk.multop import direct_expectation
+from obtusewalk.multop import direct_chain_mult_op, direct_expectation
 from obtusewalk.obtuse import Tensor3
 from conftest import (
     REFERENCE_SLICE_1,

@@ -19,7 +19,7 @@ from obtusewalk import (
     walk_ensemble,
     walk_path,
 )
-from obtusewalk import simulate
+from obtusewalk import obtuse, simulate
 from obtusewalk.errors import (
     DimensionMismatch,
     NonPositiveStep,
@@ -300,9 +300,8 @@ class TestPoissonJumps:
         assert peak < 2**20
 
     def test_budget_admits_the_expected_log(self):
-        max_jumps = simulate.JUMP_LOG_BYTES // (
-            np.dtype(float).itemsize + np.dtype(int).itemsize
-        )
+        # a float64 time and an int64 direction per jump, at 3x while drawing
+        max_jumps = obtuse.MEMORY_BYTES // (3 * (np.dtype(float).itemsize + np.dtype(int).itemsize))
         with pytest.raises(TooManyJumps):
             limit_path(poisson_spec([1.01 * max_jumps]), 1.0, 0.5)
         path = limit_path(poisson_spec([1e5]), 1.0, 0.5)
@@ -383,9 +382,11 @@ class TestBadGrids:
 
     @pytest.mark.parametrize("n, k", [(1, 1), (4, 0), (4, 2), (8, 8)])
     def test_budget_bounds_the_real_allocation(self, monkeypatch, n, k):
-        monkeypatch.setattr(simulate, "ENSEMBLE_BYTES", 2**22)
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", 2**22)
         spec = mixed_spec(n, k)
-        rows = simulate.ENSEMBLE_BYTES // simulate._grid_row_bytes(n)
+        # the grid shares the budget with the jump log of 2k expected jumps on [0, 1]
+        log_bytes = simulate._BYTES_PER_JUMP * 2 * k
+        rows = (obtuse.MEMORY_BYTES - log_bytes) // simulate._grid_row_bytes(n)
         with pytest.raises(PathTooLarge):
             limit_path(spec, 1.0, 1.0 / rows)
         tracemalloc.start()
@@ -395,13 +396,13 @@ class TestBadGrids:
         finally:
             tracemalloc.stop()
         assert len(path.times) == rows
-        assert peak <= simulate.ENSEMBLE_BYTES
+        assert peak <= obtuse.MEMORY_BYTES
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_walk_budget_bounds_the_real_allocation(self, monkeypatch, n):
-        monkeypatch.setattr(simulate, "ENSEMBLE_BYTES", 2**22)
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", 2**22)
         rv = ObtuseRV(random_system(n, np.random.default_rng(n)))
-        rows = simulate.ENSEMBLE_BYTES // simulate._grid_row_bytes(n)
+        rows = obtuse.MEMORY_BYTES // simulate._grid_row_bytes(n)
         with pytest.raises(PathTooLarge):
             walk_path(rv, 1.0 / rows, 1.0)
         tracemalloc.start()
@@ -411,11 +412,11 @@ class TestBadGrids:
         finally:
             tracemalloc.stop()
         assert len(path.times) == rows
-        assert peak <= simulate.ENSEMBLE_BYTES
+        assert peak <= obtuse.MEMORY_BYTES
 
 
 class TestEnsembleBudget:
-    """An ensemble over ``ENSEMBLE_BYTES`` fails before anything is allocated."""
+    """An ensemble over ``MEMORY_BYTES`` fails before anything is allocated."""
 
     @pytest.mark.parametrize("kind", ["walk", "limit"])
     def test_fails_fast(self, kind):
@@ -435,15 +436,15 @@ class TestEnsembleBudget:
 
     def test_admits_the_recorded_ensembles(self):
         # 1e5 paths at 10 times in C^32, and the 1e4-path ensembles at N = 8
-        assert 10**5 * 10 <= simulate.ENSEMBLE_BYTES // simulate._grid_row_bytes(32)
-        assert 10**4 * 10 <= simulate.ENSEMBLE_BYTES // simulate._grid_row_bytes(8)
+        assert 10**5 * 10 <= obtuse.MEMORY_BYTES // simulate._grid_row_bytes(32)
+        assert 10**4 * 10 <= obtuse.MEMORY_BYTES // simulate._grid_row_bytes(8)
 
     @pytest.mark.parametrize("n, n_t", [(1, 1), (2, 1), (8, 1), (2, 10), (8, 10)])
     def test_budget_bounds_the_real_allocation(self, monkeypatch, n, n_t):
-        monkeypatch.setattr(simulate, "ENSEMBLE_BYTES", 2**22)
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", 2**22)
         rv = ObtuseRV(random_system(n, np.random.default_rng(n)))
         grid = np.linspace(0.1, 1.0, n_t)
-        paths = simulate.ENSEMBLE_BYTES // (simulate._grid_row_bytes(n) * n_t)
+        paths = obtuse.MEMORY_BYTES // (simulate._grid_row_bytes(n) * n_t)
         for sample in (
             lambda count: walk_ensemble(rv, 0.01, grid, count),
             lambda count: limit_ensemble(mixed_spec(n, 0), grid, count),
@@ -458,7 +459,7 @@ class TestEnsembleBudget:
             finally:
                 tracemalloc.stop()
             assert values.shape == (paths, n_t, n)
-            assert peak <= simulate.ENSEMBLE_BYTES
+            assert peak <= obtuse.MEMORY_BYTES
             del values
 
 
