@@ -17,8 +17,14 @@ sweeps a sample below dimension ``_CERTIFY_MIN_DIM``, where the sweep is the
 cheaper check.  ``classify`` adds the four Lambda relations to the gate's
 report, so on a certified report sym2 and sym3 are the certificate's upper
 bounds, not swept residuals.  Every bound is relative (``obtuse._bound``).
-``limit_tensor`` holds its peak, a multiple of its samples, to the memory
-budget ``obtuse.MEMORY_BYTES`` before it checks or stacks them.
+
+A family whose samples are all one object (``TensorFamily.constant``, a
+sample repeated in ``from_samples``) is h-independent, and its limit is
+exact: Lambda = S^{ij}_0, M = 0 and no extrapolation error, so
+``limit_tensor`` checks the one sample and builds no table.  It holds its
+peak to the memory budget ``obtuse.MEMORY_BYTES`` before it checks or
+stacks the samples: one sample check plus the sample and its result for a
+constant family, plus a multiple of the samples for the table.
 """
 
 from __future__ import annotations
@@ -36,7 +42,15 @@ from .errors import (
     StructureViolation,
     TooLarge,
 )
-from .obtuse import DEFAULT_TOL, SymmetryReport, Tensor3, _bound, _require_memory, check_symmetries
+from .obtuse import (
+    DEFAULT_TOL,
+    SymmetryReport,
+    Tensor3,
+    _bound,
+    _require_memory,
+    _sweep_bytes,
+    check_symmetries,
+)
 from .takagi import unitary_sqrt
 from .tensor import _certify_or_sweep, _fixed_points
 
@@ -56,9 +70,9 @@ DEFAULT_STEPS = tuple(0.1 * 4.0**-k for k in range(5))
 # against 3.6 ms at d = 33
 _CERTIFY_MIN_DIM = 10
 
-# peak bytes of limit_tensor over its samples' bytes, by tracemalloc: 3.6-4.7x
-# for the stack, its rescaled copy and the Richardson levels (N = 16-48, 3-60
-# samples), 1x more for samples the family computes in the call
+# peak bytes of the Richardson table over its samples' bytes, by tracemalloc:
+# 3.6-4.7x for the stack, its rescaled copy and the Richardson levels (N =
+# 16-48, 3-60 samples), 1x more for samples the family computes in the call
 _LIMIT_PEAK_FACTOR = 6
 
 
@@ -133,7 +147,8 @@ def _extrapolate(seqs: np.ndarray, x: np.ndarray):
 
 def _first_entry(mask: np.ndarray) -> tuple:
     """First (i, j, k) in index order where ``mask`` over i, j >= 1 holds."""
-    return tuple(int(x) for x in np.argwhere(mask)[0] + (1, 1, 0))
+    first = np.unravel_index(np.argmax(mask), mask.shape)
+    return tuple(int(x) + offset for x, offset in zip(first, (1, 1, 0)))
 
 
 @dataclass(frozen=True)
@@ -161,16 +176,22 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     ``NoApparentLimit`` at the first entry whose error estimate
     (``_extrapolate``) exceeds ``_bound(_EXTRAPOLATION_TOL, max|M|)``, and
     ``NotDoublySymmetric`` if a sample violates the tensor symmetries.  A
-    sample object repeated across steps (a constant family) is checked once:
-    from dimension ``_CERTIFY_MIN_DIM`` on in the gate of ``diagonalize``
+    sample object repeated across steps is checked once: from dimension
+    ``_CERTIFY_MIN_DIM`` on in the gate of ``diagonalize``
     (``tensor._certify_or_sweep``), below it by one sweep.  The sample's
     report alone decides it, so no error of the fixed-point kernel escapes.
-    First, ``TooLarge`` for samples over the memory budget at that peak.
+    A family whose samples are all one object has its limit in closed form
+    (``_constant_limit``), without a table.  First, ``TooLarge`` if the
+    peak exceeds the memory budget: one check's sweep (``_sweep_bytes``)
+    plus the sample and the result for a constant family, plus
+    ``_LIMIT_PEAK_FACTOR`` times the samples for the table.
     """
     steps = np.array(family.steps)
     samples = family.sample()
     d = samples[0].dim
-    n_bytes = _LIMIT_PEAK_FACTOR * len(samples) * samples[0].entries.nbytes
+    constant = all(s is samples[0] for s in samples)
+    held = 2 if constant else _LIMIT_PEAK_FACTOR * len(samples)
+    n_bytes = _sweep_bytes(d) + held * samples[0].entries.nbytes
     _require_memory(n_bytes, TooLarge, f"{len(samples)} samples of dimension {d}")
     checked = set()
     for h, s in zip(steps, samples):
@@ -189,8 +210,10 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
             what = f"sample at h={h} violates tensor symmetries:"
             raise NotDoublySymmetric(f"{what} {report.residuals()}")
 
-    stack = np.stack([s.entries for s in samples])  # (n_samples, d, d, d)
     x = np.sqrt(steps)
+    if constant:
+        return _constant_limit(samples[0].entries, x)
+    stack = np.stack([s.entries for s in samples])  # (n_samples, d, d, d)
     # (n_samples, N, N, N + 1): S^{ij}_0 and sqrt(h) S^{ij}_k over i, j >= 1
     seqs = stack[:, 1:, 1:, :].copy()
     seqs[..., 1:] *= x[:, None, None, None]
@@ -205,17 +228,52 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     diffs = np.abs(np.diff(seqs, axis=0))
     a, b = diffs[:-1], diffs[1:]
     shrink = np.max(np.where(b > floor, b / np.maximum(a, floor), 0.0), axis=0)
-    worst_ratio = float(np.max(shrink, initial=0.0))
-    worst_entry = _first_entry(shrink == worst_ratio) if worst_ratio > 0.0 else None
     entries = np.zeros((d, d, d), dtype=complex)
     entries[1:, 1:, :] = lims
-    tensor = Tensor3(entries=entries, has_constant=True)
+    return _limit_result(entries, shrink, float(np.max(errors, initial=0.0)))
+
+
+def _constant_limit(s: np.ndarray, x: np.ndarray) -> LimitTensorResult:
+    """The limit of a family whose every sample has the entries ``s``.
+
+    S^{ij}_0(h) is constant and sqrt(h) S^{ij}_k(h) = x S^{ij}_k goes to 0,
+    so Lambda is S^{ij}_0 and M is 0, exactly, with no extrapolation error
+    (Donsker's case).  The shrink ratios follow ``limit_tensor``'s rule on
+    the exact sequences, whose differences are (x_n - x_{n+1}) |S|: a ratio
+    counts once the later difference clears the floor, and is the ratio of
+    the steps of x, or the later difference over the floor if the earlier
+    one is below it, whichever is smaller.
+    """
+    d = len(s)
+    floor = _bound(_RATIO_FLOOR, float(np.max(np.abs(s), initial=0.0)))
+    # |S^{ij}_k| for i, j >= 1, and 0 for the constant sequences k = 0
+    size = np.abs(s[1:, 1:, :])
+    size[..., 0] = 0.0
+    dx = x[:-1] - x[1:]
+    shrink, later = np.zeros(size.shape), np.empty(size.shape)
+    for da, db in zip(dx, dx[1:]):
+        np.multiply(size, db, out=later)
+        counts = later > floor
+        later /= floor
+        # steps whose square roots round together give da = 0: no cap
+        np.minimum(later, db / da if da > 0.0 else np.inf, out=later)
+        later *= counts
+        np.maximum(shrink, later, out=shrink)
+    entries = np.zeros((d, d, d), dtype=complex)
+    entries[1:, 1:, 0] = s[1:, 1:, 0]
+    return _limit_result(entries, shrink, 0.0)
+
+
+def _limit_result(entries: np.ndarray, shrink: np.ndarray, noise: float) -> LimitTensorResult:
+    """The result of the limit ``entries``, per-entry shrink ratios and noise."""
+    worst_ratio = float(np.max(shrink, initial=0.0))
+    worst_entry = _first_entry(shrink == worst_ratio) if worst_ratio > 0.0 else None
     return LimitTensorResult(
-        tensor=tensor,
+        tensor=Tensor3(entries=entries, has_constant=True),
         lambda_matrix=entries[1:, 1:, 0].copy(),
         worst_ratio=worst_ratio,
         worst_entry=worst_entry,
-        noise=float(np.max(errors, initial=0.0)),
+        noise=noise,
     )
 
 

@@ -393,6 +393,23 @@ def _sym1(s: np.ndarray) -> float:
     return float(np.max(np.abs(s - s.transpose(1, 0, 2)))) if s.shape[0] else 0.0
 
 
+def _sweep_step(d: int) -> int:
+    """Values of j in one block of ``_product_symmetries`` on complex d-tensors."""
+    return max(1, min(d, _SWEEP_BLOCK_BYTES // max(1, 16 * d**3)))
+
+
+def _sweep_bytes(d: int) -> int:
+    """Working bytes of ``check_symmetries`` on a complex d-tensor, by its allocation.
+
+    The block buffers of ``_product_symmetries`` (two complex and one real
+    entry per product), its two d^3 copies of the entries, at most one
+    ufunc buffer of complex numbers for the transposed subtraction, and
+    16 KiB for the call's Python objects (at most 3.2 KB by tracemalloc,
+    d = 2..81, where the sweep peaks at 0.04-0.99 of this sum).
+    """
+    return 40 * _sweep_step(d) * d**3 + 32 * d**3 + 16 * np.getbufsize() + 2**14
+
+
 def _product_symmetries(s: np.ndarray) -> tuple[float, float]:
     """sym2 and sym3 of the entries ``s``, swept in blocks of the coordinate j.
 
@@ -408,7 +425,7 @@ def _product_symmetries(s: np.ndarray) -> tuple[float, float]:
     slices = np.ascontiguousarray(s.transpose(2, 0, 1))  # slices[j] = S_j
     b2 = slices.reshape(d, d * d)
     b3 = np.conj(s.transpose(1, 2, 0)).reshape(d, d * d)
-    step = max(1, min(d, _SWEEP_BLOCK_BYTES // max(1, s.itemsize * d**3)))
+    step = _sweep_step(d)
     # one set of block buffers for the whole sweep: fresh ones per block
     # would fault in new pages every time, which costs more than the products
     prod = np.empty((step, d, d, d), dtype=complex)

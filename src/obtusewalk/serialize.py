@@ -15,9 +15,14 @@ and ``dumps`` writes a document's text, byte for byte
 encodes the skeleton with one call of json's C encoder, each array held by
 a placeholder string, and splices in the arrays' text.  That text costs one
 ``%r`` pair per distinct entry of the document, keyed by its 16 bytes (so
--0.0 and 0.0 stay apart): the zeros of a Brownian limit's M, the
-symmetric half of a tensor and the zero imaginary parts of a real one share
-one text each.
+-0.0 and 0.0 stay apart): the symmetric half of a tensor and the zero
+imaginary parts of a real one share one text each.
+
+A limit spec is written as the parts that determine it: Lambda, V, the
+Poisson directions v_p with their intensities lambda_p, and the Brownian
+basis.  Its inner tensor M^{ij}_k = sum_p lambda_p v_p^i v_p^j conj(v_p^k),
+N^3 entries that repeat K N numbers, is rebuilt on reading.  A spec that
+still carries "M" is read if that M agrees with the rebuild.
 
 Readers parse nested lists of scalars back into one array
 (``_complex_array``) and turn ragged, misnested, mistyped or non-finite
@@ -35,7 +40,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .limits import LimitSpec, TensorFamily
-from .obtuse import ObtuseRV, ObtuseSystem, Tensor3, tensor_of
+from .obtuse import DEFAULT_TOL, ObtuseRV, ObtuseSystem, Tensor3, _bound, _khatri_rao, tensor_of
 
 
 class FormatError(ValueError):
@@ -301,9 +306,9 @@ def tensor_from_json(obj) -> Tensor3:
 
 
 def limitspec_doc(spec: LimitSpec) -> dict:
+    """The spec's parts that determine it: M is rebuilt from "poisson" on reading."""
     return {
         "dim": int(spec.dim),
-        "M": tensor_doc(spec.tensor),
         "Lambda": matrix_doc(spec.lambda_matrix),
         "V": matrix_doc(spec.v_matrix),
         "poisson": [
@@ -319,15 +324,20 @@ def limitspec_to_json(spec: LimitSpec) -> dict:
 
 
 def limitspec_from_json(obj) -> LimitSpec:
-    """Limit spec whose M, V, directions and basis all match Lambda's N."""
+    """Limit spec whose V, directions and basis all match Lambda's N.
+
+    M is rebuilt from the Poisson directions and intensities.  A document
+    that still carries "M" (the format before it was dropped) must agree
+    with the rebuild within ``_bound(DEFAULT_TOL, max|M|)``.
+    """
     try:
-        tensor = tensor_from_json(obj["M"])
         lam = matrix_from_json(obj["Lambda"])
         v = matrix_from_json(obj["V"])
         poisson = obj.get("poisson", [])
         brownian = obj.get("brownian", [])
         raw_dirs = [p["v"] for p in poisson]
         intensities = np.array(_floats([p["intensity"] for p in poisson], "intensities"))
+        written = tensor_from_json(obj["M"]) if "M" in obj else None
     except (TypeError, KeyError) as exc:
         raise FormatError("limit spec missing required fields") from exc
     n = lam.shape[0]
@@ -341,19 +351,28 @@ def limitspec_from_json(obj) -> LimitSpec:
         if brownian
         else np.zeros((0, n), dtype=complex)
     )
-    if (lam.shape, v.shape, tensor.dim, dirs.shape[1], basis.shape[1]) != (
+    m_dim = n if written is None else written.dim
+    if (lam.shape, v.shape, m_dim, dirs.shape[1], basis.shape[1]) != (
         (n, n), (n, n), n, n, n
     ):
         raise FormatError(
             f"limit spec parts disagree with Lambda {lam.shape}: M has dim "
-            f"{tensor.dim}, V {v.shape}, poisson directions {dirs.shape}, "
+            f"{m_dim}, V {v.shape}, poisson directions {dirs.shape}, "
             f"brownian basis {basis.shape}"
         )
     if not np.all((intensities > 0) & (intensities < np.inf)):
         raise FormatError(f"poisson intensities must be positive and finite: {intensities}")
+    inner = _khatri_rao(intensities, dirs)  # sum_p lambda_p v_p (x) v_p (x) conj(v_p)
+    if written is not None:
+        scale = float(np.max(np.abs(written.entries), initial=0.0))
+        gap = float(np.max(np.abs(written.entries - inner), initial=0.0))
+        if not gap <= _bound(DEFAULT_TOL, scale):
+            raise FormatError(
+                f"M differs from the tensor of its poisson directions by {gap:.3e}"
+            )
     return LimitSpec(
         dim=n,
-        tensor=tensor,
+        tensor=Tensor3(entries=inner, has_constant=False),
         lambda_matrix=lam,
         v_matrix=v,
         poisson_dirs=dirs,

@@ -47,9 +47,6 @@ class TakagiResult:
     diagonal: np.ndarray
     residual: float
 
-    def reconstruct(self) -> np.ndarray:
-        return self.unitary @ np.diag(self.diagonal) @ self.unitary.T
-
 
 def unitary_sqrt(u: np.ndarray) -> np.ndarray:
     """Principal square root V = O diag(e^{i theta/2}) O^T of a symmetric unitary U.

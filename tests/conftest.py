@@ -234,3 +234,15 @@ def closed_form_spec(n, k, rng, c_range=(2.5e-4, 5e-4)):
     c = np.exp(rng.uniform(*np.log(c_range), size=k))
     rest = rng.dirichlet(np.full(n + 1 - k, 5.0))
     return w @ w.T, o, c, rest
+
+
+def closed_form_corpus():
+    """40 seeded limits, N = 2..8, K = 1..N/2 jumps of distinct intensity,
+    on ``SCALED_STEPS``: ``(n, lam, c, systems, dirs)`` per family."""
+    rng = np.random.default_rng(17)
+    for i in range(40):
+        n = 2 + i % 7
+        k = int(rng.integers(1, n // 2 + 1))
+        lam, o, c, rest = closed_form_spec(n, k, rng)
+        systems, dirs = closed_form_family(lam, o, c, rest, SCALED_STEPS)
+        yield n, lam, c, systems, dirs

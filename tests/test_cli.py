@@ -24,7 +24,7 @@ from obtusewalk import (
     validate_obtuse_system,
 )
 from obtusewalk.cli import main
-from obtusewalk.obtuse import DEFAULT_TOL
+from obtusewalk.obtuse import DEFAULT_TOL, _bound
 from obtusewalk.limits import DEFAULT_STEPS
 from conftest import (
     JUMP_POISSON_DIR,
@@ -273,6 +273,7 @@ class TestLimitReport:
             "extrapolation_error",
             "structure_residuals",
         }
+        assert "M" not in report
         assert report == serialize.limitspec_to_json(spec)
         back = serialize.limitspec_from_json(report)
         assert back.dim == spec.dim
@@ -284,8 +285,42 @@ class TestLimitReport:
             "brownian_basis",
         ):
             assert same_bits(getattr(back, name), getattr(spec, name)), name
-        assert same_bits(back.tensor.entries, spec.tensor.entries)
+        # M is rebuilt from the Poisson directions, to the tolerance of its checks
+        scale = np.max(np.abs(spec.tensor.entries))
+        gap = np.max(np.abs(back.tensor.entries - spec.tensor.entries))
+        assert gap <= _bound(DEFAULT_TOL, scale)
         assert back.tensor.has_constant == spec.tensor.has_constant
+
+    def old_and_new_reports(self, tmp_path, m=None):
+        """Spec files of the jump family without "M", and with ``m`` (default
+        the spec's own M) as the format before it was dropped wrote it."""
+        family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
+        spec = classify(limit_tensor(family, tol=1e-7), tol=1e-7)
+        new = serialize.limitspec_to_json(spec)
+        old = dict(new, M=serialize.tensor_to_json(spec.tensor if m is None else m))
+        return write_json(tmp_path / "new.json", new), write_json(tmp_path / "old.json", old)
+
+    def simulate_bytes(self, tmp_path, spec_file):
+        stats, paths = tmp_path / "stats.json", tmp_path / "paths.csv"
+        argv = [
+            "simulate", spec_file, "--kind", "limit", "--T", "0.5", "--dt", "0.01",
+            "--paths", "20", "--max-csv-paths", "3", "--seed", "5",
+            "--stats", str(stats), "--out", str(paths),
+        ]
+        assert main(argv) == 0
+        return stats.read_text(), paths.read_text()
+
+    def test_report_with_m_simulates_the_same(self, tmp_path):
+        new, old = self.old_and_new_reports(tmp_path)
+        assert self.simulate_bytes(tmp_path, old) == self.simulate_bytes(tmp_path, new)
+
+    def test_report_with_tampered_m_is_a_format_error(self, tmp_path, capsys):
+        family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
+        m = classify(limit_tensor(family, tol=1e-7), tol=1e-7).tensor.entries.copy()
+        m[0, 1, 1] += 1e-6
+        _, old = self.old_and_new_reports(tmp_path, Tensor3(m, has_constant=False))
+        assert main(["simulate", old, "--kind", "limit", "--paths", "10"]) == 2
+        assert "M differs from the tensor of its poisson directions" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_report_bytes_are_json_dumps(self, tmp_path, n):

@@ -20,25 +20,13 @@ from obtusewalk.cli import main
 from obtusewalk.limits import DEFAULT_STEPS
 from conftest import (
     SCALED_STEPS,
-    closed_form_family,
-    closed_form_spec,
+    closed_form_corpus,
     greedy_match,
     sampled_family,
     scaled_family,
 )
 
 DATA = Path(__file__).parent / "data"
-
-
-def corpus():
-    """40 seeded limits, N = 2..8, K = 1..N/2 jumps of distinct intensity."""
-    rng = np.random.default_rng(17)
-    for i in range(40):
-        n = 2 + i % 7
-        k = int(rng.integers(1, n // 2 + 1))
-        lam, o, c, rest = closed_form_spec(n, k, rng)
-        systems, dirs = closed_form_family(lam, o, c, rest, SCALED_STEPS)
-        yield n, lam, c, systems, dirs
 
 
 def family_doc(steps, systems):
@@ -67,12 +55,12 @@ def assert_limit(spec, lam, c, dirs=None):
 
 class TestCorpus:
     def test_library(self):
-        for n, lam, c, systems, dirs in corpus():
+        for n, lam, c, systems, dirs in closed_form_corpus():
             result = limit_tensor(sampled_family(SCALED_STEPS, systems))
             assert_limit(classify(result), lam, c, dirs)
 
     def test_cli(self, tmp_path):
-        for n, lam, c, systems, dirs in corpus():
+        for n, lam, c, systems, dirs in closed_form_corpus():
             spec = run_cli(tmp_path, family_doc(SCALED_STEPS, systems))
             assert_limit(spec, lam, c, dirs)
 

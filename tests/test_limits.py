@@ -1,7 +1,9 @@
 """Rescaling, limit extraction, structure relations, classification."""
 
+import json
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,12 +25,13 @@ from obtusewalk import (
     transform,
     walk_path,
 )
-from obtusewalk import obtuse
+from obtusewalk import limits, obtuse, serialize
 from obtusewalk.errors import (
     ChainTooLarge,
     DimensionMismatch,
     NoApparentLimit,
     NonPositiveStep,
+    NotDoublySymmetric,
     PathTooLarge,
     StructureViolation,
     TooLarge,
@@ -106,6 +109,36 @@ def loop_limit(family):
         if not error <= bound:
             raise NoApparentLimit("no trend", entry=entry)
     return entries, worst, worst_entry, max(errors.values())
+
+
+def exact_constant_limit(tensor, steps):
+    """Closed-form reference for a family with every sample ``tensor``.
+
+    Lambda is S^{ij}_0 and M is 0 exactly, with no noise.  The shrink ratios
+    are ``loop_limit``'s rule, entry by entry, on the exact sequences
+    x S^{ij}_k, whose differences are (x_n - x_{n+1}) |S^{ij}_k|: a pair of
+    differences counts once the later one clears the floor, and its ratio
+    is the ratio of the steps of x, or the later difference over the floor
+    when the earlier one is below it.  Returns what ``loop_limit`` returns.
+    """
+    s = tensor.entries
+    size = np.abs(s)
+    x = np.sqrt(np.array(steps))
+    dx = x[:-1] - x[1:]
+    floor = _RATIO_FLOOR * max(float(np.max(size)), 1.0)
+    d = len(s)
+    entries = np.zeros((d, d, d), dtype=complex)
+    worst, worst_entry = 0.0, None
+    for i in range(1, d):
+        for j in range(1, d):
+            entries[i, j, 0] = s[i, j, 0]
+            for k in range(1, d):
+                for da, db in zip(dx, dx[1:]):
+                    later = db * size[i, j, k]
+                    ratio = min(later / floor, db / da)
+                    if later > floor and ratio > worst:
+                        worst, worst_entry = ratio, (i, j, k)
+    return entries, worst, worst_entry, 0.0
 
 
 def light_family(n, steps, seed, light=None, rotate=None):
@@ -210,7 +243,8 @@ class TestLimitTensor:
     def test_matches_per_entry_loop(self, reference_tensor, kind):
         rng = np.random.default_rng(11)
         if kind == "constant":
-            family = TensorFamily.constant(tensor_of(ObtuseRV(random_system(3, rng))))
+            tensor = tensor_of(ObtuseRV(random_system(3, rng)))
+            family = TensorFamily.constant(tensor)
         elif kind == "jump":
             family = jump_family()
         elif kind == "rotated-jump":
@@ -222,7 +256,11 @@ class TestLimitTensor:
         else:
             family = oscillating_family(reference_tensor)
         try:
-            expected = loop_limit(family)
+            # a constant family's oracle is its closed form, not the table
+            if kind == "constant":
+                expected = exact_constant_limit(tensor, family.steps)
+            else:
+                expected = loop_limit(family)
         except NoApparentLimit as exc:
             assert kind == "oscillating"
             with pytest.raises(NoApparentLimit) as got:
@@ -289,6 +327,96 @@ class TestLimitTensor:
     def test_needs_three_samples(self, reference_tensor):
         with pytest.raises(Exception):
             TensorFamily.constant(reference_tensor, steps=(0.1, 0.01))
+
+
+def perturbed_tensor(n):
+    """A tensor in C^n with one entry off: it fails sym1."""
+    entries = tensor_of(ObtuseRV(random_system(n, np.random.default_rng(n)))).entries.copy()
+    entries[1, 2, 1] += 1e-3
+    return Tensor3(entries)
+
+
+class TestConstantClosedForm:
+    """A family whose samples are one object has its limit in closed form."""
+
+    @pytest.fixture
+    def table_calls(self, monkeypatch):
+        calls = []
+
+        def spy(seqs, x):
+            calls.append(seqs.shape)
+            return extrapolate(seqs, x)
+
+        extrapolate = limits._extrapolate
+        monkeypatch.setattr(limits, "_extrapolate", spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    @pytest.mark.parametrize("make", ["constant", "repeated"])
+    def test_lambda_is_the_sample_and_m_is_zero(self, table_calls, n, make):
+        t = tensor_of(ObtuseRV(random_system(n, np.random.default_rng(n))))
+        if make == "constant":
+            family = TensorFamily.constant(t)
+        else:
+            family = TensorFamily.from_samples(DEFAULT_STEPS, [t] * 5)
+        result = limit_tensor(family)
+        assert table_calls == []
+        assert np.array_equal(result.lambda_matrix, t.entries[1:, 1:, 0])
+        assert np.array_equal(result.tensor.entries[1:, 1:, 0], t.entries[1:, 1:, 0])
+        # M and the forced-zero blocks are exactly 0
+        rest = result.tensor.entries.copy()
+        rest[1:, 1:, 0] = 0.0
+        assert not np.any(rest)
+        assert result.noise == 0.0
+        assert result.worst_ratio == pytest.approx(0.5, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_separately_parsed_samples_run_the_table(self, table_calls, n):
+        # equal tensors read from five documents are five objects: no closed form
+        t = tensor_of(ObtuseRV(random_system(n, np.random.default_rng(n))))
+        doc = {"steps": list(DEFAULT_STEPS), "tensors": [serialize.tensor_to_json(t)] * 5}
+        table = limit_tensor(serialize.family_from_json(json.loads(json.dumps(doc)), None))
+        assert len(table_calls) == 1
+        exact = limit_tensor(TensorFamily.constant(t))
+        assert np.max(np.abs(table.tensor.entries - exact.tensor.entries)) <= 1e-15
+        assert np.max(np.abs(table.lambda_matrix - exact.lambda_matrix)) <= 1e-15
+        assert table.noise <= 1e-15
+
+    def test_steps_with_one_square_root_raise_no_warning(self, reference_tensor):
+        # 0.1 and the float below it have the same square root: a zero difference
+        steps = (0.1, np.nextafter(0.1, 0.0), 0.01)
+        assert np.sqrt(steps[0]) == np.sqrt(steps[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = limit_tensor(TensorFamily.constant(reference_tensor, steps=steps))
+        s = reference_tensor.entries
+        assert np.array_equal(result.lambda_matrix, s[1:, 1:, 0])
+        # after a zero difference, the later one over the floor
+        x = np.sqrt(steps)
+        later = (x[1] - x[2]) * np.max(np.abs(s[1:, 1:, 1:]))
+        floor = _RATIO_FLOOR * max(1.0, np.max(np.abs(s)))
+        assert result.worst_ratio == pytest.approx(later / floor, rel=1e-12)
+
+    def test_inner_tensor_is_a_dimension_mismatch(self, reference_tensor):
+        inner = Tensor3(reference_tensor.entries, has_constant=False)
+        with pytest.raises(DimensionMismatch, match="inconsistent shape"):
+            limit_tensor(TensorFamily.constant(inner))
+
+    @pytest.mark.parametrize("n", [2, 9, 16])
+    def test_asymmetric_sample_is_rejected(self, n):
+        # swept below limits._CERTIFY_MIN_DIM, certified or swept from it on
+        with pytest.raises(NotDoublySymmetric, match="violates tensor symmetries"):
+            limit_tensor(TensorFamily.constant(perturbed_tensor(n)))
+
+    def test_budget_comes_before_the_sample_check(self, monkeypatch):
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", constant_model(9) - 1)
+        with pytest.raises(TooLarge):
+            limit_tensor(TensorFamily.constant(perturbed_tensor(9)))
+
+    @pytest.mark.parametrize("steps", [(0.1, 0.1, 0.01), (0.1, 0.01, 0.0), (0.1, 0.01, -1.0)])
+    def test_bad_steps(self, reference_tensor, steps):
+        with pytest.raises(NonPositiveStep):
+            limit_tensor(TensorFamily.constant(reference_tensor, steps=steps))
 
 
 class TestLimitSymmetries:
@@ -433,17 +561,33 @@ def computed_family(n, n_samples):
     return TensorFamily(tensor_at=lambda h: Tensor3(entries.copy()), steps=steps)
 
 
+def constant_model(n):
+    """``limit_tensor``'s bytes for a constant family in C^n: its sample, its
+    result and one check of the sample."""
+    return obtuse._sweep_bytes(n + 1) + 2 * 16 * (n + 1) ** 3
+
+
+def table_model(n, n_samples):
+    """``limit_tensor``'s bytes for the Richardson table of ``n_samples`` in C^n."""
+    return obtuse._sweep_bytes(n + 1) + _LIMIT_PEAK_FACTOR * n_samples * 16 * (n + 1) ** 3
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemoryBudget:
     """``limit_tensor`` is held to ``obtuse.MEMORY_BYTES`` by a model of its peak."""
 
-    @staticmethod
-    def model(family):
-        d = family.tensor_at(family.steps[0]).dim
-        return _LIMIT_PEAK_FACTOR * len(family.steps) * 16 * d**3
-
     def test_rejects_before_allocating(self, monkeypatch):
         family = constant_family(32)
-        monkeypatch.setattr(obtuse, "MEMORY_BYTES", self.model(family) - 1)
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", constant_model(32) - 1)
         tracemalloc.start()
         start = time.perf_counter()
         try:
@@ -458,20 +602,42 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: constant_family(32), lambda: computed_family(16, 12)],
-        ids=["constant-N32", "computed-N16-12-samples"],
+        [
+            lambda: (constant_family(32), constant_model(32)),
+            lambda: (computed_family(16, 12), table_model(16, 12)),
+            lambda: (constant_family(2), constant_model(2)),
+            lambda: (constant_family(8), constant_model(8)),
+            lambda: (constant_family(9), constant_model(9)),
+            lambda: (computed_family(8, 3), table_model(8, 3)),
+            lambda: (computed_family(9, 3), table_model(9, 3)),
+        ],
+        ids=[
+            "constant-N32",
+            "computed-N16-12-samples",
+            "constant-N2",
+            "constant-N8",
+            "constant-N9",
+            "computed-N8-3-samples",
+            "computed-N9-3-samples",
+        ],
     )
     def test_model_bounds_the_peak(self, monkeypatch, make):
-        family = make()
-        monkeypatch.setattr(obtuse, "MEMORY_BYTES", self.model(family))
-        tracemalloc.start()
-        try:
-            result = limit_tensor(family)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # the model is what the call asks for: it runs within it, not a byte less
+        family, model = make()
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", model)
+        result, peak = traced_peak(lambda: limit_tensor(family))
         assert result.tensor.dim == family.tensor_at(family.steps[0]).dim
         assert peak <= obtuse.MEMORY_BYTES, peak / obtuse.MEMORY_BYTES
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", model - 1)
+        with pytest.raises(TooLarge):
+            limit_tensor(family)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 15, 16, 31, 32])
+    def test_sweep_bytes_bound_the_sweep(self, n):
+        tensor = constant_family(n).tensor_at(0.1)
+        report, peak = traced_peak(lambda: obtuse.check_symmetries(tensor))
+        assert report.ok
+        assert peak <= obtuse._sweep_bytes(n + 1), peak / obtuse._sweep_bytes(n + 1)
 
     def test_one_error_class(self, reference_tensor):
         assert issubclass(PathTooLarge, TooLarge) and issubclass(ChainTooLarge, TooLarge)

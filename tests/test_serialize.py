@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from obtusewalk import random_system, serialize, tensor_of
+from obtusewalk import Tensor3, classify, limit_tensor, random_system, serialize, tensor_of
+from obtusewalk.obtuse import DEFAULT_TOL, _bound
 from obtusewalk.serialize import FormatError
+from conftest import SCALED_STEPS, closed_form_corpus, sampled_family
 
 
 def per_entry_lists(arr):
@@ -150,3 +152,49 @@ def test_dumps_rejects_what_json_rejects():
 def test_readers_reject_mistyped_values(read, obj):
     with pytest.raises(FormatError):
         read(obj)
+
+
+def corpus_specs():
+    for n, lam, c, systems, dirs in closed_form_corpus():
+        yield classify(limit_tensor(sampled_family(SCALED_STEPS, systems)))
+
+
+class TestLimitSpec:
+    """A limit spec is written without M, which the reader rebuilds from "poisson"."""
+
+    def test_m_is_rebuilt_from_the_poisson_directions(self):
+        for spec in corpus_specs():
+            doc = json.loads(serialize.dumps(serialize.limitspec_doc(spec)))
+            assert "M" not in doc
+            back = serialize.limitspec_from_json(doc)
+            scale = np.max(np.abs(spec.tensor.entries))
+            gap = np.max(np.abs(back.tensor.entries - spec.tensor.entries))
+            assert gap <= _bound(DEFAULT_TOL, scale), (spec.dim, gap, scale)
+            assert not back.tensor.has_constant
+
+    def old_doc(self, m=None):
+        """The first corpus spec as the format with "M" wrote it, with M ``m``."""
+        spec = next(corpus_specs())
+        doc = serialize.limitspec_to_json(spec)
+        doc["M"] = serialize.tensor_to_json(spec.tensor if m is None else m)
+        return spec, doc
+
+    def test_old_format_with_matching_m_is_read(self):
+        spec, doc = self.old_doc()
+        back = serialize.limitspec_from_json(doc)
+        rebuilt = serialize.limitspec_from_json(serialize.limitspec_to_json(spec))
+        assert np.array_equal(back.tensor.entries, rebuilt.tensor.entries)
+
+    @pytest.mark.parametrize("change", ["entry", "scale", "dim"])
+    def test_old_format_with_another_m_is_rejected(self, change):
+        spec = next(corpus_specs())
+        m = spec.tensor.entries.copy()
+        if change == "entry":
+            m[0, 1, 1] += 1e-6 * np.max(np.abs(m))
+        elif change == "scale":
+            m *= 1.0 + 1e-6
+        else:
+            m = m[1:, 1:, 1:]
+        _, doc = self.old_doc(Tensor3(m, has_constant=False))
+        with pytest.raises(FormatError):
+            serialize.limitspec_from_json(doc)
