@@ -146,7 +146,7 @@ def cmd_limit(args) -> int:
     spec = limits.classify(result, tol=args.tol)
     doc = serialize.limitspec_doc(spec)
     doc["diagnostics"] = {
-        "worst_difference_ratio": result.worst_ratio,
+        "worst_order": None if result.worst_entry is None else result.worst_order,
         "extrapolation_error": result.noise,
         "structure_residuals": spec.structure.residuals(),
     }

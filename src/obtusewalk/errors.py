@@ -82,9 +82,10 @@ class NonPositiveStep(ObtuseWalkError):
 class NoApparentLimit(ObtuseWalkError):
     """Sampled tensor entries show no numerically convergent trend."""
 
-    def __init__(self, message, entry=None):
+    def __init__(self, message, entry=None, order=None):
         super().__init__(message)
         self.entry = entry
+        self.order = order
 
 
 class StructureViolation(ObtuseWalkError):

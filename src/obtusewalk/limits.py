@@ -59,9 +59,6 @@ from .tensor import _certify_or_sweep, _fixed_points
 # and 2.7e-4 or more without (alternating sign, p = c h^2 or c sqrt(h), e^{i log h})
 _EXTRAPOLATION_TOL = 1e-5
 
-# differences below this fraction of max(1, max|S|) are rounding: no trend
-_RATIO_FLOOR = 1e-11
-
 DEFAULT_STEPS = tuple(0.1 * 4.0**-k for k in range(5))
 
 # samples of lower dimension are swept, not certified: one BLAS thread on an
@@ -102,9 +99,9 @@ class TensorFamily:
             raise DimensionMismatch("need at least 3 sample steps")
         # written so that NaN fails: every comparison with it is false
         if not all(0 < h < np.inf for h in steps) or not all(
-            a > b for a, b in zip(steps, steps[1:])
+            a > b for a, b in zip(np.sqrt(steps), np.sqrt(steps[1:]))
         ):
-            raise NonPositiveStep(f"steps must be positive, finite and decreasing: {steps}")
+            raise NonPositiveStep(f"steps must be positive, finite, decreasing in sqrt(h): {steps}")
         object.__setattr__(self, "steps", steps)
 
     @classmethod
@@ -151,19 +148,31 @@ def _first_entry(mask: np.ndarray) -> tuple:
     return tuple(int(x) + offset for x, offset in zip(first, (1, 1, 0)))
 
 
+def _observed_order(earlier, later, steps, bound) -> np.ndarray:
+    """Per-entry order p of convergence like h^p, from the differences
+    ``earlier`` and ``later`` of each sequence over the three finest ``steps``:
+    log(max(|earlier|, bound) / |later|) / log(h_{n-1} / h_n), exact for
+    lim + c h^p on a geometric grid and approximate on any other.  An entry
+    whose later difference is at most ``bound`` does not move: order inf."""
+    a, b = np.abs(earlier), np.abs(later)
+    p = np.log(np.maximum(a, bound) / np.maximum(b, bound)) / np.log(steps[-2] / steps[-1])
+    return np.where(b > bound, p, np.inf)
+
+
 @dataclass(frozen=True)
 class LimitTensorResult:
     """Extrapolated limit tensor plus convergence diagnostics.
 
     ``noise``, the largest error estimate of an entry, is added to the
-    tolerance of ``classify``.  ``worst_ratio`` is the largest shrink ratio of
-    successive differences and ``worst_entry`` the first entry reaching it.
+    tolerance of ``classify``.  ``worst_order`` is the smallest observed
+    order of an entry as an exponent of h (``_observed_order``), and
+    ``worst_entry`` the first entry at it, or inf and None if no entry moves.
     """
 
     tensor: Tensor3
     lambda_matrix: np.ndarray
-    worst_ratio: float
-    worst_entry: tuple
+    worst_order: float
+    worst_entry: tuple | None
     noise: float
 
 
@@ -173,8 +182,9 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     Entries M^{ij}_0 extrapolate S^{ij}_0(h); entries M^{ij}_k (all indices
     >= 1) extrapolate sqrt(h) S^{ij}_k(h); every other entry is forced to
     zero by the rescaling exponents and is asserted, not estimated.  Raises
-    ``NoApparentLimit`` at the first entry whose error estimate
-    (``_extrapolate``) exceeds ``_bound(_EXTRAPOLATION_TOL, max|M|)``, and
+    ``NoApparentLimit``, with its ``_observed_order``, at the first entry
+    whose error estimate (``_extrapolate``) exceeds the bound ``_bound(
+    _EXTRAPOLATION_TOL, max|M|)`` that the orders share, and
     ``NotDoublySymmetric`` if a sample violates the tensor symmetries.  A
     sample object repeated across steps is checked once: from dimension
     ``_CERTIFY_MIN_DIM`` on in the gate of ``diagonalize``
@@ -210,68 +220,56 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
             what = f"sample at h={h} violates tensor symmetries:"
             raise NotDoublySymmetric(f"{what} {report.residuals()}")
 
-    x = np.sqrt(steps)
     if constant:
-        return _constant_limit(samples[0].entries, x)
-    stack = np.stack([s.entries for s in samples])  # (n_samples, d, d, d)
+        return _constant_limit(samples[0].entries, steps)
+    x = np.sqrt(steps)
     # (n_samples, N, N, N + 1): S^{ij}_0 and sqrt(h) S^{ij}_k over i, j >= 1
-    seqs = stack[:, 1:, 1:, :].copy()
+    seqs = np.stack([s.entries[1:, 1:, :] for s in samples])
     seqs[..., 1:] *= x[:, None, None, None]
     lims, errors = _extrapolate(seqs, x)
     bound = _bound(_EXTRAPOLATION_TOL, np.max(np.abs(lims), initial=0.0))
+    orders = _observed_order(seqs[-2] - seqs[-3], seqs[-1] - seqs[-2], steps, bound)
     failed = ~(errors <= bound)
     if np.any(failed):
-        entry = _first_entry(failed)
+        entry, error, order = _first_entry(failed), errors[failed][0], orders[failed][0]
         msg = "entry ({},{},{}) shows no convergent trend: extrapolation error {:.2e} > {:.2e}"
-        raise NoApparentLimit(msg.format(*entry, errors[failed][0], bound), entry=entry)
-    floor = _bound(_RATIO_FLOOR, float(np.max(np.abs(stack))))
-    diffs = np.abs(np.diff(seqs, axis=0))
-    a, b = diffs[:-1], diffs[1:]
-    shrink = np.max(np.where(b > floor, b / np.maximum(a, floor), 0.0), axis=0)
+        msg = msg.format(*entry, error, bound) + f", observed order h^{order:.2f}"
+        raise NoApparentLimit(msg, entry=entry, order=float(order))
     entries = np.zeros((d, d, d), dtype=complex)
     entries[1:, 1:, :] = lims
-    return _limit_result(entries, shrink, float(np.max(errors, initial=0.0)))
+    return _limit_result(entries, orders, float(np.max(errors, initial=0.0)))
 
 
-def _constant_limit(s: np.ndarray, x: np.ndarray) -> LimitTensorResult:
+def _constant_limit(s: np.ndarray, steps: np.ndarray) -> LimitTensorResult:
     """The limit of a family whose every sample has the entries ``s``.
 
     S^{ij}_0(h) is constant and sqrt(h) S^{ij}_k(h) = x S^{ij}_k goes to 0,
     so Lambda is S^{ij}_0 and M is 0, exactly, with no extrapolation error
-    (Donsker's case).  The shrink ratios follow ``limit_tensor``'s rule on
-    the exact sequences, whose differences are (x_n - x_{n+1}) |S|: a ratio
-    counts once the later difference clears the floor, and is the ratio of
-    the steps of x, or the later difference over the floor if the earlier
-    one is below it, whichever is smaller.
+    (Donsker's case).  The observed orders are ``limit_tensor``'s rule on
+    the exact differences (x_{n-2} - x_{n-1}) |S^{ij}_k| and
+    (x_{n-1} - x_n) |S^{ij}_k| of the three finest nodes x = sqrt(h), under
+    the same bound: 1/2 on a geometric grid wherever S^{ij}_k moves.
     """
     d = len(s)
-    floor = _bound(_RATIO_FLOOR, float(np.max(np.abs(s), initial=0.0)))
+    entries = np.zeros((d, d, d), dtype=complex)
+    entries[1:, 1:, 0] = s[1:, 1:, 0]
     # |S^{ij}_k| for i, j >= 1, and 0 for the constant sequences k = 0
     size = np.abs(s[1:, 1:, :])
     size[..., 0] = 0.0
-    dx = x[:-1] - x[1:]
-    shrink, later = np.zeros(size.shape), np.empty(size.shape)
-    for da, db in zip(dx, dx[1:]):
-        np.multiply(size, db, out=later)
-        counts = later > floor
-        later /= floor
-        # steps whose square roots round together give da = 0: no cap
-        np.minimum(later, db / da if da > 0.0 else np.inf, out=later)
-        later *= counts
-        np.maximum(shrink, later, out=shrink)
-    entries = np.zeros((d, d, d), dtype=complex)
-    entries[1:, 1:, 0] = s[1:, 1:, 0]
-    return _limit_result(entries, shrink, 0.0)
+    x = np.sqrt(steps)
+    bound = _bound(_EXTRAPOLATION_TOL, np.max(np.abs(s[1:, 1:, 0]), initial=0.0))
+    orders = _observed_order((x[-3] - x[-2]) * size, (x[-2] - x[-1]) * size, steps, bound)
+    return _limit_result(entries, orders, 0.0)
 
 
-def _limit_result(entries: np.ndarray, shrink: np.ndarray, noise: float) -> LimitTensorResult:
-    """The result of the limit ``entries``, per-entry shrink ratios and noise."""
-    worst_ratio = float(np.max(shrink, initial=0.0))
-    worst_entry = _first_entry(shrink == worst_ratio) if worst_ratio > 0.0 else None
+def _limit_result(entries: np.ndarray, orders: np.ndarray, noise: float) -> LimitTensorResult:
+    """The result of the limit ``entries``, per-entry observed orders and noise."""
+    worst_order = float(np.min(orders, initial=np.inf))
+    worst_entry = _first_entry(orders == worst_order) if worst_order < np.inf else None
     return LimitTensorResult(
         tensor=Tensor3(entries=entries, has_constant=True),
         lambda_matrix=entries[1:, 1:, 0].copy(),
-        worst_ratio=worst_ratio,
+        worst_order=worst_order,
         worst_entry=worst_entry,
         noise=noise,
     )

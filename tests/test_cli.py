@@ -179,7 +179,7 @@ class TestLimit:
         assert np.max(np.abs(v - JUMP_POISSON_DIR)) <= 1e-7
         assert doc["poisson"][0]["intensity"] == pytest.approx(1.0, abs=1e-7)
         assert len(doc["brownian"]) == 1
-        assert 0.0 < doc["diagnostics"]["worst_difference_ratio"] < 1.0
+        assert abs(doc["diagnostics"]["worst_order"] - 0.5) <= 0.02
         assert 0.0 <= doc["diagnostics"]["extrapolation_error"] <= 1e-10
         assert max(doc["diagnostics"]["structure_residuals"].values()) <= 1e-8
 
@@ -193,6 +193,15 @@ class TestLimit:
         lam = serialize.matrix_from_json(doc["Lambda"])
         v = serialize.matrix_from_json(doc["V"])
         assert np.max(np.abs(v @ v.T - lam)) <= 1e-9
+
+    def test_family_without_moving_entries_has_null_order(self, tmp_path, capsys):
+        # S^{11}_1 = E[X^3] = 0 for a fair +-1 coin: no entry moves with h
+        f = write_json(tmp_path / "family.json", {"system": HALVES})
+        assert main(["limit", f]) == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["worst_order"] is None
+        family = serialize.family_from_json({"system": HALVES}, DEFAULT_STEPS)
+        result = limit_tensor(family)
+        assert (result.worst_order, result.worst_entry) == (np.inf, None)
 
     @pytest.mark.parametrize("steps", [[], [1e400], [0, -1]])
     def test_explicit_steps_are_never_replaced(self, tmp_path, capsys, steps):
@@ -269,7 +278,7 @@ class TestLimitReport:
 
         report = json.loads(out.read_text())
         assert set(report.pop("diagnostics")) == {
-            "worst_difference_ratio",
+            "worst_order",
             "extrapolation_error",
             "structure_residuals",
         }
@@ -333,7 +342,7 @@ class TestLimitReport:
         spec = classify(result, tol=tol)
         want = serialize.limitspec_to_json(spec)
         want["diagnostics"] = {
-            "worst_difference_ratio": result.worst_ratio,
+            "worst_order": result.worst_order,
             "extrapolation_error": result.noise,
             "structure_residuals": spec.structure.residuals(),
         }
@@ -454,7 +463,7 @@ class TestReportBytes:
         spec = classify(result, tol=1e-7)
         want = serialize.limitspec_to_json(spec)
         want["diagnostics"] = {
-            "worst_difference_ratio": result.worst_ratio,
+            "worst_order": result.worst_order,
             "extrapolation_error": result.noise,
             "structure_residuals": spec.structure.residuals(),
         }

@@ -58,6 +58,8 @@ class TestCorpus:
         for n, lam, c, systems, dirs in closed_form_corpus():
             result = limit_tensor(sampled_family(SCALED_STEPS, systems))
             assert_limit(classify(result), lam, c, dirs)
+            # the entries converge like h^{1/2}, as the sqrt(h) expansion says
+            assert 0.48 <= result.worst_order <= 0.52, (n, result.worst_order)
 
     def test_cli(self, tmp_path):
         for n, lam, c, systems, dirs in closed_form_corpus():

@@ -1,6 +1,7 @@
 """Rescaling, limit extraction, structure relations, classification."""
 
 import json
+import math
 import time
 import tracemalloc
 import warnings
@@ -26,6 +27,7 @@ from obtusewalk import (
     walk_path,
 )
 from obtusewalk import limits, obtuse, serialize
+from obtusewalk.cli import main
 from obtusewalk.errors import (
     ChainTooLarge,
     DimensionMismatch,
@@ -39,7 +41,6 @@ from obtusewalk.errors import (
 from obtusewalk.limits import (
     _EXTRAPOLATION_TOL,
     _LIMIT_PEAK_FACTOR,
-    _RATIO_FLOOR,
     DEFAULT_STEPS,
     LimitSymmetryReport,
     _real_complement,
@@ -54,6 +55,7 @@ from conftest import (
     bernoulli_rv,
     greedy_match,
     jump_rv,
+    jump_values,
     sampled_family,
     scaled_family,
 )
@@ -75,28 +77,42 @@ def oscillating_family(reference_tensor):
     return TensorFamily(tensor_at=tensor_at, steps=DEFAULT_STEPS)
 
 
+def scalar_orders(diffs, steps, bound):
+    """Observed order of each entry from the moduli ``(a, b)`` of its last two
+    differences: log(max(a, bound) / b) / log(h_{n-1} / h_n) if b > bound,
+    else inf."""
+    log_ratio = math.log(steps[-2] / steps[-1])
+    return {
+        entry: math.log(max(a, bound) / b) / log_ratio if b > bound else math.inf
+        for entry, (a, b) in diffs.items()
+    }
+
+
+def worst_order(orders):
+    """The smallest order and the first entry at it, or (inf, None)."""
+    entry = min(orders, key=orders.get)
+    return (orders[entry], entry) if orders[entry] < math.inf else (math.inf, None)
+
+
 def loop_limit(family):
     """Per-entry reference for ``limit_tensor``: one Neville table on the
-    nodes sqrt(h), error gate and shrink ratio per entry, in (i, j, k) order.
+    nodes sqrt(h), error gate and observed order per entry, in (i, j, k)
+    order, the orders from the three finest samples (``scalar_orders``).
 
-    Returns ``(entries, worst_ratio, worst_entry, noise)``; raises
-    ``NoApparentLimit`` at the first entry whose error estimate fails.
+    Returns ``(entries, worst_order, worst_entry, noise)``; raises
+    ``NoApparentLimit`` with its order at the first entry whose error
+    estimate fails.
     """
     x = np.sqrt(np.array(family.steps))
     stack = np.stack([s.entries for s in family.sample()])
-    floor = _RATIO_FLOOR * max(float(np.max(np.abs(stack))), 1.0)
     d = stack.shape[1]
     entries = np.zeros((d, d, d), dtype=complex)
-    errors = {}
-    worst, worst_entry = 0.0, None
+    errors, diffs = {}, {}
     for i in range(1, d):
         for j in range(1, d):
             for k in range(d):
                 seq = stack[:, i, j, k] if k == 0 else x * stack[:, i, j, k]
-                diffs = np.abs(np.diff(seq))
-                for a, b in zip(diffs, diffs[1:]):
-                    if b > floor and b / max(a, floor) > worst:
-                        worst, worst_entry = b / max(a, floor), (i, j, k)
+                diffs[i, j, k] = abs(seq[-2] - seq[-3]), abs(seq[-1] - seq[-2])
                 table = seq
                 for level in range(1, len(seq)):
                     q = x[level:] / x[:-level]
@@ -105,40 +121,35 @@ def loop_limit(family):
                 entries[i, j, k] = table[0]
                 errors[i, j, k] = abs(table[0] - finer)
     bound = _EXTRAPOLATION_TOL * max(1.0, float(np.max(np.abs(entries))))
+    orders = scalar_orders(diffs, family.steps, bound)
     for entry, error in errors.items():
         if not error <= bound:
-            raise NoApparentLimit("no trend", entry=entry)
-    return entries, worst, worst_entry, max(errors.values())
+            raise NoApparentLimit("no trend", entry=entry, order=orders[entry])
+    return (entries, *worst_order(orders), max(errors.values()))
 
 
 def exact_constant_limit(tensor, steps):
     """Closed-form reference for a family with every sample ``tensor``.
 
-    Lambda is S^{ij}_0 and M is 0 exactly, with no noise.  The shrink ratios
-    are ``loop_limit``'s rule, entry by entry, on the exact sequences
-    x S^{ij}_k, whose differences are (x_n - x_{n+1}) |S^{ij}_k|: a pair of
-    differences counts once the later one clears the floor, and its ratio
-    is the ratio of the steps of x, or the later difference over the floor
-    when the earlier one is below it.  Returns what ``loop_limit`` returns.
+    Lambda is S^{ij}_0 and M is 0 exactly, with no noise.  The orders are
+    ``loop_limit``'s rule, entry by entry, on the exact differences
+    (x_{n-2} - x_{n-1}) |S^{ij}_k| and (x_{n-1} - x_n) |S^{ij}_k| of the
+    sequences x S^{ij}_k, x = sqrt(h); the sequences S^{ij}_0 do not move.
+    Returns what ``loop_limit`` returns.
     """
     s = tensor.entries
-    size = np.abs(s)
     x = np.sqrt(np.array(steps))
-    dx = x[:-1] - x[1:]
-    floor = _RATIO_FLOOR * max(float(np.max(size)), 1.0)
     d = len(s)
     entries = np.zeros((d, d, d), dtype=complex)
-    worst, worst_entry = 0.0, None
+    diffs = {}
     for i in range(1, d):
         for j in range(1, d):
             entries[i, j, 0] = s[i, j, 0]
-            for k in range(1, d):
-                for da, db in zip(dx, dx[1:]):
-                    later = db * size[i, j, k]
-                    ratio = min(later / floor, db / da)
-                    if later > floor and ratio > worst:
-                        worst, worst_entry = ratio, (i, j, k)
-    return entries, worst, worst_entry, 0.0
+            for k in range(d):
+                size = abs(s[i, j, k]) if k else 0.0
+                diffs[i, j, k] = (x[-3] - x[-2]) * size, (x[-2] - x[-1]) * size
+    bound = _EXTRAPOLATION_TOL * max(1.0, float(np.max(np.abs(entries))))
+    return (entries, *worst_order(scalar_orders(diffs, steps, bound)), 0.0)
 
 
 def light_family(n, steps, seed, light=None, rotate=None):
@@ -226,18 +237,21 @@ class TestLimitTensor:
         # the first failing entry in (i, j, k) order
         assert exc.value.entry == (1, 1, 0)
 
-    def test_worst_ratio_reports_converging_entries(self):
-        # a sqrt(h) correction shrinks by sqrt(1/4) per quarter step
+    def test_worst_order_reports_converging_entries(self):
+        # the entries have a sqrt(h) expansion: they converge like h^{1/2}
         result = limit_tensor(jump_family())
-        assert result.worst_ratio == pytest.approx(0.5, rel=1e-2)
+        assert 0.48 <= result.worst_order <= 0.52
         i, j, k = result.worst_entry
         d = result.tensor.dim
         assert 1 <= i < d and 1 <= j < d and 0 <= k < d
 
-    def test_constant_family_worst_ratio_is_sqrt_step_ratio(self, reference_tensor):
-        # sqrt(h) S^{ij}_k with S fixed shrinks by sqrt(1/4) per quarter step
-        result = limit_tensor(TensorFamily.constant(reference_tensor))
-        assert result.worst_ratio == pytest.approx(0.5, rel=1e-9)
+    @pytest.mark.parametrize(
+        "steps", [DEFAULT_STEPS, SCALED_STEPS], ids=["DEFAULT_STEPS", "SCALED_STEPS"]
+    )
+    def test_constant_family_worst_order_is_one_half(self, reference_tensor, steps):
+        # sqrt(h) S^{ij}_k with S fixed goes to 0 exactly like h^{1/2}
+        result = limit_tensor(TensorFamily.constant(reference_tensor, steps=steps))
+        assert abs(result.worst_order - 0.5) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["constant", "jump", "rotated-jump", "oscillating"])
     def test_matches_per_entry_loop(self, reference_tensor, kind):
@@ -266,10 +280,13 @@ class TestLimitTensor:
             with pytest.raises(NoApparentLimit) as got:
                 limit_tensor(family)
             assert got.value.entry == exc.entry
+            assert abs(got.value.order - exc.order) <= 1e-12
             return
         result = limit_tensor(family)
         assert np.array_equal(result.tensor.entries, expected[0])
-        assert (result.worst_ratio, result.worst_entry) == expected[1:3]
+        assert result.worst_entry == expected[2]
+        # np.log of an array and math.log of a scalar may round apart by an ulp
+        assert abs(result.worst_order - expected[1]) <= 1e-12
         # np.abs of an array and abs of a scalar may round apart by an ulp
         assert result.noise == pytest.approx(expected[3], rel=1e-15)
 
@@ -284,19 +301,23 @@ class TestLimitTensor:
         assert "({},{},{})".format(*exc.value.entry) in str(exc.value)
 
     @pytest.mark.parametrize(
-        "light, rotate",
+        "light, rotate, order",
         [
-            (lambda h: 3e-4 * h * h, None),  # sqrt(h) S diverges like h^{-1/2}
-            (lambda h: 3e-4 * np.sqrt(h), None),  # sqrt(h) S goes like h^{1/4}
-            (lambda h: 3e-4 * h, lambda v, i, h: v * np.exp(1j * np.log(h))),
+            (lambda h: 3e-4 * h * h, None, -0.5),  # sqrt(h) S diverges like h^{-1/2}
+            (lambda h: 3e-4 * np.sqrt(h), None, 0.25),  # sqrt(h) S goes like h^{1/4}
+            # a phase e^{i log h} turns at the same speed at every scale: order 0
+            (lambda h: 3e-4 * h, lambda v, i, h: v * np.exp(1j * np.log(h)), 0.0),
         ],
         ids=["c-h2", "c-sqrt-h", "log-phase"],
     )
-    def test_families_without_sqrt_h_expansion_have_no_limit(self, light, rotate):
-        for steps in (DEFAULT_STEPS, SCALED_STEPS):
-            family = light_family(4, steps, seed=1, light=light, rotate=rotate)
-            with pytest.raises(NoApparentLimit):
-                limit_tensor(family)
+    def test_families_without_sqrt_h_expansion_have_no_limit(self, light, rotate, order):
+        for n in (2, 4, 8):
+            for steps in (DEFAULT_STEPS, SCALED_STEPS):
+                family = light_family(n, steps, seed=1, light=light, rotate=rotate)
+                with pytest.raises(NoApparentLimit) as exc:
+                    limit_tensor(family)
+                assert abs(exc.value.order - order) <= 0.01, (n, steps[0], exc.value.order)
+                assert f"observed order h^{exc.value.order:.2f}" in str(exc.value)
 
     @pytest.mark.parametrize(
         "steps",
@@ -310,6 +331,25 @@ class TestLimitTensor:
         np.testing.assert_allclose(spec.intensities, [3e-4], rtol=1e-9)
         # nodes 0.009 / 0.01 apart amplify rounding by 1 / (1 - q) ~ 20
         assert np.max(np.abs(spec.lambda_matrix - lam)) <= 1e-12
+
+    def test_steps_with_one_square_root_are_rejected(self, reference_tensor, tmp_path, capsys):
+        # 0.1 and the float below it have the same square root: one node twice
+        steps = (0.1, 0.09999999999999999, 0.01)
+        assert steps[1] == np.nextafter(0.1, 0.0) and np.sqrt(steps[0]) == np.sqrt(steps[1])
+        systems = [jump_values(h) for h in steps]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPositiveStep, match="0.09999999999999999"):
+                TensorFamily.constant(reference_tensor, steps=steps)
+            with pytest.raises(NonPositiveStep, match="0.09999999999999999"):
+                TensorFamily(tensor_at=lambda h: tensor_of(jump_rv(h)), steps=steps)
+            doc = {
+                "steps": list(steps),
+                "systems": [{"values": [serialize.vector_to_json(v) for v in s]} for s in systems],
+            }
+            (tmp_path / "family.json").write_text(json.dumps(doc))
+            assert main(["limit", str(tmp_path / "family.json")]) == 1
+        assert "NonPositiveStep" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_steps(self, reference_tensor, bad):
@@ -368,7 +408,7 @@ class TestConstantClosedForm:
         rest[1:, 1:, 0] = 0.0
         assert not np.any(rest)
         assert result.noise == 0.0
-        assert result.worst_ratio == pytest.approx(0.5, rel=1e-9)
+        assert abs(result.worst_order - 0.5) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 8, 16])
     def test_separately_parsed_samples_run_the_table(self, table_calls, n):
@@ -381,21 +421,6 @@ class TestConstantClosedForm:
         assert np.max(np.abs(table.tensor.entries - exact.tensor.entries)) <= 1e-15
         assert np.max(np.abs(table.lambda_matrix - exact.lambda_matrix)) <= 1e-15
         assert table.noise <= 1e-15
-
-    def test_steps_with_one_square_root_raise_no_warning(self, reference_tensor):
-        # 0.1 and the float below it have the same square root: a zero difference
-        steps = (0.1, np.nextafter(0.1, 0.0), 0.01)
-        assert np.sqrt(steps[0]) == np.sqrt(steps[1])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = limit_tensor(TensorFamily.constant(reference_tensor, steps=steps))
-        s = reference_tensor.entries
-        assert np.array_equal(result.lambda_matrix, s[1:, 1:, 0])
-        # after a zero difference, the later one over the floor
-        x = np.sqrt(steps)
-        later = (x[1] - x[2]) * np.max(np.abs(s[1:, 1:, 1:]))
-        floor = _RATIO_FLOOR * max(1.0, np.max(np.abs(s)))
-        assert result.worst_ratio == pytest.approx(later / floor, rel=1e-12)
 
     def test_inner_tensor_is_a_dimension_mismatch(self, reference_tensor):
         inner = Tensor3(reference_tensor.entries, has_constant=False)
