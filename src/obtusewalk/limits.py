@@ -9,21 +9,21 @@ unitary, and together they pin down the law of the limiting normal
 martingale: jumps happen along the fixed points of M with Poisson rates
 1/|v|^2; the remaining dimensions carry a rotated real Brownian motion.
 
-Both steps check their tensors in the gate of ``diagonalize``
-(``tensor._certify_or_sweep``): the fixed points certify double symmetry at
-O(d^4), and a tensor they fail to certify is swept once, with the results
-and errors of sweeping first.  The one exception is by size: ``limit_tensor``
-sweeps a sample below dimension ``_CERTIFY_MIN_DIM``, where the sweep is the
-cheaper check.  ``classify`` adds the four Lambda relations to the gate's
+A ``Tensor3`` sample and the limit of ``classify`` go through the gate of
+``diagonalize`` (``tensor._certify_or_sweep``): the fixed points certify
+double symmetry at O(d^4), and a tensor they fail to certify is swept once,
+with the results and errors of sweeping first.  An ``ObtuseRV`` sample is
+valid, so its tensor is doubly symmetric (the characterization theorem) and
+is not checked.  ``classify`` adds the four Lambda relations to the gate's
 report, so on a certified report sym2 and sym3 are the certificate's upper
 bounds, not swept residuals.  Every bound is relative (``obtuse._bound``).
 
 A family whose samples are all one object (``TensorFamily.constant``, a
 sample repeated in ``from_samples``) is h-independent, and its limit is
 exact: Lambda = S^{ij}_0, M = 0 and no extrapolation error, so
-``limit_tensor`` checks the one sample and builds no table.  It holds its
-peak to the memory budget ``obtuse.MEMORY_BYTES`` before it checks or
-stacks the samples: one sample check plus the sample and its result for a
+``limit_tensor`` takes the one sample and builds no table.  It holds its
+peak to the memory budget ``obtuse.MEMORY_BYTES`` before it takes or stacks
+the samples: one sample check plus the sample and its result for a
 constant family, plus a multiple of the samples for the table.
 """
 
@@ -44,12 +44,14 @@ from .errors import (
 )
 from .obtuse import (
     DEFAULT_TOL,
+    ObtuseRV,
     SymmetryReport,
     Tensor3,
     _bound,
     _require_memory,
     _sweep_bytes,
     check_symmetries,
+    tensor_of,
 )
 from .takagi import unitary_sqrt
 from .tensor import _certify_or_sweep, _fixed_points
@@ -60,12 +62,6 @@ from .tensor import _certify_or_sweep, _fixed_points
 _EXTRAPOLATION_TOL = 1e-5
 
 DEFAULT_STEPS = tuple(0.1 * 4.0**-k for k in range(5))
-
-# samples of lower dimension are swept, not certified: one BLAS thread on an
-# Intel Xeon host takes 0.16 ms to sweep a d = 9 sample against 0.38 ms for
-# its fixed points and certificate, 0.49 against 0.25 ms at d = 10, and 33
-# against 3.6 ms at d = 33
-_CERTIFY_MIN_DIM = 10
 
 # peak bytes of the Richardson table over its samples' bytes, by tracemalloc:
 # 3.6-4.7x for the stack, its rescaled copy and the Richardson levels (N =
@@ -88,9 +84,10 @@ def rescale_tensor(tensor: Tensor3, h: float) -> Tensor3:
 
 @dataclass(frozen=True)
 class TensorFamily:
-    """A map h -> S(h) sampled on a decreasing grid of steps."""
+    """A map h -> S(h) sampled on a decreasing grid of steps: a sample is the
+    ``Tensor3`` S(h) or an ``ObtuseRV`` whose tensor is S(h)."""
 
-    tensor_at: object  # callable h -> Tensor3
+    tensor_at: object  # callable h -> Tensor3 | ObtuseRV
     steps: tuple
 
     def __post_init__(self):
@@ -105,21 +102,18 @@ class TensorFamily:
         object.__setattr__(self, "steps", steps)
 
     @classmethod
-    def from_samples(cls, steps, tensors) -> "TensorFamily":
+    def from_samples(cls, steps, samples) -> "TensorFamily":
         steps = tuple(float(h) for h in steps)
-        tensors = list(tensors)
-        if len(tensors) != len(steps):
-            raise DimensionMismatch(f"{len(steps)} sample steps but {len(tensors)} tensors")
-        table = dict(zip(steps, tensors))
-        if len(table) != len(steps):
-            raise DimensionMismatch("duplicate sample steps")
-        return cls(tensor_at=table.__getitem__, steps=steps)
+        samples = list(samples)
+        if len(samples) != len(steps):
+            raise DimensionMismatch(f"{len(steps)} sample steps but {len(samples)} samples")
+        return cls(tensor_at=dict(zip(steps, samples)).__getitem__, steps=steps)
 
     @classmethod
-    def constant(cls, tensor: Tensor3, steps=DEFAULT_STEPS) -> "TensorFamily":
-        return cls(tensor_at=lambda h: tensor, steps=steps)
+    def constant(cls, sample: Tensor3 | ObtuseRV, steps=DEFAULT_STEPS) -> "TensorFamily":
+        return cls(tensor_at=lambda h: sample, steps=steps)
 
-    def sample(self) -> list[Tensor3]:
+    def sample(self) -> list[Tensor3 | ObtuseRV]:
         return [self.tensor_at(h) for h in self.steps]
 
 
@@ -184,47 +178,48 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     zero by the rescaling exponents and is asserted, not estimated.  Raises
     ``NoApparentLimit``, with its ``_observed_order``, at the first entry
     whose error estimate (``_extrapolate``) exceeds the bound ``_bound(
-    _EXTRAPOLATION_TOL, max|M|)`` that the orders share, and
-    ``NotDoublySymmetric`` if a sample violates the tensor symmetries.  A
-    sample object repeated across steps is checked once: from dimension
-    ``_CERTIFY_MIN_DIM`` on in the gate of ``diagonalize``
-    (``tensor._certify_or_sweep``), below it by one sweep.  The sample's
-    report alone decides it, so no error of the fixed-point kernel escapes.
-    A family whose samples are all one object has its limit in closed form
-    (``_constant_limit``), without a table.  First, ``TooLarge`` if the
-    peak exceeds the memory budget: one check's sweep (``_sweep_bytes``)
+    _EXTRAPOLATION_TOL, max|M|)`` that the orders share.  A sample object
+    repeated across steps is taken once: an ``ObtuseRV`` is turned into its
+    tensor (``tensor_of``) unchecked, and a ``Tensor3`` is checked in the
+    gate of ``diagonalize`` (``tensor._certify_or_sweep``), which raises
+    ``NotDoublySymmetric`` if it violates the tensor symmetries.  The
+    sample's report alone decides it, so no error of the fixed-point kernel
+    escapes.  A family whose samples are all one object has its limit in
+    closed form (``_constant_limit``), without a table.  First, ``TooLarge``
+    if the peak exceeds the memory budget: one check's sweep
+    (``_sweep_bytes``, which also bounds building an ``ObtuseRV``'s tensor)
     plus the sample and the result for a constant family, plus
     ``_LIMIT_PEAK_FACTOR`` times the samples for the table.
     """
     steps = np.array(family.steps)
     samples = family.sample()
-    d = samples[0].dim
+    d = _sample_dim(samples[0])
     constant = all(s is samples[0] for s in samples)
     held = 2 if constant else _LIMIT_PEAK_FACTOR * len(samples)
-    n_bytes = _sweep_bytes(d) + held * samples[0].entries.nbytes
+    n_bytes = _sweep_bytes(d) + held * 16 * d**3
     _require_memory(n_bytes, TooLarge, f"{len(samples)} samples of dimension {d}")
-    checked = set()
+    built = {}
     for h, s in zip(steps, samples):
-        if s.dim != d or not s.has_constant:
+        rv = isinstance(s, ObtuseRV)
+        if _sample_dim(s) != d or not (rv or s.has_constant):
             raise DimensionMismatch("family samples have inconsistent shape")
-        if id(s) in checked:
+        if id(s) in built:
             continue
-        checked.add(id(s))
-        if d < _CERTIFY_MIN_DIM:
-            report = check_symmetries(s, tol=tol)
-        else:
+        built[id(s)] = tensor_of(s) if rv else s
+        if not rv:
             _, report, _ = _certify_or_sweep(
                 s, tol, lambda: (None, _fixed_points(s, tol).vectors), include_constant=True
             )
-        if not report.ok:
-            what = f"sample at h={h} violates tensor symmetries:"
-            raise NotDoublySymmetric(f"{what} {report.residuals()}")
+            if not report.ok:
+                what = f"sample at h={h} violates tensor symmetries:"
+                raise NotDoublySymmetric(f"{what} {report.residuals()}")
+    tensors = [built[id(s)] for s in samples]
 
     if constant:
-        return _constant_limit(samples[0].entries, steps)
+        return _constant_limit(tensors[0].entries, steps)
     x = np.sqrt(steps)
     # (n_samples, N, N, N + 1): S^{ij}_0 and sqrt(h) S^{ij}_k over i, j >= 1
-    seqs = np.stack([s.entries[1:, 1:, :] for s in samples])
+    seqs = np.stack([t.entries[1:, 1:, :] for t in tensors])
     seqs[..., 1:] *= x[:, None, None, None]
     lims, errors = _extrapolate(seqs, x)
     bound = _bound(_EXTRAPOLATION_TOL, np.max(np.abs(lims), initial=0.0))
@@ -233,11 +228,17 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     if np.any(failed):
         entry, error, order = _first_entry(failed), errors[failed][0], orders[failed][0]
         msg = "entry ({},{},{}) shows no convergent trend: extrapolation error {:.2e} > {:.2e}"
-        msg = msg.format(*entry, error, bound) + f", observed order h^{order:.2f}"
+        # + 0.0 turns a -0.0 that rounding leaves into 0.0
+        msg = msg.format(*entry, error, bound) + f", observed order h^{round(order, 2) + 0.0:.2f}"
         raise NoApparentLimit(msg, entry=entry, order=float(order))
     entries = np.zeros((d, d, d), dtype=complex)
     entries[1:, 1:, :] = lims
     return _limit_result(entries, orders, float(np.max(errors, initial=0.0)))
+
+
+def _sample_dim(sample) -> int:
+    """Dimension d = N + 1 of the tensor of a family sample, without building it."""
+    return sample.dim + 1 if isinstance(sample, ObtuseRV) else sample.dim
 
 
 def _constant_limit(s: np.ndarray, steps: np.ndarray) -> LimitTensorResult:

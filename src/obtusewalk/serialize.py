@@ -8,9 +8,9 @@ Floats are written with full round-trip precision, as the json module
 writes them.
 
 Each format has one document builder, ``*_doc``, whose complex arrays stay
-numpy arrays.  ``*_to_json`` returns the plain document (``_plain``: every
-array becomes nested lists of {"re", "im"} objects, ``_complex_lists``),
-and ``dumps`` writes a document's text, byte for byte
+numpy arrays.  ``_plain`` turns a document into the plain one (every array
+becomes nested lists of {"re", "im"} objects, ``_complex_lists``), and
+``dumps`` writes a document's text, byte for byte
 ``json.dumps(plain, sort_keys=True)``, without building the plain one.  It
 encodes the skeleton with one call of json's C encoder, each array held by
 a placeholder string, and splices in the arrays' text.  That text costs one
@@ -40,13 +40,15 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .limits import LimitSpec, TensorFamily
-from .obtuse import DEFAULT_TOL, ObtuseRV, ObtuseSystem, Tensor3, _bound, _khatri_rao, tensor_of
+from .obtuse import DEFAULT_TOL, ObtuseRV, ObtuseSystem, Tensor3, _bound, _khatri_rao
 
 
 class FormatError(ValueError):
     """Raised when a JSON document does not match the expected schema."""
 
 
+# complex_to_json, tensor_to_json and limitspec_to_json, the plain documents
+# of their formats, stay while perfbench/run.py lists them in TRACED_FUNCTIONS
 def complex_to_json(z) -> dict:
     z = complex(z)
     return {"re": z.real, "im": z.imag}
@@ -79,8 +81,8 @@ def complex_from_json(obj) -> complex:
 def _complex_lists(arr) -> list:
     """Nested lists of {"re", "im"} objects with the shape of ``arr``.
 
-    Equal to ``complex_to_json`` applied entry by entry, but the floats come
-    from one ``tolist`` per part instead of a ``complex`` per numpy scalar.
+    The floats come from one ``tolist`` per part instead of a ``complex``
+    per numpy scalar.
     """
     arr = np.asarray(arr, dtype=complex)
     if arr.size == 0:
@@ -234,10 +236,6 @@ def matrix_doc(mat) -> dict:
     return {"dim": int(arr.shape[0]), "entries": arr}
 
 
-def matrix_to_json(mat) -> dict:
-    return _plain(matrix_doc(mat))
-
-
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows = obj["entries"]
@@ -252,10 +250,6 @@ def system_doc(system: ObtuseSystem) -> dict:
         "values": np.asarray(system.values, dtype=complex),
         "probabilities": [float(p) for p in system.probabilities],
     }
-
-
-def system_to_json(system: ObtuseSystem) -> dict:
-    return _plain(system_doc(system))
 
 
 def system_values_from_json(obj):
@@ -381,13 +375,15 @@ def limitspec_from_json(obj) -> LimitSpec:
     )
 
 
-def family_from_json(obj, default_steps) -> TensorFamily:
+def family_from_json(obj, default_steps, tol: float = DEFAULT_TOL) -> TensorFamily:
     """Tensor family from a document with sampled tensors or systems.
 
     Accepted shapes: {"steps", "tensors"}, {"steps", "systems"} (a system
-    per step; tensors are computed), or {"system"} with optional "steps"
-    (h-independent family; only an absent or null "steps" means
-    ``default_steps``).
+    per step), or {"system"} with optional "steps" (h-independent family;
+    only an absent or null "steps" means ``default_steps``).  A system is
+    validated at ``tol`` and sampled as its ``ObtuseRV``, whose tensor
+    ``limit_tensor`` builds; a tensor is sampled as read, and
+    ``limit_tensor`` checks it.
     """
     if not isinstance(obj, dict):
         raise FormatError("family must be an object")
@@ -397,17 +393,14 @@ def family_from_json(obj, default_steps) -> TensorFamily:
             steps is None or not isinstance(obj[key], list) or len(steps) != len(obj[key])
         ):
             raise FormatError(f"family needs matching 'steps' and '{key}' lists")
+
+    def rv(doc) -> ObtuseRV:
+        return ObtuseRV.from_values(system_values_from_json(doc)[0], tol)
+
     if "tensors" in obj:
-        tensors = [tensor_from_json(t) for t in obj["tensors"]]
-        return TensorFamily.from_samples(steps, tensors)
+        return TensorFamily.from_samples(steps, [tensor_from_json(t) for t in obj["tensors"]])
     if "systems" in obj:
-        tensors = []
-        for doc in obj["systems"]:
-            values, _ = system_values_from_json(doc)
-            tensors.append(tensor_of(ObtuseRV.from_values(values)))
-        return TensorFamily.from_samples(steps, tensors)
+        return TensorFamily.from_samples(steps, [rv(doc) for doc in obj["systems"]])
     if "system" in obj:
-        values, _ = system_values_from_json(obj["system"])
-        tensor = tensor_of(ObtuseRV.from_values(values))
-        return TensorFamily.constant(tensor, steps=default_steps if steps is None else steps)
+        return TensorFamily.constant(rv(obj["system"]), default_steps if steps is None else steps)
     raise FormatError("family needs 'tensors', 'systems' or 'system'")

@@ -20,7 +20,7 @@ and sym3 of S at O(d^4) (see ``_certificate_bounds``), while sym0 and sym1
 are computed exactly.  Only when that report fails, or the kernel fails,
 does the gate run the O(d^5) sweep ``check_symmetries``, once.
 ``diagonalize``, ``realify``, and in ``limits`` both ``classify`` and the
-``limit_tensor`` samples of dimension 10 or more go through it.  Rebuilt
+``Tensor3`` samples of ``limit_tensor`` go through it.  Rebuilt
 tensors, like ``tensor_of`` and ``tensor_from_family``, are one BLAS
 product.
 """

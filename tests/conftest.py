@@ -11,7 +11,7 @@ and one Brownian direction proportional to (i, 1).
 import numpy as np
 import pytest
 
-from obtusewalk import ObtuseRV, TensorFamily, haar_unitary, tensor, tensor_of
+from obtusewalk import ObtuseRV, TensorFamily, haar_unitary, serialize, tensor, tensor_of
 from obtusewalk.takagi import unitary_sqrt
 
 REFERENCE_VALUES = np.array(
@@ -85,6 +85,12 @@ JUMP_M1 = np.array([[1, -1j], [1j, 1]], dtype=complex) / (2 * np.sqrt(2))
 JUMP_M2 = np.array([[1j, 1], [-1, 1j]], dtype=complex) / (2 * np.sqrt(2))
 JUMP_LAMBDA = np.array([[0, 1j], [1j, 0]], dtype=complex)
 JUMP_POISSON_DIR = np.array([1, 1j]) / np.sqrt(2)
+
+
+def to_json(fmt: str, x):
+    """The plain document of ``x`` in the JSON format ``fmt``: ``serialize._plain``
+    of its builder ``serialize.<fmt>_doc``."""
+    return serialize._plain(getattr(serialize, f"{fmt}_doc")(x))
 
 
 @pytest.fixture

@@ -1,13 +1,16 @@
-"""Each public call sweeps a tensor's symmetry relations at most once.
+"""Each public call checks a tensor's symmetry relations at most once.
 
 ``check_symmetries`` is the O(d^5) boundary check of the pipeline; the
 internal steps after it trust the tensor it accepted.  ``diagonalize``,
-``realify``, ``classify`` and ``limit_tensor`` (for samples of dimension
-``limits._CERTIFY_MIN_DIM`` or more) certify a valid tensor by its fixed
-points instead and sweep only a tensor that the certificate rejects.
+``realify``, ``classify`` and ``limit_tensor`` (for ``Tensor3`` samples, at
+every dimension) certify a valid tensor by its fixed points instead and
+sweep only a tensor that the certificate rejects.  ``limit_tensor`` builds
+the tensor of an ``ObtuseRV`` sample and checks it neither way, and
+``obtusewalk limit`` samples a system file's systems as ``ObtuseRV``.
 ``obtusewalk check --limit`` sweeps only the inner tensor, once.  A
 counter wrapped around every module binding of the sweep pins the number of
-sweeps per call.
+sweeps per call, and one wrapped around the gate in ``limits`` the number of
+gate calls.
 """
 
 import json
@@ -33,7 +36,7 @@ from obtusewalk import (
 )
 from obtusewalk.errors import NotDoublySymmetric
 from obtusewalk.limits import DEFAULT_STEPS
-from conftest import jump_values
+from conftest import jump_values, to_json
 
 
 @pytest.fixture
@@ -48,6 +51,23 @@ def sweeps(monkeypatch):
 
     for module in (obtuse, tensor, limits, cli):
         monkeypatch.setattr(module, "check_symmetries", counting)
+    return calls
+
+
+@pytest.fixture
+def sample_gates(monkeypatch):
+    """List that records each constant-coordinate tensor ``limits`` passes to
+    the gate ``tensor._certify_or_sweep``: the samples, not ``classify``'s
+    inner tensor."""
+    calls = []
+    original = limits._certify_or_sweep
+
+    def counting(t, *args, **kwargs):
+        if t.has_constant:
+            calls.append(t)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(limits, "_certify_or_sweep", counting)
     return calls
 
 
@@ -95,8 +115,9 @@ def test_uncertified_valid_tensor_is_swept_once(sweeps, call):
 
 
 def test_limit_tensor_sweeps_constant_family_once(sweeps, random_tensor):
+    # the d = 4 sample certifies in the gate
     limit_tensor(TensorFamily.constant(random_tensor))
-    assert len(sweeps) == 1
+    assert len(sweeps) == 0
 
 
 def test_classify_does_not_sweep_a_valid_limit(sweeps, random_tensor):
@@ -115,23 +136,44 @@ def test_large_constant_family_is_not_swept(sweeps):
 def test_broken_large_sample_is_swept_once(sweeps):
     entries = tensor_of(ObtuseRV(random_system(16, np.random.default_rng(5)))).entries.copy()
     entries[1, 2, 3] += 1e-6
-    assert len(entries) >= limits._CERTIFY_MIN_DIM
+    assert len(entries) == 17
     with pytest.raises(NotDoublySymmetric, match="sample at h="):
         limit_tensor(TensorFamily.constant(Tensor3(entries)))
     assert len(sweeps) == 1
 
 
-def test_cli_limit_on_system_file(sweeps, tmp_path):
+@pytest.mark.parametrize("d", [3, 9, 16])
+def test_broken_sample_is_swept_once_at_every_dimension(sweeps, sample_gates, d):
+    # four steps share a valid sample, which certifies; the broken one is swept
+    valid = tensor_of(ObtuseRV(random_system(d - 1, np.random.default_rng(d))))
+    entries = valid.entries.copy()
+    entries[1, 2, 1] += 1e-6
+    samples = [valid] * 5
+    samples[2] = Tensor3(entries)
+    with pytest.raises(NotDoublySymmetric, match=f"sample at h={DEFAULT_STEPS[2]} "):
+        limit_tensor(TensorFamily.from_samples(DEFAULT_STEPS, samples))
+    assert [t.dim for t in sweeps] == [d]
+    assert len(sample_gates) == 2
+
+
+def test_obtuse_rv_samples_are_not_checked(sweeps, sample_gates):
+    rvs = [ObtuseRV.from_values(jump_values(h)) for h in DEFAULT_STEPS]
+    limit_tensor(TensorFamily.from_samples(DEFAULT_STEPS, rvs), tol=1e-7)
+    limit_tensor(TensorFamily.constant(rvs[0]))
+    assert sweeps == [] and sample_gates == []
+
+
+def test_cli_limit_on_system_file(sweeps, sample_gates, tmp_path):
     rng = np.random.default_rng(7)
     path = tmp_path / "family.json"
     path.write_text(json.dumps({"system": system_doc(random_system(3, rng).values)}))
     assert cli.main(["limit", str(path), "--out", str(tmp_path / "out.json")]) == 0
-    # one sweep of the shared sample (d = 4 is below the certificate's
-    # crossover); the limit tensor certifies
-    assert len(sweeps) == 1
+    # the validated system's tensor is not checked; the limit tensor certifies
+    assert len(sweeps) == 0
+    assert len(sample_gates) == 0
 
 
-def test_cli_limit_on_sampled_family(sweeps, tmp_path):
+def test_cli_limit_on_sampled_family(sweeps, sample_gates, tmp_path):
     doc = {
         "steps": list(DEFAULT_STEPS),
         "systems": [system_doc(jump_values(h)) for h in DEFAULT_STEPS],
@@ -140,14 +182,28 @@ def test_cli_limit_on_sampled_family(sweeps, tmp_path):
     path.write_text(json.dumps(doc))
     out = str(tmp_path / "out.json")
     assert cli.main(["limit", str(path), "--tol", "1e-7", "--out", out]) == 0
-    # one sweep per distinct sample; the limit tensor certifies
-    assert len(sweeps) == len(DEFAULT_STEPS)
+    # no check of a validated system's tensor; the limit tensor certifies
+    assert len(sweeps) == 0
+    assert len(sample_gates) == 0
+
+
+def test_cli_limit_on_tensor_file_gates_each_sample_once(sweeps, sample_gates, tmp_path):
+    tensors = [
+        to_json("tensor", tensor_of(ObtuseRV.from_values(jump_values(h)))) for h in DEFAULT_STEPS
+    ]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"steps": list(DEFAULT_STEPS), "tensors": tensors}))
+    out = str(tmp_path / "out.json")
+    assert cli.main(["limit", str(path), "--tol", "1e-7", "--out", out]) == 0
+    # five samples read from five documents: one gate call each, all certified
+    assert len(sample_gates) == len(DEFAULT_STEPS)
+    assert len(sweeps) == 0
 
 
 def test_cli_check_limit_sweeps_the_inner_tensor_once(sweeps, random_tensor, tmp_path):
     limit = limit_tensor(TensorFamily.constant(random_tensor)).tensor
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(serialize.tensor_to_json(limit)))
+    path.write_text(json.dumps(to_json("tensor", limit)))
     sweeps.clear()
     assert cli.main(["check", str(path), "--limit", "--out", str(tmp_path / "out.json")]) == 0
     assert [t.dim for t in sweeps] == [limit.dim - 1]

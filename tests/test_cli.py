@@ -33,6 +33,7 @@ from conftest import (
     greedy_match,
     jump_values,
     reference_tensor_entries,
+    to_json,
 )
 
 
@@ -114,9 +115,7 @@ class TestTensor:
 class TestCheck:
     def test_valid_tensor(self, tmp_path, capsys):
         rv = ObtuseRV.from_values(REFERENCE_VALUES)
-        f = write_json(
-            tmp_path / "t.json", serialize.tensor_to_json(tensor_of(rv))
-        )
+        f = write_json(tmp_path / "t.json", to_json("tensor", tensor_of(rv)))
         assert main(["check", f]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"]
@@ -124,7 +123,7 @@ class TestCheck:
 
     def test_broken_tensor(self, tmp_path, capsys):
         rv = ObtuseRV.from_values(REFERENCE_VALUES)
-        doc = serialize.tensor_to_json(tensor_of(rv))
+        doc = to_json("tensor", tensor_of(rv))
         doc["entries"][0][0][0] = {"re": 1.5, "im": 0.0}
         f = write_json(tmp_path / "t.json", doc)
         assert main(["check", f]) == 1
@@ -138,7 +137,7 @@ class TestCheck:
         # 1e160 times an (i, j)-symmetric valid tensor: sym2 and sym3 are NaN
         s = tensor_of(ObtuseRV.from_values(REFERENCE_VALUES)).entries
         huge = Tensor3(1e160 * (s + s.transpose(1, 0, 2)) / 2)
-        f = write_json(tmp_path / "t.json", serialize.tensor_to_json(huge))
+        f = write_json(tmp_path / "t.json", to_json("tensor", huge))
         assert main(["check", f]) == 1
         report = json.loads(capsys.readouterr().out.replace("NaN", "null"))
         assert not report["ok"] and report["symmetries"]["sym2"] is None
@@ -203,6 +202,20 @@ class TestLimit:
         result = limit_tensor(family)
         assert (result.worst_order, result.worst_entry) == (np.inf, None)
 
+    def test_tol_validates_the_family_systems(self, tmp_path, capsys):
+        # a pair residual of 3.0e-8: obtuse at --tol 1e-6, not at the default 1e-9
+        values = REFERENCE_VALUES.copy()
+        values[0, 0] += 3e-8
+        system = {"values": [serialize.vector_to_json(v) for v in values]}
+        assert main(["tensor", write_json(tmp_path / "sys.json", system), "--tol", "1e-6"]) == 0
+        capsys.readouterr()
+        steps = list(DEFAULT_STEPS)
+        for doc in ({"system": system}, {"steps": steps, "systems": [system] * len(steps)}):
+            f = write_json(tmp_path / "family.json", doc)
+            assert main(["limit", f]) == 1
+            assert "error: NotObtuse" in capsys.readouterr().err
+            assert main(["limit", f, "--tol", "1e-6"]) == 0
+
     @pytest.mark.parametrize("steps", [[], [1e400], [0, -1]])
     def test_explicit_steps_are_never_replaced(self, tmp_path, capsys, steps):
         # only an absent or null "steps" means the default grid
@@ -263,7 +276,7 @@ def limit_family_doc(n):
     if n == 2:
         return jump_family_doc(), 1e-7
     system = random_system(n, np.random.default_rng(n))
-    return {"system": serialize.system_to_json(system)}, 1e-9
+    return {"system": to_json("system", system)}, 1e-9
 
 
 class TestLimitReport:
@@ -283,7 +296,7 @@ class TestLimitReport:
             "structure_residuals",
         }
         assert "M" not in report
-        assert report == serialize.limitspec_to_json(spec)
+        assert report == to_json("limitspec", spec)
         back = serialize.limitspec_from_json(report)
         assert back.dim == spec.dim
         for name in (
@@ -305,8 +318,8 @@ class TestLimitReport:
         the spec's own M) as the format before it was dropped wrote it."""
         family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
         spec = classify(limit_tensor(family, tol=1e-7), tol=1e-7)
-        new = serialize.limitspec_to_json(spec)
-        old = dict(new, M=serialize.tensor_to_json(spec.tensor if m is None else m))
+        new = to_json("limitspec", spec)
+        old = dict(new, M=to_json("tensor", spec.tensor if m is None else m))
         return write_json(tmp_path / "new.json", new), write_json(tmp_path / "old.json", old)
 
     def simulate_bytes(self, tmp_path, spec_file):
@@ -340,7 +353,7 @@ class TestLimitReport:
         assert main(["limit", f, "--out", str(out), "--tol", str(tol)]) == 0
         result = limit_tensor(serialize.family_from_json(doc, DEFAULT_STEPS), tol=tol)
         spec = classify(result, tol=tol)
-        want = serialize.limitspec_to_json(spec)
+        want = to_json("limitspec", spec)
         want["diagnostics"] = {
             "worst_order": result.worst_order,
             "extrapolation_error": result.noise,
@@ -375,7 +388,7 @@ def run_to_file(tmp_path, argv, out_flag="--out"):
 class TestReportBytes:
     """Every subcommand writes json.dumps(<plain doc>, sort_keys=True) byte for byte.
 
-    The plain documents come from the library and the ``*_to_json`` writers.
+    The plain documents come from the library and ``conftest.to_json``.
     """
 
     def reference_tensor(self):
@@ -401,13 +414,13 @@ class TestReportBytes:
 
     def test_tensor(self, tmp_path):
         f = write_json(tmp_path / "sys.json", reference_system_doc())
-        want = serialize.tensor_to_json(self.reference_tensor())
+        want = to_json("tensor", self.reference_tensor())
         assert run_to_file(tmp_path, ["tensor", f]) == (0, plain_bytes(want))
 
     def test_check_limit(self, tmp_path):
         # a walk tensor's inner block is not doubly symmetric on its own
         tensor = self.reference_tensor()
-        f = write_json(tmp_path / "t.json", serialize.tensor_to_json(tensor))
+        f = write_json(tmp_path / "t.json", to_json("tensor", tensor))
         want = {"ok": False, "structure": check_limit_symmetries(tensor).residuals()}
         assert run_to_file(tmp_path, ["check", f, "--limit"]) == (1, plain_bytes(want))
 
@@ -419,22 +432,22 @@ class TestReportBytes:
             tensors = [tensor_of(ObtuseRV.from_values(jump_values(h))) for h in DEFAULT_STEPS]
             limit = limit_tensor(TensorFamily.from_samples(DEFAULT_STEPS, tensors), tol=1e-7)
             tol = 1e-9
-        f = write_json(tmp_path / "m.json", serialize.tensor_to_json(limit.tensor))
+        f = write_json(tmp_path / "m.json", to_json("tensor", limit.tensor))
         want = {"ok": True, "structure": check_limit_symmetries(limit, tol=tol).residuals()}
         got = run_to_file(tmp_path, ["check", f, "--limit", "--tol", str(tol)])
         assert got == (0, plain_bytes(want))
 
     def test_diagonalize_system(self, tmp_path):
         tensor = self.reference_tensor()
-        f = write_json(tmp_path / "t.json", serialize.tensor_to_json(tensor))
-        want = serialize.system_to_json(obtuse_fixed_points(tensor, tol=DEFAULT_TOL))
+        f = write_json(tmp_path / "t.json", to_json("tensor", tensor))
+        want = to_json("system", obtuse_fixed_points(tensor, tol=DEFAULT_TOL))
         assert run_to_file(tmp_path, ["diagonalize", f]) == (0, plain_bytes(want))
 
     def test_diagonalize_inner_tensor(self, tmp_path):
         # a limit's M has no constant coordinate: the vectors-and-weights branch
         tensor = self.jump_limit().tensor
         assert not tensor.has_constant
-        f = write_json(tmp_path / "m.json", serialize.tensor_to_json(tensor))
+        f = write_json(tmp_path / "m.json", to_json("tensor", tensor))
         result = diagonalize(tensor, tol=DEFAULT_TOL)
         assert len(result.vectors) > 0
         want = {
@@ -449,9 +462,9 @@ class TestReportBytes:
         f = write_json(tmp_path / "sys.json", reference_system_doc())
         result = realify(self.reference_tensor(), tol=DEFAULT_TOL)
         want = {
-            "V": serialize.matrix_to_json(result.v),
-            "R": serialize.tensor_to_json(result.real_tensor),
-            "system": serialize.system_to_json(result.real_system),
+            "V": to_json("matrix", result.v),
+            "R": to_json("tensor", result.real_tensor),
+            "system": to_json("system", result.real_system),
             "imag_residual": result.imag_residual(),
         }
         assert run_to_file(tmp_path, ["realify", f]) == (0, plain_bytes(want))
@@ -461,7 +474,7 @@ class TestReportBytes:
         family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
         result = limit_tensor(family, tol=1e-7)
         spec = classify(result, tol=1e-7)
-        want = serialize.limitspec_to_json(spec)
+        want = to_json("limitspec", spec)
         want["diagnostics"] = {
             "worst_order": result.worst_order,
             "extrapolation_error": result.noise,
@@ -476,7 +489,7 @@ class TestReportBytes:
         if kind == "walk":
             f = write_json(tmp_path / "in.json", reference_system_doc())
         else:
-            f = write_json(tmp_path / "spec.json", serialize.limitspec_to_json(self.jump_limit()))
+            f = write_json(tmp_path / "spec.json", to_json("limitspec", self.jump_limit()))
         csv_file = tmp_path / "paths.csv"
         argv = [
             "simulate", f, "--kind", kind, "--h", "0.1", "--dt", "0.1", "--T", "0.45",
@@ -511,7 +524,7 @@ class TestParserReuse:
 
     def test_limit_flag_does_not_stick(self, tmp_path, capsys):
         rv = ObtuseRV.from_values(REFERENCE_VALUES)
-        f = write_json(tmp_path / "t.json", serialize.tensor_to_json(tensor_of(rv)))
+        f = write_json(tmp_path / "t.json", to_json("tensor", tensor_of(rv)))
         main(["check", f, "--limit"])
         assert "structure" in json.loads(capsys.readouterr().out)
         assert main(["check", f]) == 0
@@ -619,7 +632,7 @@ def test_non_finite_system_entry_is_a_format_error(tmp_path, capsys, argv, value
 
 
 def test_non_finite_tensor_entry_names_the_entry(tmp_path, capsys):
-    doc = serialize.tensor_to_json(tensor_of(ObtuseRV.from_values(REFERENCE_VALUES)))
+    doc = to_json("tensor", tensor_of(ObtuseRV.from_values(REFERENCE_VALUES)))
     doc["entries"][1][2][0] = {"re": 0.5, "im": float("nan")}
     assert main(["check", write_json(tmp_path / "t.json", doc)]) == 2
     assert capsys.readouterr().err == "error: tensor entries[1][2][0] is not finite: (0.5+nanj)\n"
@@ -773,7 +786,7 @@ class TestSimulate:
         else:
             rv = ObtuseRV.from_values(REFERENCE_VALUES)
             spec = classify(limit_tensor(TensorFamily.constant(tensor_of(rv))))
-            f = write_json(tmp_path / "in.json", serialize.limitspec_to_json(spec))
+            f = write_json(tmp_path / "in.json", to_json("limitspec", spec))
         assert main(["simulate", f, "--kind", kind, "--paths", "10", *options, *route]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {error}: ")
@@ -787,7 +800,7 @@ class TestSimulate:
         else:
             rv = ObtuseRV.from_values(REFERENCE_VALUES)
             spec = classify(limit_tensor(TensorFamily.constant(tensor_of(rv))))
-            f = write_json(tmp_path / "in.json", serialize.limitspec_to_json(spec))
+            f = write_json(tmp_path / "in.json", to_json("limitspec", spec))
         args = ["simulate", f, "--kind", kind, "--stats", str(tmp_path / "s.json")]
         assert main([*args, "--paths", "1"]) == 0  # loads what the command imports
         tracemalloc.start()

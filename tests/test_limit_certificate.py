@@ -3,8 +3,8 @@
 Both go through the gate ``tensor._certify_or_sweep``: ``classify``
 certifies the inner tensor of a limit by its fixed points and adds the
 Lambda relations, computed exactly, to the gate's report; ``limit_tensor``
-certifies a sample from dimension ``limits._CERTIFY_MIN_DIM`` on.  Only a
-tensor the gate fails to certify is swept.  These tests pin the promises of
+certifies a ``Tensor3`` sample at every dimension.  Only a tensor the gate
+fails to certify is swept.  These tests pin the promises of
 that order: it never accepts what the sweep rejects, a certified report
 bounds the swept residuals from above, and every result and error is the
 one the sweep-first order gave.
@@ -84,15 +84,14 @@ def perturbed_limits():
 
 
 def perturbed_samples():
-    """Samples of dimension >= ``_CERTIFY_MIN_DIM`` with noise on the entries i, j >= 1.
+    """Samples of dimension 3 to 21 with noise on the entries i, j >= 1.
 
     S^{i0}_k and S^{0j}_k stay exact, so sym0 holds and the certificate decides.
     """
     rng = np.random.default_rng(2026)
-    for n in (9, 10, 12, 16, 20) * 3:
+    for n in (9, 10, 12, 16, 20) * 3 + (2, 4, 8) * 2:
         s = tensor_of(ObtuseRV(random_system(n, rng))).entries.copy()
         d = n + 1
-        assert d >= limits._CERTIFY_MIN_DIM
         for symmetric in (True, False):
             eps = 10.0 ** rng.uniform(-16, -3)
             t = s.copy()
@@ -191,7 +190,7 @@ class TestFastPath:
         # ~ 3e-7, fits under the relative bound of sym2 and sym3
         family = scaled_16()
         for s in family.sample():
-            assert s.dim >= limits._CERTIFY_MIN_DIM
+            assert s.dim == 17
             assert np.max(np.abs(s.entries)) >= 5e2
         limit_tensor(family)
         assert gate_sweeps == []

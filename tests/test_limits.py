@@ -58,6 +58,7 @@ from conftest import (
     jump_values,
     sampled_family,
     scaled_family,
+    to_json,
 )
 
 
@@ -229,6 +230,21 @@ class TestLimitTensor:
         np.testing.assert_allclose(m[1:, 2, 1:], JUMP_M2, atol=1e-6)
         np.testing.assert_allclose(result.lambda_matrix, JUMP_LAMBDA, atol=1e-6)
 
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_obtuse_rv_family_matches_its_tensor_family(self, n):
+        systems, _ = scaled_family(n, 1, 3e-4, np.random.default_rng(n), SCALED_STEPS)
+        rvs = [ObtuseRV.from_values(v) for v in systems]
+        tensors = [tensor_of(rv) for rv in rvs]
+        for make in (
+            lambda samples: TensorFamily.constant(samples[0], SCALED_STEPS),
+            lambda samples: TensorFamily.from_samples(SCALED_STEPS, samples),
+        ):
+            got, want = limit_tensor(make(rvs)), limit_tensor(make(tensors))
+            assert got.tensor.entries.tobytes() == want.tensor.entries.tobytes()
+            assert got.lambda_matrix.tobytes() == want.lambda_matrix.tobytes()
+            assert (got.worst_order, got.worst_entry) == (want.worst_order, want.worst_entry)
+            assert got.noise == want.noise
+
     def test_no_apparent_limit(self, reference_tensor):
         # rotating by an angle oscillating in h keeps every sample a valid
         # tensor but destroys the limit
@@ -317,7 +333,11 @@ class TestLimitTensor:
                 with pytest.raises(NoApparentLimit) as exc:
                     limit_tensor(family)
                 assert abs(exc.value.order - order) <= 0.01, (n, steps[0], exc.value.order)
-                assert f"observed order h^{exc.value.order:.2f}" in str(exc.value)
+                # rounded, + 0.0: an order just below zero prints as h^0.00
+                shown = round(exc.value.order, 2) + 0.0
+                assert f"observed order h^{shown:.2f}" in str(exc.value)
+                if order == 0.0:
+                    assert str(exc.value).endswith("observed order h^0.00")
 
     @pytest.mark.parametrize(
         "steps",
@@ -414,7 +434,7 @@ class TestConstantClosedForm:
     def test_separately_parsed_samples_run_the_table(self, table_calls, n):
         # equal tensors read from five documents are five objects: no closed form
         t = tensor_of(ObtuseRV(random_system(n, np.random.default_rng(n))))
-        doc = {"steps": list(DEFAULT_STEPS), "tensors": [serialize.tensor_to_json(t)] * 5}
+        doc = {"steps": list(DEFAULT_STEPS), "tensors": [to_json("tensor", t)] * 5}
         table = limit_tensor(serialize.family_from_json(json.loads(json.dumps(doc)), None))
         assert len(table_calls) == 1
         exact = limit_tensor(TensorFamily.constant(t))
@@ -429,7 +449,7 @@ class TestConstantClosedForm:
 
     @pytest.mark.parametrize("n", [2, 9, 16])
     def test_asymmetric_sample_is_rejected(self, n):
-        # swept below limits._CERTIFY_MIN_DIM, certified or swept from it on
+        # the gate rejects the sample at every dimension
         with pytest.raises(NotDoublySymmetric, match="violates tensor symmetries"):
             limit_tensor(TensorFamily.constant(perturbed_tensor(n)))
 
@@ -442,6 +462,8 @@ class TestConstantClosedForm:
     def test_bad_steps(self, reference_tensor, steps):
         with pytest.raises(NonPositiveStep):
             limit_tensor(TensorFamily.constant(reference_tensor, steps=steps))
+        with pytest.raises(NonPositiveStep):
+            TensorFamily.from_samples(steps, [reference_tensor] * len(steps))
 
 
 class TestLimitSymmetries:
@@ -586,9 +608,20 @@ def computed_family(n, n_samples):
     return TensorFamily(tensor_at=lambda h: Tensor3(entries.copy()), steps=steps)
 
 
+def rv_family(n, n_samples):
+    """A family in C^n of ``ObtuseRV`` samples: one object if ``n_samples`` is
+    1, else a fresh object at each of ``n_samples`` steps."""
+    system = random_system(n, np.random.default_rng(n))
+    if n_samples == 1:
+        return TensorFamily.constant(ObtuseRV(system))
+    steps = tuple(0.1 * 2.0**-k for k in range(n_samples))
+    return TensorFamily(tensor_at=lambda h: ObtuseRV(system), steps=steps)
+
+
 def constant_model(n):
     """``limit_tensor``'s bytes for a constant family in C^n: its sample, its
-    result and one check of the sample."""
+    result and one check of the sample, which also bounds building the
+    tensor of an ``ObtuseRV`` sample."""
     return obtuse._sweep_bytes(n + 1) + 2 * 16 * (n + 1) ** 3
 
 
@@ -635,6 +668,12 @@ class TestMemoryBudget:
             lambda: (constant_family(9), constant_model(9)),
             lambda: (computed_family(8, 3), table_model(8, 3)),
             lambda: (computed_family(9, 3), table_model(9, 3)),
+            lambda: (rv_family(2, 1), constant_model(2)),
+            lambda: (rv_family(8, 1), constant_model(8)),
+            lambda: (rv_family(9, 1), constant_model(9)),
+            lambda: (rv_family(2, 5), table_model(2, 5)),
+            lambda: (rv_family(8, 5), table_model(8, 5)),
+            lambda: (rv_family(9, 5), table_model(9, 5)),
         ],
         ids=[
             "constant-N32",
@@ -644,6 +683,12 @@ class TestMemoryBudget:
             "constant-N9",
             "computed-N8-3-samples",
             "computed-N9-3-samples",
+            "rv-constant-N2",
+            "rv-constant-N8",
+            "rv-constant-N9",
+            "rv-N2-5-samples",
+            "rv-N8-5-samples",
+            "rv-N9-5-samples",
         ],
     )
     def test_model_bounds_the_peak(self, monkeypatch, make):
@@ -651,7 +696,7 @@ class TestMemoryBudget:
         family, model = make()
         monkeypatch.setattr(obtuse, "MEMORY_BYTES", model)
         result, peak = traced_peak(lambda: limit_tensor(family))
-        assert result.tensor.dim == family.tensor_at(family.steps[0]).dim
+        assert result.tensor.dim == limits._sample_dim(family.tensor_at(family.steps[0]))
         assert peak <= obtuse.MEMORY_BYTES, peak / obtuse.MEMORY_BYTES
         monkeypatch.setattr(obtuse, "MEMORY_BYTES", model - 1)
         with pytest.raises(TooLarge):
