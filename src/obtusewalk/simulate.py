@@ -26,12 +26,17 @@ substream ``[seed, k]``.  Draws come in the order above, so one stream can
 feed several grids in turn: ``obtusewalk simulate`` draws the members it
 writes to CSV on the fine grid, then the rest of its ensemble on [T].
 
-Arithmetic: the hot paths run in float64 only.  Products of real draws with
-complex atoms or bases are two real matrix products, and the ensemble
-moments come from one real Gram matrix per ensemble.  Besides being cheaper,
-this keeps numpy's multinomial sampler fast: it runs several times slower
-after a complex BLAS product (zgemm) than after a real one, on the OpenBLAS
-build the benchmark records.
+Arithmetic: the hot paths run in float64 only, on time-major buffers of
+shape (n_t, n_paths, N); the samplers return their (n_paths, n_t, N)
+transposed views.  A block of real draws times complex atoms or a basis is
+one real matrix product (dgemm) into the float64 view of the block's grid
+times, the basis rows read as interleaved Re/Im columns, and running sums
+add whole grid times.  The ensemble moments read each grid time as one
+contiguous block: one real Gram matrix per grid time, and a row of ones
+times the block for the means and fourth moments.  No complex BLAS product
+runs: besides being slower, one (zgemm) leaves numpy's Poisson and
+multinomial samplers about ten times slower until the next real product, on
+the OpenBLAS build the benchmark records.
 """
 
 from __future__ import annotations
@@ -75,10 +80,18 @@ MAX_ENSEMBLE_JUMPS = 2**62
 _DRAW_BLOCK_BYTES = 2**18
 
 
+# Smallest standard error of a bracket entry.  Summands that are all equal, as
+# the squared increments h of the +-1 walk, have sample variance 0; the residual
+# over this floor is then 0 for an exact bracket and a huge finite number of
+# standard errors otherwise, where dividing by 0 would give nan or inf.
+SE_FLOOR = 1e-300
+
+
 def _grid_row_bytes(dim: int) -> int:
-    """Peak bytes of a path at a grid time in C^dim: by tracemalloc at most 40 N + 24
-    for an ensemble (values, one time's atom counts as int64 and float64, a real
-    product) and 40 N + 40 for a path, which also keeps a float64 time."""
+    """Peak bytes of a path at a grid time in C^dim: by tracemalloc at most 32 N + 24
+    for an ensemble (values, and a jump direction's counts as drawn, summed and
+    compensated and their product with the direction) and 40 N + 40 for a path,
+    which also keeps each direction's interval counts and a float64 time."""
     return 40 * dim + 48
 
 
@@ -96,14 +109,35 @@ def _step_count(t, h: float) -> np.ndarray:
     return np.floor(np.asarray(t, dtype=float) / h * (1.0 + STEP_RTOL)).astype(int)
 
 
-def _real_product(x: np.ndarray, basis: np.ndarray, out: np.ndarray) -> None:
-    """Write the real ``x`` times the complex ``basis`` into the complex ``out``.
+def _accumulate(a: np.ndarray) -> None:
+    """Running sums along the first axis of ``a``, in place.
 
-    Two float64 products, one per part of ``basis``, each reshaped to ``out``:
-    numpy would run the mixed product as zgemm on a complex copy of ``x``.
+    numpy's cumsum makes one strided call per column: a first axis shorter
+    than a row is summed row by row instead.
     """
-    out.real = (x @ np.ascontiguousarray(basis.real)).reshape(out.shape)
-    out.imag = (x @ np.ascontiguousarray(basis.imag)).reshape(out.shape)
+    if len(a) ** 2 > a.size:
+        np.cumsum(a, axis=0, out=a)
+    else:
+        for i in range(1, len(a)):
+            a[i] += a[i - 1]
+
+
+def _real_product(x: np.ndarray, basis: np.ndarray, out: np.ndarray) -> None:
+    """Write the real (m, k) ``x`` times the complex (k, N) ``basis`` into ``out``,
+    a contiguous complex block of m rows of N.
+
+    One dgemm into the float64 view of ``out``: the rows of ``basis`` act as
+    interleaved Re/Im columns.  numpy would run the mixed product as zgemm on a
+    complex copy of ``x``.  For m = 1 or N = 1 numpy runs the product as gemv,
+    whose OpenBLAS kernels round differently at N and at 2N columns; there the
+    two parts stay two products, so seeded values are the same in every case.
+    """
+    if len(x) > 1 and basis.shape[1] > 1:
+        flat = np.ascontiguousarray(basis, dtype=complex).view(float)
+        np.matmul(x, flat, out=out.view(float).reshape(len(x), -1))
+    else:
+        out.real = (x @ np.ascontiguousarray(basis.real)).reshape(out.shape)
+        out.imag = (x @ np.ascontiguousarray(basis.imag)).reshape(out.shape)
 
 
 def _check(t_grid, n_paths: int, step: float | None = None) -> np.ndarray:
@@ -111,12 +145,13 @@ def _check(t_grid, n_paths: int, step: float | None = None) -> np.ndarray:
 
     Raises ``NonPositiveStep`` for a step that is not positive and finite or
     takes ``MAX_ENSEMBLE_JUMPS`` steps to the last time, ``DimensionMismatch``
-    for a negative path count or a grid not finite, nonnegative, increasing.
+    for a path count that is not a nonnegative integer (numpy integers count)
+    or a grid not finite, nonnegative, increasing.
     """
     if step is not None and not 0 < step < np.inf:
         raise NonPositiveStep(f"time step must be positive and finite, got {step}")
-    if n_paths < 0:
-        raise DimensionMismatch(f"number of paths must be nonnegative, got {n_paths}")
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 0:
+        raise DimensionMismatch(f"number of paths must be a nonnegative integer, got {n_paths!r}")
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or not np.all(np.isfinite(grid) & (grid >= 0)) or np.any(np.diff(grid) < 0):
         raise DimensionMismatch("time grid must be finite, nonnegative and increasing")
@@ -148,14 +183,15 @@ def _path_grid(T: float, step: float, dim: int, n_paths=1, min_steps=0, jumps=0.
 
 
 def _walk_sample(rv: ObtuseRV, h: float, grid: np.ndarray, n_paths: int, rng) -> np.ndarray:
-    """Walk values at the grid times, shape (n_paths, n_t, N).
+    """Walk values at the grid times, shape (n_paths, n_t, N): a view of a time-major buffer.
 
     A run of equal intervals is one multinomial call of size (run, n_paths),
-    the draws of one call per interval, cut to ``_DRAW_BLOCK_BYTES``.  Errors
-    as for ``_check_ensemble``.
+    the draws of one call per interval, cut to ``_DRAW_BLOCK_BYTES``.  The
+    scaled running counts of a block times the atoms are one real product into
+    the block's grid times.  Errors as for ``_check_ensemble``.
     """
     _check_ensemble(n_paths, len(grid), rv.dim)
-    out = np.zeros((n_paths, len(grid), rv.dim), dtype=complex)
+    out = np.empty((len(grid), n_paths, rv.dim), dtype=complex)
     atoms = len(rv.probabilities)
     max_run = max(1, _DRAW_BLOCK_BYTES // (np.dtype(int).itemsize * atoms * max(n_paths, 1)))
     new = np.diff(_step_count(np.concatenate([[0.0], grid]), h))
@@ -167,23 +203,22 @@ def _walk_sample(rv: ObtuseRV, h: float, grid: np.ndarray, n_paths: int, rng) ->
             size = (stop - start, n_paths)  # zero trials draw nothing from the stream
             cum = rng.multinomial(new[start], rv.probabilities, size).astype(float)
             cum[0] += counts
-            if len(cum) > cum[0].size:  # numpy's cumsum makes one call per column
-                np.cumsum(cum, axis=0, out=cum)
-            else:
-                for i in range(1, len(cum)):
-                    cum[i] += cum[i - 1]
+            _accumulate(cum)
             counts = cum[-1].copy()
             cum *= np.sqrt(h)
-            _real_product(cum.reshape(-1, atoms), rv.values, out[:, start:stop].transpose(1, 0, 2))
-    return out
+            _real_product(cum.reshape(-1, atoms), rv.values, out[start:stop])
+    return out.transpose(1, 0, 2)
 
 
 def _limit_sample(
     spec: LimitSpec, grid: np.ndarray, n_paths: int, rng, jump_counts: list | None = None
 ) -> np.ndarray:
-    """Limit-martingale values at the grid times, shape (n_paths, n_t, N).
+    """Limit-martingale values at the grid times, shape (n_paths, n_t, N): a view of a
+    time-major buffer.
 
-    Raises ``TooManyJumps`` when a direction expects more than
+    The Brownian motions, summed along their time axis, times the basis are
+    one real product into the buffer; each direction's compensated counts are
+    added to it in turn.  Raises ``TooManyJumps`` when a direction expects more than
     ``MAX_ENSEMBLE_JUMPS`` jumps by the last time, other errors as for
     ``_check_ensemble``.  Appends each direction's interval counts, shape
     (n_paths, n_t), to ``jump_counts`` if given.
@@ -192,22 +227,28 @@ def _limit_sample(
     _check_ensemble(n_paths, n_t, spec.dim)
     if n_t and not np.all(spec.intensities * grid[-1] <= MAX_ENSEMBLE_JUMPS):
         raise TooManyJumps(f"a direction expects over 2**62 jumps on [0, {grid[-1]:.6g}]")
-    out = np.zeros((n_paths, n_t, spec.dim), dtype=complex)
+    out = np.zeros((n_t, n_paths, spec.dim), dtype=complex)
     dts = np.diff(np.concatenate([[0.0], grid]))
     if spec.n_brownian:
-        db = rng.normal(0.0, 1.0, size=(n_paths, n_t, spec.n_brownian))
-        db *= np.sqrt(dts)[None, :, None]
-        np.cumsum(db, axis=1, out=db)
+        draws = rng.normal(0.0, 1.0, size=(n_paths, n_t, spec.n_brownian))
+        db = np.empty((n_t, n_paths, spec.n_brownian))
+        np.multiply(draws.transpose(1, 0, 2), np.sqrt(dts)[:, None, None], out=db)
+        del draws
+        _accumulate(db)
         _real_product(db.reshape(-1, spec.n_brownian), spec.brownian_basis, out)
         del db
-    for v, lam in zip(spec.poisson_dirs, spec.intensities):
+    rows = out.view(float).reshape(-1, 2 * spec.dim)
+    dirs = np.ascontiguousarray(spec.poisson_dirs, dtype=complex).view(float)
+    for v, lam in zip(dirs, spec.intensities):
         dn = rng.poisson(lam * dts, size=(n_paths, n_t))
         if jump_counts is not None:
             jump_counts.append(dn)
-        compensated = (np.cumsum(dn, axis=1) - lam * grid[None, :])[:, :, None]
-        out.real += compensated * v.real
-        out.imag += compensated * v.imag
-    return out
+        counts = dn.T.copy()  # dn stays the interval counts
+        _accumulate(counts)
+        compensated = counts - lam * grid[:, None]
+        # the long axis innermost: numpy loops slowly over the 2N entries of a row
+        rows += (v[:, None] * compensated.ravel()).T
+    return out.transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -272,7 +313,7 @@ def walk_ensemble(rv: ObtuseRV, h: float, t_grid, n_paths: int, seed: int = 0) -
     and ``_check_ensemble``.
     """
     grid = _check(t_grid, n_paths, h)
-    return _walk_sample(rv, h, grid, n_paths, np.random.default_rng([seed]))
+    return _walk_sample(rv, h, grid, int(n_paths), np.random.default_rng([seed]))
 
 
 def limit_ensemble(spec: LimitSpec, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
@@ -282,7 +323,7 @@ def limit_ensemble(spec: LimitSpec, t_grid, n_paths: int, seed: int = 0) -> np.n
     ``_check_ensemble`` and ``_limit_sample``.
     """
     grid = _check(t_grid, n_paths)
-    return _limit_sample(spec, grid, n_paths, np.random.default_rng([seed]))
+    return _limit_sample(spec, grid, int(n_paths), np.random.default_rng([seed]))
 
 
 @dataclass(frozen=True)
@@ -319,7 +360,7 @@ def _sum_and_se(prod: np.ndarray):
     n = prod.shape[0]
     var = prod.real.var(axis=0, ddof=1) + prod.imag.var(axis=0, ddof=1)
     se = np.sqrt(n * var)
-    return total, np.maximum(se, 1e-300)
+    return total, np.maximum(se, SE_FLOOR)
 
 
 def empirical_brackets(path: Path, spec: LimitSpec | None = None) -> BracketEstimate:
@@ -359,27 +400,31 @@ def _moments(values: np.ndarray):
     """Mean, E[conj(Z) Z^T], E[Z Z^T] and E|Z_i|^4 over the path axis.
 
     ``values`` has shape (n_paths, n_t, N); each moment comes back with the
-    time axis first.  With X the float64 view of Z (columns Re Z_1, Im Z_1,
-    Re Z_2, ...), one batched Gram product G = X^T X / n per grid time gives
-    all second moments: for the blocks AA = E[Re Re^T], BB = E[Im Im^T] and
+    time axis first.  Each grid time is read as one contiguous (n_paths, 2N)
+    float64 block X (columns Re Z_1, Im Z_1, Re Z_2, ...), copied only when
+    ``values`` is not the transposed view of a time-major buffer that the
+    samplers return.  One batched Gram product G = X^T X / n gives all second
+    moments: for the blocks AA = E[Re Re^T], BB = E[Im Im^T] and
     AB = E[Re Im^T] of G, E[conj(Z) Z^T] = AA + BB + i(AB - AB^T) and
-    E[Z Z^T] = AA - BB + i(AB + AB^T).
+    E[Z Z^T] = AA - BB + i(AB + AB^T).  The means and E|Z_i|^4 are the
+    all-ones row times X and times |Z|^4, over n.
     """
-    z = np.ascontiguousarray(values, dtype=complex)
-    n = z.shape[0]
+    z = np.ascontiguousarray(np.asarray(values).transpose(1, 0, 2), dtype=complex)
+    n = z.shape[1]
     x = z.view(float)
-    per_time = x.transpose(1, 0, 2)
-    gram = np.matmul(per_time.transpose(0, 2, 1), per_time) / n
+    ones = np.ones(n)
+    gram = np.matmul(x.transpose(0, 2, 1), x) / n
     aa, bb, ab = gram[:, 0::2, 0::2], gram[:, 1::2, 1::2], gram[:, 0::2, 1::2]
     ab_t = ab.transpose(0, 2, 1)
     cov_conj = np.empty(aa.shape, dtype=complex)
     cov_conj.real, cov_conj.imag = aa + bb, ab - ab_t
     cov_plain = np.empty(aa.shape, dtype=complex)
     cov_plain.real, cov_plain.imag = aa - bb, ab + ab_t
+    mean = (np.matmul(ones, x) / n).view(complex)
     squares = np.square(x)
     abs2 = squares[..., 0::2] + squares[..., 1::2]
-    abs4 = np.square(abs2, out=abs2).mean(axis=0)
-    return z.mean(axis=0), cov_conj, cov_plain, abs4
+    abs4 = np.matmul(ones, np.square(abs2, out=abs2)) / n
+    return mean, cov_conj, cov_plain, abs4
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from obtusewalk import (
     random_system,
     realify,
     serialize,
+    simulate,
     tensor_of,
     validate_obtuse_system,
 )
@@ -725,6 +726,38 @@ class TestSimulate:
         assert np.all(rows[last, 1] == 0.45)
         ends = rows[last, 2::2] + 1j * rows[last, 3::2]
         assert stats == json.loads(serialize.dumps(cli._ensemble_stats(ends[:, None, :], 0.45)))
+
+    @pytest.mark.parametrize("kind", ["walk", "limit"])
+    def test_csv_rows_are_the_sampler_on_the_fine_grid(self, tmp_path, kind):
+        # floats are written by repr, so each row reads back as the sampler's
+        # value on the fine grid, drawn first from the stream [seed]
+        times, rng = simulate._path_grid(0.45, 0.1, 2), np.random.default_rng([3])
+        if kind == "walk":
+            f = write_json(tmp_path / "in.json", reference_system_doc())
+            rv = ObtuseRV.from_values(REFERENCE_VALUES)
+            values = simulate._walk_sample(rv, 0.1, times, 4, rng)
+        else:
+            f = str(tmp_path / "spec.json")
+            family = write_json(tmp_path / "family.json", jump_family_doc())
+            assert main(["limit", family, "--tol", "1e-7", "--out", f]) == 0
+            with open(f, encoding="utf-8") as fh:
+                spec = serialize.limitspec_from_json(json.load(fh))
+            values = simulate._limit_sample(spec, times, 4, rng)
+        csv_file = tmp_path / "paths.csv"
+        argv = [
+            "simulate", f, "--kind", kind, "--h", "0.1", "--dt", "0.1", "--T", "0.45",
+            "--paths", "9", "--max-csv-paths", "4", "--seed", "3", "--out", str(csv_file),
+        ]
+        assert main(argv) == 0
+        want = [
+            [k, t, *(part for z in row for part in (z.real, z.imag))]
+            for k, path in enumerate(values)
+            for t, row in zip(times, path)
+        ]
+        with open(csv_file, encoding="utf-8") as fh:
+            rows = np.array(list(csv.reader(fh))[1:], dtype=float)
+        assert rows.shape == (4 * len(times), 6)
+        assert np.array_equal(rows, np.array(want))
 
     def test_csv_paths_lead_the_ensemble(self, tmp_path, capsys):
         # writing paths changes which grid the first members are drawn on,

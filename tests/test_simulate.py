@@ -142,6 +142,10 @@ class TestStepCount:
             walk_path(bernoulli_rv(), 0.1, 0.09)
 
 
+# the reference grid, and one with repeated times and t = 0
+EDGE_GRIDS = [np.linspace(0.1, 1.0, 10), [0, 0, 0.1, 0.1, 0.35]]
+
+
 class TestRealArithmetic:
     """The real split products reproduce the complex products on the same draws."""
 
@@ -166,6 +170,43 @@ class TestRealArithmetic:
         for s in (spec, jump_spec, poisson_spec([30.0, 70.0])):
             got = limit_ensemble(s, grid, 500, seed=4)
             assert np.array_equal(got, complex_limit_ensemble(s, grid, 500, seed=4))
+
+
+    @pytest.mark.parametrize("grid", EDGE_GRIDS, ids=["linspace", "repeated"])
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_walk_ensemble_matches_complex_products_at_few_paths(self, n, n_paths, grid):
+        rv = ObtuseRV(random_system(n, np.random.default_rng(n)))
+        for h in (0.01, 0.001):
+            got = walk_ensemble(rv, h, grid, n_paths, seed=3)
+            want = complex_walk_ensemble(rv, h, grid, n_paths, seed=3)
+            assert got.shape == want.shape == (n_paths, len(grid), n)
+            if n == 1 or n_paths == 1:
+                # one row or one column: numpy runs each product as gemv (zgemv
+                # for the reference), which rounds differently from dgemm
+                eps = np.finfo(float).eps
+                assert np.all(np.abs(got - want) <= 8 * eps * np.max(np.abs(want), initial=1.0))
+            else:
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("grid", EDGE_GRIDS, ids=["linspace", "repeated"])
+    @pytest.mark.parametrize("n_paths", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_limit_ensemble_matches_complex_products_at_few_paths(
+        self, n, n_paths, grid, jump_spec
+    ):
+        spec = constant_spec(ObtuseRV(random_system(n, np.random.default_rng(n))))
+        for s in (spec, jump_spec, poisson_spec([30.0, 70.0]), brownian_1d_spec()):
+            got = limit_ensemble(s, grid, n_paths, seed=4)
+            assert got.shape == (n_paths, len(grid), s.dim)
+            assert np.array_equal(got, complex_limit_ensemble(s, grid, n_paths, seed=4))
+
+    def test_ensembles_are_views_of_time_major_buffers(self, jump_spec):
+        rv = ObtuseRV.from_values(REFERENCE_VALUES)
+        grid = np.linspace(0.1, 1.0, 10)
+        for values in (walk_ensemble(rv, 0.01, grid, 50), limit_ensemble(jump_spec, grid, 50)):
+            assert values.shape == (50, 10, 2)
+            assert values.transpose(1, 0, 2).flags.c_contiguous
 
 
 class TestWalkPath:
@@ -345,6 +386,8 @@ class TestBadGrids:
             (lambda: walk_ensemble(bernoulli_rv(), 0.01, [np.nan], 10), DimensionMismatch),
             (lambda: walk_ensemble(bernoulli_rv(), 0.01, [np.inf], 10), DimensionMismatch),
             (lambda: walk_ensemble(bernoulli_rv(), 0.01, [1.0], -1), DimensionMismatch),
+            (lambda: walk_ensemble(bernoulli_rv(), 0.01, [1.0], 2.5), DimensionMismatch),
+            (lambda: limit_ensemble(poisson_spec([1.0]), [1.0], 2.5), DimensionMismatch),
         ],
         ids=[
             "path-dt-1e-12",
@@ -365,6 +408,8 @@ class TestBadGrids:
             "walk-ensemble-nan",
             "walk-ensemble-inf",
             "walk-ensemble-negative-paths",
+            "walk-ensemble-fractional-paths",
+            "ensemble-fractional-paths",
         ],
     )
     def test_fails_fast(self, call, error):
@@ -379,6 +424,12 @@ class TestBadGrids:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 2**20
+
+    def test_numpy_integer_path_counts(self):
+        # 8 bytes * 2 atoms * 200 paths overflows uint8 arithmetic
+        for count in (np.int64(200), np.uint8(200)):
+            assert walk_ensemble(bernoulli_rv(), 0.01, [1.0], count).shape == (200, 1, 1)
+            assert limit_ensemble(poisson_spec([1.0]), [1.0], count).shape == (200, 1, 1)
 
     @pytest.mark.parametrize("n, k", [(1, 1), (4, 0), (4, 2), (8, 8)])
     def test_budget_bounds_the_real_allocation(self, monkeypatch, n, k):
@@ -533,6 +584,17 @@ class TestBrackets:
         assert np.max(est.sigmas_bracket()) <= 5.0
         assert np.max(est.sigmas_conj_bracket()) <= 5.0
 
+    def test_equal_summands_read_the_se_floor(self):
+        # h a power of two: every value of the +-1 walk is exact, and every
+        # squared increment is h, so the sample variances are 0
+        rv = bernoulli_rv()
+        path = walk_path(rv, 2.0**-10, 1.0, seed=0)
+        assert np.all(np.abs(path.increments) == 2.0**-5)
+        est = empirical_brackets(path, spec=constant_spec(rv))
+        assert est.se_bracket[0, 0] == est.se_conj_bracket[0, 0] == simulate.SE_FLOOR
+        assert est.conj_bracket[0, 0] == est.rhs_conj_bracket[0, 0] == 1.0
+        assert est.sigmas_conj_bracket()[0, 0] == 0.0
+
     def test_too_few_increments(self, reference_spec):
         path = limit_path(reference_spec, 0.05, 0.001, seed=0)
         with pytest.raises(TooFewIncrements):
@@ -570,6 +632,23 @@ class TestDistributionCompare:
         for got, want in zip(simulate._moments(values), per_time_moments(values)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 8])
+    def test_moments_do_not_depend_on_the_layout(self, n):
+        rv = ObtuseRV(random_system(n, np.random.default_rng(10 + n)))
+        values = walk_ensemble(rv, 0.01, np.linspace(0.1, 1.0, 10), 3000, seed=0)
+        path_major = np.ascontiguousarray(values)
+        for got, want in zip(simulate._moments(values), simulate._moments(path_major)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0)
+        # |Z|^2 and the squares it sums take 1.5 ensembles; a time-major
+        # ensemble is read in place, where a copy would add one more
+        tracemalloc.start()
+        try:
+            simulate._moments(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * values.nbytes
 
     @pytest.mark.parametrize("n", [1, 2, 8])
     def test_distances_match_per_time_oracle(self, n):
