@@ -71,24 +71,88 @@ def _bound(tol: float, scale: float) -> float:
     return bound if bound < math.inf else math.nan
 
 
+def _identity_defect(m: np.ndarray) -> float:
+    """max|m - I| of a square matrix ``m``, which it overwrites: build no I.
+
+    ``x - 0`` is ``x`` for every float, signed zeros too, so subtracting 1 on
+    the diagonal alone gives the bits of ``m - np.eye(len(m))``.
+    """
+    m.flat[:: len(m) + 1] -= 1.0
+    return float(np.abs(m).max())
+
+
 def _as_vectors(values) -> np.ndarray:
     """Stack a sequence of vectors into a complex (n, d) array."""
     arr = np.asarray(values, dtype=complex)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a family of vectors, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DimensionMismatch("vector entries must be finite")
     return arr
 
 
+def _pair_bounds(probabilities: np.ndarray, tol: float) -> np.ndarray:
+    """``_bound(tol, |v_i| |v_j|)`` per pair, with |v_i| read off p_i = 1/(1 + |v_i|^2)."""
+    norms = np.sqrt(1.0 / probabilities - 1.0)
+    return _bound(tol, np.outer(norms, norms))
+
+
+def _pairs_ok(residuals: np.ndarray, probabilities: np.ndarray, tol: float) -> bool:
+    """Whether every pair residual is within its own bound (``_pair_bounds``).
+
+    No pair bound is below tol, so most systems pass on their largest
+    residual alone; otherwise each pair on its own, so a NaN fails.
+    """
+    if residuals.max() <= tol:
+        return True
+    return bool((residuals <= _pair_bounds(probabilities, tol)).all())
+
+
+def _worst_pair(residuals: np.ndarray, bounds: np.ndarray) -> tuple[int, int]:
+    """The pair (i, j) farthest over its bound."""
+    i, j = divmod(int(np.argmax(residuals / bounds)), residuals.shape[1])
+    return i, j
+
+
+def _obtuse_pairs(values):
+    """What the obtuseness decision reads: ``(vectors, p, pair residuals)``.
+
+    The one kernel behind ``validate_obtuse_system`` and ``_require_obtuse``,
+    whose test of the residuals is ``_pairs_ok``.
+    Structural problems raise ``DimensionMismatch``: entries that are not
+    finite, a count other than N+1 vectors in C^N, and a vector whose |v|^2
+    is not positive and finite in floating point (a zero vector, or one
+    whose squared norm under- or overflows, which would give p = 1 or 0).
+    """
+    arr = _as_vectors(values)
+    n, d = arr.shape
+    if n != d + 1:
+        raise DimensionMismatch(f"need {d + 1} vectors in C^{d}, got {n}")
+    # the range check below reports a squared norm that over- or underflows
+    with np.errstate(over="ignore", under="ignore"):
+        norms2 = (np.abs(arr) ** 2).sum(axis=1)
+    if not (norms2.min() > 0.0 and norms2.max() < math.inf):
+        i = int(np.flatnonzero(~((norms2 > 0.0) & (norms2 < math.inf)))[0])
+        if not arr[i].any():
+            raise DimensionMismatch("obtuse systems contain no zero vector")
+        raise DimensionMismatch(
+            f"|v|^2 of vector {i} is {norms2[i]:.3e} in floating point, "
+            "not a positive finite number"
+        )
+    residuals = np.abs(np.conj(arr) @ arr.T + 1.0)
+    residuals.flat[:: n + 1] = 0.0  # the diagonal, as np.fill_diagonal without its wrapper
+    return arr, 1.0 / (1.0 + norms2), residuals
+
+
 @dataclass(frozen=True)
 class SystemValidation:
-    """Residual report for an obtuse-system check.
+    """Residual report of ``validate_obtuse_system``, read by ``obtusewalk validate``.
 
     ``pair_residuals[i, j]`` is ``|<v_i, v_j> + 1|`` for i != j (zero on the
     diagonal).  The three aggregate residuals correspond to sum(p) = 1,
     sum(p v) = 0 and sum(p |v><v|) = I, which hold automatically for a true
-    obtuse system.  ``ok`` bounds each pair residual by its own term size,
+    obtuse system, so no gate reads them.  ``ok`` is the gate's own pair
+    test (``_pairs_ok``): it bounds each pair residual by its own term size,
     ``pair_bounds[i, j] = _bound(tol, |v_i| |v_j|)``, so a long vector does
     not loosen the bound of the others; ``worst_pair`` is the pair farthest
     over its bound.
@@ -103,79 +167,68 @@ class SystemValidation:
 
     @property
     def pair_bounds(self) -> np.ndarray:
-        norms = np.sqrt(1.0 / self.probabilities - 1.0)  # |v_i|
-        return _bound(self.tol, np.outer(norms, norms))
+        return _pair_bounds(self.probabilities, self.tol)
 
     @property
     def worst_pair(self) -> tuple[int, int]:
-        excess = self.pair_residuals / self.pair_bounds
-        i, j = divmod(int(np.argmax(excess)), self.pair_residuals.shape[1])
-        return i, j
+        return _worst_pair(self.pair_residuals, self.pair_bounds)
 
     @property
     def max_pair_residual(self) -> float:
-        return float(np.max(self.pair_residuals))
+        return float(self.pair_residuals.max())
 
     @property
     def ok(self) -> bool:
-        # no pair bound is below tol, so most systems pass on their largest
-        # residual alone; otherwise each pair on its own, so a NaN fails
-        if self.max_pair_residual <= self.tol:
-            return True
-        return bool(np.all(self.pair_residuals <= self.pair_bounds))
+        return _pairs_ok(self.pair_residuals, self.probabilities, self.tol)
 
 
 def validate_obtuse_system(values, tol: float = DEFAULT_TOL) -> SystemValidation:
-    """Check that ``values`` is an obtuse system of C^N.
+    """Check that ``values`` is an obtuse system of C^N, with the full report.
 
-    Expects exactly N+1 non-zero vectors of dimension N.  Returns the derived
-    probabilities together with the pairwise residuals |<v_i,v_j> + 1| and the
-    residuals of the three derived identities.  Structural problems (wrong
-    count, wrong dimension, zero vector) raise ``DimensionMismatch``; a mere
-    failure of obtuseness is reported in the result, not raised.
+    The gate's kernel (``_obtuse_pairs``) plus the residuals of the three
+    derived identities sum(p) = 1, sum(p v) = 0 and sum(p |v><v|) = I, which
+    only this report carries.  Expects exactly N+1 vectors of dimension N,
+    each with a positive finite |v|^2.  Returns the derived probabilities
+    with the pairwise residuals |<v_i,v_j> + 1| and the three aggregates.
+    Structural problems (entries that are not finite, wrong count, wrong
+    dimension, a zero vector or a squared norm that under- or overflows)
+    raise ``DimensionMismatch``; a mere failure of obtuseness is reported in
+    the result, not raised.
     """
-    arr = _as_vectors(values)
-    n, d = arr.shape
-    if n != d + 1:
-        raise DimensionMismatch(f"need {d + 1} vectors in C^{d}, got {n}")
-    norms2 = np.sum(np.abs(arr) ** 2, axis=1)
-    if np.any(norms2 == 0.0):
-        raise DimensionMismatch("obtuse systems contain no zero vector")
-
-    gram = np.conj(arr) @ arr.T
-    residuals = np.abs(gram + 1.0)
-    np.fill_diagonal(residuals, 0.0)
-
-    p = 1.0 / (1.0 + norms2)
-    mean = p @ arr
+    arr, p, residuals = _obtuse_pairs(values)
     ident = np.einsum("m,mi,mj->ij", p, arr, np.conj(arr))
     return SystemValidation(
         probabilities=p,
         pair_residuals=residuals,
         prob_sum_residual=abs(float(np.sum(p)) - 1.0),
-        mean_residual=float(np.linalg.norm(mean)),
-        identity_residual=float(np.max(np.abs(ident - np.eye(d)))),
+        mean_residual=float(np.linalg.norm(p @ arr)),
+        identity_residual=_identity_defect(ident),
         tol=tol,
     )
 
 
-def _require_obtuse(values, tol: float, what: str = "") -> SystemValidation:
-    """``validate_obtuse_system``, raising ``NotObtuse`` unless the report is ok.
+def _require_obtuse(values, tol: float, what: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """The gate of every obtuse system the library builds or recovers.
 
-    The error names the pair farthest over its bound (``worst_pair``) with
-    that pair's own residual and bound, after the prefix ``what``.
+    Runs the pair test of ``validate_obtuse_system`` alone (``_obtuse_pairs``
+    and ``_pairs_ok``), without its aggregate residuals, and returns the
+    complex vectors and their probabilities.  Structural problems raise
+    ``DimensionMismatch`` as there; a failed pair test raises ``NotObtuse``
+    naming the pair farthest over its bound (``worst_pair``) with that pair's
+    own residual and bound, after the prefix ``what``.
     """
-    report = validate_obtuse_system(values, tol)
-    if not report.ok:
-        i, j = report.worst_pair
-        residual = float(report.pair_residuals[i, j])
+    arr, p, residuals = _obtuse_pairs(values)
+    if not _pairs_ok(residuals, p, tol):
+        bounds = _pair_bounds(p, tol)
+        i, j = _worst_pair(residuals, bounds)
+        residual = float(residuals[i, j])
         raise NotObtuse(
             f"{what}vectors {i} and {j} have inner product residual "
-            f"{residual:.3e} > {report.pair_bounds[i, j]:.3e}",
+            f"{residual:.3e} > {bounds[i, j]:.3e}",
             pair=(i, j),
             residual=residual,
         )
-    return report
+    return arr, p
 
 
 @dataclass(frozen=True)
@@ -187,8 +240,8 @@ class ObtuseSystem:
 
     @classmethod
     def from_values(cls, values, tol: float = DEFAULT_TOL) -> "ObtuseSystem":
-        report = _require_obtuse(values, tol)
-        return cls(values=_as_vectors(values), probabilities=report.probabilities)
+        arr, p = _require_obtuse(values, tol)
+        return cls(values=arr, probabilities=p)
 
     @property
     def dim(self) -> int:
@@ -197,8 +250,11 @@ class ObtuseSystem:
     @property
     def hatted(self) -> np.ndarray:
         """The vectors (1, v_i) in C^{N+1}, stacked as rows."""
-        n = self.values.shape[0]
-        return np.hstack([np.ones((n, 1), dtype=complex), self.values])
+        n, d = self.values.shape
+        out = np.empty((n, d + 1), dtype=complex)
+        out[:, 0] = 1.0
+        out[:, 1:] = self.values
+        return out
 
 
 @dataclass(frozen=True)
@@ -247,8 +303,7 @@ def rv_is_centered_normalized(values, probabilities, tol: float = DEFAULT_TOL):
     if np.any(p <= 0.0) or not abs(float(np.sum(p)) - 1.0) <= TIE_EPS:
         raise DimensionMismatch("probabilities must be positive and sum to 1")
     mean_res = float(np.linalg.norm(p @ arr))
-    cov = np.einsum("m,mi,mj->ij", p, np.conj(arr), arr)
-    cov_res = float(np.max(np.abs(cov - np.eye(arr.shape[1]))))
+    cov_res = _identity_defect(np.einsum("m,mi,mj->ij", p, np.conj(arr), arr))
     bound = _bound(tol, np.max(p * np.sum(np.abs(arr) ** 2, axis=1)))
     return bool(mean_res <= bound and cov_res <= bound), mean_res, cov_res
 
@@ -274,7 +329,7 @@ class Tensor3:
         arr = np.asarray(self.entries, dtype=complex)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise DimensionMismatch(f"tensor entries must be a cube, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DimensionMismatch("tensor entries must be finite")
         object.__setattr__(self, "entries", arr)
 
@@ -385,12 +440,12 @@ def _sym0(s: np.ndarray) -> float:
     """max |S^{i0}_k - delta_{ik}| of the entries ``s``, O(d^2)."""
     if not s.shape[0]:
         raise DimensionMismatch("the constant coordinate needs dimension >= 1")
-    return float(np.max(np.abs(s[:, 0, :] - np.eye(s.shape[0]))))
+    return _identity_defect(s[:, 0, :].copy())
 
 
 def _sym1(s: np.ndarray) -> float:
     """max |S^{ij}_k - S^{ji}_k| of the entries ``s``, O(d^3)."""
-    return float(np.max(np.abs(s - s.transpose(1, 0, 2)))) if s.shape[0] else 0.0
+    return float(np.abs(s - s.transpose(1, 0, 2)).max()) if s.shape[0] else 0.0
 
 
 def _sweep_step(d: int) -> int:
@@ -469,9 +524,9 @@ def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL
     if x.dim != y.dim:
         raise DimensionMismatch("variables live in different dimensions")
     px, py = x.probabilities, y.probabilities
-    order_x = np.argsort(px, kind="stable")
-    order_y = np.argsort(py, kind="stable")
-    if np.max(np.abs(px[order_x] - py[order_y])) > TIE_EPS:
+    order_x = px.argsort(kind="stable")
+    order_y = py.argsort(kind="stable")
+    if np.abs(px[order_x] - py[order_y]).max() > TIE_EPS:
         raise ProbabilityMismatch("probability multisets differ")
 
     sigma = np.empty(len(px), dtype=int)
@@ -482,10 +537,10 @@ def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL
     u = big[1:, 1:]
     corner = max(
         abs(big[0, 0] - 1.0),
-        float(np.max(np.abs(big[0, 1:]))),
-        float(np.max(np.abs(big[1:, 0]))),
+        float(np.abs(big[0, 1:]).max()),
+        float(np.abs(big[1:, 0]).max()),
     )
-    moved = float(np.max(np.abs(x.values @ u.T - y.values[sigma])))
+    moved = float(np.abs(x.values @ u.T - y.values[sigma]).max())
     # B is unitary by construction; U moves values of length up to max|v|
     if not (corner <= _bound(tol, 1.0) and moved <= _bound(tol, np.sqrt(1 / px.min() - 1))):
         raise AmbiguousMatching(
@@ -528,7 +583,7 @@ def embed_general(values, probabilities, y: ObtuseRV, tol: float = DEFAULT_TOL):
         raise SingularSystem("obtuse value matrix unexpectedly singular") from exc
 
     last_res = float(np.max(np.abs(a @ w[n - 1] - arr[n - 1])))
-    iso_res = float(np.max(np.abs(a @ a.conj().T - np.eye(d))))
+    iso_res = _identity_defect(a @ a.conj().T)
     # A A* = I is unitarity; A maps the last value w_{n-1} onto x_{n-1}
     if not (iso_res <= _bound(tol, 1.0) and last_res <= _bound(tol, np.linalg.norm(w[n - 1]))):
         raise SingularSystem(

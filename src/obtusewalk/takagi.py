@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotSymmetric
-from .obtuse import DEFAULT_TOL, _bound
+from .obtuse import DEFAULT_TOL, _bound, _identity_defect
 
 _EPS = np.finfo(float).eps
 # singular values (here) or eigenvalues (``tensor.diagonalize``) at a relative
@@ -69,18 +69,23 @@ def unitary_sqrt(u: np.ndarray) -> np.ndarray:
     n = len(u)
     if not n:
         return np.zeros((0, 0), dtype=complex)
-    angles = np.sort(np.angle(np.linalg.eigvals(u)))
-    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-    k = int(np.argmax(gaps))
+    # np.angle is this arctan2 behind a Python-level wrapper
+    eig = np.linalg.eigvals(u)
+    angles = np.arctan2(eig.imag, eig.real)
+    angles.sort()
+    # the gap after each angle, the last one across the cut at pi
+    gaps = np.concatenate((angles[1:], [angles[0] + 2 * np.pi])) - angles
+    k = int(gaps.argmax())
     w = np.exp(1j * (np.pi - angles[k] - gaps[k] / 2)) * u
     o = np.linalg.eigh(np.linalg.inv(np.eye(n) + w).imag)[1]
-    theta = np.angle(np.einsum("ij,ij->j", o, u @ o))
+    diag = np.einsum("ij,ij->j", o, u @ o)
+    theta = np.arctan2(diag.imag, diag.real)
     theta[theta == -np.pi] = np.pi
     v = (o * np.exp(0.5j * theta)) @ o.T
-    residual = float(np.max(np.abs(v @ v.T - u)))
+    residual = float(np.abs(v @ v.T - u).max())
     slack = _SQRT_SLACK * n * _EPS  # U's defect is measured only past it
     if not residual <= slack and not residual <= slack + _SQRT_SLACK * max(
-        np.max(np.abs(u @ u.conj().T - np.eye(n))), np.max(np.abs(u - u.T))
+        _identity_defect(u @ u.conj().T), float(np.abs(u - u.T).max())
     ):
         raise NoConvergence(f"square root residual {residual:.3e} exceeds its bound", residual)
     return v

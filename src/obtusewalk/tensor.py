@@ -49,20 +49,21 @@ from .obtuse import (
     SymmetryReport,
     Tensor3,
     _bound,
+    _identity_defect,
     _khatri_rao,
     _require_obtuse,
     _sym0,
     _sym1,
     check_symmetries,
 )
-from .takagi import _CLUSTER_REL, unitary_sqrt
+from .takagi import _CLUSTER_REL, _EPS, unitary_sqrt
 
 # a triangular pivot below this has no phase to strip: the first N values are
 # (numerically) dependent, so the system is degenerate
 _PIVOT_FLOOR = 1e-12
 
 # unit roundoff u of double precision
-_UNIT = np.finfo(float).eps / 2
+_UNIT = _EPS / 2
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> float:
     delta = float(np.abs(s - r).max(initial=0.0)) + rho
     big = float(np.abs(r).max(initial=0.0)) + rho  # max|S| <= big + delta
     gram = np.abs(np.conj(vectors) @ vectors.T)
-    np.fill_diagonal(gram, 0.0)
+    gram.flat[:: len(gram) + 1] = 0.0  # the diagonal
     c = w * sup**2
     # sum_{a != b} c_a c_b gamma |a| |b| <= gamma (sum_a c_a |a|)^2
     sym23 = 2 * (c @ gram @ c + _gamma(d + 2) * (c @ np.sqrt(norms2)) ** 2)
@@ -241,7 +242,7 @@ def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
     """``diagonalize`` on a tensor known or yet to be certified doubly symmetric."""
     s = tensor.entries
     d = tensor.dim
-    scale = float(np.max(np.abs(s), initial=0.0))
+    scale = float(np.abs(s).max(initial=0.0))
     if scale <= tol:
         return DiagResult(vectors=np.zeros((0, d), dtype=complex), residual=0.0)
     # directions whose image is this small belong to the null space
@@ -249,31 +250,42 @@ def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
 
     rows = s.reshape(d, d * d)
     lam, w = np.linalg.eigh(rows @ rows.conj().T)
-    live = np.flatnonzero(lam > 4 * d * d * np.finfo(float).eps * lam[-1])
-    cuts = np.flatnonzero(np.diff(lam[live]) > _CLUSTER_REL * lam[live][1:]) + 1
+    live = np.flatnonzero(lam > 4 * d * d * _EPS * lam[-1])
+    lam = lam[live]
     dirs = [
         a
-        for group in np.split(live, cuts)
-        if len(group)
-        for a in _split_cluster(s, w[:, group])
+        for lo, hi in _runs(lam, _CLUSTER_REL * lam[1:])
+        for a in _split_cluster(s, w[:, live[lo:hi]])
     ]
     a = np.array(dirs, dtype=complex).reshape(-1, d)  # (K, d) unit directions
-    images = np.moveaxis((s.reshape(d * d, d) @ a.T).reshape(d, d, -1), 2, 0)
-    keep = np.max(np.abs(images), axis=(1, 2)) > null_tol
+    images = (s.reshape(d * d, d) @ a.T).reshape(d, d, -1).transpose(2, 0, 1)
+    keep = np.abs(images).max(axis=(1, 2)) > null_tol
     a, images = a[keep], images[keep]
-    cubic = np.einsum("mi,mij,mj->m", np.conj(a), images, np.conj(a))
+    conj_a = np.conj(a)
+    cubic = np.einsum("mi,mij,mj->m", conj_a, images, conj_a)
     vectors = cubic[:, None] * a
     # S is linear, so S(v) = c S(a)
     outer = vectors[:, :, None] * vectors[:, None, :]
-    resid = np.max(np.abs(cubic[:, None, None] * images - outer), axis=(1, 2))
+    resid = np.abs(cubic[:, None, None] * images - outer).max(axis=(1, 2))
     # S(v) sums d products of entries of S and of v
     bound = _bound(tol, d * scale * float(np.abs(vectors).max(initial=0.0)))
-    if np.any(resid > bound):
-        worst = float(np.max(resid[resid > bound]))
+    if (resid > bound).any():
+        worst = float(resid[resid > bound].max())
         raise NoConvergence(
             f"fixed point residual {worst:.3e} exceeds its bound", residual=worst
         )
-    return DiagResult(vectors=vectors, residual=float(np.max(resid, initial=0.0)))
+    return DiagResult(vectors=vectors, residual=float(resid.max(initial=0.0)))
+
+
+def _runs(lam: np.ndarray, gap_floor) -> list:
+    """``(lo, hi)`` of each run of ascending ``lam`` that no gap above ``gap_floor`` splits.
+
+    The gap lam[i+1] - lam[i] is compared with ``gap_floor``, a number or
+    one entry per gap; the runs are the clusters of ``diagonalize``.
+    """
+    cuts = np.flatnonzero(lam[1:] - lam[:-1] > gap_floor) + 1
+    edges = [0, *cuts.tolist(), len(lam)]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
 def _split_cluster(s: np.ndarray, q: np.ndarray) -> list:
@@ -295,13 +307,9 @@ def _split_cluster(s: np.ndarray, q: np.ndarray) -> list:
     for y in itertools.chain(basis, pairs):
         a = np.conj(s @ y) @ q  # its Gram matrix is q^* S(y) S(y)^* q
         mu, r = np.linalg.eigh(a.conj().T @ a)
-        cuts = np.flatnonzero(np.diff(mu) > _CLUSTER_REL * mu[-1]) + 1
-        if len(cuts):
-            return [
-                col
-                for part in np.split(r, cuts, axis=1)
-                for col in _split_cluster(s, q @ part)
-            ]
+        runs = _runs(mu, _CLUSTER_REL * mu[-1])
+        if len(runs) > 1:
+            return [col for lo, hi in runs for col in _split_cluster(s, q @ r[:, lo:hi])]
     raise NoConvergence(f"no probe splits a cluster of {g} directions")
 
 
@@ -328,22 +336,22 @@ def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:
         raise WrongCount(
             f"expected {n_plus_1} fixed points, found {len(vecs)}"
         )
-    norms2 = np.sum(np.abs(vecs) ** 2, axis=1)
+    norms2 = (np.abs(vecs) ** 2).sum(axis=1)
     first = vecs[:, 0]
     # an entry of v is as large as |v|: each vector at its own scale
-    if not np.all(np.abs(first - 1.0) <= _bound(tol, np.sqrt(norms2))):
+    if not (np.abs(first - 1.0) <= _bound(tol, np.sqrt(norms2))).all():
         raise WrongCount(
             "fixed points do not all have first coordinate 1; "
             "the tensor lacks the constant-coordinate relation"
         )
     probs_all = 1.0 / norms2
-    # deterministic atom order: descending probability, then entries
-    order = sorted(
-        range(len(vecs)),
-        key=lambda m: (-probs_all[m],) + tuple(vecs[m, 1:].view(float)),
-    )
+    # deterministic atom order: descending probability, then the entries'
+    # real and imaginary parts in turn; lexsort's last key is its first and
+    # its sort is stable, so exact ties keep their order
+    entries = vecs[:, 1:].view(float)
+    order = np.lexsort([*entries.T[::-1], -probs_all])
     values = vecs[order][:, 1:]
-    probs = probs_all[list(order)]
+    probs = probs_all[order]
     _require_obtuse(values, tol, "recovered fixed points do not form an obtuse system: ")
     return ObtuseSystem(values=values, probabilities=probs)
 
@@ -358,14 +366,14 @@ def _full_unitary(u, tensor: Tensor3, tol: float) -> np.ndarray:
         mat = full
     if mat.shape != (d, d):
         raise DimensionMismatch(f"unitary of shape {mat.shape} does not fit dim {d}")
-    defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(d))))
+    defect = _identity_defect(mat.conj().T @ mat)
     if not defect <= _bound(tol, 1.0):
         raise NotUnitary(f"matrix is not unitary: defect {defect:.3e}")
     if tensor.has_constant:
         corner = max(
             abs(mat[0, 0] - 1.0),
-            float(np.max(np.abs(mat[0, 1:]))) if d > 1 else 0.0,
-            float(np.max(np.abs(mat[1:, 0]))) if d > 1 else 0.0,
+            float(np.abs(mat[0, 1:]).max()) if d > 1 else 0.0,
+            float(np.abs(mat[1:, 0]).max()) if d > 1 else 0.0,
         )
         if not corner <= _bound(tol, 1.0):
             raise DimensionMismatch(
@@ -384,11 +392,14 @@ def transform(u, tensor: Tensor3, tol: float = DEFAULT_TOL) -> Tensor3:
     ``transform(u.conj().T, transform(u, t))`` returns ``t``.
     """
     mat = _full_unitary(u, tensor, tol)
+    d = len(mat)
     # three mode products, p then n then m: a ready-made einsum path search
-    # costs more than the products at small d
+    # costs more than the products at small d; each contraction of mat's
+    # columns with axis 1 is the one np.dot that np.tensordot(mat, e,
+    # axes=(1, 1)) makes, without its Python-level bookkeeping
     entries = tensor.entries @ mat.conj().T  # [m, n, k]
-    entries = np.tensordot(mat, entries, axes=(1, 1))  # [j, m, k]
-    entries = np.tensordot(mat, entries, axes=(1, 1))  # [i, j, k]
+    for _ in range(2):  # [j, m, k], then [i, j, k]
+        entries = np.dot(mat, entries.transpose(1, 0, 2).reshape(d, d * d)).reshape(d, d, d)
     return Tensor3(entries=entries, has_constant=tensor.has_constant)
 
 
@@ -412,7 +423,7 @@ class RealificationResult:
     real_system: ObtuseSystem
 
     def imag_residual(self) -> float:
-        return float(np.max(np.abs(self.real_tensor.entries.imag)))
+        return float(np.abs(self.real_tensor.entries.imag).max())
 
 
 def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
@@ -450,7 +461,7 @@ def _realify(tensor: Tensor3, tol: float):
     """``realify``'s result and the fixed points of its real tensor, unchecked."""
     d = tensor.dim
     s0 = tensor.entries[:, :, 0]
-    uni_defect = float(np.max(np.abs(s0 @ s0.conj().T - np.eye(d))))
+    uni_defect = _identity_defect(s0 @ s0.conj().T)
     if not uni_defect <= _bound(tol, 1.0):
         raise S0NotUnitary(f"time-zero slice not unitary: defect {uni_defect:.3e}")
 
@@ -472,8 +483,7 @@ def triangularize_system(values, tol: float = DEFAULT_TOL):
     vector i has zeros after coordinate i+1.  This is the first step of the
     constructive route from a complex obtuse system to a real one.
     """
-    _require_obtuse(values, tol, "values do not form an obtuse system: ")
-    arr = np.asarray(values, dtype=complex)
+    arr, _ = _require_obtuse(values, tol, "values do not form an obtuse system: ")
     n = arr.shape[1]
     q, _ = np.linalg.qr(arr[:n].T)
     u = q.conj().T
@@ -493,11 +503,12 @@ def extract_phases(triangular, tol: float = DEFAULT_TOL):
     phases = np.ones(n, dtype=complex)
     for j in range(n):
         pivot = arr[j, j]
-        if abs(pivot) < _PIVOT_FLOOR:
+        size = abs(pivot)
+        if size < _PIVOT_FLOOR:
             raise NotObtuse(f"triangular pivot {j} vanishes; system degenerate")
-        phases[j] = pivot / abs(pivot)
+        phases[j] = pivot / size
     real_values = arr * np.conj(phases)[None, :]
-    imag_max = float(np.max(np.abs(real_values.imag)))
+    imag_max = float(np.abs(real_values.imag).max())
     if not imag_max <= _bound(tol, np.abs(arr).max()):
         raise NotObtuse(
             f"phases do not make the system real (residual {imag_max:.3e})"

@@ -10,7 +10,9 @@ the tensor of an ``ObtuseRV`` sample and checks it neither way, and
 ``obtusewalk check --limit`` sweeps only the inner tensor, once.  A
 counter wrapped around every module binding of the sweep pins the number of
 sweeps per call, and one wrapped around the gate in ``limits`` the number of
-gate calls.
+gate calls.  The obtuseness gate of a system runs its pair test alone: only
+``obtusewalk validate`` computes the three aggregate residuals, counted by a
+wrapper around ``validate_obtuse_system``.
 """
 
 import json
@@ -18,6 +20,7 @@ import json
 import numpy as np
 import pytest
 
+import obtusewalk
 from obtusewalk import (
     ObtuseRV,
     Tensor3,
@@ -25,6 +28,7 @@ from obtusewalk import (
     classify,
     cli,
     diagonalize,
+    extract_phases,
     limit_tensor,
     limits,
     obtuse,
@@ -33,6 +37,7 @@ from obtusewalk import (
     serialize,
     tensor,
     tensor_of,
+    triangularize_system,
 )
 from obtusewalk.errors import NotDoublySymmetric
 from obtusewalk.limits import DEFAULT_STEPS
@@ -51,6 +56,24 @@ def sweeps(monkeypatch):
 
     for module in (obtuse, tensor, limits, cli):
         monkeypatch.setattr(module, "check_symmetries", counting)
+    return calls
+
+
+@pytest.fixture
+def aggregates(monkeypatch):
+    """List that records one entry per ``validate_obtuse_system`` call, the
+    only code that computes a system's three aggregate residuals, at every
+    module that binds it."""
+    calls = []
+    original = obtuse.validate_obtuse_system
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (obtusewalk, obtuse, tensor, limits, serialize, cli):
+        if getattr(module, "validate_obtuse_system", None) is original:
+            monkeypatch.setattr(module, "validate_obtuse_system", counting)
     return calls
 
 
@@ -207,3 +230,20 @@ def test_cli_check_limit_sweeps_the_inner_tensor_once(sweeps, random_tensor, tmp
     sweeps.clear()
     assert cli.main(["check", str(path), "--limit", "--out", str(tmp_path / "out.json")]) == 0
     assert [t.dim for t in sweeps] == [limit.dim - 1]
+
+
+def test_gates_compute_no_aggregates(aggregates):
+    # four obtuseness gates, each on the pair test alone
+    values = random_system(4, np.random.default_rng(11)).values
+    rv = ObtuseRV.from_values(values)
+    realify(tensor_of(rv))
+    _, tri = triangularize_system(values)
+    extract_phases(tri)
+    assert aggregates == []
+
+
+def test_cli_validate_computes_the_aggregates_once(aggregates, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system_doc(random_system(3, np.random.default_rng(7)).values)))
+    assert cli.main(["validate", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert len(aggregates) == 1

@@ -3,6 +3,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ class TestValidate:
         doc = {"dim": 2, "values": [[{"re": x, "im": 0} for x in v] for v in values]}
         assert main(["validate", write_json(tmp_path / "sys.json", doc)]) == 1
         assert not json.loads(capsys.readouterr().out)["ok"]
+
+    @pytest.mark.parametrize("values", [[[1e160], [-1e-160]], [[1e-170], [-1e170]]])
+    @pytest.mark.parametrize("command", ["validate", "tensor"])
+    def test_squared_norm_out_of_range(self, tmp_path, capsys, values, command):
+        # |v_0|^2 overflows or underflows: a domain error, with no warning
+        f = write_json(tmp_path / "sys.json", {"values": values})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, f]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: DimensionMismatch: |v|^2 of vector 0 ")
+        assert captured.err.count("\n") == 1
 
 
 class TestTensor:

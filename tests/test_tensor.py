@@ -258,6 +258,48 @@ class TestObtuseFixedPoints:
         np.testing.assert_allclose(system.probabilities, [0.5, 0.5], atol=1e-12)
 
 
+def sorted_atom_order(vecs):
+    """Reference atom order: descending probability, then Re and Im of each entry."""
+    probs = 1.0 / np.sum(np.abs(vecs) ** 2, axis=1)
+    return sorted(
+        range(len(vecs)), key=lambda m: (-probs[m],) + tuple(vecs[m, 1:].view(float))
+    )
+
+
+def hatted(values):
+    values = np.asarray(values, dtype=complex)
+    return np.hstack([np.ones((len(values), 1)), values])
+
+
+def fixed_point_cases():
+    """Fixed points (1, v) of obtuse tensors, some with exactly tied probabilities."""
+    rng = np.random.default_rng(12)
+    # exact ties: the entries of each coordinate share one modulus, so every
+    # |v|^2 has the same bits, and the order falls to the entries
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 3))
+    yield hatted([[np.exp(2j)], [-np.exp(2j)]])  # the +-1 coin, rotated
+    tetra = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    yield hatted(tetra * phases)  # four tied atoms
+    yield hatted(tetra)
+    yield diagonalize(tensor_of(bernoulli_rv())).vectors
+    base = system_from_probabilities([0.25] * 4).values
+    for _ in range(2):
+        rotated = ObtuseRV.from_values(base @ haar_unitary(3, rng).T)
+        yield diagonalize(tensor_of(rotated)).vectors
+    for n in (1, 2, 5, 16, 32):
+        yield diagonalize(tensor_of(ObtuseRV(random_system(n, rng)))).vectors
+
+
+@pytest.mark.parametrize("points", list(fixed_point_cases()))
+def test_atom_order_matches_sorted_oracle(points):
+    rng = np.random.default_rng(len(points))
+    for vecs in (points, points[::-1], points[rng.permutation(len(points))]):
+        order = sorted_atom_order(vecs)
+        system = _obtuse_system(vecs, 1e-9)
+        assert np.array_equal(system.values, vecs[order][:, 1:])
+        assert np.array_equal(system.probabilities, 1.0 / np.sum(np.abs(vecs[order]) ** 2, axis=1))
+
+
 class TestTransform:
     def test_identity(self, reference_tensor):
         out = transform(np.eye(2), reference_tensor)
