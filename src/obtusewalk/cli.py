@@ -30,8 +30,6 @@ from . import limits, serialize, simulate
 from .errors import ObtuseWalkError
 from .obtuse import (
     DEFAULT_TOL,
-    ObtuseRV,
-    _bound,
     check_symmetries,
     tensor_of,
     validate_obtuse_system,
@@ -57,20 +55,10 @@ def _emit(doc, out: str | None) -> None:
         print(text)
 
 
-def _load_system(path: str, tol: float) -> ObtuseRV:
-    values, probs = serialize.system_values_from_json(_load_json(path))
-    rv = ObtuseRV.from_values(values, tol=tol)
-    if probs is not None and not np.max(np.abs(probs - rv.probabilities)) <= _bound(tol, 1.0):
-        raise ObtuseWalkError("declared probabilities disagree with the values")
-    return rv
-
-
 def cmd_validate(args) -> int:
-    doc = _load_json(args.input)
-    values, probs = serialize.system_values_from_json(doc)
+    values, probs = serialize.system_values_from_json(_load_json(args.input))
     report = validate_obtuse_system(values, tol=args.tol)
-    agrees = probs is None or np.max(np.abs(probs - report.probabilities)) <= _bound(args.tol, 1.0)
-    ok = report.ok and bool(agrees)
+    ok = report.ok and serialize.probabilities_agree(probs, report.probabilities, args.tol)
     out = {
         "ok": bool(ok),
         "probabilities": [float(p) for p in report.probabilities],
@@ -85,7 +73,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_tensor(args) -> int:
-    rv = _load_system(args.input, args.tol)
+    rv = serialize.system_from_json(_load_json(args.input), args.tol)
     _emit(serialize.tensor_doc(tensor_of(rv)), args.out)
     return 0
 
@@ -123,8 +111,7 @@ def cmd_diagonalize(args) -> int:
 def cmd_realify(args) -> int:
     doc = _load_json(args.input)
     if isinstance(doc, dict) and "values" in doc:
-        values, _ = serialize.system_values_from_json(doc)
-        tensor = tensor_of(ObtuseRV.from_values(values, tol=args.tol))
+        tensor = tensor_of(serialize.system_from_json(doc, args.tol))
     else:
         tensor = serialize.tensor_from_json(doc)
     result = realify(tensor, tol=args.tol)
@@ -188,8 +175,7 @@ def cmd_simulate(args) -> int:
     doc = _load_json(args.input)
     n_csv = min(args.paths, args.max_csv_paths) if args.out else 0
     if args.kind == "walk":
-        values, _ = serialize.system_values_from_json(doc)
-        rv = ObtuseRV.from_values(values, tol=args.tol)
+        rv = serialize.system_from_json(doc, args.tol)
         final = simulate._check([args.T], args.paths, args.h)
         step, dim, min_steps = args.h, rv.dim, 1
         sample = functools.partial(simulate._walk_sample, rv, args.h)

@@ -21,10 +21,8 @@ bounds, not swept residuals.  Every bound is relative (``obtuse._bound``).
 A family whose samples are all one object (``TensorFamily.constant``, a
 sample repeated in ``from_samples``) is h-independent, and its limit is
 exact: Lambda = S^{ij}_0, M = 0 and no extrapolation error, so
-``limit_tensor`` takes the one sample and builds no table.  It holds its
-peak to the memory budget ``obtuse.MEMORY_BYTES`` before it takes or stacks
-the samples: one sample check plus the sample and its result for a
-constant family, plus a multiple of the samples for the table.
+``limit_tensor`` takes the one sample.  Otherwise it adds each distinct
+sample into four weighted sums (``_weights``), within the memory budget.
 """
 
 from __future__ import annotations
@@ -63,10 +61,8 @@ _EXTRAPOLATION_TOL = 1e-5
 
 DEFAULT_STEPS = tuple(0.1 * 4.0**-k for k in range(5))
 
-# peak bytes of the Richardson table over its samples' bytes, by tracemalloc:
-# 3.6-4.7x for the stack, its rescaled copy and the Richardson levels (N =
-# 16-48, 3-60 samples), 1x more for samples the family computes in the call
-_LIMIT_PEAK_FACTOR = 6
+# d^3 complex blocks at the streamed peak: four sums, a sample, its four scaled copies
+_STREAM_BLOCKS = 9
 
 
 def rescale_tensor(tensor: Tensor3, h: float) -> Tensor3:
@@ -117,23 +113,20 @@ class TensorFamily:
         return [self.tensor_at(h) for h in self.steps]
 
 
-def _extrapolate(seqs: np.ndarray, x: np.ndarray):
-    """Limits at x = 0 of sequences sampled at the nodes ``x``, and their errors.
-
-    Axis 0 of ``seqs`` runs over the samples, at decreasing nodes x = sqrt(h).
-    Level L of the Richardson table removes the x^L term by Neville's rule
-    at 0, T_i <- (T_{i+1} - q T_i) / (1 - q), q = x_{i+L} / x_i, on any grid.
-    The error estimate is the distance from the last entry to the one before
-    it without the coarsest sample (Sidi, *Practical Extrapolation Methods*,
-    CUP 2003, ch. 1).
-    """
-    table = seqs
-    shape = (-1,) + (1,) * (seqs.ndim - 1)
-    for level in range(1, len(x)):
-        q = (x[level:] / x[:-level]).reshape(shape)
-        finer = table[-1]
-        table = (table[1:] - q * table[:-1]) / (1.0 - q)
-    return table[0], np.abs(table[0] - finer)
+def _weights(x: np.ndarray) -> np.ndarray:
+    """Weights over samples at the decreasing nodes ``x``: row 0 the Lagrange
+    weights at 0, w_s = prod_{t != s} x_t / (x_t - x_s), the limit of Neville's
+    table on the nodes (Sidi, *Practical Extrapolation Methods*, CUP 2003,
+    ch. 1); row 1 w minus them without the coarsest node, the table's error
+    estimate; rows 2 and 3 the differences that ``_observed_order`` reads."""
+    n = len(x)
+    ratio = x / (x - x[:, None] + np.eye(n))  # ratio[s, t] = x_t / (x_t - x_s), t != s
+    ratio.flat[:: n + 1] = 1.0
+    rows = np.zeros((4, n))
+    rows[0] = rows[1] = ratio.prod(axis=1)
+    rows[1, 1:] -= ratio[1:, 1:].prod(axis=1)
+    rows[2, -3:-1] = rows[3, -2:] = (-1.0, 1.0)
+    return rows
 
 
 def _first_entry(mask: np.ndarray) -> tuple:
@@ -177,53 +170,42 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     >= 1) extrapolate sqrt(h) S^{ij}_k(h); every other entry is forced to
     zero by the rescaling exponents and is asserted, not estimated.  Raises
     ``NoApparentLimit``, with its ``_observed_order``, at the first entry
-    whose error estimate (``_extrapolate``) exceeds the bound ``_bound(
-    _EXTRAPOLATION_TOL, max|M|)`` that the orders share.  A sample object
-    repeated across steps is taken once: an ``ObtuseRV`` is turned into its
-    tensor (``tensor_of``) unchecked, and a ``Tensor3`` is checked in the
-    gate of ``diagonalize`` (``tensor._certify_or_sweep``), which raises
-    ``NotDoublySymmetric`` if it violates the tensor symmetries.  The
-    sample's report alone decides it, so no error of the fixed-point kernel
-    escapes.  A family whose samples are all one object has its limit in
-    closed form (``_constant_limit``), without a table.  First, ``TooLarge``
-    if the peak exceeds the memory budget: one check's sweep
-    (``_sweep_bytes``, which also bounds building an ``ObtuseRV``'s tensor)
-    plus the sample and the result for a constant family, plus
-    ``_LIMIT_PEAK_FACTOR`` times the samples for the table.
+    whose error estimate (``_weights``) exceeds the bound ``_bound(
+    _EXTRAPOLATION_TOL, max|M|)`` that the orders share.  Each distinct
+    sample object's tensor (``_sample_tensor``) is added into the sums with
+    the sum of its steps' weights, and dropped; if there is one object, the
+    limit is in closed form (``_constant_limit``).  First, ``TooLarge`` if
+    the peak exceeds the memory budget: one check's sweep (``_sweep_bytes``,
+    which also bounds building an ``ObtuseRV``'s tensor) plus two d^3 blocks
+    if constant, else ``_STREAM_BLOCKS`` and one per distinct ``Tensor3``.
     """
     steps = np.array(family.steps)
     samples = family.sample()
     d = _sample_dim(samples[0])
-    constant = all(s is samples[0] for s in samples)
-    held = 2 if constant else _LIMIT_PEAK_FACTOR * len(samples)
+    # the first step of each distinct sample object, and of the object at each step
+    first = {}
+    owner = [first.setdefault(id(s), i) for i, s in enumerate(samples)]
+    constant = len(first) == 1
+    tensors = sum(isinstance(samples[i], Tensor3) for i in first.values())
+    held = 2 if constant else _STREAM_BLOCKS + tensors
     n_bytes = _sweep_bytes(d) + held * 16 * d**3
     _require_memory(n_bytes, TooLarge, f"{len(samples)} samples of dimension {d}")
-    built = {}
-    for h, s in zip(steps, samples):
-        rv = isinstance(s, ObtuseRV)
-        if _sample_dim(s) != d or not (rv or s.has_constant):
-            raise DimensionMismatch("family samples have inconsistent shape")
-        if id(s) in built:
-            continue
-        built[id(s)] = tensor_of(s) if rv else s
-        if not rv:
-            _, report, _ = _certify_or_sweep(
-                s, tol, lambda: (None, _fixed_points(s, tol).vectors), include_constant=True
-            )
-            if not report.ok:
-                what = f"sample at h={h} violates tensor symmetries:"
-                raise NotDoublySymmetric(f"{what} {report.residuals()}")
-    tensors = [built[id(s)] for s in samples]
-
     if constant:
-        return _constant_limit(tensors[0].entries, steps)
+        return _constant_limit(_sample_tensor(samples[0], steps[0], d, tol).entries, steps)
+    # each step's weights on S^{ij}_0 and, times sqrt(h), on S^{ij}_k, summed per object
     x = np.sqrt(steps)
-    # (n_samples, N, N, N + 1): S^{ij}_0 and sqrt(h) S^{ij}_k over i, j >= 1
-    seqs = np.stack([t.entries[1:, 1:, :] for t in tensors])
-    seqs[..., 1:] *= x[:, None, None, None]
-    lims, errors = _extrapolate(seqs, x)
+    weights = _weights(x)
+    per_step = (weights * x).T[:, :, None, None, None].repeat(d, axis=4)
+    per_step[..., 0] = weights.T[:, :, None, None]
+    scales = np.zeros_like(per_step)
+    np.add.at(scales, owner, per_step)
+    # (4, N, N, N + 1) over i, j >= 1: the limits, their errors and two differences
+    sums = np.zeros((4, d - 1, d - 1, d), dtype=complex)
+    for i in first.values():
+        sums += scales[i] * _sample_tensor(samples[i], steps[i], d, tol).entries[1:, 1:, :]
+    lims, errors = sums[0], np.abs(sums[1])
     bound = _bound(_EXTRAPOLATION_TOL, np.max(np.abs(lims), initial=0.0))
-    orders = _observed_order(seqs[-2] - seqs[-3], seqs[-1] - seqs[-2], steps, bound)
+    orders = _observed_order(sums[2], sums[3], steps, bound)
     failed = ~(errors <= bound)
     if np.any(failed):
         entry, error, order = _first_entry(failed), errors[failed][0], orders[failed][0]
@@ -234,6 +216,24 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     entries = np.zeros((d, d, d), dtype=complex)
     entries[1:, 1:, :] = lims
     return _limit_result(entries, orders, float(np.max(errors, initial=0.0)))
+
+
+def _sample_tensor(sample, h: float, d: int, tol: float) -> Tensor3:
+    """A family sample's tensor: an ``ObtuseRV``'s built unchecked, a ``Tensor3``
+    through the gate of ``diagonalize``, whose report alone decides it, so no
+    error of the fixed-point kernel escapes (``NotDoublySymmetric``)."""
+    rv = isinstance(sample, ObtuseRV)
+    if _sample_dim(sample) != d or not (rv or sample.has_constant):
+        raise DimensionMismatch("family samples have inconsistent shape")
+    if rv:
+        return tensor_of(sample)
+    _, report, _ = _certify_or_sweep(
+        sample, tol, lambda: (None, _fixed_points(sample, tol).vectors), include_constant=True
+    )
+    if not report.ok:
+        what = f"sample at h={h} violates tensor symmetries:"
+        raise NotDoublySymmetric(f"{what} {report.residuals()}")
+    return sample
 
 
 def _sample_dim(sample) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import obtuse
-from .errors import ChainTooLarge, DimensionMismatch
+from .errors import ChainTooLarge, DimensionMismatch, NonPositiveStep
 from .obtuse import ObtuseRV, Tensor3, _require_memory, tensor_of
 
 
@@ -125,7 +125,7 @@ def _chain_dim(site_dim: int, n_sites: int) -> int:
 def _time_weight(i: int, h: float) -> float:
     """The weight h of the time coordinate (i = 0) or sqrt(h) of the others."""
     if not (h > 0 and math.isfinite(h)):
-        raise DimensionMismatch(f"time step h must be finite and positive, got {h}")
+        raise NonPositiveStep(f"time step h must be finite and positive, got {h}")
     return h if i == 0 else np.sqrt(h)
 
 

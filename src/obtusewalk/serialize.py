@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ProbabilityMismatch
 from .limits import LimitSpec, TensorFamily
 from .obtuse import DEFAULT_TOL, ObtuseRV, ObtuseSystem, Tensor3, _bound, _khatri_rao
 
@@ -271,6 +271,21 @@ def system_values_from_json(obj):
     return values, probs
 
 
+def system_from_json(obj, tol: float = DEFAULT_TOL) -> ObtuseRV:
+    """The variable of a system document, validated at ``tol``; declared
+    probabilities that do not agree with it raise ``ProbabilityMismatch``."""
+    values, probs = system_values_from_json(obj)
+    rv = ObtuseRV.from_values(values, tol)
+    if not probabilities_agree(probs, rv.probabilities, tol):
+        raise ProbabilityMismatch("declared probabilities disagree with the values")
+    return rv
+
+
+def probabilities_agree(declared, probabilities, tol: float) -> bool:
+    """Whether declared probabilities, if any, are within ``_bound(tol, 1)``."""
+    return declared is None or bool(np.max(np.abs(declared - probabilities)) <= _bound(tol, 1.0))
+
+
 def tensor_doc(tensor: Tensor3) -> dict:
     return {
         "dim": int(tensor.dim),
@@ -381,8 +396,8 @@ def family_from_json(obj, default_steps, tol: float = DEFAULT_TOL) -> TensorFami
     Accepted shapes: {"steps", "tensors"}, {"steps", "systems"} (a system
     per step), or {"system"} with optional "steps" (h-independent family;
     only an absent or null "steps" means ``default_steps``).  A system is
-    validated at ``tol`` and sampled as its ``ObtuseRV``, whose tensor
-    ``limit_tensor`` builds; a tensor is sampled as read, and
+    read at ``tol`` (``system_from_json``) and sampled as its ``ObtuseRV``,
+    whose tensor ``limit_tensor`` builds; a tensor is sampled as read, and
     ``limit_tensor`` checks it.
     """
     if not isinstance(obj, dict):
@@ -394,13 +409,11 @@ def family_from_json(obj, default_steps, tol: float = DEFAULT_TOL) -> TensorFami
         ):
             raise FormatError(f"family needs matching 'steps' and '{key}' lists")
 
-    def rv(doc) -> ObtuseRV:
-        return ObtuseRV.from_values(system_values_from_json(doc)[0], tol)
-
     if "tensors" in obj:
         return TensorFamily.from_samples(steps, [tensor_from_json(t) for t in obj["tensors"]])
     if "systems" in obj:
-        return TensorFamily.from_samples(steps, [rv(doc) for doc in obj["systems"]])
+        return TensorFamily.from_samples(steps, [system_from_json(s, tol) for s in obj["systems"]])
     if "system" in obj:
-        return TensorFamily.constant(rv(obj["system"]), default_steps if steps is None else steps)
+        rv = system_from_json(obj["system"], tol)
+        return TensorFamily.constant(rv, default_steps if steps is None else steps)
     raise FormatError("family needs 'tensors', 'systems' or 'system'")

@@ -102,6 +102,45 @@ class TestValidate:
         assert captured.err.count("\n") == 1
 
 
+def system_command(tmp_path, command, system):
+    """argv of ``command`` reading the system document ``system``."""
+    if command == "limit":
+        return ["limit", write_json(tmp_path / "family.json", {"system": system})]
+    if command == "limit-systems":
+        doc = {"steps": list(DEFAULT_STEPS), "systems": [system] * 5}
+        return ["limit", write_json(tmp_path / "family.json", doc)]
+    argv = command.split() + [write_json(tmp_path / "sys.json", system)]
+    return argv + (["--paths", "10"] if command.startswith("simulate") else [])
+
+
+@pytest.mark.parametrize(
+    "command", ["tensor", "realify", "limit", "limit-systems", "simulate --kind walk"]
+)
+class TestDeclaredProbabilities:
+    """Every command that reads a system holds it to its declared probabilities."""
+
+    @pytest.fixture
+    def system(self):
+        values = random_system(2, np.random.default_rng(4)).values
+        return {"values": [[{"re": z.real, "im": z.imag} for z in v] for v in values]}
+
+    def test_wrong_declaration_is_a_domain_error(self, tmp_path, capsys, system, command):
+        probs = ObtuseRV.from_values(serialize.system_values_from_json(system)[0]).probabilities
+        assert np.max(np.abs(probs - [0.5, 0.25, 0.25])) > 0.01
+        system["probabilities"] = [0.5, 0.25, 0.25]
+        assert main(system_command(tmp_path, command, system)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        msg = "error: ProbabilityMismatch: declared probabilities disagree with the values\n"
+        assert captured.err == msg
+
+    def test_true_declaration_is_read(self, tmp_path, capsys, system, command):
+        values = serialize.system_values_from_json(system)[0]
+        system["probabilities"] = ObtuseRV.from_values(values).probabilities.tolist()
+        assert main(system_command(tmp_path, command, system)) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestTensor:
     def test_reference_entries(self, tmp_path, capsys):
         f = write_json(tmp_path / "sys.json", reference_system_doc())

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from obtusewalk import classify, limit_tensor, serialize
+from obtusewalk import TensorFamily, classify, limit_tensor, serialize, tensor_of
 from obtusewalk.cli import main
 from obtusewalk.limits import DEFAULT_STEPS
 from conftest import (
@@ -25,6 +25,7 @@ from conftest import (
     sampled_family,
     scaled_family,
 )
+from test_limits import assert_same_as_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -96,3 +97,22 @@ def test_known_defect_families(c, seed):
     assert (spec.n_poisson, spec.n_brownian) == (1, 1)
     np.testing.assert_allclose(spec.intensities, [c], rtol=1e-6)
     assert np.max(np.abs(spec.lambda_matrix - lam)) <= 1e-6
+
+
+def decision_families():
+    """The corpus, the known defects and the benchmark families, as tensors."""
+    for n, lam, c, systems, dirs in closed_form_corpus():
+        yield sampled_family(SCALED_STEPS, systems)
+    for c, seed in KNOWN_DEFECTS:
+        systems, _ = scaled_family(2, 1, c, np.random.default_rng([seed]), DEFAULT_STEPS)
+        yield sampled_family(DEFAULT_STEPS, systems)
+    for name in ("limit-cli-seed42-op65", "limit-cli-seed30-op71"):
+        doc = json.loads((DATA / f"{name}.json").read_text())["family"]
+        family = serialize.family_from_json(doc, DEFAULT_STEPS)
+        yield TensorFamily.from_samples(family.steps, map(tensor_of, family.sample()))
+
+
+def test_same_decisions_as_the_table():
+    # fixed weights decide every family as the per-entry Neville table does
+    for family in decision_families():
+        assert assert_same_as_table(family) is None

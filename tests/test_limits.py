@@ -40,7 +40,7 @@ from obtusewalk.errors import (
 )
 from obtusewalk.limits import (
     _EXTRAPOLATION_TOL,
-    _LIMIT_PEAK_FACTOR,
+    _STREAM_BLOCKS,
     DEFAULT_STEPS,
     LimitSymmetryReport,
     _real_complement,
@@ -127,6 +127,59 @@ def loop_limit(family):
         if not error <= bound:
             raise NoApparentLimit("no trend", entry=entry, order=orders[entry])
     return (entries, *worst_order(orders), max(errors.values()))
+
+
+def rounding_bound(family):
+    """Per-entry bound on how far two evaluations of the limit sum_s w_s seq_s
+    of the sequences over i, j >= 1 may round apart: 2 (n + 1) eps
+    sum_s |w_s| max_s |seq_s|, w_s the Lagrange weights at x = 0 of the n
+    nodes x = sqrt(h) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., 3.1)."""
+    x = np.sqrt(np.array(family.steps))
+    seqs = np.stack([s.entries[1:, 1:, :] for s in family.sample()])
+    seqs[..., 1:] *= x[:, None, None, None]
+    weights = [math.prod(t / (t - s) for t in x if t != s) for s in x]
+    size = np.max(np.abs(seqs), axis=0)
+    return 2 * (len(x) + 1) * np.finfo(float).eps * sum(map(abs, weights)) * size
+
+
+def assert_same_as_table(family):
+    """``limit_tensor`` against ``loop_limit``: the same ``NoApparentLimit``
+    entry and order, or the same worst entry and order and, to rounding
+    (``rounding_bound``), the same entries and noise.  Returns the oracle's
+    ``NoApparentLimit``, or None."""
+    try:
+        expected = loop_limit(family)
+    except NoApparentLimit as exc:
+        with pytest.raises(NoApparentLimit) as got:
+            limit_tensor(family)
+        assert got.value.entry == exc.entry
+        assert abs(got.value.order - exc.order) <= 1e-12
+        return exc
+    result = limit_tensor(family)
+    bound = rounding_bound(family)
+    got, want = result.tensor.entries, expected[0]
+    assert np.all(np.abs(got[1:, 1:, :] - want[1:, 1:, :]) <= bound)
+    forced = np.ones(got.shape, dtype=bool)
+    forced[1:, 1:, :] = False
+    assert not np.any(got[forced]) and not np.any(want[forced])
+    assert abs(result.noise - expected[3]) <= np.max(bound)
+    # np.log of an array and math.log of a scalar may round apart by an ulp,
+    # and so break an exact tie of two entries' orders the other way
+    assert abs(result.worst_order - expected[1]) <= 1e-12
+    if result.worst_entry != expected[2]:
+        assert abs(entry_order(family, result.worst_entry, want) - expected[1]) <= 1e-12
+    return None
+
+
+def entry_order(family, entry, limit):
+    """``loop_limit``'s observed order of one entry, whose table gave ``limit``."""
+    i, j, k = entry
+    x = np.sqrt(np.array(family.steps))
+    seq = np.array([s.entries[i, j, k] for s in family.sample()]) * (x if k else 1.0)
+    diffs = {entry: (abs(seq[-2] - seq[-3]), abs(seq[-1] - seq[-2]))}
+    bound = _EXTRAPOLATION_TOL * max(1.0, float(np.max(np.abs(limit))))
+    return scalar_orders(diffs, family.steps, bound)[entry]
 
 
 def exact_constant_limit(tensor, steps):
@@ -285,26 +338,25 @@ class TestLimitTensor:
             )
         else:
             family = oscillating_family(reference_tensor)
-        try:
+        if kind == "constant":
             # a constant family's oracle is its closed form, not the table
-            if kind == "constant":
-                expected = exact_constant_limit(tensor, family.steps)
-            else:
-                expected = loop_limit(family)
-        except NoApparentLimit as exc:
-            assert kind == "oscillating"
-            with pytest.raises(NoApparentLimit) as got:
-                limit_tensor(family)
-            assert got.value.entry == exc.entry
-            assert abs(got.value.order - exc.order) <= 1e-12
-            return
-        result = limit_tensor(family)
-        assert np.array_equal(result.tensor.entries, expected[0])
-        assert result.worst_entry == expected[2]
-        # np.log of an array and math.log of a scalar may round apart by an ulp
-        assert abs(result.worst_order - expected[1]) <= 1e-12
-        # np.abs of an array and abs of a scalar may round apart by an ulp
-        assert result.noise == pytest.approx(expected[3], rel=1e-15)
+            expected = exact_constant_limit(tensor, family.steps)
+            result = limit_tensor(family)
+            assert np.array_equal(result.tensor.entries, expected[0])
+            assert (result.worst_entry, result.noise) == (expected[2], expected[3])
+            assert abs(result.worst_order - expected[1]) <= 1e-12
+        else:
+            failure = assert_same_as_table(family)
+            assert (failure is not None) == (kind == "oscillating")
+
+    @pytest.mark.parametrize("repeat", [(0, 1), (1, 3), (0, 2, 4)])
+    def test_repeated_sample_takes_the_weights_of_its_steps(self, reference_tensor, repeat):
+        # one object at several steps is built once and weighted by each of
+        # them; the other steps hold equal copies, so the limit exists
+        tensors = [Tensor3(reference_tensor.entries.copy()) for _ in DEFAULT_STEPS]
+        for i in repeat:
+            tensors[i] = tensors[repeat[0]]
+        assert assert_same_as_table(TensorFamily.from_samples(DEFAULT_STEPS, tensors)) is None
 
     @pytest.mark.parametrize("steps", [DEFAULT_STEPS, SCALED_STEPS])
     @pytest.mark.parametrize("n", [2, 4, 8])
@@ -403,12 +455,12 @@ class TestConstantClosedForm:
     def table_calls(self, monkeypatch):
         calls = []
 
-        def spy(seqs, x):
-            calls.append(seqs.shape)
-            return extrapolate(seqs, x)
+        def spy(x):
+            calls.append(x.shape)
+            return weights(x)
 
-        extrapolate = limits._extrapolate
-        monkeypatch.setattr(limits, "_extrapolate", spy)
+        weights = limits._weights
+        monkeypatch.setattr(limits, "_weights", spy)
         return calls
 
     @pytest.mark.parametrize("n", [2, 8, 16])
@@ -625,9 +677,10 @@ def constant_model(n):
     return obtuse._sweep_bytes(n + 1) + 2 * 16 * (n + 1) ** 3
 
 
-def table_model(n, n_samples):
-    """``limit_tensor``'s bytes for the Richardson table of ``n_samples`` in C^n."""
-    return obtuse._sweep_bytes(n + 1) + _LIMIT_PEAK_FACTOR * n_samples * 16 * (n + 1) ** 3
+def stream_model(n, tensors=0):
+    """``limit_tensor``'s bytes for the streamed sums in C^n, with ``tensors``
+    ``Tensor3`` samples that the family computes in the call."""
+    return obtuse._sweep_bytes(n + 1) + (_STREAM_BLOCKS + tensors) * 16 * (n + 1) ** 3
 
 
 def traced_peak(call):
@@ -662,18 +715,21 @@ class TestMemoryBudget:
         "make",
         [
             lambda: (constant_family(32), constant_model(32)),
-            lambda: (computed_family(16, 12), table_model(16, 12)),
+            lambda: (computed_family(16, 12), stream_model(16, 12)),
             lambda: (constant_family(2), constant_model(2)),
             lambda: (constant_family(8), constant_model(8)),
             lambda: (constant_family(9), constant_model(9)),
-            lambda: (computed_family(8, 3), table_model(8, 3)),
-            lambda: (computed_family(9, 3), table_model(9, 3)),
+            lambda: (computed_family(8, 3), stream_model(8, 3)),
+            lambda: (computed_family(9, 3), stream_model(9, 3)),
             lambda: (rv_family(2, 1), constant_model(2)),
             lambda: (rv_family(8, 1), constant_model(8)),
             lambda: (rv_family(9, 1), constant_model(9)),
-            lambda: (rv_family(2, 5), table_model(2, 5)),
-            lambda: (rv_family(8, 5), table_model(8, 5)),
-            lambda: (rv_family(9, 5), table_model(9, 5)),
+            lambda: (rv_family(2, 5), stream_model(2)),
+            lambda: (rv_family(8, 5), stream_model(8)),
+            lambda: (rv_family(9, 5), stream_model(9)),
+            # the model does not grow with the number of ObtuseRV samples
+            lambda: (rv_family(16, 5), stream_model(16)),
+            lambda: (rv_family(16, 40), stream_model(16)),
         ],
         ids=[
             "constant-N32",
@@ -689,6 +745,8 @@ class TestMemoryBudget:
             "rv-N2-5-samples",
             "rv-N8-5-samples",
             "rv-N9-5-samples",
+            "rv-N16-5-samples",
+            "rv-N16-40-samples",
         ],
     )
     def test_model_bounds_the_peak(self, monkeypatch, make):

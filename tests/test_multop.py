@@ -16,7 +16,7 @@ from obtusewalk import (
     random_system,
     tensor_of,
 )
-from obtusewalk.errors import ChainTooLarge, DimensionMismatch
+from obtusewalk.errors import ChainTooLarge, NonPositiveStep
 from obtusewalk.multop import direct_chain_mult_op, direct_expectation
 from obtusewalk.obtuse import Tensor3
 from conftest import (
@@ -234,7 +234,7 @@ class TestChain:
 
     @pytest.mark.parametrize("h", [float("nan"), float("inf"), 0.0, -0.01])
     def test_time_step_must_be_finite_and_positive(self, reference_rv, reference_tensor, h):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NonPositiveStep):
             chain_mult_op(reference_tensor, 1, 2, h)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(NonPositiveStep):
             direct_chain_mult_op(reference_rv, 1, 2, h)
