@@ -175,9 +175,9 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     sample object's tensor (``_sample_tensor``) is added into the sums with
     the sum of its steps' weights, and dropped; if there is one object, the
     limit is in closed form (``_constant_limit``).  First, ``TooLarge`` if
-    the peak exceeds the memory budget: one check's sweep (``_sweep_bytes``,
-    which also bounds building an ``ObtuseRV``'s tensor) plus two d^3 blocks
-    if constant, else ``_STREAM_BLOCKS`` and one per distinct ``Tensor3``.
+    the peak exceeds the memory budget: one check's sweep (``_sweep_bytes``)
+    plus two d^3 blocks if constant, else ``_STREAM_BLOCKS`` and one per
+    distinct ``Tensor3``, an upper bound if the caller already holds it.
     """
     steps = np.array(family.steps)
     samples = family.sample()

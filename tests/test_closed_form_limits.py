@@ -113,6 +113,7 @@ def decision_families():
 
 
 def test_same_decisions_as_the_table():
-    # fixed weights decide every family as the per-entry Neville table does
+    # fixed weights decide every family as the per-entry Neville table does;
+    # limit-cli-seed42-op65 has two entries whose orders tie to an ulp
     for family in decision_families():
-        assert assert_same_as_table(family) is None
+        assert assert_same_as_table(family, ties_ok=True) is None
