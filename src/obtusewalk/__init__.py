@@ -41,7 +41,6 @@ from .tensor import (
 )
 from .multop import (
     ChainOperator,
-    basis_matrix,
     chain_mult_op,
     conj_mult_op,
     expectation_functional,
@@ -98,7 +97,6 @@ __all__ = [
     "realify",
     "triangularize_system",
     "extract_phases",
-    "basis_matrix",
     "mult_op",
     "conj_mult_op",
     "expectation_functional",

@@ -22,15 +22,6 @@ from .errors import ChainTooLarge, DimensionMismatch, NonPositiveStep
 from .obtuse import ObtuseRV, Tensor3, _require_memory, tensor_of
 
 
-def basis_matrix(i: int, j: int, dim: int) -> np.ndarray:
-    """The elementary matrix a^i_j with a^i_j e_k = delta_{ik} e_j."""
-    if not (0 <= i < dim and 0 <= j < dim):
-        raise IndexError(f"indices ({i}, {j}) out of range for dimension {dim}")
-    out = np.zeros((dim, dim), dtype=complex)
-    out[j, i] = 1.0
-    return out
-
-
 def mult_op(tensor: Tensor3, i: int) -> np.ndarray:
     """Matrix of multiplication by X^i: sum_{j,k} S^{ij}_k a^j_k.
 
@@ -63,20 +54,27 @@ def expectation_functional(rv: ObtuseRV, monomials) -> complex:
     ``monomials`` is an iterable of ``(coefficient, factors)`` pairs where
     each factor is ``(index, conjugated)``; the polynomial is the sum of
     coefficient * product of (conjugated) coordinates.  The value is
-    <e_0, f(M_{X^1}, ...) e_0> computed with the operator matrices; it agrees
-    with the probabilistic expectation sum_m p_m f(v_m).
+    <e_0, f(M_{X^1}, ...) e_0>: each monomial's operators are applied right
+    to left to e_0, one matrix-vector product per factor on the tensor
+    slices (``vec @ S[i]`` is ``mult_op(tensor, i) @ vec``, and
+    ``conj(S[i]) @ vec`` is ``conj_mult_op(tensor, i) @ vec``), and the
+    coordinate 0 of the result is taken.  A monomial without factors gives
+    its coefficient.  It agrees with the probabilistic expectation
+    sum_m p_m f(v_m).
     """
     tensor = tensor_of(rv)
     dim = tensor.dim
+    slices = tensor.entries
     e0 = np.zeros(dim, dtype=complex)
     e0[0] = 1.0
     total = 0.0 + 0.0j
     for coeff, factors in monomials:
-        op = np.eye(dim, dtype=complex)
-        for index, conjugated in factors:
-            factor = conj_mult_op(tensor, index) if conjugated else mult_op(tensor, index)
-            op = op @ factor
-        total += coeff * np.vdot(e0, op @ e0)
+        vec = e0
+        for index, conjugated in reversed(tuple(factors)):
+            if not (0 <= index < dim):
+                raise IndexError(f"coordinate {index} out of range for dimension {dim}")
+            vec = np.conj(slices[index]) @ vec if conjugated else vec @ slices[index]
+        total += coeff * vec[0]
     return complex(total)
 
 
@@ -136,13 +134,18 @@ def chain_mult_op(tensor: Tensor3, i: int, n_sites: int, h: float) -> ChainOpera
     the time coordinate sum of h X^0 = n h for i = 0; the operator is the
     correspondingly weighted sum of single-site ampliations of ``mult_op``.
 
-    Cost: one D x D allocation (D = d**n_sites, within ``obtuse.MEMORY_BYTES``)
-    and n_sites * D * d additions.  With L = d**site and
-    R = d**(n_sites - site - 1), the ampliation at a site touches only the
-    entries ((a, k, b), (a, j, b)) of the result, a < L and b < R; they form
-    a strided view, to which the weighted site operator is added in place.
-    At d = 1 every site's view is the whole 1 x 1 matrix, so the sum is
-    n_sites times the site operator, taken in one multiplication.
+    Cost: one zeroed D x D allocation (D = d**n_sites, within
+    ``obtuse.MEMORY_BYTES``) and n_sites * D * d stores, so a page of the
+    matrix is first touched by a write and faults at most once.  With
+    L = d**site and R = d**(n_sites - site - 1), the ampliation at a site
+    touches only the entries ((a, k, b), (a, j, b)) of the result, a < L
+    and b < R; they form a strided view.  An entry off the diagonal lies in
+    exactly one site's view, so the weighted site operator is assigned
+    there, plus 0.0 so that a -0.0 is stored as +0.0.  The diagonal is the
+    Kronecker sum of the site diagonals, summed in site order and written
+    once at the end over what the views stored.  At d = 1 every site's view
+    is the whole 1 x 1 matrix, so the sum is n_sites times the site
+    operator, taken in one multiplication.
     """
     d = tensor.dim
     dim = _chain_dim(d, n_sites)
@@ -150,13 +153,18 @@ def chain_mult_op(tensor: Tensor3, i: int, n_sites: int, h: float) -> ChainOpera
     term = weight * mult_op(tensor, i)
     if d == 1:
         return ChainOperator(n_sites=n_sites, site_dim=d, matrix=n_sites * term)
+    term += 0.0
     total = np.zeros((dim, dim), dtype=complex)
     for site in range(n_sites):
         left, right = d**site, d ** (n_sites - site - 1)
         blocks = total.reshape(left, d, right, left, d, right)
         # view[a, b, k, j] is total[(a, k, b), (a, j, b)]
         view = np.einsum("akbajb->abkj", blocks)
-        view += term
+        view[...] = term
+    acc = diag = term.diagonal()
+    for _ in range(n_sites - 1):
+        acc = (acc[:, None] + diag).reshape(-1)
+    np.fill_diagonal(total, acc)
     return ChainOperator(n_sites=n_sites, site_dim=d, matrix=total)
 
 

@@ -127,6 +127,15 @@ def imaginary_rv() -> ObtuseRV:
     return ObtuseRV.from_values(np.array([[1j], [-1j]], dtype=complex))
 
 
+def basis_matrix(i: int, j: int, dim: int) -> np.ndarray:
+    """The elementary matrix a^i_j with a^i_j e_k = delta_{ik} e_j."""
+    if not (0 <= i < dim and 0 <= j < dim):
+        raise IndexError(f"indices ({i}, {j}) out of range for dimension {dim}")
+    out = np.zeros((dim, dim), dtype=complex)
+    out[j, i] = 1.0
+    return out
+
+
 def direct_mult_op(rv: ObtuseRV, i: int) -> np.ndarray:
     """Oracle for ``mult_op``: entries E[conj(X^k) X^i X^j] from atom sums."""
     vhat = rv.hatted

@@ -8,7 +8,6 @@ import pytest
 
 from obtusewalk import (
     ObtuseRV,
-    basis_matrix,
     chain_mult_op,
     conj_mult_op,
     expectation_functional,
@@ -22,6 +21,7 @@ from obtusewalk.obtuse import Tensor3
 from conftest import (
     REFERENCE_SLICE_1,
     REFERENCE_VALUES,
+    basis_matrix,
     bernoulli_rv,
     direct_mult_op,
     imaginary_rv,
@@ -97,6 +97,15 @@ class TestMultOp:
                     mult_op(tensor, i), direct_mult_op(rv, i), atol=1e-12
                 )
 
+    def test_basis_expansion(self, reference_tensor):
+        # M_{X^i} = sum_{j,k} S^{ij}_k a^j_k
+        s = reference_tensor.entries
+        for i in range(3):
+            expansion = sum(
+                s[i, j, k] * basis_matrix(j, k, 3) for j in range(3) for k in range(3)
+            )
+            assert np.array_equal(mult_op(reference_tensor, i), expansion)
+
     def test_conjugate_is_adjoint(self, reference_tensor):
         for i in range(3):
             np.testing.assert_allclose(
@@ -147,6 +156,33 @@ class TestExpectation:
         b = direct_expectation(reference_rv, poly)
         assert abs(a - b) <= 1e-10
 
+    def test_random_monomials_match_atom_sums(self):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            rv = ObtuseRV(random_system(n, rng))
+            scale = max(1.0, float(np.max(np.abs(rv.values))))
+            for degree in range(6):
+                factors = tuple(
+                    (int(rng.integers(0, n + 1)), bool(rng.integers(0, 2)))
+                    for _ in range(degree)
+                )
+                coeff = complex(rng.standard_normal(), rng.standard_normal())
+                poly = [(coeff, factors)]
+                a = expectation_functional(rv, poly)
+                b = direct_expectation(rv, poly)
+                assert abs(a - b) <= 1e-12 * abs(coeff) * scale**degree, (n, factors)
+
+    def test_degree_zero_is_the_coefficient(self, reference_rv):
+        assert expectation_functional(reference_rv, [(0.5 - 2j, ())]) == 0.5 - 2j
+
+    @pytest.mark.parametrize("conjugated", [False, True])
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_coordinate_out_of_range(self, reference_rv, index, conjugated):
+        # a negative index must not wrap around to the last slice
+        with pytest.raises(IndexError):
+            expectation_functional(reference_rv, [(1.0, ((1, False), (index, conjugated)))])
+
 
 class TestChain:
     @pytest.mark.parametrize("n_sites", [1, 2, 3])
@@ -187,7 +223,26 @@ class TestChain:
         tensor = tensor_of(chain_rv(d))
         for i in range(d):
             built = chain_mult_op(tensor, i, n_sites, 0.01)
-            assert np.array_equal(built.matrix, kron_sum_chain(tensor, i, n_sites, 0.01))
+            expected = kron_sum_chain(tensor, i, n_sites, 0.01)
+            assert built.matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 4])
+    def test_signed_zeros_and_site_order_equal_kron_sum(self, n_sites):
+        # -0.0 parts on and off the diagonal are stored as +0.0, as 0.0 + x
+        # gives; from 3 sites on, some diagonal sums differ in their last
+        # bits when the sites are added in another order
+        entries = np.zeros((3, 3, 3), dtype=complex)
+        entries[0] = np.eye(3)
+        entries[1] = [
+            [complex(-0.0, -0.0), complex(-0.0, 0.25), complex(0.3, -0.7)],
+            [complex(-0.0, -0.0), complex(0.1, 1e-17), complex(-0.0, 0.6)],
+            [complex(1.7, -0.0), complex(0.9, 0.2), complex(0.7, 0.1)],
+        ]
+        tensor = Tensor3(entries)
+        for i in range(2):
+            built = chain_mult_op(tensor, i, n_sites, 0.01)
+            expected = kron_sum_chain(tensor, i, n_sites, 0.01)
+            assert built.matrix.tobytes() == expected.tobytes()
 
     def test_build_allocates_only_the_matrix(self, reference_tensor):
         # the kron build peaked at 3.07x the matrix at 6 sites
