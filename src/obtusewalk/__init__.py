@@ -18,7 +18,6 @@ from .obtuse import (
     Tensor3,
     check_symmetries,
     embed_general,
-    haar_unitary,
     random_system,
     relate_same_probabilities,
     rv_is_centered_normalized,
@@ -54,7 +53,6 @@ from .limits import (
     check_limit_symmetries,
     classify,
     limit_tensor,
-    rescale_tensor,
 )
 from .simulate import (
     BracketEstimate,
@@ -84,7 +82,6 @@ __all__ = [
     "embed_general",
     "system_from_probabilities",
     "random_system",
-    "haar_unitary",
     "TakagiResult",
     "takagi",
     "DiagResult",
@@ -106,7 +103,6 @@ __all__ = [
     "LimitTensorResult",
     "LimitSymmetryReport",
     "LimitSpec",
-    "rescale_tensor",
     "limit_tensor",
     "check_limit_symmetries",
     "classify",

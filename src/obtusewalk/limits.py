@@ -46,7 +46,10 @@ from .obtuse import (
     SymmetryReport,
     Tensor3,
     _bound,
+    _identity_defect,
+    _require_constant,
     _require_memory,
+    _require_step,
     _sweep_bytes,
     check_symmetries,
     tensor_of,
@@ -65,19 +68,6 @@ DEFAULT_STEPS = tuple(0.1 * 4.0**-k for k in range(5))
 _STREAM_BLOCKS = 9
 
 
-def rescale_tensor(tensor: Tensor3, h: float) -> Tensor3:
-    """Tensor of the rescaled variable: entries h^{e_i + e_j - e_k} S^{ij}_k."""
-    if not 0 < h < np.inf:
-        raise NonPositiveStep(f"time step must be positive, got {h}")
-    if not tensor.has_constant:
-        raise DimensionMismatch("rescaling applies to constant-coordinate tensors")
-    d = tensor.dim
-    eps = np.full(d, 0.5)
-    eps[0] = 1.0
-    expo = eps[:, None, None] + eps[None, :, None] - eps[None, None, :]
-    return Tensor3(entries=(h**expo) * tensor.entries, has_constant=True)
-
-
 @dataclass(frozen=True)
 class TensorFamily:
     """A map h -> S(h) sampled on a decreasing grid of steps: a sample is the
@@ -90,11 +80,10 @@ class TensorFamily:
         steps = tuple(float(h) for h in self.steps)
         if len(steps) < 3:
             raise DimensionMismatch("need at least 3 sample steps")
-        # written so that NaN fails: every comparison with it is false
-        if not all(0 < h < np.inf for h in steps) or not all(
-            a > b for a, b in zip(np.sqrt(steps), np.sqrt(steps[1:]))
-        ):
-            raise NonPositiveStep(f"steps must be positive, finite, decreasing in sqrt(h): {steps}")
+        for h in steps:
+            _require_step(h)
+        if not all(a > b for a, b in zip(np.sqrt(steps), np.sqrt(steps[1:]))):
+            raise NonPositiveStep(f"steps must be decreasing in sqrt(h): {steps}")
         object.__setattr__(self, "steps", steps)
 
     @classmethod
@@ -324,15 +313,8 @@ def _split_limit(m) -> tuple[np.ndarray, np.ndarray]:
         m = m.tensor
     if not isinstance(m, Tensor3):
         raise DimensionMismatch(f"unsupported limit tensor input {type(m)!r}")
-    if not m.has_constant:
-        raise DimensionMismatch(
-            "an inner tensor alone does not determine Lambda; pass the full "
-            "limit tensor (constant coordinate included)"
-        )
-    if m.dim < 2:
-        raise DimensionMismatch(
-            "a limit tensor of dimension < 2 has N = 0 and no inner tensor"
-        )
+    # Lambda sits on the constant coordinate, and the inner tensor needs N >= 1
+    _require_constant(m, 1)
     return m.entries[1:, 1:, 1:], m.entries[1:, 1:, 0].copy()
 
 
@@ -340,7 +322,7 @@ def _lambda_relations(inner: np.ndarray, lam: np.ndarray) -> tuple:
     """lambda_symmetry, lambda_unitarity, exchange and reduction; two GEMMs, O(N^4)."""
     n = inner.shape[0]
     lam_sym = float(np.max(np.abs(lam - lam.T)))
-    lam_uni = float(np.max(np.abs(lam @ lam.conj().T - np.eye(n))))
+    lam_uni = _identity_defect(lam @ lam.conj().T)
     # ex[i, j, k] = sum_m M^{ij}_m Lambda^{mk}
     ex = (inner.reshape(n * n, n) @ lam).reshape(n, n, n)
     exchange = float(np.max(np.abs(ex - ex.transpose(2, 1, 0))))

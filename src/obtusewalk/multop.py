@@ -12,13 +12,12 @@ built from the tensor has an independent oracle built from atom sums alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import obtuse
-from .errors import ChainTooLarge, DimensionMismatch, NonPositiveStep
+from .errors import ChainTooLarge, DimensionMismatch
 from .obtuse import ObtuseRV, Tensor3, _require_memory, tensor_of
 
 
@@ -26,12 +25,10 @@ def mult_op(tensor: Tensor3, i: int) -> np.ndarray:
     """Matrix of multiplication by X^i: sum_{j,k} S^{ij}_k a^j_k.
 
     Acting on basis vectors: e_j maps to sum_k S^{ij}_k e_k, so the matrix
-    entry (k, j) is S^{ij}_k.  For i = 0 this is the identity.
+    entry (k, j) is S^{ij}_k.  For i = 0 this is the identity.  Raises
+    ``DimensionMismatch`` as the guard ``obtuse._require_constant``.
     """
-    if not tensor.has_constant:
-        raise DimensionMismatch("multiplication operators need the constant coordinate")
-    if not (0 <= i < tensor.dim):
-        raise IndexError(f"coordinate {i} out of range for dimension {tensor.dim}")
+    obtuse._require_constant(tensor, i)
     return tensor.entries[i].T.copy()
 
 
@@ -39,12 +36,9 @@ def conj_mult_op(tensor: Tensor3, i: int) -> np.ndarray:
     """Matrix of multiplication by conj(X^i): sum_{j,k} conj(S^{ik}_j) a^j_k.
 
     Equals the adjoint of ``mult_op(tensor, i)``, as multiplication by the
-    conjugate function must be.
+    conjugate function must be; it raises as ``mult_op``.
     """
-    if not tensor.has_constant:
-        raise DimensionMismatch("multiplication operators need the constant coordinate")
-    if not (0 <= i < tensor.dim):
-        raise IndexError(f"coordinate {i} out of range for dimension {tensor.dim}")
+    obtuse._require_constant(tensor, i)
     return np.conj(tensor.entries[i]).copy()
 
 
@@ -71,8 +65,7 @@ def expectation_functional(rv: ObtuseRV, monomials) -> complex:
     for coeff, factors in monomials:
         vec = e0
         for index, conjugated in reversed(tuple(factors)):
-            if not (0 <= index < dim):
-                raise IndexError(f"coordinate {index} out of range for dimension {dim}")
+            obtuse._require_coordinate(index, dim)
             vec = np.conj(slices[index]) @ vec if conjugated else vec @ slices[index]
         total += coeff * vec[0]
     return complex(total)
@@ -122,8 +115,7 @@ def _chain_dim(site_dim: int, n_sites: int) -> int:
 
 def _time_weight(i: int, h: float) -> float:
     """The weight h of the time coordinate (i = 0) or sqrt(h) of the others."""
-    if not (h > 0 and math.isfinite(h)):
-        raise NonPositiveStep(f"time step h must be finite and positive, got {h}")
+    obtuse._require_step(h)
     return h if i == 0 else np.sqrt(h)
 
 

@@ -26,6 +26,7 @@ from .errors import (
     AmbiguousMatching,
     DimensionMismatch,
     MinimalSupport,
+    NonPositiveStep,
     NotObtuse,
     ProbabilityMismatch,
     SingularSystem,
@@ -81,6 +82,12 @@ def _identity_defect(m: np.ndarray) -> float:
     return float(np.abs(m).max())
 
 
+def _corner_defect(m: np.ndarray) -> float:
+    """max|m - I| over the first row and column of a square ``m``: how far it is from fixing e_0."""
+    edges = np.abs(np.concatenate((m[0, 1:], m[1:, 0])))
+    return max(abs(m[0, 0] - 1.0), float(edges.max(initial=0.0)))
+
+
 def _as_vectors(values) -> np.ndarray:
     """Stack a sequence of vectors into a complex (n, d) array."""
     arr = np.asarray(values, dtype=complex)
@@ -89,6 +96,56 @@ def _as_vectors(values) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise DimensionMismatch("vector entries must be finite")
     return arr
+
+
+def _as_family(values, system: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The guard of a vector family: its vectors (``_as_vectors``) and their |v|^2.
+
+    Each |v|^2 must be a positive finite float, else ``DimensionMismatch`` names
+    the vector: a zero one, or one whose squared norm under- or overflows.  With
+    ``system``, first the count: an obtuse system is N+1 vectors of C^N.
+    """
+    arr = _as_vectors(values)
+    n, d = arr.shape
+    if system and n != d + 1:
+        raise DimensionMismatch(f"need {d + 1} vectors in C^{d}, got {n}")
+    # the range check below reports a squared norm that over- or underflows
+    with np.errstate(over="ignore", under="ignore"):
+        norms2 = (np.abs(arr) ** 2).sum(axis=1)
+    if not (norms2.min(initial=math.inf) > 0.0 and norms2.max(initial=0.0) < math.inf):
+        i = int(np.flatnonzero(~((norms2 > 0.0) & (norms2 < math.inf)))[0])
+        if system and not arr[i].any():
+            raise DimensionMismatch("obtuse systems contain no zero vector")
+        raise DimensionMismatch(
+            f"|v|^2 of vector {i} is {norms2[i]:.3e} in floating point, "
+            "not a positive finite number"
+        )
+    return arr, norms2
+
+
+def _require_probabilities(p: np.ndarray) -> None:
+    """The guard of a probability vector ``p``: positive entries that sum to 1 (``TIE_EPS``)."""
+    if np.any(p <= 0.0) or not abs(float(np.sum(p)) - 1.0) <= TIE_EPS:
+        raise DimensionMismatch("probabilities must be positive and sum to 1")
+
+
+def _require_step(h) -> None:
+    """The guard of a time step: ``NonPositiveStep`` unless 0 < h < inf (NaN fails)."""
+    if not 0 < h < math.inf:
+        raise NonPositiveStep(f"time step must be positive and finite, got {h}")
+
+
+def _require_coordinate(i: int, dim: int) -> None:
+    """The guard of a coordinate index: ``DimensionMismatch`` unless 0 <= i < dim (no wrap)."""
+    if not 0 <= i < dim:
+        raise DimensionMismatch(f"coordinate {i} out of range for dimension {dim}")
+
+
+def _require_constant(tensor: Tensor3, i: int = 0) -> None:
+    """The guard of a constant-coordinate tensor (X^0 = 1) and its coordinate ``i``."""
+    if not tensor.has_constant:
+        raise DimensionMismatch("tensor does not carry a constant coordinate")
+    _require_coordinate(i, tensor.dim)
 
 
 def _pair_bounds(probabilities: np.ndarray, tol: float) -> np.ndarray:
@@ -119,28 +176,11 @@ def _obtuse_pairs(values):
 
     The one kernel behind ``validate_obtuse_system`` and ``_require_obtuse``,
     whose test of the residuals is ``_pairs_ok``.
-    Structural problems raise ``DimensionMismatch``: entries that are not
-    finite, a count other than N+1 vectors in C^N, and a vector whose |v|^2
-    is not positive and finite in floating point (a zero vector, or one
-    whose squared norm under- or overflows, which would give p = 1 or 0).
+    Structural problems raise ``DimensionMismatch`` (``_as_family``).
     """
-    arr = _as_vectors(values)
-    n, d = arr.shape
-    if n != d + 1:
-        raise DimensionMismatch(f"need {d + 1} vectors in C^{d}, got {n}")
-    # the range check below reports a squared norm that over- or underflows
-    with np.errstate(over="ignore", under="ignore"):
-        norms2 = (np.abs(arr) ** 2).sum(axis=1)
-    if not (norms2.min() > 0.0 and norms2.max() < math.inf):
-        i = int(np.flatnonzero(~((norms2 > 0.0) & (norms2 < math.inf)))[0])
-        if not arr[i].any():
-            raise DimensionMismatch("obtuse systems contain no zero vector")
-        raise DimensionMismatch(
-            f"|v|^2 of vector {i} is {norms2[i]:.3e} in floating point, "
-            "not a positive finite number"
-        )
+    arr, norms2 = _as_family(values, system=True)
     residuals = np.abs(np.conj(arr) @ arr.T + 1.0)
-    residuals.flat[:: n + 1] = 0.0  # the diagonal, as np.fill_diagonal without its wrapper
+    residuals.flat[:: len(arr) + 1] = 0.0  # the diagonal, as np.fill_diagonal without its wrapper
     return arr, 1.0 / (1.0 + norms2), residuals
 
 
@@ -187,13 +227,10 @@ def validate_obtuse_system(values, tol: float = DEFAULT_TOL) -> SystemValidation
 
     The gate's kernel (``_obtuse_pairs``) plus the residuals of the three
     derived identities sum(p) = 1, sum(p v) = 0 and sum(p |v><v|) = I, which
-    only this report carries.  Expects exactly N+1 vectors of dimension N,
-    each with a positive finite |v|^2.  Returns the derived probabilities
-    with the pairwise residuals |<v_i,v_j> + 1| and the three aggregates.
-    Structural problems (entries that are not finite, wrong count, wrong
-    dimension, a zero vector or a squared norm that under- or overflows)
-    raise ``DimensionMismatch``; a mere failure of obtuseness is reported in
-    the result, not raised.
+    only this report carries.  Returns the derived probabilities with the
+    pairwise residuals |<v_i,v_j> + 1| and the three aggregates.  Structural
+    problems raise ``DimensionMismatch`` (``_as_family``); a mere failure of
+    obtuseness is reported in the result, not raised.
     """
     arr, p, residuals = _obtuse_pairs(values)
     ident = np.einsum("m,mi,mj->ij", p, arr, np.conj(arr))
@@ -294,17 +331,18 @@ def rv_is_centered_normalized(values, probabilities, tol: float = DEFAULT_TOL):
 
     Works for any number of atoms n in C^d, not only n = d+1.  Returns
     ``(ok, mean_residual, covariance_residual)`` where the covariance is
-    E[conj(X^i) X^j], both bounded by ``_bound(tol, max p|x|^2)``.
+    E[conj(X^i) X^j], both bounded by ``_bound(tol, max p|x|^2)``.  A value
+    whose |x|^2 overflows gives a NaN bound, which fails, with no warning.
     """
     arr = _as_vectors(values)
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (arr.shape[0],):
         raise DimensionMismatch("one probability per atom required")
-    if np.any(p <= 0.0) or not abs(float(np.sum(p)) - 1.0) <= TIE_EPS:
-        raise DimensionMismatch("probabilities must be positive and sum to 1")
-    mean_res = float(np.linalg.norm(p @ arr))
-    cov_res = _identity_defect(np.einsum("m,mi,mj->ij", p, np.conj(arr), arr))
-    bound = _bound(tol, np.max(p * np.sum(np.abs(arr) ** 2, axis=1)))
+    _require_probabilities(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_res = float(np.linalg.norm(p @ arr))
+        cov_res = _identity_defect(np.einsum("m,mi,mj->ij", p, np.conj(arr), arr))
+        bound = _bound(tol, np.max(p * np.sum(np.abs(arr) ** 2, axis=1)))
     return bool(mean_res <= bound and cov_res <= bound), mean_res, cov_res
 
 
@@ -438,8 +476,7 @@ def check_symmetries(
 
 def _sym0(s: np.ndarray) -> float:
     """max |S^{i0}_k - delta_{ik}| of the entries ``s``, O(d^2)."""
-    if not s.shape[0]:
-        raise DimensionMismatch("the constant coordinate needs dimension >= 1")
+    _require_coordinate(0, s.shape[0])
     return _identity_defect(s[:, 0, :].copy())
 
 
@@ -535,11 +572,7 @@ def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL
     wy = np.sqrt(py)[:, None] * y.hatted
     big = wy[sigma].T @ np.conj(wx)
     u = big[1:, 1:]
-    corner = max(
-        abs(big[0, 0] - 1.0),
-        float(np.abs(big[0, 1:]).max()),
-        float(np.abs(big[1:, 0]).max()),
-    )
+    corner = _corner_defect(big)
     moved = float(np.abs(x.values @ u.T - y.values[sigma]).max())
     # B is unitary by construction; U moves values of length up to max|v|
     if not (corner <= _bound(tol, 1.0) and moved <= _bound(tol, np.sqrt(1 / px.min() - 1))):
@@ -607,8 +640,7 @@ def system_from_probabilities(probabilities) -> ObtuseSystem:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim != 1 or len(p) < 2:
         raise DimensionMismatch("need at least two probabilities")
-    if np.any(p <= 0.0) or not abs(float(np.sum(p)) - 1.0) <= TIE_EPS:
-        raise DimensionMismatch("probabilities must be positive and sum to 1")
+    _require_probabilities(p)
     n = len(p)
     first = np.sqrt(p)
     basis = np.eye(n)[:, 1:]

@@ -53,7 +53,7 @@ from .errors import (
     TooManyJumps,
 )
 from .limits import LimitSpec
-from .obtuse import ObtuseRV, _require_memory
+from .obtuse import ObtuseRV, _require_memory, _require_step
 
 # A horizon t spans n steps of size h when t/h lies at most this relative
 # distance below n, and a fine grid ends with T instead of a multiple of the
@@ -148,8 +148,8 @@ def _check(t_grid, n_paths: int, step: float | None = None) -> np.ndarray:
     for a path count that is not a nonnegative integer (numpy integers count)
     or a grid not finite, nonnegative, increasing.
     """
-    if step is not None and not 0 < step < np.inf:
-        raise NonPositiveStep(f"time step must be positive and finite, got {step}")
+    if step is not None:
+        _require_step(step)
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 0:
         raise DimensionMismatch(f"number of paths must be a nonnegative integer, got {n_paths!r}")
     grid = np.asarray(t_grid, dtype=float)
@@ -163,8 +163,7 @@ def _check(t_grid, n_paths: int, step: float | None = None) -> np.ndarray:
 def _grid_size(T: float, step: float, min_steps: int = 0) -> float:
     """Times on the fine grid of step up to T (inf for T = inf), or ``NonPositiveStep``
     for a step not positive and finite or a horizon not positive or under ``min_steps``."""
-    if not 0 < step < np.inf:
-        raise NonPositiveStep(f"time step must be positive and finite, got {step}")
+    _require_step(step)
     if not T > 0:
         raise NonPositiveStep(f"horizon T must be positive, got {T}")
     if T / step * (1.0 + STEP_RTOL) < min_steps:  # _step_count(T, step) < min_steps

@@ -39,6 +39,19 @@ _NULL_EPS = _EPS
 _SQRT_SLACK = 8.0
 
 
+def _runs(lam: np.ndarray, gap_floor) -> list:
+    """``(lo, hi)`` of each run of ascending ``lam`` that no gap above ``gap_floor`` splits.
+
+    The gap lam[i+1] - lam[i] is compared with ``gap_floor``, a number or
+    one entry per gap; the runs are the clusters of ``tensor.diagonalize``
+    and of ``takagi``, whose descending s gives lam = -s: (-b) - (-a) is
+    a - b exactly, so its gaps are bit for bit those of s.
+    """
+    cuts = np.flatnonzero(lam[1:] - lam[:-1] > gap_floor) + 1
+    edges = [0, *cuts.tolist(), len(lam)]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
 @dataclass(frozen=True)
 class TakagiResult:
     """Factorization M = unitary @ diag(diagonal) @ unitary.T."""
@@ -116,9 +129,9 @@ def takagi(m, tol: float = DEFAULT_TOL) -> TakagiResult:
     u, s, wh = np.linalg.svd(arr)
     top = s.max(initial=0.0)
     live = np.flatnonzero(s > n * _NULL_EPS * top)
-    for c in np.split(live, np.flatnonzero(-np.diff(s[live]) > _CLUSTER_REL * top) + 1):
-        if len(c):
-            u[:, c] = u[:, c] @ unitary_sqrt(wh[c] @ np.conj(u[:, c]))
+    for lo, hi in _runs(-s[live], _CLUSTER_REL * top):
+        c = live[lo:hi]
+        u[:, c] = u[:, c] @ unitary_sqrt(wh[c] @ np.conj(u[:, c]))
     residual = float(np.max(np.abs((u * s) @ u.T - arr))) if n else 0.0
     if not residual <= _bound(tol, scale):
         raise NoConvergence(f"factorization residual {residual:.3e} exceeds tolerance", residual)

@@ -48,15 +48,18 @@ from .obtuse import (
     ObtuseSystem,
     SymmetryReport,
     Tensor3,
+    _as_family,
     _bound,
+    _corner_defect,
     _identity_defect,
     _khatri_rao,
+    _require_constant,
     _require_obtuse,
     _sym0,
     _sym1,
     check_symmetries,
 )
-from .takagi import _CLUSTER_REL, _EPS, unitary_sqrt
+from .takagi import _CLUSTER_REL, _EPS, _runs, unitary_sqrt
 
 # a triangular pivot below this has no phase to strip: the first N values are
 # (numerically) dependent, so the system is degenerate
@@ -88,16 +91,13 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
     """Build sum_m v_m (x) v_m <v_m, .> / |v_m|^2 from an orthogonal family.
 
     The family may be empty (zero tensor of the given dimension is not
-    inferable then, so an empty family requires an ndarray with a dim).
-    Raises ``NotOrthogonal`` for non-orthogonal or zero members.
+    inferable then, so an empty family requires an ndarray with a dim).  A
+    zero member, or one whose |v|^2 under- or overflows, raises
+    ``DimensionMismatch`` naming it (``obtuse._as_family``); a small nonzero
+    one is accepted.  Raises ``NotOrthogonal`` for non-orthogonal members.
     """
-    arr = np.asarray(family, dtype=complex)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a family of vectors, got shape {arr.shape}")
-    norms2 = np.sum(np.abs(arr) ** 2, axis=1)
+    arr, norms2 = _as_family(family)
     if len(arr):
-        if np.any(norms2 <= tol):
-            raise NotOrthogonal("family contains a (near-)zero vector")
         gram = np.conj(arr) @ arr.T
         off = gram - np.diag(np.diagonal(gram))
         # each pair at its own term size |v_i| |v_j|
@@ -106,7 +106,8 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
             raise NotOrthogonal(
                 f"family is not orthogonal: max off-diagonal {np.max(np.abs(off)):.3e}"
             )
-    return Tensor3(entries=_khatri_rao(1.0 / norms2, arr), has_constant=has_constant)
+    with np.errstate(over="ignore", invalid="ignore"):  # Tensor3 rejects what 1/|v|^2 overflows
+        return Tensor3(entries=_khatri_rao(1.0 / norms2, arr), has_constant=has_constant)
 
 
 def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
@@ -277,17 +278,6 @@ def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
     return DiagResult(vectors=vectors, residual=float(resid.max(initial=0.0)))
 
 
-def _runs(lam: np.ndarray, gap_floor) -> list:
-    """``(lo, hi)`` of each run of ascending ``lam`` that no gap above ``gap_floor`` splits.
-
-    The gap lam[i+1] - lam[i] is compared with ``gap_floor``, a number or
-    one entry per gap; the runs are the clusters of ``diagonalize``.
-    """
-    cuts = np.flatnonzero(lam[1:] - lam[:-1] > gap_floor) + 1
-    edges = [0, *cuts.tolist(), len(lam)]
-    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
-
-
 def _split_cluster(s: np.ndarray, q: np.ndarray) -> list:
     """One unit direction per fixed point in the cluster spanned by ``q``.
 
@@ -322,10 +312,7 @@ def obtuse_fixed_points(tensor: Tensor3, tol: float = DEFAULT_TOL) -> ObtuseSyst
     1/|v|^2.  A wrong count or a fixed point with v^0 != 1 signals a missing
     constant-coordinate structure and raises ``WrongCount``.
     """
-    if not tensor.has_constant:
-        raise DimensionMismatch("tensor does not carry a constant coordinate")
-    if not tensor.dim:
-        raise DimensionMismatch("the constant coordinate needs dimension >= 1")
+    _require_constant(tensor)
     return _obtuse_system(diagonalize(tensor, tol=tol).vectors, tol)
 
 
@@ -370,11 +357,7 @@ def _full_unitary(u, tensor: Tensor3, tol: float) -> np.ndarray:
     if not defect <= _bound(tol, 1.0):
         raise NotUnitary(f"matrix is not unitary: defect {defect:.3e}")
     if tensor.has_constant:
-        corner = max(
-            abs(mat[0, 0] - 1.0),
-            float(np.abs(mat[0, 1:]).max()) if d > 1 else 0.0,
-            float(np.abs(mat[1:, 0]).max()) if d > 1 else 0.0,
-        )
+        corner = _corner_defect(mat)
         if not corner <= _bound(tol, 1.0):
             raise DimensionMismatch(
                 "unitary must fix the constant coordinate e_0 "
@@ -411,7 +394,8 @@ def is_real_tensor(tensor: Tensor3, tol: float = DEFAULT_TOL) -> bool:
     can have an all-real tensor.
     """
     s = tensor.entries
-    return bool(np.abs(s - s.transpose(2, 1, 0)).max() <= _bound(tol, np.abs(s).max()))
+    defect = np.abs(s - s.transpose(2, 1, 0)).max(initial=0.0)
+    return bool(defect <= _bound(tol, np.abs(s).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -442,8 +426,7 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     tensor they fail to certify is swept, and ``NotDoublySymmetric`` names
     the failing relation.
     """
-    if not tensor.has_constant:
-        raise DimensionMismatch("realify expects a constant-coordinate tensor")
+    _require_constant(tensor)
 
     def kernel():
         result, points = _realify(tensor, tol)
@@ -495,10 +478,12 @@ def extract_phases(triangular, tol: float = DEFAULT_TOL):
 
     In triangular form every coordinate line carries a common phase phi_j;
     dividing it out leaves an all-real obtuse system.  Returns
-    ``(phases, real_system)``.  Raises ``NotObtuse`` if the input is not a
+    ``(phases, real_system)``.  Anything but N+1 finite vectors of C^N, each
+    with a positive finite |v|^2, raises ``DimensionMismatch``
+    (``obtuse._as_family``); ``NotObtuse`` if the input is not a
     triangularized obtuse system (residual imaginary parts stay large).
     """
-    arr = np.asarray(triangular, dtype=complex)
+    arr, _ = _as_family(triangular, system=True)
     n = arr.shape[1]
     phases = np.ones(n, dtype=complex)
     for j in range(n):

@@ -11,7 +11,8 @@ and one Brownian direction proportional to (i, 1).
 import numpy as np
 import pytest
 
-from obtusewalk import ObtuseRV, TensorFamily, haar_unitary, serialize, tensor, tensor_of
+from obtusewalk import ObtuseRV, Tensor3, TensorFamily, serialize, tensor, tensor_of
+from obtusewalk.obtuse import _require_constant, _require_step, haar_unitary
 from obtusewalk.takagi import unitary_sqrt
 
 REFERENCE_VALUES = np.array(
@@ -134,6 +135,19 @@ def basis_matrix(i: int, j: int, dim: int) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     out[j, i] = 1.0
     return out
+
+
+def rescale_tensor(tensor: Tensor3, h: float) -> Tensor3:
+    """Oracle for the exponents ``limit_tensor`` applies: the tensor of the variable
+    rescaled by the step h, entries h^{e_i + e_j - e_k} S^{ij}_k with e = 1 on the
+    constant coordinate and 1/2 on the others."""
+    _require_step(h)
+    _require_constant(tensor)
+    d = tensor.dim
+    eps = np.full(d, 0.5)
+    eps[0] = 1.0
+    expo = eps[:, None, None] + eps[None, :, None] - eps[None, None, :]
+    return Tensor3(entries=(h**expo) * tensor.entries, has_constant=True)
 
 
 def direct_mult_op(rv: ObtuseRV, i: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from obtusewalk import (
     diagonalize,
     distribution_compare,
     empirical_brackets,
-    haar_unitary,
     is_real_tensor,
     limit_ensemble,
     limit_path,
@@ -35,6 +34,7 @@ from obtusewalk import (
     tensor_of,
     walk_ensemble,
 )
+from obtusewalk.obtuse import haar_unitary
 from obtusewalk.cli import main
 from obtusewalk.limits import DEFAULT_STEPS
 from obtusewalk.multop import direct_chain_mult_op

@@ -1,0 +1,229 @@
+"""One guard per kind of input, and every public function that reads one.
+
+Each kind of input the library accepts has one guard in ``obtuse``: a vector
+family (``_as_family``), a probability vector, a time step, and a
+constant-coordinate tensor with a coordinate index.  Every case below is a
+(public function, malformed input) pair that must raise one typed
+``ObtuseWalkError`` subclass naming the broken rule; pytest turns a
+RuntimeWarning on the way into an error.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from obtusewalk import (
+    ObtuseRV,
+    Tensor3,
+    chain_mult_op,
+    conj_mult_op,
+    embed_general,
+    extract_phases,
+    is_real_tensor,
+    mult_op,
+    obtuse_fixed_points,
+    realify,
+    rv_is_centered_normalized,
+    system_from_probabilities,
+    tensor_from_family,
+    triangularize_system,
+    walk_ensemble,
+    walk_path,
+)
+from obtusewalk.errors import DimensionMismatch, MinimalSupport, NonPositiveStep
+from conftest import REFERENCE_VALUES, bernoulli_rv, reference_tensor_entries
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "obtusewalk"
+
+
+def embed(values):
+    """``embed_general`` of ``values`` into the +-1 variable, atom by atom."""
+    return embed_general(values, [0.5, 0.5], bernoulli_rv())
+
+
+# (values, error, message) per kind of malformed family
+ONE_D = (np.array([1.0, -1.0]), DimensionMismatch, "expected a family of vectors")
+EMPTY = ([], DimensionMismatch, "expected a family of vectors")
+NAN = ([[np.nan], [-1.0]], DimensionMismatch, "vector entries must be finite")
+INF = ([[np.inf], [-1.0]], DimensionMismatch, "vector entries must be finite")
+SHORT = ([[1.0, 0.0], [0.0, 1.0]], DimensionMismatch, r"need 3 vectors in C\^2, got 2")
+NO_ROWS = (np.zeros((0, 0)), DimensionMismatch, r"need 1 vectors in C\^0, got 0")
+# |v_0|^2 = 1e320 overflows
+OVERFLOW = ([[1e160], [-1e-160]], DimensionMismatch, r"\|v\|\^2 of vector 0 is inf")
+ZERO = ([[0.0], [-1.0]], DimensionMismatch, "obtuse systems contain no zero vector")
+SYSTEM_CASES = {
+    "1-D": ONE_D,
+    "empty": EMPTY,
+    "nan": NAN,
+    "inf": INF,
+    "short": SHORT,
+    "no-rows": NO_ROWS,
+    "overflow": OVERFLOW,
+    "zero": ZERO,
+}
+# any number of orthogonal vectors is a family, so none is short
+FAMILY_ONLY_CASES = {
+    "1-D": ONE_D,
+    "empty": EMPTY,
+    "nan": NAN,
+    "inf": INF,
+    "overflow": OVERFLOW,
+    # orthogonal, but |v|^2 = 1e400 overflows
+    "overflow-orthogonal": (
+        [[1e200, 0], [0, 1e200]],
+        DimensionMismatch,
+        r"\|v\|\^2 of vector 0 is inf",
+    ),
+    "zero": ([[1.0, 0.0], [0.0, 0.0]], DimensionMismatch, r"\|v\|\^2 of vector 1 is 0"),
+    # |v|^2 = 1e-320 is positive, but its weight 1/|v|^2 overflows
+    "subnormal": ([[1e-160]], DimensionMismatch, "tensor entries must be finite"),
+}
+# a general variable may have more than N+1 atoms, and a zero atom
+VARIABLE_CASES = {
+    "1-D": ONE_D,
+    "empty": EMPTY,
+    "nan": NAN,
+    "inf": INF,
+    "short": ([[1.0, 1.0], [-1.0, -1.0]], MinimalSupport, "needs at least 3 atoms"),
+    "no-rows": (np.zeros((0, 0)), MinimalSupport, "needs at least 1 atoms"),
+    # the covariance overflows: the check fails on a NaN bound, with no warning
+    "overflow": ([[1e200], [-1e200]], DimensionMismatch, "not centered normalized"),
+}
+
+FAMILY_CASES = [
+    (fn, label, case)
+    for fns, cases in (
+        ((extract_phases, triangularize_system), SYSTEM_CASES),
+        ((tensor_from_family,), FAMILY_ONLY_CASES),
+        ((embed,), VARIABLE_CASES),
+    )
+    for fn in fns
+    for label, case in cases.items()
+]
+
+
+@pytest.mark.parametrize(
+    "fn, case",
+    [(fn, case) for fn, _, case in FAMILY_CASES],
+    ids=[f"{fn.__name__}-{label}" for fn, label, _ in FAMILY_CASES],
+)
+def test_malformed_family(fn, case):
+    values, error, message = case
+    with pytest.raises(error, match=message):
+        fn(values)
+
+
+def test_small_members_are_a_family():
+    # |v|^2 = 1e-200 is small but a positive float: the family is valid
+    tensor = tensor_from_family([[1e-100, 0.0], [0.0, 1.0]])
+    assert tensor.entries[0, 0, 0] == pytest.approx(1e-100, rel=1e-15)
+    assert tensor.entries[1, 1, 1] == 1.0
+
+
+STEP_CALLS = {
+    "chain_mult_op": lambda h: chain_mult_op(Tensor3(reference_tensor_entries()), 1, 2, h),
+    "walk_path": lambda h: walk_path(bernoulli_rv(), h, 1.0),
+    "walk_ensemble": lambda h: walk_ensemble(bernoulli_rv(), h, [1.0], 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CALLS))
+@pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf])
+def test_malformed_step(name, h):
+    with pytest.raises(NonPositiveStep, match=f"time step must be positive and finite, got {h}"):
+        STEP_CALLS[name](h)
+
+
+PROBABILITY_CALLS = {
+    "system_from_probabilities": system_from_probabilities,
+    "rv_is_centered_normalized": lambda p: rv_is_centered_normalized([[1.0], [-1.0]], p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBABILITY_CALLS))
+@pytest.mark.parametrize("p", [[0.5, 0.6], [0.0, 1.0], [-0.5, 1.5], [np.nan, 1.0], [np.inf, 0.5]])
+def test_malformed_probabilities(name, p):
+    with pytest.raises(DimensionMismatch, match="probabilities must be positive and sum to 1"):
+        PROBABILITY_CALLS[name](p)
+
+
+NO_CONSTANT = Tensor3(reference_tensor_entries(), has_constant=False)
+EMPTY_TENSOR = Tensor3(np.zeros((0, 0, 0)), has_constant=True)
+
+TENSOR_CASES = [
+    *[
+        (f"{name}-no-constant", call, NO_CONSTANT, "tensor does not carry a constant coordinate")
+        for name, call in (
+            ("mult_op", lambda t: mult_op(t, 1)),
+            ("conj_mult_op", lambda t: conj_mult_op(t, 1)),
+            ("realify", realify),
+            ("obtuse_fixed_points", obtuse_fixed_points),
+        )
+    ],
+    # dimension 0 has no constant coordinate 0
+    *[
+        (f"{name}-dimension-0", call, EMPTY_TENSOR, "coordinate 0 out of range for dimension 0")
+        for name, call in (
+            ("mult_op", lambda t: mult_op(t, 0)),
+            ("conj_mult_op", lambda t: conj_mult_op(t, 0)),
+            ("realify", realify),
+            ("obtuse_fixed_points", obtuse_fixed_points),
+        )
+    ],
+    # a negative coordinate is refused, not read from the end
+    *[
+        (f"{fn.__name__}-{i}", lambda t, fn=fn, i=i: fn(t, i), None, f"coordinate {i} out of range")
+        for fn in (mult_op, conj_mult_op)
+        for i in (-1, 3)
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "call, tensor, message",
+    [case[1:] for case in TENSOR_CASES],
+    ids=[case[0] for case in TENSOR_CASES],
+)
+def test_malformed_tensor_or_coordinate(call, tensor, message):
+    tensor = Tensor3(reference_tensor_entries()) if tensor is None else tensor
+    with pytest.raises(DimensionMismatch, match=message):
+        call(tensor)
+
+
+def test_empty_tensor_is_real():
+    # no entry breaks the symmetry S^{ij}_k = S^{kj}_i
+    assert is_real_tensor(EMPTY_TENSOR) is True
+    assert is_real_tensor(Tensor3(np.zeros((0, 0, 0)), has_constant=False)) is True
+
+
+def test_the_guards_still_pass_valid_input():
+    rv = ObtuseRV.from_values(REFERENCE_VALUES)
+    phases, system = extract_phases(triangularize_system(rv.values)[1])
+    assert np.allclose(np.abs(phases), 1.0) and system.dim == 2
+    assert mult_op(Tensor3(reference_tensor_entries()), 2).shape == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        "expected a family of vectors",
+        "vector entries must be finite",
+        "vectors in C^{d}, got",
+        "obtuse systems contain no zero vector",
+        "|v|^2 of vector",
+        "probabilities must be positive and sum to 1",
+        "time step must be positive and finite",
+        "tensor does not carry a constant coordinate",
+        "out of range for dimension",
+    ],
+)
+def test_each_rule_is_written_once(message):
+    # each guarded rule has one implementation, so its message one source line
+    lines = [
+        line
+        for path in sorted(SRC.glob("*.py"))
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if message in line
+    ]
+    assert len(lines) == 1, lines

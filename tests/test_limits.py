@@ -18,10 +18,8 @@ from obtusewalk import (
     check_limit_symmetries,
     classify,
     diagonalize,
-    haar_unitary,
     limit_tensor,
     random_system,
-    rescale_tensor,
     tensor_of,
     transform,
     walk_path,
@@ -38,6 +36,7 @@ from obtusewalk.errors import (
     StructureViolation,
     TooLarge,
 )
+from obtusewalk.obtuse import haar_unitary
 from obtusewalk.limits import (
     _EXTRAPOLATION_TOL,
     _STREAM_BLOCKS,
@@ -56,6 +55,7 @@ from conftest import (
     greedy_match,
     jump_rv,
     jump_values,
+    rescale_tensor,
     sampled_family,
     scaled_family,
     to_json,
@@ -268,6 +268,13 @@ class TestRescale:
     def test_rejects_bad_step(self, reference_tensor):
         with pytest.raises(NonPositiveStep):
             rescale_tensor(reference_tensor, 0.0)
+
+    def test_limit_tensor_applies_these_exponents(self, reference_tensor):
+        # S^{ij}_0 has exponent 0, so Lambda is each rescaled sample's, exactly
+        result = limit_tensor(TensorFamily.constant(reference_tensor))
+        for h in DEFAULT_STEPS:
+            scaled = rescale_tensor(reference_tensor, h).entries
+            assert np.array_equal(result.lambda_matrix, scaled[1:, 1:, 0])
 
 
 class TestLimitTensor:

@@ -15,7 +15,7 @@ from obtusewalk import (
     random_system,
     tensor_of,
 )
-from obtusewalk.errors import ChainTooLarge, NonPositiveStep
+from obtusewalk.errors import ChainTooLarge, DimensionMismatch, NonPositiveStep
 from obtusewalk.multop import direct_chain_mult_op, direct_expectation
 from obtusewalk.obtuse import Tensor3
 from conftest import (
@@ -180,7 +180,7 @@ class TestExpectation:
     @pytest.mark.parametrize("index", [-1, 3])
     def test_coordinate_out_of_range(self, reference_rv, index, conjugated):
         # a negative index must not wrap around to the last slice
-        with pytest.raises(IndexError):
+        with pytest.raises(DimensionMismatch, match=f"coordinate {index} out of range"):
             expectation_functional(reference_rv, [(1.0, ((1, False), (index, conjugated)))])
 
 

@@ -14,7 +14,6 @@ from obtusewalk import (
     Tensor3,
     check_symmetries,
     embed_general,
-    haar_unitary,
     random_system,
     relate_same_probabilities,
     rv_is_centered_normalized,
@@ -22,7 +21,7 @@ from obtusewalk import (
     tensor_of,
     validate_obtuse_system,
 )
-from obtusewalk.obtuse import _SWEEP_BLOCK_BYTES
+from obtusewalk.obtuse import _SWEEP_BLOCK_BYTES, haar_unitary
 from obtusewalk.errors import (
     AmbiguousMatching,
     DimensionMismatch,

@@ -15,9 +15,9 @@ import warnings
 import numpy as np
 import pytest
 
-from obtusewalk import ObtuseRV, haar_unitary, random_system, system_from_probabilities
+from obtusewalk import ObtuseRV, random_system, system_from_probabilities
 from obtusewalk.errors import DimensionMismatch, NotObtuse, ObtuseWalkError
-from obtusewalk.obtuse import DEFAULT_TOL, _require_obtuse, validate_obtuse_system
+from obtusewalk.obtuse import DEFAULT_TOL, _require_obtuse, haar_unitary, validate_obtuse_system
 
 PREFIX = "recovered fixed points do not form an obtuse system: "
 

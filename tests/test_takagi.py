@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obtusewalk import Tensor3, diagonalize, haar_unitary, takagi, tensor_from_family
+from obtusewalk import Tensor3, diagonalize, takagi, tensor_from_family
+from obtusewalk.obtuse import haar_unitary
 from obtusewalk.errors import DimensionMismatch, NotDoublySymmetric, NotSymmetric
 from conftest import REFERENCE_LAMBDA, greedy_match
 

@@ -13,7 +13,6 @@ from obtusewalk import (
     classify,
     diagonalize,
     extract_phases,
-    haar_unitary,
     is_real_tensor,
     limit_tensor,
     obtuse_fixed_points,
@@ -26,6 +25,7 @@ from obtusewalk import (
     transform,
     triangularize_system,
 )
+from obtusewalk.obtuse import haar_unitary
 from obtusewalk.errors import (
     NotDoublySymmetric,
     NotObtuse,
