@@ -163,24 +163,31 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     _EXTRAPOLATION_TOL, max|M|)`` that the orders share.  Each distinct
     sample object's tensor (``_sample_tensor``) is added into the sums with
     the sum of its steps' weights, and dropped; if there is one object, the
-    limit is in closed form (``_constant_limit``).  First, ``TooLarge`` if
-    the peak exceeds the memory budget: one check's sweep (``_sweep_bytes``)
-    plus two d^3 blocks if constant, else ``_STREAM_BLOCKS`` and one per
-    distinct ``Tensor3``, an upper bound if the caller already holds it.
+    limit is in closed form (``_constant_limit``).  First, ``DimensionMismatch``
+    unless the distinct samples share one dimension and each ``Tensor3``
+    carries X^0 = 1, then ``TooLarge`` if the peak exceeds the memory budget:
+    one check's sweep (``_sweep_bytes``) plus two d^3 blocks if constant,
+    else ``_STREAM_BLOCKS`` and one per distinct ``Tensor3``, an upper bound
+    if the caller already holds it.
     """
     steps = np.array(family.steps)
     samples = family.sample()
-    d = _sample_dim(samples[0])
     # the first step of each distinct sample object, and of the object at each step
     first = {}
     owner = [first.setdefault(id(s), i) for i, s in enumerate(samples)]
+    d = _sample_dim(samples[0])
+    for i in first.values():
+        if _sample_dim(samples[i]) != d:
+            raise DimensionMismatch("family samples have inconsistent shape")
+        if isinstance(samples[i], Tensor3):
+            _require_constant(samples[i])
     constant = len(first) == 1
     tensors = sum(isinstance(samples[i], Tensor3) for i in first.values())
     held = 2 if constant else _STREAM_BLOCKS + tensors
     n_bytes = _sweep_bytes(d) + held * 16 * d**3
     _require_memory(n_bytes, TooLarge, f"{len(samples)} samples of dimension {d}")
     if constant:
-        return _constant_limit(_sample_tensor(samples[0], steps[0], d, tol).entries, steps)
+        return _constant_limit(_sample_tensor(samples[0], steps[0], tol).entries, steps)
     # each step's weights on S^{ij}_0 and, times sqrt(h), on S^{ij}_k, summed per object
     x = np.sqrt(steps)
     weights = _weights(x)
@@ -191,7 +198,7 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     # (4, N, N, N + 1) over i, j >= 1: the limits, their errors and two differences
     sums = np.zeros((4, d - 1, d - 1, d), dtype=complex)
     for i in first.values():
-        sums += scales[i] * _sample_tensor(samples[i], steps[i], d, tol).entries[1:, 1:, :]
+        sums += scales[i] * _sample_tensor(samples[i], steps[i], tol).entries[1:, 1:, :]
     lims, errors = sums[0], np.abs(sums[1])
     bound = _bound(_EXTRAPOLATION_TOL, np.max(np.abs(lims), initial=0.0))
     orders = _observed_order(sums[2], sums[3], steps, bound)
@@ -207,17 +214,14 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     return _limit_result(entries, orders, float(np.max(errors, initial=0.0)))
 
 
-def _sample_tensor(sample, h: float, d: int, tol: float) -> Tensor3:
-    """A family sample's tensor: an ``ObtuseRV``'s built unchecked, a ``Tensor3``
-    through the gate of ``diagonalize``, whose report alone decides it, so no
-    error of the fixed-point kernel escapes (``NotDoublySymmetric``)."""
-    rv = isinstance(sample, ObtuseRV)
-    if _sample_dim(sample) != d or not (rv or sample.has_constant):
-        raise DimensionMismatch("family samples have inconsistent shape")
-    if rv:
+def _sample_tensor(sample, h: float, tol: float) -> Tensor3:
+    """A family sample's tensor: an ``ObtuseRV``'s built unchecked, a flagged
+    ``Tensor3`` through the gate of ``diagonalize``, whose report alone decides
+    it, so no error of the fixed-point kernel escapes (``NotDoublySymmetric``)."""
+    if isinstance(sample, ObtuseRV):
         return tensor_of(sample)
     _, report, _ = _certify_or_sweep(
-        sample, tol, lambda: (None, _fixed_points(sample, tol).vectors), include_constant=True
+        sample, tol, lambda: (None, _fixed_points(sample, tol).vectors)
     )
     if not report.ok:
         what = f"sample at h={h} violates tensor symmetries:"

@@ -79,7 +79,7 @@ def _identity_defect(m: np.ndarray) -> float:
     the diagonal alone gives the bits of ``m - np.eye(len(m))``.
     """
     m.flat[:: len(m) + 1] -= 1.0
-    return float(np.abs(m).max())
+    return float(np.abs(m).max(initial=0.0))
 
 
 def _corner_defect(m: np.ndarray) -> float:
@@ -453,22 +453,18 @@ class SymmetryReport:
         return out
 
 
-def check_symmetries(
-    tensor: Tensor3, tol: float = DEFAULT_TOL, include_constant: bool | None = None
-) -> SymmetryReport:
-    """Exhaustively sweep the four symmetry relations of a 3-tensor.
+def check_symmetries(tensor: Tensor3, tol: float = DEFAULT_TOL) -> SymmetryReport:
+    """Exhaustively sweep the symmetry relations of a 3-tensor.
 
-    ``include_constant`` defaults to the tensor's own flag; pass False to
-    check only sym1-sym3 on a tensor that happens to carry the flag.
+    sym0 is computed exactly when the tensor's ``has_constant`` flag is set,
+    else None; sweep ``Tensor3(entries, has_constant=False)`` for sym1-sym3.
 
     Cost: sym2 and sym3 take O(d^5) flops, done as BLAS matrix products
     over blocks of one coordinate; the working memory is bounded by the
     block budget ``_SWEEP_BLOCK_BYTES`` plus O(d^3), not by d^4.
     """
     s = tensor.entries
-    if include_constant is None:
-        include_constant = tensor.has_constant
-    sym0 = _sym0(s) if include_constant else None
+    sym0 = _sym0(s) if tensor.has_constant else None
     sym1 = _sym1(s)
     sym2, sym3 = _product_symmetries(s)
     return SymmetryReport(sym0, sym1, sym2, sym3, tol, len(s), float(np.abs(s).max(initial=0)))
@@ -482,7 +478,7 @@ def _sym0(s: np.ndarray) -> float:
 
 def _sym1(s: np.ndarray) -> float:
     """max |S^{ij}_k - S^{ji}_k| of the entries ``s``, O(d^3)."""
-    return float(np.abs(s - s.transpose(1, 0, 2)).max()) if s.shape[0] else 0.0
+    return float(np.abs(s - s.transpose(1, 0, 2)).max(initial=0.0))
 
 
 def _sweep_step(d: int) -> int:
@@ -615,7 +611,7 @@ def embed_general(values, probabilities, y: ObtuseRV, tol: float = DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - valid y prevents this
         raise SingularSystem("obtuse value matrix unexpectedly singular") from exc
 
-    last_res = float(np.max(np.abs(a @ w[n - 1] - arr[n - 1])))
+    last_res = float(np.abs(a @ w[n - 1] - arr[n - 1]).max(initial=0.0))
     iso_res = _identity_defect(a @ a.conj().T)
     # A A* = I is unitarity; A maps the last value w_{n-1} onto x_{n-1}
     if not (iso_res <= _bound(tol, 1.0) and last_res <= _bound(tol, np.linalg.norm(w[n - 1]))):

@@ -18,11 +18,11 @@ from the fixed points it found; R is doubly symmetric up to the family's
 orthogonality defect, and S is within max|S - R| of it, which bounds sym2
 and sym3 of S at O(d^4) (see ``_certificate_bounds``), while sym0 and sym1
 are computed exactly.  Only when that report fails, or the kernel fails,
-does the gate run the O(d^5) sweep ``check_symmetries``, once.
-``diagonalize``, ``realify``, and in ``limits`` both ``classify`` and the
-``Tensor3`` samples of ``limit_tensor`` go through it.  Rebuilt
-tensors, like ``tensor_of`` and ``tensor_from_family``, are one BLAS
-product.
+does the gate run the O(d^5) sweep ``check_symmetries``, once, with sym0
+when ``has_constant`` is set.  ``diagonalize`` (on the entries alone),
+``obtuse_fixed_points``, ``realify``, ``classify`` and the ``Tensor3``
+samples of ``limit_tensor`` go through it.  Rebuilt tensors, like
+``tensor_of`` and ``tensor_from_family``, are one BLAS product.
 """
 
 from __future__ import annotations
@@ -54,16 +54,13 @@ from .obtuse import (
     _identity_defect,
     _khatri_rao,
     _require_constant,
+    _require_coordinate,
     _require_obtuse,
     _sym0,
     _sym1,
     check_symmetries,
 )
 from .takagi import _CLUSTER_REL, _EPS, _runs, unitary_sqrt
-
-# a triangular pivot below this has no phase to strip: the first N values are
-# (numerically) dependent, so the system is degenerate
-_PIVOT_FLOOR = 1e-12
 
 # unit roundoff u of double precision
 _UNIT = _EPS / 2
@@ -82,8 +79,6 @@ class DiagResult:
 
     @property
     def weights(self) -> np.ndarray:
-        if len(self.vectors) == 0:
-            return np.zeros(0)
         return 1.0 / np.sum(np.abs(self.vectors) ** 2, axis=1)
 
 
@@ -113,10 +108,11 @@ def tensor_from_family(family, has_constant: bool = False, tol: float = DEFAULT_
 def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
     """Recover the orthogonal family {v : S(v) = v (x) v, v != 0}.
 
-    Requires the tensor to be doubly symmetric (``SymmetryReport``), which
-    the fixed points themselves certify (``_certify_or_sweep``); only a
-    tensor they fail to certify is swept, and ``NotDoublySymmetric`` names
-    the relation it fails.  The algorithm is direct and deterministic:
+    Requires the entries to be doubly symmetric (``SymmetryReport``), which
+    the fixed points themselves certify (``_certify_or_sweep``) without the
+    constant flag, so sym0 is not owed; only a tensor they fail to certify
+    is swept, and ``NotDoublySymmetric`` names the relation it fails.  The
+    algorithm is direct and deterministic:
 
     1. G = sum_k S_k S_k^* equals sum_m v_m v_m^*, so its eigenvalues are
        the squared norms |v_m|^2 = 1/weight and its eigenvectors the
@@ -144,16 +140,13 @@ def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
     sweep only for a tensor the certificate rejects.
     """
 
+    unflagged = Tensor3(tensor.entries, has_constant=False)
+
     def kernel():
-        result = _fixed_points(tensor, tol)
+        result = _fixed_points(unflagged, tol)
         return result, result.vectors
 
-    result, report, error = _certify_or_sweep(tensor, tol, kernel)
-    if not report.ok:
-        raise NotDoublySymmetric(f"tensor is not doubly symmetric: residuals {report.residuals()}")
-    if error is not None:
-        raise error
-    return result
+    return _gated(unflagged, tol, kernel)
 
 
 def _gamma(n: int) -> float:
@@ -206,14 +199,12 @@ def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> float:
     return float(sym23 * (1 + 16 * _UNIT))
 
 
-def _certify_or_sweep(
-    tensor: Tensor3, tol: float, kernel, include_constant: bool = False, accept=None
-):
+def _certify_or_sweep(tensor: Tensor3, tol: float, kernel, accept=None):
     """The symmetry report of ``tensor``, certified by its fixed points if they can.
 
     ``kernel()`` returns a result and the fixed points of ``tensor`` it
-    found.  Their certificate reports sym0 (with ``include_constant``) and
-    sym1 exactly and sym2, sym3 by ``_certificate_bounds``, and stands if it
+    found.  Their certificate reports sym1, and sym0 if ``tensor.has_constant``,
+    exactly and sym2, sym3 by ``_certificate_bounds``, and stands if it
     passes ``accept`` (default: its own ``ok``).  Otherwise, or if the kernel
     raises a domain or ``LinAlgError``, the tensor is swept once and the
     sweep's report stands.  Returns ``(result, report, error)`` with the
@@ -224,7 +215,7 @@ def _certify_or_sweep(
     are the sweep's to report, so they raise no warning here.
     """
     s = tensor.entries
-    sym0 = _sym0(s) if include_constant else None
+    sym0 = _sym0(s) if tensor.has_constant else None
     result = error = None
     try:
         with np.errstate(all="ignore"):
@@ -236,7 +227,18 @@ def _certify_or_sweep(
                 return result, report, None
     except (ObtuseWalkError, np.linalg.LinAlgError) as exc:
         error = exc
-    return result, check_symmetries(tensor, tol=tol, include_constant=include_constant), error
+    return result, check_symmetries(tensor, tol=tol), error
+
+
+def _gated(tensor: Tensor3, tol: float, kernel):
+    """``kernel``'s result once the gate passes ``tensor``: a failing report raises
+    ``NotDoublySymmetric`` with its residuals, then the kernel's own error stands."""
+    result, report, error = _certify_or_sweep(tensor, tol, kernel)
+    if not report.ok:
+        raise NotDoublySymmetric(f"tensor fails symmetry relations: {report.residuals()}")
+    if error is not None:
+        raise error
+    return result
 
 
 def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
@@ -309,20 +311,24 @@ def obtuse_fixed_points(tensor: Tensor3, tol: float = DEFAULT_TOL) -> ObtuseSyst
     For a tensor that also satisfies S^{i0}_k = delta_{ik}, the fixed-point
     family consists of exactly N+1 vectors whose coordinate 0 equals 1;
     stripping that coordinate yields an obtuse system with probabilities
-    1/|v|^2.  A wrong count or a fixed point with v^0 != 1 signals a missing
-    constant-coordinate structure and raises ``WrongCount``.
+    1/|v|^2.  Its flag owes sym0, so the gate checks all four relations as
+    in ``realify`` (``NotDoublySymmetric``); ``WrongCount`` means a recovered
+    family whose count is not N+1 or whose first coordinates miss 1.
     """
     _require_constant(tensor)
-    return _obtuse_system(diagonalize(tensor, tol=tol).vectors, tol)
+
+    def kernel():
+        points = _fixed_points(tensor, tol).vectors
+        return _obtuse_system(points, tol), points
+
+    return _gated(tensor, tol, kernel)
 
 
 def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:
     """Obtuse system from the fixed points of a constant-coordinate tensor."""
     n_plus_1 = vecs.shape[1]
     if len(vecs) != n_plus_1:
-        raise WrongCount(
-            f"expected {n_plus_1} fixed points, found {len(vecs)}"
-        )
+        raise WrongCount(f"expected {n_plus_1} fixed points, found {len(vecs)}")
     norms2 = (np.abs(vecs) ** 2).sum(axis=1)
     first = vecs[:, 0]
     # an entry of v is as large as |v|: each vector at its own scale
@@ -357,6 +363,7 @@ def _full_unitary(u, tensor: Tensor3, tol: float) -> np.ndarray:
     if not defect <= _bound(tol, 1.0):
         raise NotUnitary(f"matrix is not unitary: defect {defect:.3e}")
     if tensor.has_constant:
+        _require_coordinate(0, d)  # a constant coordinate needs d >= 1
         corner = _corner_defect(mat)
         if not corner <= _bound(tol, 1.0):
             raise DimensionMismatch(
@@ -427,21 +434,12 @@ def realify(tensor: Tensor3, tol: float = DEFAULT_TOL) -> RealificationResult:
     the failing relation.
     """
     _require_constant(tensor)
-
-    def kernel():
-        result, points = _realify(tensor, tol)
-        return result, points @ result.v.T
-
-    result, report, error = _certify_or_sweep(tensor, tol, kernel, include_constant=True)
-    if not report.ok:
-        raise NotDoublySymmetric(f"tensor fails symmetry relations: {report.residuals()}")
-    if error is not None:
-        raise error
-    return result
+    return _gated(tensor, tol, lambda: _realify(tensor, tol))
 
 
 def _realify(tensor: Tensor3, tol: float):
-    """``realify``'s result and the fixed points of its real tensor, unchecked."""
+    """``realify``'s result, unchecked, and the fixed points of its real tensor
+    mapped back by V: the points of ``tensor`` that the gate certifies."""
     d = tensor.dim
     s0 = tensor.entries[:, :, 0]
     uni_defect = _identity_defect(s0 @ s0.conj().T)
@@ -456,7 +454,7 @@ def _realify(tensor: Tensor3, tol: float):
         raise NoConvergence("realified tensor failed the real criterion")
     points = _fixed_points(real_t, tol).vectors
     system = _obtuse_system(points, tol)
-    return RealificationResult(v=v, real_tensor=real_t, real_system=system), points
+    return RealificationResult(v=v, real_tensor=real_t, real_system=system), points @ v.T
 
 
 def triangularize_system(values, tol: float = DEFAULT_TOL):
@@ -480,18 +478,17 @@ def extract_phases(triangular, tol: float = DEFAULT_TOL):
     dividing it out leaves an all-real obtuse system.  Returns
     ``(phases, real_system)``.  Anything but N+1 finite vectors of C^N, each
     with a positive finite |v|^2, raises ``DimensionMismatch``
-    (``obtuse._as_family``); ``NotObtuse`` if the input is not a
-    triangularized obtuse system (residual imaginary parts stay large).
+    (``obtuse._as_family``); a pivot that is exactly zero has no phase and
+    raises ``NotObtuse``.  Every other decision is relative: ``NotObtuse``
+    if residual imaginary parts stay large against max|v|, or if the real
+    values fail the obtuseness gate of ``ObtuseSystem.from_values``.
     """
     arr, _ = _as_family(triangular, system=True)
-    n = arr.shape[1]
-    phases = np.ones(n, dtype=complex)
-    for j in range(n):
-        pivot = arr[j, j]
-        size = abs(pivot)
-        if size < _PIVOT_FLOOR:
-            raise NotObtuse(f"triangular pivot {j} vanishes; system degenerate")
-        phases[j] = pivot / size
+    pivots = np.diagonal(arr)  # arr[j, j] for j < N
+    if not pivots.all():
+        j = int(np.argmin(pivots != 0))
+        raise NotObtuse(f"triangular pivot {j} is zero and has no phase")
+    phases = pivots / np.abs(pivots)
     real_values = arr * np.conj(phases)[None, :]
     imag_max = float(np.abs(real_values.imag).max())
     if not imag_max <= _bound(tol, np.abs(arr).max()):

@@ -16,16 +16,21 @@ import pytest
 from obtusewalk import (
     ObtuseRV,
     Tensor3,
+    TensorFamily,
     check_symmetries,
     diagonalize,
+    limit_tensor,
     obtuse_fixed_points,
     obtuse,
     random_system,
     realify,
     tensor,
+    tensor_from_family,
     tensor_of,
 )
 from obtusewalk.errors import NotDoublySymmetric, ObtuseWalkError
+from obtusewalk.limits import DEFAULT_STEPS
+from conftest import REFERENCE_VALUES
 
 
 def random_tensor(n, seed):
@@ -47,8 +52,7 @@ def kernel_points(t, tol):
         except (ObtuseWalkError, np.linalg.LinAlgError):
             pass
         try:
-            result, real_points = tensor._realify(t, tol)
-            points.append(real_points @ result.v.T)
+            points.append(tensor._realify(t, tol)[1])
         except (ObtuseWalkError, np.linalg.LinAlgError):
             pass
     return points
@@ -77,11 +81,13 @@ class TestNoLoosening:
     def test_certificate_accepts_only_what_the_sweep_accepts(self, gate_sweeps):
         accepted = rejected = 0
         for n, t in perturbed_corpus():
+            # the noise breaks sym0 too: certify the double symmetry of the entries alone
+            entries = Tensor3(t.entries, has_constant=False)
             for tol in (1e-9, 1e-12):
-                sweep = check_symmetries(t, tol=tol, include_constant=False)
+                sweep = check_symmetries(entries, tol=tol)
                 for points in kernel_points(t, tol):
                     gate_sweeps.clear()
-                    _, report, _ = tensor._certify_or_sweep(t, tol, lambda: (None, points))
+                    _, report, _ = tensor._certify_or_sweep(entries, tol, lambda: (None, points))
                     if gate_sweeps:
                         rejected += 1
                         continue
@@ -109,15 +115,18 @@ class TestFastPath:
 
 
 def sweep_first(name, t, tol):
-    """The order of the previous release: sweep, then the unchecked kernel."""
-    if name == "realify":
-        report = check_symmetries(t, tol=tol)
-        if not report.ok:
-            raise NotDoublySymmetric(f"tensor fails symmetry relations: {report.residuals()}")
-        return tensor._realify(t, tol)[0]
-    report = check_symmetries(t, tol=tol, include_constant=False)
+    """The order of the previous release: sweep, then the unchecked kernel.
+
+    The tensor's flag decides whether sym0 is swept; ``diagonalize`` reads
+    the entries alone, so its sweep drops the flag.
+    """
+    if name == "diagonalize":
+        t = Tensor3(t.entries, has_constant=False)
+    report = check_symmetries(t, tol=tol)
     if not report.ok:
-        raise NotDoublySymmetric(f"tensor is not doubly symmetric: residuals {report.residuals()}")
+        raise NotDoublySymmetric(f"tensor fails symmetry relations: {report.residuals()}")
+    if name == "realify":
+        return tensor._realify(t, tol)[0]
     result = tensor._fixed_points(t, tol)
     if name == "obtuse_fixed_points":
         return tensor._obtuse_system(result.vectors, tol)
@@ -215,3 +224,28 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(NotDoublySymmetric):
                 call(overflowed_tensor())
+
+
+# flagged tensors whose entries are doubly symmetric and break sym0 alone
+SYM0_BROKEN = {
+    "delta": tensor_from_family(np.eye(3), has_constant=True),
+    "twice-reference": Tensor3(2 * tensor_of(ObtuseRV.from_values(REFERENCE_VALUES)).entries),
+}
+
+
+class TestOneAnswer:
+    """The tensor's flag alone decides whether sym0 is owed, at every entry point."""
+
+    @pytest.mark.parametrize("name", sorted(SYM0_BROKEN))
+    def test_flagged_entry_points_name_sym0(self, name):
+        t = SYM0_BROKEN[name]
+        # three distinct sample objects: no closed form, each sample gated
+        samples = [Tensor3(t.entries.copy()) for _ in range(3)]
+        family = TensorFamily.from_samples(DEFAULT_STEPS[:3], samples)
+        for call in (obtuse_fixed_points, realify, lambda _: limit_tensor(family)):
+            with pytest.raises(NotDoublySymmetric, match="sym0"):
+                call(t)
+
+    @pytest.mark.parametrize("name", sorted(SYM0_BROKEN))
+    def test_diagonalize_reads_the_entries_alone(self, name):
+        assert len(diagonalize(SYM0_BROKEN[name]).vectors) == 3

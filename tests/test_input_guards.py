@@ -4,10 +4,13 @@ Each kind of input the library accepts has one guard in ``obtuse``: a vector
 family (``_as_family``), a probability vector, a time step, and a
 constant-coordinate tensor with a coordinate index.  Every case below is a
 (public function, malformed input) pair that must raise one typed
-``ObtuseWalkError`` subclass naming the broken rule; pytest turns a
-RuntimeWarning on the way into an error.
+``ObtuseWalkError`` subclass (``FormatError`` for a JSON document) naming
+the broken rule; pytest turns a RuntimeWarning on the way into an error.
+Empty input that is well formed (dimension 0) gets an answer, not an
+untyped numpy error.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,23 +19,40 @@ import pytest
 from obtusewalk import (
     ObtuseRV,
     Tensor3,
+    TensorFamily,
     chain_mult_op,
+    classify,
     conj_mult_op,
+    distribution_compare,
     embed_general,
+    empirical_brackets,
     extract_phases,
     is_real_tensor,
+    limit_tensor,
     mult_op,
     obtuse_fixed_points,
     realify,
+    relate_same_probabilities,
     rv_is_centered_normalized,
+    serialize,
     system_from_probabilities,
+    takagi,
     tensor_from_family,
+    transform,
     triangularize_system,
     walk_ensemble,
     walk_path,
 )
-from obtusewalk.errors import DimensionMismatch, MinimalSupport, NonPositiveStep
-from conftest import REFERENCE_VALUES, bernoulli_rv, reference_tensor_entries
+from obtusewalk.cli import main
+from obtusewalk.errors import (
+    DimensionMismatch,
+    MinimalSupport,
+    NonPositiveStep,
+    NotObtuse,
+    ProbabilityMismatch,
+)
+from obtusewalk.serialize import FormatError
+from conftest import REFERENCE_VALUES, bernoulli_rv, reference_tensor_entries, to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "obtusewalk"
 
@@ -169,6 +189,7 @@ TENSOR_CASES = [
             ("conj_mult_op", lambda t: conj_mult_op(t, 0)),
             ("realify", realify),
             ("obtuse_fixed_points", obtuse_fixed_points),
+            ("transform", lambda t: transform(np.zeros((0, 0)), t)),
         )
     ],
     # a negative coordinate is refused, not read from the end
@@ -177,6 +198,18 @@ TENSOR_CASES = [
         for fn in (mult_op, conj_mult_op)
         for i in (-1, 3)
     ],
+    ("Tensor3-not-a-cube", lambda t: Tensor3(t.entries[:, :, :2]), None, "must be a cube"),
+    ("Tensor3.apply-length", lambda t: t.apply(np.ones(2)), None, "a vector of dimension 3"),
+    ("transform-shape", lambda t: transform(np.eye(4), t), None, r"unitary of shape \(4, 4\)"),
+    # swaps e_0 and e_1
+    (
+        "transform-moves-e0",
+        lambda t: transform(np.eye(3)[[1, 0, 2]], t),
+        None,
+        "unitary must fix the constant coordinate e_0",
+    ),
+    ("classify-ndarray", lambda t: classify(t.entries), None, "unsupported limit tensor input"),
+    ("chain_mult_op-no-sites", lambda t: chain_mult_op(t, 1, 0, 0.1), None, "at least one site"),
 ]
 
 
@@ -227,3 +260,125 @@ def test_each_rule_is_written_once(message):
         if message in line
     ]
     assert len(lines) == 1, lines
+
+
+def reference_spec():
+    """The limit of the constant reference family, in C^2."""
+    rv = ObtuseRV.from_values(REFERENCE_VALUES)
+    return classify(limit_tensor(TensorFamily.constant(rv)))
+
+
+# (call, error, message) per guard on an argument that is no family, step,
+# probability vector or tensor
+ARGUMENT_CASES = {
+    "rv_is_centered_normalized-one-probability": (
+        lambda: rv_is_centered_normalized([[1.0], [-1.0]], [1.0]),
+        DimensionMismatch,
+        "one probability per atom required",
+    ),
+    "relate_same_probabilities-dimensions": (
+        lambda: relate_same_probabilities(bernoulli_rv(), ObtuseRV.from_values(REFERENCE_VALUES)),
+        DimensionMismatch,
+        "variables live in different dimensions",
+    ),
+    "embed_general-factor-dimension": (
+        lambda: embed_general([[1.0], [-1.0]], [0.5, 0.5], ObtuseRV.from_values(REFERENCE_VALUES)),
+        DimensionMismatch,
+        r"the obtuse factor must live in C\^1",
+    ),
+    "embed_general-probabilities": (
+        lambda: embed_general([[1.0], [-1.0]], [0.25, 0.75], bernoulli_rv()),
+        ProbabilityMismatch,
+        "probabilities must match atom by atom",
+    ),
+    "system_from_probabilities-one": (
+        lambda: system_from_probabilities([1.0]),
+        DimensionMismatch,
+        "need at least two probabilities",
+    ),
+    "takagi-not-square": (
+        lambda: takagi(np.ones((2, 3))),
+        DimensionMismatch,
+        r"expected a square matrix, got shape \(2, 3\)",
+    ),
+    # a complex system that is not triangular keeps imaginary parts
+    "extract_phases-imaginary": (
+        lambda: extract_phases(REFERENCE_VALUES),
+        NotObtuse,
+        "phases do not make the system real",
+    ),
+    "empirical_brackets-dimensions": (
+        lambda: empirical_brackets(walk_path(bernoulli_rv(), 0.01, 1.0), reference_spec()),
+        DimensionMismatch,
+        "spec and path dimensions differ",
+    ),
+    "distribution_compare-grid": (
+        lambda: distribution_compare(np.zeros((2, 3, 1)), np.zeros((2, 3, 1)), [0.0, 1.0]),
+        DimensionMismatch,
+        "ensembles must share the time grid and dimension",
+    ),
+    "matrix_from_json-no-entries": (
+        lambda: serialize.matrix_from_json({}),
+        FormatError,
+        "matrix must have an 'entries' field",
+    ),
+    "system_values_from_json-no-values": (
+        lambda: serialize.system_values_from_json({}),
+        FormatError,
+        "system must have a 'values' field",
+    ),
+    "tensor_from_json-not-a-cube": (
+        lambda: serialize.tensor_from_json({"entries": [[[1.0, 2.0]]]}),
+        FormatError,
+        "tensor entries must be a cube",
+    ),
+    "tensor_from_json-dim": (
+        lambda: serialize.tensor_from_json({"entries": [[[1.0]]], "dim": 2}),
+        FormatError,
+        "declared dim does not match the entries",
+    ),
+    "limitspec_from_json-empty": (
+        lambda: serialize.limitspec_from_json({}),
+        FormatError,
+        "limit spec missing required fields",
+    ),
+    "family_from_json-list": (
+        lambda: serialize.family_from_json([], None),
+        FormatError,
+        "family must be an object",
+    ),
+    "family_from_json-empty": (
+        lambda: serialize.family_from_json({}, None),
+        FormatError,
+        "family needs 'tensors', 'systems' or 'system'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENT_CASES))
+def test_malformed_argument(name):
+    call, error, message = ARGUMENT_CASES[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_out_into_a_missing_directory(tmp_path, capsys):
+    system = tmp_path / "system.json"
+    doc = to_json("system", ObtuseRV.from_values(REFERENCE_VALUES).system)
+    system.write_text(json.dumps(doc))
+    assert main(["tensor", str(system), "--out", str(tmp_path / "missing" / "t.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_transform_of_an_unflagged_dimension_0_tensor():
+    empty = Tensor3(np.zeros((0, 0, 0)), has_constant=False)
+    assert transform(np.zeros((0, 0)), empty).entries.shape == (0, 0, 0)
+
+
+def test_a_variable_in_dimension_0_is_centered_normalized():
+    assert rv_is_centered_normalized(np.zeros((2, 0)), [0.5, 0.5]) == (True, 0.0, 0.0)
+
+
+def test_a_variable_in_dimension_0_embeds_as_a_0_by_1_matrix():
+    assert embed(np.zeros((2, 0))).shape == (0, 1)

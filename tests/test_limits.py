@@ -506,7 +506,7 @@ class TestConstantClosedForm:
 
     def test_inner_tensor_is_a_dimension_mismatch(self, reference_tensor):
         inner = Tensor3(reference_tensor.entries, has_constant=False)
-        with pytest.raises(DimensionMismatch, match="inconsistent shape"):
+        with pytest.raises(DimensionMismatch, match="tensor does not carry a constant coordinate"):
             limit_tensor(TensorFamily.constant(inner))
 
     @pytest.mark.parametrize("n", [2, 9, 16])

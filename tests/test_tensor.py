@@ -108,7 +108,7 @@ class TestFromFamily:
 def check_sym(tensor):
     from obtusewalk import check_symmetries
 
-    return check_symmetries(tensor, tol=1e-10, include_constant=False).doubly_symmetric
+    return check_symmetries(Tensor3(tensor.entries, has_constant=False), tol=1e-10).doubly_symmetric
 
 
 class TestDiagonalize:
@@ -239,8 +239,9 @@ class TestObtuseFixedPoints:
         assert greedy_match(system.values, REFERENCE_VALUES) <= 1e-9
 
     def test_delta_tensor_rejected(self):
+        # doubly symmetric, but S^{i0}_k = delta_{ik} fails: its flag owes sym0
         delta = tensor_from_family(np.eye(3), has_constant=True)
-        with pytest.raises(WrongCount):
+        with pytest.raises(NotDoublySymmetric, match="sym0"):
             obtuse_fixed_points(delta)
 
     def test_first_coordinate_at_each_vectors_scale(self):
@@ -452,6 +453,22 @@ class TestTriangularize:
         np.testing.assert_allclose(
             np.sort(real_sys.probabilities), [0.2, 0.3, 0.5], atol=1e-12
         )
+
+    def test_tiny_pivot_keeps_its_phase(self):
+        # |v_0| = 1e-13: a nonzero pivot has a phase at any size, and every
+        # other decision is relative
+        system = system_from_probabilities([1 - 1e-26, 5e-27, 5e-27])
+        _, tri = triangularize_system(system.values)
+        assert abs(tri[0, 0]) <= 1e-12
+        phases, real_sys = extract_phases(tri)
+        np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-15)
+        assert not real_sys.values.imag.any()
+        np.testing.assert_allclose(real_sys.probabilities, system.probabilities, rtol=1e-12)
+
+    def test_zero_pivot_has_no_phase(self):
+        tri = np.array([[0.0, 1.0], [1.0, -1.0], [-1.0, -1.0]], dtype=complex)
+        with pytest.raises(NotObtuse, match="pivot 0 is zero"):
+            extract_phases(tri)
 
     def test_one_dimensional_imaginary_pair(self):
         _, tri = triangularize_system(np.array([[1j], [-1j]]))
