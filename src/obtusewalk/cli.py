@@ -186,7 +186,7 @@ def cmd_simulate(args) -> int:
         sample = functools.partial(simulate._limit_sample, spec)
     simulate._grid_size(args.T, step, min_steps)  # with or without CSV members
     times = simulate._path_grid(args.T, step, dim, n_csv, min_steps) if n_csv else final
-    rng = np.random.default_rng([args.seed])
+    rng = simulate._stream(args.seed)
     paths = sample(times, n_csv, rng)
     rest = sample(final, args.paths - n_csv, rng)
     stats = _ensemble_stats(np.concatenate([paths[:, -1:], rest]), args.T)

@@ -48,8 +48,10 @@ from .obtuse import (
     _bound,
     _identity_defect,
     _require_constant,
+    _require_coordinate,
     _require_memory,
     _require_step,
+    _require_tensor,
     _sweep_bytes,
     check_symmetries,
     tensor_of,
@@ -143,6 +145,8 @@ class LimitTensorResult:
     tolerance of ``classify``.  ``worst_order`` is the smallest observed
     order of an entry as an exponent of h (``_observed_order``), and
     ``worst_entry`` the first entry at it, or inf and None if no entry moves.
+    ``tensor`` carries no constant flag: its coordinate 0 is time, where
+    Lambda sits, not X^0 = 1, since the rescaled S^{0j}_k = h delta_jk vanish.
     """
 
     tensor: Tensor3
@@ -164,11 +168,11 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     sample object's tensor (``_sample_tensor``) is added into the sums with
     the sum of its steps' weights, and dropped; if there is one object, the
     limit is in closed form (``_constant_limit``).  First, ``DimensionMismatch``
-    unless the distinct samples share one dimension and each ``Tensor3``
-    carries X^0 = 1, then ``TooLarge`` if the peak exceeds the memory budget:
-    one check's sweep (``_sweep_bytes``) plus two d^3 blocks if constant,
-    else ``_STREAM_BLOCKS`` and one per distinct ``Tensor3``, an upper bound
-    if the caller already holds it.
+    unless each distinct sample is an ``ObtuseRV`` or a ``Tensor3`` carrying
+    X^0 = 1 (``_sample_dim``) and all share one dimension, then ``TooLarge``
+    if the peak exceeds the memory budget: one check's sweep (``_sweep_bytes``)
+    plus two d^3 blocks if constant, else ``_STREAM_BLOCKS`` and one per
+    distinct ``Tensor3``, an upper bound if the caller already holds it.
     """
     steps = np.array(family.steps)
     samples = family.sample()
@@ -179,8 +183,6 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     for i in first.values():
         if _sample_dim(samples[i]) != d:
             raise DimensionMismatch("family samples have inconsistent shape")
-        if isinstance(samples[i], Tensor3):
-            _require_constant(samples[i])
     constant = len(first) == 1
     tensors = sum(isinstance(samples[i], Tensor3) for i in first.values())
     held = 2 if constant else _STREAM_BLOCKS + tensors
@@ -230,8 +232,12 @@ def _sample_tensor(sample, h: float, tol: float) -> Tensor3:
 
 
 def _sample_dim(sample) -> int:
-    """Dimension d = N + 1 of the tensor of a family sample, without building it."""
-    return sample.dim + 1 if isinstance(sample, ObtuseRV) else sample.dim
+    """Dimension d = N + 1 of the tensor of a family sample, without building it, once
+    a sample that is no ``ObtuseRV`` passes ``_require_constant``."""
+    if isinstance(sample, ObtuseRV):
+        return sample.dim + 1
+    _require_constant(sample)
+    return sample.dim
 
 
 def _constant_limit(s: np.ndarray, steps: np.ndarray) -> LimitTensorResult:
@@ -261,7 +267,7 @@ def _limit_result(entries: np.ndarray, orders: np.ndarray, noise: float) -> Limi
     worst_order = float(np.min(orders, initial=np.inf))
     worst_entry = _first_entry(orders == worst_order) if worst_order < np.inf else None
     return LimitTensorResult(
-        tensor=Tensor3(entries=entries, has_constant=True),
+        tensor=Tensor3(entries=entries, has_constant=False),
         lambda_matrix=entries[1:, 1:, 0].copy(),
         worst_order=worst_order,
         worst_entry=worst_entry,
@@ -315,10 +321,9 @@ def _split_limit(m) -> tuple[np.ndarray, np.ndarray]:
     """Inner entries and Lambda of a full limit tensor or a ``LimitTensorResult``."""
     if isinstance(m, LimitTensorResult):
         m = m.tensor
-    if not isinstance(m, Tensor3):
-        raise DimensionMismatch(f"unsupported limit tensor input {type(m)!r}")
-    # Lambda sits on the constant coordinate, and the inner tensor needs N >= 1
-    _require_constant(m, 1)
+    _require_tensor(m)
+    # Lambda sits on coordinate 0 whatever the flag, and the inner tensor needs N >= 1
+    _require_coordinate(1, m.dim)
     return m.entries[1:, 1:, 1:], m.entries[1:, 1:, 0].copy()
 
 

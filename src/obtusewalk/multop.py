@@ -99,12 +99,14 @@ class ChainOperator:
 
 
 def _chain_dim(site_dim: int, n_sites: int) -> int:
-    """D = site_dim**n_sites, or ChainTooLarge if a complex D x D matrix busts the budget.
+    """D = site_dim**n_sites, or ChainTooLarge if a complex D x D matrix busts the budget,
+    after ``DimensionMismatch`` unless n_sites is an integer (``_require_integer``) >= 1.
 
     The exponent is clipped before the power is taken: for site_dim >= 2,
     16 site_dim**(2k) exceeds the memory budget once k reaches its bit length,
     so a huge n_sites is rejected without computing a huge integer.
     """
+    obtuse._require_integer(n_sites, "number of sites")
     if n_sites < 1:
         raise DimensionMismatch("need at least one site")
     dim = site_dim ** min(n_sites, obtuse.MEMORY_BYTES.bit_length())
@@ -139,10 +141,9 @@ def chain_mult_op(tensor: Tensor3, i: int, n_sites: int, h: float) -> ChainOpera
     is the whole 1 x 1 matrix, so the sum is n_sites times the site
     operator, taken in one multiplication.
     """
-    d = tensor.dim
+    term = _time_weight(i, h) * mult_op(tensor, i)
+    d = len(term)
     dim = _chain_dim(d, n_sites)
-    weight = _time_weight(i, h)
-    term = weight * mult_op(tensor, i)
     if d == 1:
         return ChainOperator(n_sites=n_sites, site_dim=d, matrix=n_sites * term)
     term += 0.0

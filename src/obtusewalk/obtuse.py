@@ -135,14 +135,30 @@ def _require_step(h) -> None:
         raise NonPositiveStep(f"time step must be positive and finite, got {h}")
 
 
-def _require_coordinate(i: int, dim: int) -> None:
-    """The guard of a coordinate index: ``DimensionMismatch`` unless 0 <= i < dim (no wrap)."""
-    if not 0 <= i < dim:
+def _require_integer(n, what: str) -> None:
+    """The guard of an integer argument (a count, a seed): ``DimensionMismatch`` unless
+    ``n`` is an int or a numpy integer, not a bool, and n >= 0."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise DimensionMismatch(f"{what} must be a nonnegative integer, got {n!r}")
+
+
+def _require_coordinate(i, dim: int) -> None:
+    """The guard of a coordinate index: ``DimensionMismatch`` unless an integer
+    (``_require_integer``) with 0 <= i < dim, a negative one refused, not wrapped."""
+    if isinstance(i, (int, np.integer)) and not 0 <= i < dim:
         raise DimensionMismatch(f"coordinate {i} out of range for dimension {dim}")
+    _require_integer(i, "coordinate")
+
+
+def _require_tensor(tensor) -> None:
+    """The guard of a tensor argument: ``DimensionMismatch`` unless a ``Tensor3``."""
+    if not isinstance(tensor, Tensor3):
+        raise DimensionMismatch(f"expected a Tensor3, got {type(tensor).__name__}")
 
 
 def _require_constant(tensor: Tensor3, i: int = 0) -> None:
     """The guard of a constant-coordinate tensor (X^0 = 1) and its coordinate ``i``."""
+    _require_tensor(tensor)
     if not tensor.has_constant:
         raise DimensionMismatch("tensor does not carry a constant coordinate")
     _require_coordinate(i, tensor.dim)
@@ -377,10 +393,12 @@ class Tensor3:
 
     def slice(self, j: int) -> np.ndarray:
         """The matrix (S^{ij}_k)_{i,k} of the coordinate j."""
+        _require_coordinate(j, self.dim)
         return np.array(self.entries[:, j, :])
 
     def k_slice(self, k: int) -> np.ndarray:
         """The complex symmetric matrix S_k = (S^{ij}_k)_{i,j}."""
+        _require_coordinate(k, self.dim)
         return np.array(self.entries[:, :, k])
 
     def apply(self, x) -> np.ndarray:
@@ -463,6 +481,7 @@ def check_symmetries(tensor: Tensor3, tol: float = DEFAULT_TOL) -> SymmetryRepor
     over blocks of one coordinate; the working memory is bounded by the
     block budget ``_SWEEP_BLOCK_BYTES`` plus O(d^3), not by d^4.
     """
+    _require_tensor(tensor)
     s = tensor.entries
     sym0 = _sym0(s) if tensor.has_constant else None
     sym1 = _sym1(s)
@@ -662,6 +681,7 @@ def random_system(dim: int, rng: np.random.Generator) -> ObtuseSystem:
     builds the canonical real system, then rotates by a random unitary.  All
     complex obtuse variables arise this way.
     """
+    _require_integer(dim, "dimension")
     p = rng.dirichlet(np.full(dim + 1, 5.0))
     base = system_from_probabilities(p)
     u = haar_unitary(dim, rng)

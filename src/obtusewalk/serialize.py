@@ -173,16 +173,10 @@ def _entry_texts(flat: np.ndarray) -> list:
 def _frame(shape: tuple) -> tuple:
     """Text around the entries of nested lists of ``shape``: strings f_0 .. f_n
     such that f_0 e_1 f_1 .. e_n f_n is the list, e_k its k-th entry in C order."""
-    n = math.prod(shape)
-    if n == 0:
-        return (json.dumps(np.zeros(shape).tolist()),)
-    closed = np.zeros(n - 1, dtype=np.intp)  # lists closed after each entry
-    stride = 1
-    for m in reversed(shape[1:]):
-        stride *= m
-        closed[stride - 1 :: stride] += 1
-    seps = ["]" * c + ", " + "[" * c for c in range(len(shape))]
-    return ("[" * len(shape), *map(seps.__getitem__, closed.tolist()), "]" * len(shape))
+    text = "0"
+    for m in reversed(shape):
+        text = "[" + ", ".join([text] * m) + "]"
+    return tuple(text.split("0"))
 
 
 def _complex_array(obj, ndim: int, what: str) -> np.ndarray:

@@ -20,11 +20,12 @@ direction and then interval, for a jump time inside its interval: given the
 count, the jump times of a Poisson process in an interval are that many
 uniforms (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. VI).
 
-RNG contract: all randomness comes from ``numpy.random.default_rng``.  An
-ensemble uses the stream ``[seed]``, path k of a seed the independent
-substream ``[seed, k]``.  Draws come in the order above, so one stream can
-feed several grids in turn: ``obtusewalk simulate`` draws the members it
-writes to CSV on the fine grid, then the rest of its ensemble on [T].
+RNG contract: all randomness comes from ``numpy.random.default_rng``, with
+keys built in one place, ``_stream``: an ensemble uses the stream ``[seed]``,
+path k of a seed the independent substream ``[seed, k]``.  Draws come in the
+order above, so one stream can feed several grids in turn: ``obtusewalk
+simulate`` draws the members it writes to CSV on the fine grid, then the
+rest of its ensemble on [T].
 
 Arithmetic: the hot paths run in float64 only, on time-major buffers of
 shape (n_t, n_paths, N); the samplers return their (n_paths, n_t, N)
@@ -53,7 +54,7 @@ from .errors import (
     TooManyJumps,
 )
 from .limits import LimitSpec
-from .obtuse import ObtuseRV, _require_memory, _require_step
+from .obtuse import ObtuseRV, _require_integer, _require_memory, _require_step
 
 # A horizon t spans n steps of size h when t/h lies at most this relative
 # distance below n, and a fine grid ends with T instead of a multiple of the
@@ -145,13 +146,12 @@ def _check(t_grid, n_paths: int, step: float | None = None) -> np.ndarray:
 
     Raises ``NonPositiveStep`` for a step that is not positive and finite or
     takes ``MAX_ENSEMBLE_JUMPS`` steps to the last time, ``DimensionMismatch``
-    for a path count that is not a nonnegative integer (numpy integers count)
+    for a path count that is not a nonnegative integer (``_require_integer``)
     or a grid not finite, nonnegative, increasing.
     """
     if step is not None:
         _require_step(step)
-    if not isinstance(n_paths, (int, np.integer)) or n_paths < 0:
-        raise DimensionMismatch(f"number of paths must be a nonnegative integer, got {n_paths!r}")
+    _require_integer(n_paths, "number of paths")
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or not np.all(np.isfinite(grid) & (grid >= 0)) or np.any(np.diff(grid) < 0):
         raise DimensionMismatch("time grid must be finite, nonnegative and increasing")
@@ -179,6 +179,18 @@ def _path_grid(T: float, step: float, dim: int, n_paths=1, min_steps=0, jumps=0.
     n_t = _grid_size(T, step, min_steps)
     _check_ensemble(n_paths, n_t, dim, jumps)
     return np.append(np.arange(int(n_t) - 1) * step, T)
+
+
+def _stream(seed, path_index=None) -> np.random.Generator:
+    """The generator of the stream ``[seed]``, or of path ``path_index``'s substream
+    ``[seed, path_index]``; ``DimensionMismatch`` unless each is a nonnegative
+    integer (``_require_integer``)."""
+    _require_integer(seed, "seed")
+    key = [seed]
+    if path_index is not None:
+        _require_integer(path_index, "path index")
+        key.append(path_index)
+    return np.random.default_rng(key)
 
 
 def _walk_sample(rv: ObtuseRV, h: float, grid: np.ndarray, n_paths: int, rng) -> np.ndarray:
@@ -278,10 +290,10 @@ def walk_path(rv: ObtuseRV, h: float, T: float, seed: int = 0, path_index: int =
     """One trajectory of the rescaled walk sum sqrt(h) X_1 + ... on [0, T].
 
     The walk sampler on the fine grid of h; a horizon below one step raises
-    ``NonPositiveStep``, other errors as for ``_path_grid``.
+    ``NonPositiveStep``, other errors as for ``_path_grid`` and ``_stream``.
     """
     times = _path_grid(T, h, rv.dim, min_steps=1)
-    values = _walk_sample(rv, h, times, 1, np.random.default_rng([seed, path_index]))
+    values = _walk_sample(rv, h, times, 1, _stream(seed, path_index))
     return Path(times=times, values=values[0], kind="walk")
 
 
@@ -289,10 +301,10 @@ def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: 
     """One trajectory of the limit martingale, on the fine grid of dt, with its jump log.
 
     Errors as for ``_path_grid``, which holds the grid and the expected jump
-    log to the memory budget before anything is drawn.
+    log to the memory budget before anything is drawn, and ``_stream``.
     """
     times = _path_grid(T, dt, spec.dim, jumps=float(np.sum(spec.intensities)) * T)
-    rng = np.random.default_rng([seed, path_index])
+    rng = _stream(seed, path_index)
     counts = []
     values = _limit_sample(spec, times, 1, rng, counts)[0]
     # jump j of direction d in interval k: a uniform time in (times[k-1], times[k]]
@@ -308,21 +320,21 @@ def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: 
 def walk_ensemble(rv: ObtuseRV, h: float, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
     """Walk values at the grid times for many paths, shape (n_paths, n_t, N).
 
-    The walk sampler with the stream ``[seed]``; errors as for ``_check``
-    and ``_check_ensemble``.
+    The walk sampler with the stream ``[seed]``; errors as for ``_check``,
+    ``_stream`` and ``_check_ensemble``.
     """
     grid = _check(t_grid, n_paths, h)
-    return _walk_sample(rv, h, grid, int(n_paths), np.random.default_rng([seed]))
+    return _walk_sample(rv, h, grid, int(n_paths), _stream(seed))
 
 
 def limit_ensemble(spec: LimitSpec, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
     """Limit-martingale values at the grid times, shape (n_paths, n_t, N).
 
     The limit sampler with the stream ``[seed]``; errors as for ``_check``,
-    ``_check_ensemble`` and ``_limit_sample``.
+    ``_stream``, ``_check_ensemble`` and ``_limit_sample``.
     """
     grid = _check(t_grid, n_paths)
-    return _limit_sample(spec, grid, int(n_paths), np.random.default_rng([seed]))
+    return _limit_sample(spec, grid, int(n_paths), _stream(seed))
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from .obtuse import (
     _require_constant,
     _require_coordinate,
     _require_obtuse,
+    _require_tensor,
     _sym0,
     _sym1,
     check_symmetries,
@@ -139,7 +140,7 @@ def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
     probes, and generically one), and the O(d^4) certificate; the O(d^5)
     sweep only for a tensor the certificate rejects.
     """
-
+    _require_tensor(tensor)
     unflagged = Tensor3(tensor.entries, has_constant=False)
 
     def kernel():
@@ -381,6 +382,7 @@ def transform(u, tensor: Tensor3, tol: float = DEFAULT_TOL) -> Tensor3:
     automatically, fixing e_0) or on C^{N+1} already fixing e_0.
     ``transform(u.conj().T, transform(u, t))`` returns ``t``.
     """
+    _require_tensor(tensor)
     mat = _full_unitary(u, tensor, tol)
     d = len(mat)
     # three mode products, p then n then m: a ready-made einsum path search
@@ -400,6 +402,7 @@ def is_real_tensor(tensor: Tensor3, tol: float = DEFAULT_TOL) -> bool:
     ``_bound(tol, max|S|)``, not realness of the entries: a complex variable
     can have an all-real tensor.
     """
+    _require_tensor(tensor)
     s = tensor.entries
     defect = np.abs(s - s.transpose(2, 1, 0)).max(initial=0.0)
     return bool(defect <= _bound(tol, np.abs(s).max(initial=0.0)))

@@ -1,16 +1,18 @@
 """One guard per kind of input, and every public function that reads one.
 
 Each kind of input the library accepts has one guard in ``obtuse``: a vector
-family (``_as_family``), a probability vector, a time step, and a
-constant-coordinate tensor with a coordinate index.  Every case below is a
-(public function, malformed input) pair that must raise one typed
-``ObtuseWalkError`` subclass (``FormatError`` for a JSON document) naming
-the broken rule; pytest turns a RuntimeWarning on the way into an error.
+family (``_as_family``), a probability vector, a time step, an integer (a
+coordinate index, a count, a seed), a tensor, and a constant-coordinate
+tensor.  Every case below is a (public function, malformed input) pair that
+must raise one typed ``ObtuseWalkError`` subclass (``FormatError`` for a
+JSON document) naming the broken rule; pytest turns a RuntimeWarning on the
+way into an error, and the tensor and argument cases any warning.
 Empty input that is well formed (dimension 0) gets an answer, not an
 untyped numpy error.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,16 +23,22 @@ from obtusewalk import (
     Tensor3,
     TensorFamily,
     chain_mult_op,
+    check_symmetries,
     classify,
     conj_mult_op,
+    diagonalize,
     distribution_compare,
     embed_general,
     empirical_brackets,
+    expectation_functional,
     extract_phases,
     is_real_tensor,
+    limit_ensemble,
+    limit_path,
     limit_tensor,
     mult_op,
     obtuse_fixed_points,
+    random_system,
     realify,
     relate_same_probabilities,
     rv_is_centered_normalized,
@@ -52,6 +60,7 @@ from obtusewalk.errors import (
     ProbabilityMismatch,
 )
 from obtusewalk.serialize import FormatError
+from obtusewalk.limits import DEFAULT_STEPS
 from conftest import REFERENCE_VALUES, bernoulli_rv, reference_tensor_entries, to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "obtusewalk"
@@ -168,6 +177,8 @@ def test_malformed_probabilities(name, p):
         PROBABILITY_CALLS[name](p)
 
 
+NOT_INT = "must be a nonnegative integer, got "
+NOT_TENSOR = "expected a Tensor3, got ndarray"
 NO_CONSTANT = Tensor3(reference_tensor_entries(), has_constant=False)
 EMPTY_TENSOR = Tensor3(np.zeros((0, 0, 0)), has_constant=True)
 
@@ -208,8 +219,47 @@ TENSOR_CASES = [
         None,
         "unitary must fix the constant coordinate e_0",
     ),
-    ("classify-ndarray", lambda t: classify(t.entries), None, "unsupported limit tensor input"),
+    # a flag or a float is no coordinate, though True == 1 and 1.0 == 1
+    *[
+        (f"{name}-{i!r}", lambda t, call=call, i=i: call(t, i), None, f"coordinate {NOT_INT}{i!r}")
+        for name, call in (
+            ("mult_op", mult_op),
+            ("conj_mult_op", conj_mult_op),
+            (
+                "expectation_functional",
+                lambda t, i: expectation_functional(
+                    ObtuseRV.from_values(REFERENCE_VALUES), [(1.0, ((i, False),))]
+                ),
+            ),
+            ("chain_mult_op", lambda t, i: chain_mult_op(t, i, 2, 0.1)),
+        )
+        for i in (True, 1.0)
+    ],
+    (
+        "chain_mult_op-1.5-sites",
+        lambda t: chain_mult_op(t, 1, 1.5, 0.1),
+        None,
+        f"number of sites {NOT_INT}1.5",
+    ),
     ("chain_mult_op-no-sites", lambda t: chain_mult_op(t, 1, 0, 0.1), None, "at least one site"),
+    # an ndarray where a Tensor3 belongs
+    *[
+        (f"{name}-ndarray", lambda t, call=call: call(t.entries), None, NOT_TENSOR)
+        for name, call in (
+            ("classify", classify),
+            ("diagonalize", diagonalize),
+            ("obtuse_fixed_points", obtuse_fixed_points),
+            ("realify", realify),
+            ("transform", lambda e: transform(np.eye(3), e)),
+            ("check_symmetries", check_symmetries),
+            ("is_real_tensor", is_real_tensor),
+            ("mult_op", lambda e: mult_op(e, 1)),
+            (
+                "limit_tensor",
+                lambda e: limit_tensor(TensorFamily.from_samples(DEFAULT_STEPS[:3], [e] * 3)),
+            ),
+        )
+    ],
 ]
 
 
@@ -220,8 +270,10 @@ TENSOR_CASES = [
 )
 def test_malformed_tensor_or_coordinate(call, tensor, message):
     tensor = Tensor3(reference_tensor_entries()) if tensor is None else tensor
-    with pytest.raises(DimensionMismatch, match=message):
-        call(tensor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionMismatch, match=message):
+            call(tensor)
 
 
 def test_empty_tensor_is_real():
@@ -249,6 +301,8 @@ def test_the_guards_still_pass_valid_input():
         "time step must be positive and finite",
         "tensor does not carry a constant coordinate",
         "out of range for dimension",
+        "must be a nonnegative integer, got",
+        "expected a Tensor3, got",
     ],
 )
 def test_each_rule_is_written_once(message):
@@ -352,14 +406,58 @@ ARGUMENT_CASES = {
         FormatError,
         "family needs 'tensors', 'systems' or 'system'",
     ),
+    "walk_ensemble-negative-seed": (
+        lambda: walk_ensemble(bernoulli_rv(), 0.1, [1.0], 10, seed=-1),
+        DimensionMismatch,
+        "seed must be a nonnegative integer, got -1",
+    ),
+    "limit_ensemble-negative-seed": (
+        lambda: limit_ensemble(reference_spec(), [1.0], 10, seed=-1),
+        DimensionMismatch,
+        "seed must be a nonnegative integer, got -1",
+    ),
+    "walk_path-negative-path-index": (
+        lambda: walk_path(bernoulli_rv(), 0.1, 1.0, path_index=-1),
+        DimensionMismatch,
+        "path index must be a nonnegative integer, got -1",
+    ),
+    "limit_path-float-seed": (
+        lambda: limit_path(reference_spec(), 1.0, 0.1, seed=1.5),
+        DimensionMismatch,
+        "seed must be a nonnegative integer, got 1.5",
+    ),
+    "random_system-float-dimension": (
+        lambda: random_system(1.5, np.random.default_rng(0)),
+        DimensionMismatch,
+        "dimension must be a nonnegative integer, got 1.5",
+    ),
+    # a flag is no count, though True == 1
+    "walk_ensemble-flag-paths": (
+        lambda: walk_ensemble(bernoulli_rv(), 0.1, [1.0], True),
+        DimensionMismatch,
+        "number of paths must be a nonnegative integer, got True",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ARGUMENT_CASES))
 def test_malformed_argument(name):
     call, error, message = ARGUMENT_CASES[name]
-    with pytest.raises(error, match=message):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
+
+
+@pytest.mark.parametrize("path_index", [None, 3])
+def test_numpy_integer_seeds_give_the_draws_of_int_seeds(path_index):
+    # the stream key is built once, from whichever integer type the seed has
+    if path_index is None:
+        draw = lambda seed: walk_ensemble(bernoulli_rv(), 0.1, [1.0], 5, seed=seed)
+    else:
+        draw = lambda seed: walk_path(bernoulli_rv(), 0.1, 1.0, seed, np.int64(path_index)).values
+    assert np.array_equal(draw(np.int64(7)), draw(7))
+    assert np.array_equal(draw(np.uint64(2**64 - 1)), draw(2**64 - 1))
 
 
 def test_out_into_a_missing_directory(tmp_path, capsys):

@@ -19,6 +19,7 @@ from obtusewalk import (
     classify,
     diagonalize,
     limit_tensor,
+    mult_op,
     random_system,
     tensor_of,
     transform,
@@ -285,6 +286,18 @@ class TestLimitTensor:
         # forced-zero blocks
         assert np.max(np.abs(result.tensor.entries[0, :, :])) == 0.0
         assert np.max(np.abs(result.tensor.entries[:, 0, :])) == 0.0
+
+    def test_limit_carries_no_constant_coordinate(self, reference_tensor):
+        # the rescaled S^{0j}_k = h delta_jk vanish: coordinate 0 of a limit is
+        # time, where Lambda sits, not X^0 = 1, so mult_op(limit, 0) is no identity
+        result = limit_tensor(TensorFamily.constant(reference_tensor))
+        assert result.tensor.has_constant is False
+        assert serialize.tensor_doc(result.tensor)["constant_index"] is False
+        with pytest.raises(DimensionMismatch, match="does not carry a constant coordinate"):
+            mult_op(result.tensor, 0)
+        # the limit commands read the layout, not the flag
+        flagged = Tensor3(result.tensor.entries, has_constant=True)
+        assert check_limit_symmetries(flagged) == check_limit_symmetries(result)
 
     def test_jump_family_matches_known_limits(self):
         result = limit_tensor(jump_family())
