@@ -388,6 +388,12 @@ class LimitSpec:
         return len(self.brownian_basis)
 
 
+def _require_spec(spec) -> None:
+    """The guard of a limit-spec argument: ``DimensionMismatch`` unless a ``LimitSpec``."""
+    if not isinstance(spec, LimitSpec):
+        raise DimensionMismatch(f"expected a LimitSpec, got {type(spec).__name__}")
+
+
 def _real_complement(rows: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal real basis of the complement of K orthogonal real rows.
 

@@ -18,6 +18,7 @@ multiple threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +89,28 @@ def _corner_defect(m: np.ndarray) -> float:
     return max(abs(m[0, 0] - 1.0), float(edges.max(initial=0.0)))
 
 
+def _as_array(values, dtype=complex) -> np.ndarray:
+    """The guard of array input: ``values`` as a ``dtype`` array, ``DimensionMismatch``
+    for a ragged or non-numeric one, which numpy refuses with ``ValueError`` or ``TypeError``."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError):
+        raise DimensionMismatch(
+            f"expected a rectangular array of numbers, got {type(values).__name__}"
+        ) from None
+
+
+def _as_square(m) -> np.ndarray:
+    """The guard of a matrix argument: ``m`` as a complex (n, n) array (``_as_array``)."""
+    arr = _as_array(m)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
 def _as_vectors(values) -> np.ndarray:
-    """Stack a sequence of vectors into a complex (n, d) array."""
-    arr = np.asarray(values, dtype=complex)
+    """Stack a sequence of vectors into a complex (n, d) array (``_as_array``)."""
+    arr = _as_array(values)
     if arr.ndim != 2:
         raise DimensionMismatch(f"expected a family of vectors, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -129,9 +149,15 @@ def _require_probabilities(p: np.ndarray) -> None:
         raise DimensionMismatch("probabilities must be positive and sum to 1")
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is a real number (a Python or numpy one), not a flag or a string."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _require_step(h) -> None:
-    """The guard of a time step: ``NonPositiveStep`` unless 0 < h < inf (NaN fails)."""
-    if not 0 < h < math.inf:
+    """The guard of a time step: ``NonPositiveStep`` unless a real number (``_is_real``)
+    with 0 < h < inf (NaN fails)."""
+    if not (_is_real(h) and 0 < h < math.inf):
         raise NonPositiveStep(f"time step must be positive and finite, got {h}")
 
 
@@ -154,6 +180,13 @@ def _require_tensor(tensor) -> None:
     """The guard of a tensor argument: ``DimensionMismatch`` unless a ``Tensor3``."""
     if not isinstance(tensor, Tensor3):
         raise DimensionMismatch(f"expected a Tensor3, got {type(tensor).__name__}")
+
+
+def _require_variable(x) -> None:
+    """The guard of a variable argument: ``DimensionMismatch`` unless an ``ObtuseRV``
+    or the ``ObtuseSystem`` it reads as one."""
+    if not isinstance(x, (ObtuseRV, ObtuseSystem)):
+        raise DimensionMismatch(f"expected an ObtuseRV or ObtuseSystem, got {type(x).__name__}")
 
 
 def _require_constant(tensor: Tensor3, i: int = 0) -> None:
@@ -351,7 +384,7 @@ def rv_is_centered_normalized(values, probabilities, tol: float = DEFAULT_TOL):
     whose |x|^2 overflows gives a NaN bound, which fails, with no warning.
     """
     arr = _as_vectors(values)
-    p = np.asarray(probabilities, dtype=float)
+    p = _as_array(probabilities, float)
     if p.shape != (arr.shape[0],):
         raise DimensionMismatch("one probability per atom required")
     _require_probabilities(p)
@@ -380,7 +413,7 @@ class Tensor3:
     has_constant: bool = True
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = _as_array(self.entries)
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise DimensionMismatch(f"tensor entries must be a cube, got {arr.shape}")
         if not np.isfinite(arr).all():
@@ -403,7 +436,7 @@ class Tensor3:
 
     def apply(self, x) -> np.ndarray:
         """Contract on the third index: (S(x))^{ij} = sum_k S^{ij}_k x^k."""
-        vec = np.asarray(x, dtype=complex)
+        vec = _as_array(x)
         if vec.shape != (self.dim,):
             raise DimensionMismatch(f"expected a vector of dimension {self.dim}")
         return self.entries @ vec
@@ -415,6 +448,7 @@ def tensor_of(rv: ObtuseRV) -> Tensor3:
     Indices run over 0..N with X^0 = 1, so the tensor lives on C^{N+1}.  It is
     the unique tensor with X^i X^j = sum_k S^{ij}_k X^k on the atoms.
     """
+    _require_variable(rv)
     return Tensor3(entries=_khatri_rao(rv.probabilities, rv.hatted), has_constant=True)
 
 
@@ -573,6 +607,8 @@ def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL
     Returns ``(u, sigma)`` where ``sigma[i]`` is the atom of ``y`` matched to
     atom i of ``x``.
     """
+    _require_variable(x)
+    _require_variable(y)
     if x.dim != y.dim:
         raise DimensionMismatch("variables live in different dimensions")
     px, py = x.probabilities, y.probabilities
@@ -608,7 +644,8 @@ def embed_general(values, probabilities, y: ObtuseRV, tol: float = DEFAULT_TOL):
     """
     arr = _as_vectors(values)
     n, d = arr.shape
-    p = np.asarray(probabilities, dtype=float)
+    _require_variable(y)
+    p = _as_array(probabilities, float)
     if n < d + 1:
         raise MinimalSupport(
             f"a centered normalized variable in C^{d} needs at least {d + 1} atoms"
@@ -652,7 +689,7 @@ def system_from_probabilities(probabilities) -> ObtuseSystem:
     rows, divided by sqrt(p_i) and stripped of the first coordinate, form a
     real obtuse system with probabilities p.
     """
-    p = np.asarray(probabilities, dtype=float)
+    p = _as_array(probabilities, float)
     if p.ndim != 1 or len(p) < 2:
         raise DimensionMismatch("need at least two probabilities")
     _require_probabilities(p)

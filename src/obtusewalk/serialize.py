@@ -11,12 +11,16 @@ Each format has one document builder, ``*_doc``, whose complex arrays stay
 numpy arrays.  ``_plain`` turns a document into the plain one (every array
 becomes nested lists of {"re", "im"} objects, ``_complex_lists``), and
 ``dumps`` writes a document's text, byte for byte
-``json.dumps(plain, sort_keys=True)``, without building the plain one.  It
-encodes the skeleton with one call of json's C encoder, each array held by
-a placeholder string, and splices in the arrays' text.  That text costs one
-``%r`` pair per distinct entry of the document, keyed by its 16 bytes (so
--0.0 and 0.0 stay apart): the symmetric half of a tensor and the zero
-imaginary parts of a real one share one text each.
+``json.dumps(plain, sort_keys=True)``, without building the plain one, in
+one pass.  It encodes the skeleton with one call of json's C encoder, each
+array held by a placeholder string, doubles every ``%`` of the skeleton and
+puts in each placeholder's place a template of the array's nested lists
+with one ``%s`` per entry.  One ``%`` then fills every template with the
+entries' texts, one ``%r`` pair per distinct entry of the document, keyed by
+its 16 bytes (so -0.0 and 0.0 stay apart): the symmetric half of a tensor
+and the zero imaginary parts of a real one share one text each, and a
+non-finite entry is spelled as json spells it once per distinct entry.
+Nothing outlives the call.
 
 A limit spec is written as the parts that determine it: Lambda, V, the
 Poisson directions v_p with their intensities lambda_p, and the Brownian
@@ -32,15 +36,24 @@ booleans), array entries finite, flags booleans and dims integers.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
 import numpy as np
 
 from .errors import DimensionMismatch, ProbabilityMismatch
-from .limits import LimitSpec, TensorFamily
-from .obtuse import DEFAULT_TOL, ObtuseRV, ObtuseSystem, Tensor3, _bound, _khatri_rao
+from .limits import LimitSpec, TensorFamily, _require_spec
+from .obtuse import (
+    DEFAULT_TOL,
+    ObtuseRV,
+    ObtuseSystem,
+    Tensor3,
+    _as_square,
+    _bound,
+    _khatri_rao,
+    _require_tensor,
+    _require_variable,
+)
 
 
 class FormatError(ValueError):
@@ -120,43 +133,32 @@ def dumps(doc) -> str:
     def hold(obj):
         if not isinstance(obj, np.ndarray):
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        arrays.append(obj)
+        arrays.append(np.asarray(obj, dtype=complex))
         return _HOLE
 
-    parts = json.dumps(doc, sort_keys=True, default=hold).split(_HOLE_TEXT)
+    text = json.dumps(doc, sort_keys=True, default=hold)
+    parts = text.replace("%", "%%").split(_HOLE_TEXT)
     if len(parts) != len(arrays) + 1:  # a string of the document spells a hole
         return json.dumps(_plain(doc), sort_keys=True)
-    out = [parts[0]]
-    for text, part in zip(_array_texts(arrays), parts[1:]):
-        out += (text, part)
-    return "".join(out)
-
-
-def _array_texts(arrays) -> list:
-    """JSON text of each array, one ``%r`` pair per distinct entry of them all."""
     if not arrays:
-        return []
-    arrays = [np.asarray(a, dtype=complex) for a in arrays]
-    items = _entry_texts(np.concatenate([a.reshape(-1) for a in arrays]))
-    out, start = [], 0
-    for a in arrays:
-        frame = _frame(a.shape)
-        parts = [None] * (2 * len(frame) - 1)
-        parts[0::2] = frame
-        parts[1::2] = items[start : start + a.size]
-        start += a.size
-        text = "".join(parts)
-        if "n" in text:
-            # %r spells nan, inf and -inf; json spells NaN, Infinity and -Infinity
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        out.append(text)
-    return out
+        return text
+    template = [parts[0]]
+    for a, part in zip(arrays, parts[1:]):
+        template += (_template(a.shape), part)
+    entries = np.concatenate([a.reshape(-1) for a in arrays])
+    return "".join(template) % _entry_texts(entries)
 
 
-def _entry_texts(flat: np.ndarray) -> list:
+def _template(shape: tuple) -> str:
+    """Nested lists of ``shape`` with a ``%s`` per entry, in C order."""
+    text = "%s"
+    for m in reversed(shape):
+        text = "[" + ", ".join([text] * m) + "]"
+    return text
+
+
+def _entry_texts(flat: np.ndarray) -> tuple:
     """Text of each entry of a 1-d complex array, shared by entries with the same bits."""
-    if flat.size == 0:
-        return []
     bits = flat.view(np.uint64).reshape(-1, 2)
     order = np.lexsort(bits.T)
     run = bits[order]
@@ -166,17 +168,10 @@ def _entry_texts(flat: np.ndarray) -> list:
     inverse[order] = np.cumsum(first) - 1
     entries = flat[order[first]]
     texts = list(map(_ENTRY, zip(entries.imag.tolist(), entries.real.tolist())))
-    return np.array(texts, dtype=object)[inverse].tolist()
-
-
-@functools.lru_cache(maxsize=64)
-def _frame(shape: tuple) -> tuple:
-    """Text around the entries of nested lists of ``shape``: strings f_0 .. f_n
-    such that f_0 e_1 f_1 .. e_n f_n is the list, e_k its k-th entry in C order."""
-    text = "0"
-    for m in reversed(shape):
-        text = "[" + ", ".join([text] * m) + "]"
-    return tuple(text.split("0"))
+    for k in np.flatnonzero(~np.isfinite(entries)).tolist():
+        # %r spells nan, inf and -inf; json spells NaN, Infinity and -Infinity
+        texts[k] = texts[k].replace("nan", "NaN").replace("inf", "Infinity")
+    return tuple(np.array(texts, dtype=object)[inverse].tolist())
 
 
 def _complex_array(obj, ndim: int, what: str) -> np.ndarray:
@@ -226,7 +221,7 @@ def vector_to_json(vec) -> list:
 
 
 def matrix_doc(mat) -> dict:
-    arr = np.asarray(mat, dtype=complex)
+    arr = _as_square(mat)
     return {"dim": int(arr.shape[0]), "entries": arr}
 
 
@@ -239,6 +234,7 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def system_doc(system: ObtuseSystem) -> dict:
+    _require_variable(system)
     return {
         "dim": int(system.dim),
         "values": np.asarray(system.values, dtype=complex),
@@ -281,6 +277,7 @@ def probabilities_agree(declared, probabilities, tol: float) -> bool:
 
 
 def tensor_doc(tensor: Tensor3) -> dict:
+    _require_tensor(tensor)
     return {
         "dim": int(tensor.dim),
         "constant_index": bool(tensor.has_constant),
@@ -310,6 +307,7 @@ def tensor_from_json(obj) -> Tensor3:
 
 def limitspec_doc(spec: LimitSpec) -> dict:
     """The spec's parts that determine it: M is rebuilt from "poisson" on reading."""
+    _require_spec(spec)
     return {
         "dim": int(spec.dim),
         "Lambda": matrix_doc(spec.lambda_matrix),

@@ -53,8 +53,15 @@ from .errors import (
     TooFewIncrements,
     TooManyJumps,
 )
-from .limits import LimitSpec
-from .obtuse import ObtuseRV, _require_integer, _require_memory, _require_step
+from .limits import LimitSpec, _require_spec
+from .obtuse import (
+    ObtuseRV,
+    _is_real,
+    _require_integer,
+    _require_memory,
+    _require_step,
+    _require_variable,
+)
 
 # A horizon t spans n steps of size h when t/h lies at most this relative
 # distance below n, and a fine grid ends with T instead of a multiple of the
@@ -164,7 +171,7 @@ def _grid_size(T: float, step: float, min_steps: int = 0) -> float:
     """Times on the fine grid of step up to T (inf for T = inf), or ``NonPositiveStep``
     for a step not positive and finite or a horizon not positive or under ``min_steps``."""
     _require_step(step)
-    if not T > 0:
+    if not (_is_real(T) and T > 0):
         raise NonPositiveStep(f"horizon T must be positive, got {T}")
     if T / step * (1.0 + STEP_RTOL) < min_steps:  # _step_count(T, step) < min_steps
         raise NonPositiveStep(f"horizon T must cover at least {min_steps} step(s)")
@@ -286,12 +293,20 @@ class Path:
         return np.diff(self.values, axis=0)
 
 
+def _require_path(path) -> None:
+    """The guard of a path argument: ``DimensionMismatch`` unless a ``Path``."""
+    if not isinstance(path, Path):
+        raise DimensionMismatch(f"expected a Path, got {type(path).__name__}")
+
+
 def walk_path(rv: ObtuseRV, h: float, T: float, seed: int = 0, path_index: int = 0) -> Path:
     """One trajectory of the rescaled walk sum sqrt(h) X_1 + ... on [0, T].
 
     The walk sampler on the fine grid of h; a horizon below one step raises
-    ``NonPositiveStep``, other errors as for ``_path_grid`` and ``_stream``.
+    ``NonPositiveStep``, other errors as for ``_require_variable``, ``_path_grid``
+    and ``_stream``.
     """
+    _require_variable(rv)
     times = _path_grid(T, h, rv.dim, min_steps=1)
     values = _walk_sample(rv, h, times, 1, _stream(seed, path_index))
     return Path(times=times, values=values[0], kind="walk")
@@ -300,9 +315,11 @@ def walk_path(rv: ObtuseRV, h: float, T: float, seed: int = 0, path_index: int =
 def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: int = 0) -> Path:
     """One trajectory of the limit martingale, on the fine grid of dt, with its jump log.
 
-    Errors as for ``_path_grid``, which holds the grid and the expected jump
-    log to the memory budget before anything is drawn, and ``_stream``.
+    Errors as for ``_require_spec``, ``_path_grid``, which holds the grid and
+    the expected jump log to the memory budget before anything is drawn, and
+    ``_stream``.
     """
+    _require_spec(spec)
     times = _path_grid(T, dt, spec.dim, jumps=float(np.sum(spec.intensities)) * T)
     rng = _stream(seed, path_index)
     counts = []
@@ -320,9 +337,10 @@ def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: 
 def walk_ensemble(rv: ObtuseRV, h: float, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
     """Walk values at the grid times for many paths, shape (n_paths, n_t, N).
 
-    The walk sampler with the stream ``[seed]``; errors as for ``_check``,
-    ``_stream`` and ``_check_ensemble``.
+    The walk sampler with the stream ``[seed]``; errors as for
+    ``_require_variable``, ``_check``, ``_stream`` and ``_check_ensemble``.
     """
+    _require_variable(rv)
     grid = _check(t_grid, n_paths, h)
     return _walk_sample(rv, h, grid, int(n_paths), _stream(seed))
 
@@ -330,9 +348,11 @@ def walk_ensemble(rv: ObtuseRV, h: float, t_grid, n_paths: int, seed: int = 0) -
 def limit_ensemble(spec: LimitSpec, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
     """Limit-martingale values at the grid times, shape (n_paths, n_t, N).
 
-    The limit sampler with the stream ``[seed]``; errors as for ``_check``,
-    ``_stream``, ``_check_ensemble`` and ``_limit_sample``.
+    The limit sampler with the stream ``[seed]``; errors as for
+    ``_require_spec``, ``_check``, ``_stream``, ``_check_ensemble`` and
+    ``_limit_sample``.
     """
+    _require_spec(spec)
     grid = _check(t_grid, n_paths)
     return _limit_sample(spec, grid, int(n_paths), _stream(seed))
 
@@ -375,7 +395,12 @@ def _sum_and_se(prod: np.ndarray):
 
 
 def empirical_brackets(path: Path, spec: LimitSpec | None = None) -> BracketEstimate:
-    """Realized covariation matrices of a path from its increments."""
+    """Realized covariation matrices of a path from its increments; a path or
+    spec of another type raises ``DimensionMismatch`` (``_require_path``,
+    ``_require_spec``)."""
+    _require_path(path)
+    if spec is not None:
+        _require_spec(spec)
     dz = path.increments
     if dz.shape[0] < 100:
         raise TooFewIncrements(f"need at least 100 increments, got {dz.shape[0]}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotSymmetric
-from .obtuse import DEFAULT_TOL, _bound, _identity_defect
+from .obtuse import DEFAULT_TOL, _as_square, _bound, _identity_defect
 
 _EPS = np.finfo(float).eps
 # singular values (here) or eigenvalues (``tensor.diagonalize``) at a relative
@@ -114,9 +114,7 @@ def takagi(m, tol: float = DEFAULT_TOL) -> TakagiResult:
     exceeds that bound (which indicates pathological input rather than an
     unlucky run: the algorithm is direct, not iterative).
     """
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {arr.shape}")
+    arr = _as_square(m)
     if not np.isfinite(arr).all():
         raise DimensionMismatch("matrix entries must be finite")
     n = arr.shape[0]

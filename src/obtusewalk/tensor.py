@@ -48,6 +48,7 @@ from .obtuse import (
     ObtuseSystem,
     SymmetryReport,
     Tensor3,
+    _as_array,
     _as_family,
     _bound,
     _corner_defect,
@@ -352,7 +353,7 @@ def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:
 
 def _full_unitary(u, tensor: Tensor3, tol: float) -> np.ndarray:
     """Coerce u to a D x D unitary compatible with the tensor's indexing."""
-    mat = np.asarray(u, dtype=complex)
+    mat = _as_array(u)
     d = tensor.dim
     if mat.shape == (d - 1, d - 1) and tensor.has_constant:
         full = np.eye(d, dtype=complex)

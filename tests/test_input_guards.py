@@ -1,9 +1,11 @@
 """One guard per kind of input, and every public function that reads one.
 
-Each kind of input the library accepts has one guard in ``obtuse``: a vector
-family (``_as_family``), a probability vector, a time step, an integer (a
-coordinate index, a count, a seed), a tensor, and a constant-coordinate
-tensor.  Every case below is a (public function, malformed input) pair that
+Each kind of input the library accepts has one guard: in ``obtuse``, an
+array of numbers (``_as_array``), a square matrix, a vector family
+(``_as_family``), a probability vector, a time step, an integer (a
+coordinate index, a count, a seed), a variable, a tensor and a
+constant-coordinate tensor; a limit spec in ``limits`` and a path in
+``simulate``.  Every case below is a (public function, malformed input) pair that
 must raise one typed ``ObtuseWalkError`` subclass (``FormatError`` for a
 JSON document) naming the broken rule; pytest turns a RuntimeWarning on the
 way into an error, and the tensor and argument cases any warning.
@@ -46,8 +48,10 @@ from obtusewalk import (
     system_from_probabilities,
     takagi,
     tensor_from_family,
+    tensor_of,
     transform,
     triangularize_system,
+    validate_obtuse_system,
     walk_ensemble,
     walk_path,
 )
@@ -81,6 +85,9 @@ NO_ROWS = (np.zeros((0, 0)), DimensionMismatch, r"need 1 vectors in C\^0, got 0"
 # |v_0|^2 = 1e320 overflows
 OVERFLOW = ([[1e160], [-1e-160]], DimensionMismatch, r"\|v\|\^2 of vector 0 is inf")
 ZERO = ([[0.0], [-1.0]], DimensionMismatch, "obtuse systems contain no zero vector")
+NOT_NUMBERS = "expected a rectangular array of numbers, got "
+RAGGED = ([[1.0, 0.0], [0.0]], DimensionMismatch, NOT_NUMBERS + "list")
+STRING = ("x", DimensionMismatch, NOT_NUMBERS + "str")
 SYSTEM_CASES = {
     "1-D": ONE_D,
     "empty": EMPTY,
@@ -90,6 +97,8 @@ SYSTEM_CASES = {
     "no-rows": NO_ROWS,
     "overflow": OVERFLOW,
     "zero": ZERO,
+    "ragged": RAGGED,
+    "string": STRING,
 }
 # any number of orthogonal vectors is a family, so none is short
 FAMILY_ONLY_CASES = {
@@ -107,6 +116,8 @@ FAMILY_ONLY_CASES = {
     "zero": ([[1.0, 0.0], [0.0, 0.0]], DimensionMismatch, r"\|v\|\^2 of vector 1 is 0"),
     # |v|^2 = 1e-320 is positive, but its weight 1/|v|^2 overflows
     "subnormal": ([[1e-160]], DimensionMismatch, "tensor entries must be finite"),
+    "ragged": RAGGED,
+    "string": STRING,
 }
 # a general variable may have more than N+1 atoms, and a zero atom
 VARIABLE_CASES = {
@@ -118,12 +129,14 @@ VARIABLE_CASES = {
     "no-rows": (np.zeros((0, 0)), MinimalSupport, "needs at least 1 atoms"),
     # the covariance overflows: the check fails on a NaN bound, with no warning
     "overflow": ([[1e200], [-1e200]], DimensionMismatch, "not centered normalized"),
+    "ragged": RAGGED,
+    "string": STRING,
 }
 
 FAMILY_CASES = [
     (fn, label, case)
     for fns, cases in (
-        ((extract_phases, triangularize_system), SYSTEM_CASES),
+        ((extract_phases, triangularize_system, validate_obtuse_system), SYSTEM_CASES),
         ((tensor_from_family,), FAMILY_ONLY_CASES),
         ((embed,), VARIABLE_CASES),
     )
@@ -158,7 +171,7 @@ STEP_CALLS = {
 
 
 @pytest.mark.parametrize("name", sorted(STEP_CALLS))
-@pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf, "a"])
 def test_malformed_step(name, h):
     with pytest.raises(NonPositiveStep, match=f"time step must be positive and finite, got {h}"):
         STEP_CALLS[name](h)
@@ -212,6 +225,7 @@ TENSOR_CASES = [
     ("Tensor3-not-a-cube", lambda t: Tensor3(t.entries[:, :, :2]), None, "must be a cube"),
     ("Tensor3.apply-length", lambda t: t.apply(np.ones(2)), None, "a vector of dimension 3"),
     ("transform-shape", lambda t: transform(np.eye(4), t), None, r"unitary of shape \(4, 4\)"),
+    ("transform-string", lambda t: transform("x", t), None, NOT_NUMBERS + "str"),
     # swaps e_0 and e_1
     (
         "transform-moves-e0",
@@ -254,6 +268,7 @@ TENSOR_CASES = [
             ("check_symmetries", check_symmetries),
             ("is_real_tensor", is_real_tensor),
             ("mult_op", lambda e: mult_op(e, 1)),
+            ("tensor_doc", serialize.tensor_doc),
             (
                 "limit_tensor",
                 lambda e: limit_tensor(TensorFamily.from_samples(DEFAULT_STEPS[:3], [e] * 3)),
@@ -287,6 +302,11 @@ def test_the_guards_still_pass_valid_input():
     phases, system = extract_phases(triangularize_system(rv.values)[1])
     assert np.allclose(np.abs(phases), 1.0) and system.dim == 2
     assert mult_op(Tensor3(reference_tensor_entries()), 2).shape == (3, 3)
+    # a system reads as its variable wherever a variable belongs
+    assert np.array_equal(tensor_of(rv.system).entries, tensor_of(rv).entries)
+    assert serialize.dumps(serialize.system_doc(rv)) == serialize.dumps(
+        serialize.system_doc(rv.system)
+    )
 
 
 @pytest.mark.parametrize(
@@ -303,6 +323,12 @@ def test_the_guards_still_pass_valid_input():
         "out of range for dimension",
         "must be a nonnegative integer, got",
         "expected a Tensor3, got",
+        "expected a rectangular array of numbers, got",
+        "expected a square matrix, got shape",
+        "expected an ObtuseRV or ObtuseSystem, got",
+        "expected a LimitSpec, got",
+        "expected a Path, got",
+        "horizon T must be positive, got",
     ],
 )
 def test_each_rule_is_written_once(message):
@@ -321,6 +347,10 @@ def reference_spec():
     rv = ObtuseRV.from_values(REFERENCE_VALUES)
     return classify(limit_tensor(TensorFamily.constant(rv)))
 
+
+NOT_VARIABLE = "expected an ObtuseRV or ObtuseSystem, got ndarray"
+NOT_SPEC = "expected a LimitSpec, got ndarray"
+VALUES = np.array(REFERENCE_VALUES)
 
 # (call, error, message) per guard on an argument that is no family, step,
 # probability vector or tensor
@@ -425,6 +455,69 @@ ARGUMENT_CASES = {
         lambda: limit_path(reference_spec(), 1.0, 0.1, seed=1.5),
         DimensionMismatch,
         "seed must be a nonnegative integer, got 1.5",
+    ),
+    # a string where a number belongs
+    "walk_path-string-horizon": (
+        lambda: walk_path(bernoulli_rv(), 0.01, "1"),
+        NonPositiveStep,
+        "horizon T must be positive, got 1",
+    ),
+    "takagi-string": (lambda: takagi("x"), DimensionMismatch, NOT_NUMBERS + "str"),
+    "system_from_probabilities-string": (
+        lambda: system_from_probabilities([0.5, "a"]),
+        DimensionMismatch,
+        NOT_NUMBERS + "list",
+    ),
+    # an ndarray where a variable, a spec, a path or a matrix belongs
+    "tensor_of-ndarray": (lambda: tensor_of(VALUES), DimensionMismatch, NOT_VARIABLE),
+    "walk_path-ndarray": (lambda: walk_path(VALUES, 0.1, 1.0), DimensionMismatch, NOT_VARIABLE),
+    "walk_ensemble-ndarray": (
+        lambda: walk_ensemble(VALUES, 0.1, [1.0], 10),
+        DimensionMismatch,
+        NOT_VARIABLE,
+    ),
+    "relate_same_probabilities-ndarray": (
+        lambda: relate_same_probabilities(VALUES, ObtuseRV.from_values(REFERENCE_VALUES)),
+        DimensionMismatch,
+        NOT_VARIABLE,
+    ),
+    "embed_general-ndarray": (
+        lambda: embed_general([[1.0], [-1.0]], [0.5, 0.5], np.array([[1.0], [-1.0]])),
+        DimensionMismatch,
+        NOT_VARIABLE,
+    ),
+    "system_doc-ndarray": (lambda: serialize.system_doc(VALUES), DimensionMismatch, NOT_VARIABLE),
+    "limit_ensemble-ndarray": (
+        lambda: limit_ensemble(VALUES, [1.0], 10),
+        DimensionMismatch,
+        NOT_SPEC,
+    ),
+    "limit_path-ndarray": (lambda: limit_path(VALUES, 1.0, 0.1), DimensionMismatch, NOT_SPEC),
+    "limitspec_doc-ndarray": (
+        lambda: serialize.limitspec_doc(VALUES),
+        DimensionMismatch,
+        NOT_SPEC,
+    ),
+    "empirical_brackets-ndarray-path": (
+        lambda: empirical_brackets(np.zeros((200, 2)), reference_spec()),
+        DimensionMismatch,
+        "expected a Path, got ndarray",
+    ),
+    "empirical_brackets-ndarray-spec": (
+        lambda: empirical_brackets(walk_path(bernoulli_rv(), 0.001, 1.0), VALUES),
+        DimensionMismatch,
+        NOT_SPEC,
+    ),
+    # a "matrix" document that matrix_from_json would refuse
+    "matrix_doc-3-d": (
+        lambda: serialize.matrix_doc(np.zeros((2, 2, 2))),
+        DimensionMismatch,
+        r"expected a square matrix, got shape \(2, 2, 2\)",
+    ),
+    "matrix_doc-ragged": (
+        lambda: serialize.matrix_doc([[1.0, 2.0], [3.0]]),
+        DimensionMismatch,
+        NOT_NUMBERS + "list",
     ),
     "random_system-float-dimension": (
         lambda: random_system(1.5, np.random.default_rng(0)),

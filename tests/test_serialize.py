@@ -1,6 +1,7 @@
 """JSON writers and readers: array-wise complex lists, typed reader errors."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,10 +106,19 @@ def test_dumps_spells_non_finite_floats_as_json_does():
     assert "NaN" in text and ": Infinity" in text and "-Infinity" in text
 
 
-def test_dumps_writes_documents_as_json_dumps_of_their_plain_form():
+def special_array(shape):
+    """Entries -0.0, NaN, inf and -inf, cycled through both parts of an array of ``shape``."""
+    arr = np.empty(shape, dtype=complex)
+    flat = arr.reshape(-1)
+    flat.real = np.resize([-0.0, np.nan, np.inf, -np.inf], flat.size)
+    flat.imag = np.resize([np.inf, -0.0, -np.inf, np.nan], flat.size)
+    return arr
+
+
+def system_and_tensor_doc():
     rng = np.random.default_rng(2)
     system = random_system(3, rng)
-    doc = {
+    return {
         "system": serialize.system_doc(system),
         "tensor": serialize.tensor_doc(tensor_of(system)),
         "rows": [{"v": v, "w": float(w)} for v, w in zip(system.values, system.probabilities)],
@@ -117,7 +127,45 @@ def test_dumps_writes_documents_as_json_dumps_of_their_plain_form():
         "flag": True,
         "text": "hé",
     }
-    assert serialize.dumps(doc) == json.dumps(serialize._plain(doc), sort_keys=True)
+
+
+PERCENT_DOC = {
+    "%": "%s",
+    "%s": [special_array(()), "%%", {"a%%b": special_array((1, 1, 1))}],
+    "100%": special_array((0, 3)),
+    "x": [special_array((2, 0)), "%d %(x)s %", special_array((2, 3))],
+}
+SHARED = special_array((2, 2))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        system_and_tensor_doc(),
+        PERCENT_DOC,
+        {"n": 3, "flags": [True, False, None], "text": "no array, 100% plain"},
+        # the same array twice, and the same document written twice below
+        {"a": SHARED, "b": [SHARED, {"c": SHARED}]},
+    ],
+    ids=["system-and-tensor", "percent-signs-and-special-entries", "no-array", "shared-array"],
+)
+def test_dumps_writes_documents_as_json_dumps_of_their_plain_form(doc):
+    text = json.dumps(serialize._plain(doc), sort_keys=True)
+    assert serialize.dumps(doc) == text
+    assert serialize.dumps(doc) == text
+
+
+def test_dumps_retains_nothing():
+    # a d = 65 tensor write; a cache of the text around its entries held 15.5 MiB
+    doc = serialize.tensor_doc(tensor_of(random_system(64, np.random.default_rng(0))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        serialize.dumps(doc)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20, retained
 
 
 def test_dumps_of_a_document_whose_string_spells_a_placeholder():
