@@ -128,7 +128,7 @@ def cmd_realify(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    family = serialize.family_from_json(_load_json(args.input), limits.DEFAULT_STEPS, args.tol)
+    family = serialize.family_from_json(_load_json(args.input), args.tol)
     result = limits.limit_tensor(family, tol=args.tol)
     spec = limits.classify(result, tol=args.tol)
     doc = serialize.limitspec_doc(spec)

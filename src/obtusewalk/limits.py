@@ -12,7 +12,7 @@ martingale: jumps happen along the fixed points of M with Poisson rates
 A ``Tensor3`` sample and the limit of ``classify`` go through the gate of
 ``diagonalize`` (``tensor._certify_or_sweep``): the fixed points certify
 double symmetry at O(d^4), and a tensor they fail to certify is swept once,
-with the results and errors of sweeping first.  An ``ObtuseRV`` sample is
+with the results and errors of sweeping first.  An ``ObtuseSystem`` sample is
 valid, so its tensor is doubly symmetric (the characterization theorem) and
 is not checked.  ``classify`` adds the four Lambda relations to the gate's
 report, so on a certified report sym2 and sym3 are the certificate's upper
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .obtuse import (
     DEFAULT_TOL,
-    ObtuseRV,
+    ObtuseSystem,
     SymmetryReport,
     Tensor3,
     _bound,
@@ -73,9 +73,9 @@ _STREAM_BLOCKS = 9
 @dataclass(frozen=True)
 class TensorFamily:
     """A map h -> S(h) sampled on a decreasing grid of steps: a sample is the
-    ``Tensor3`` S(h) or an ``ObtuseRV`` whose tensor is S(h)."""
+    ``Tensor3`` S(h) or an ``ObtuseSystem`` whose tensor is S(h)."""
 
-    tensor_at: object  # callable h -> Tensor3 | ObtuseRV
+    tensor_at: object  # callable h -> Tensor3 | ObtuseSystem
     steps: tuple
 
     def __post_init__(self):
@@ -97,10 +97,10 @@ class TensorFamily:
         return cls(tensor_at=dict(zip(steps, samples)).__getitem__, steps=steps)
 
     @classmethod
-    def constant(cls, sample: Tensor3 | ObtuseRV, steps=DEFAULT_STEPS) -> "TensorFamily":
+    def constant(cls, sample: Tensor3 | ObtuseSystem, steps=DEFAULT_STEPS) -> "TensorFamily":
         return cls(tensor_at=lambda h: sample, steps=steps)
 
-    def sample(self) -> list[Tensor3 | ObtuseRV]:
+    def sample(self) -> list[Tensor3 | ObtuseSystem]:
         return [self.tensor_at(h) for h in self.steps]
 
 
@@ -168,7 +168,7 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
     sample object's tensor (``_sample_tensor``) is added into the sums with
     the sum of its steps' weights, and dropped; if there is one object, the
     limit is in closed form (``_constant_limit``).  First, ``DimensionMismatch``
-    unless each distinct sample is an ``ObtuseRV`` or a ``Tensor3`` carrying
+    unless each distinct sample is an ``ObtuseSystem`` or a ``Tensor3`` carrying
     X^0 = 1 (``_sample_dim``) and all share one dimension, then ``TooLarge``
     if the peak exceeds the memory budget: one check's sweep (``_sweep_bytes``)
     plus two d^3 blocks if constant, else ``_STREAM_BLOCKS`` and one per
@@ -217,10 +217,10 @@ def limit_tensor(family: TensorFamily, tol: float = DEFAULT_TOL) -> LimitTensorR
 
 
 def _sample_tensor(sample, h: float, tol: float) -> Tensor3:
-    """A family sample's tensor: an ``ObtuseRV``'s built unchecked, a flagged
+    """A family sample's tensor: an ``ObtuseSystem``'s built unchecked, a flagged
     ``Tensor3`` through the gate of ``diagonalize``, whose report alone decides
     it, so no error of the fixed-point kernel escapes (``NotDoublySymmetric``)."""
-    if isinstance(sample, ObtuseRV):
+    if isinstance(sample, ObtuseSystem):
         return tensor_of(sample)
     _, report, _ = _certify_or_sweep(
         sample, tol, lambda: (None, _fixed_points(sample, tol).vectors)
@@ -233,8 +233,8 @@ def _sample_tensor(sample, h: float, tol: float) -> Tensor3:
 
 def _sample_dim(sample) -> int:
     """Dimension d = N + 1 of the tensor of a family sample, without building it, once
-    a sample that is no ``ObtuseRV`` passes ``_require_constant``."""
-    if isinstance(sample, ObtuseRV):
+    a sample that is no ``ObtuseSystem`` passes ``_require_constant``."""
+    if isinstance(sample, ObtuseSystem):
         return sample.dim + 1
     _require_constant(sample)
     return sample.dim

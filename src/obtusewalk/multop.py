@@ -18,7 +18,7 @@ import numpy as np
 
 from . import obtuse
 from .errors import ChainTooLarge, DimensionMismatch
-from .obtuse import ObtuseRV, Tensor3, _require_memory, tensor_of
+from .obtuse import ObtuseSystem, Tensor3, _require_memory, tensor_of
 
 
 def mult_op(tensor: Tensor3, i: int) -> np.ndarray:
@@ -42,7 +42,7 @@ def conj_mult_op(tensor: Tensor3, i: int) -> np.ndarray:
     return np.conj(tensor.entries[i]).copy()
 
 
-def expectation_functional(rv: ObtuseRV, monomials) -> complex:
+def expectation_functional(rv: ObtuseSystem, monomials) -> complex:
     """E[f(X^1, ..., X^N)] via functional calculus on multiplication operators.
 
     ``monomials`` is an iterable of ``(coefficient, factors)`` pairs where
@@ -71,7 +71,7 @@ def expectation_functional(rv: ObtuseRV, monomials) -> complex:
     return complex(total)
 
 
-def direct_expectation(rv: ObtuseRV, monomials) -> complex:
+def direct_expectation(rv: ObtuseSystem, monomials) -> complex:
     """Oracle for ``expectation_functional``: plain atom sums."""
     vhat = rv.hatted
     p = rv.probabilities
@@ -161,7 +161,7 @@ def chain_mult_op(tensor: Tensor3, i: int, n_sites: int, h: float) -> ChainOpera
     return ChainOperator(n_sites=n_sites, site_dim=d, matrix=total)
 
 
-def direct_chain_mult_op(rv: ObtuseRV, i: int, n_sites: int, h: float) -> ChainOperator:
+def direct_chain_mult_op(rv: ObtuseSystem, i: int, n_sites: int, h: float) -> ChainOperator:
     """Oracle for ``chain_mult_op``: direct multiplication matrix on Omega^n.
 
     Enumerates all atom tuples of the product space and all product basis

@@ -91,13 +91,16 @@ def _corner_defect(m: np.ndarray) -> float:
 
 def _as_array(values, dtype=complex) -> np.ndarray:
     """The guard of array input: ``values`` as a ``dtype`` array, ``DimensionMismatch``
-    for a ragged or non-numeric one, which numpy refuses with ``ValueError`` or ``TypeError``."""
+    for a ragged or non-numeric one, which numpy refuses with ``ValueError`` or ``TypeError``,
+    for text, which numpy would parse ("0.5"), and for complex input to a real ``dtype``."""
+    refused = "USc" if np.dtype(dtype).kind == "f" else "US"
     try:
-        return np.asarray(values, dtype=dtype)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in refused:
+            return arr.astype(dtype, copy=False)
     except (TypeError, ValueError):
-        raise DimensionMismatch(
-            f"expected a rectangular array of numbers, got {type(values).__name__}"
-        ) from None
+        pass
+    raise DimensionMismatch(f"expected a rectangular array of numbers, got {type(values).__name__}")
 
 
 def _as_square(m) -> np.ndarray:
@@ -156,9 +159,10 @@ def _is_real(x) -> bool:
 
 def _require_step(h) -> None:
     """The guard of a time step: ``NonPositiveStep`` unless a real number (``_is_real``)
-    with 0 < h < inf (NaN fails)."""
+    with 0 < h < inf (NaN fails); a non-real is shown by ``repr``, so "1" is no 1."""
     if not (_is_real(h) and 0 < h < math.inf):
-        raise NonPositiveStep(f"time step must be positive and finite, got {h}")
+        shown = h if _is_real(h) else repr(h)
+        raise NonPositiveStep(f"time step must be positive and finite, got {shown}")
 
 
 def _require_integer(n, what: str) -> None:
@@ -183,9 +187,9 @@ def _require_tensor(tensor) -> None:
 
 
 def _require_variable(x) -> None:
-    """The guard of a variable argument: ``DimensionMismatch`` unless an ``ObtuseRV``
-    or the ``ObtuseSystem`` it reads as one."""
-    if not isinstance(x, (ObtuseRV, ObtuseSystem)):
+    """The guard of a variable argument: ``DimensionMismatch`` unless an
+    ``ObtuseSystem``, an ``ObtuseRV`` included."""
+    if not isinstance(x, ObtuseSystem):
         raise DimensionMismatch(f"expected an ObtuseRV or ObtuseSystem, got {type(x).__name__}")
 
 
@@ -343,36 +347,22 @@ class ObtuseSystem:
         return out
 
 
-@dataclass(frozen=True)
-class ObtuseRV:
+class ObtuseRV(ObtuseSystem):
     """Obtuse random variable: an obtuse system read as a random variable.
 
-    The atom i carries the value ``system.values[i]`` with probability
-    ``system.probabilities[i]``.  The matrix with rows sqrt(p_i) (1, v_i) is
-    unitary exactly when the underlying family is obtuse.
+    The atom i carries the value ``values[i]`` with probability
+    ``probabilities[i]``; the class adds no state.  The matrix with rows
+    sqrt(p_i) (1, v_i) is unitary exactly when the family is obtuse.
     """
 
-    system: ObtuseSystem
+    def __init__(self, system: ObtuseSystem):
+        _require_variable(system)
+        object.__setattr__(self, "values", system.values)
+        object.__setattr__(self, "probabilities", system.probabilities)
 
     @classmethod
     def from_values(cls, values, tol: float = DEFAULT_TOL) -> "ObtuseRV":
         return cls(ObtuseSystem.from_values(values, tol))
-
-    @property
-    def dim(self) -> int:
-        return self.system.dim
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.system.values
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return self.system.probabilities
-
-    @property
-    def hatted(self) -> np.ndarray:
-        return self.system.hatted
 
 
 def rv_is_centered_normalized(values, probabilities, tol: float = DEFAULT_TOL):
@@ -442,7 +432,7 @@ class Tensor3:
         return self.entries @ vec
 
 
-def tensor_of(rv: ObtuseRV) -> Tensor3:
+def tensor_of(rv: ObtuseSystem) -> Tensor3:
     """The 3-tensor S^{ij}_k = E[X^i X^j conj(X^k)] of an obtuse variable.
 
     Indices run over 0..N with X^0 = 1, so the tensor lives on C^{N+1}.  It is
@@ -591,7 +581,7 @@ def _product_symmetries(s: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL):
+def relate_same_probabilities(x: ObtuseSystem, y: ObtuseSystem, tol: float = DEFAULT_TOL):
     """Unitary U on C^N with U v_i(x) = v_{sigma(i)}(y) for matched atoms.
 
     Two obtuse variables with the same probabilities differ by a unitary
@@ -634,7 +624,7 @@ def relate_same_probabilities(x: ObtuseRV, y: ObtuseRV, tol: float = DEFAULT_TOL
     return u, sigma
 
 
-def embed_general(values, probabilities, y: ObtuseRV, tol: float = DEFAULT_TOL):
+def embed_general(values, probabilities, y: ObtuseSystem, tol: float = DEFAULT_TOL):
     """Matrix A with X = A Y for a general centered normalized variable X.
 
     X takes n values in C^d with the given probabilities; ``y`` must be an

@@ -25,8 +25,9 @@ Nothing outlives the call.
 A limit spec is written as the parts that determine it: Lambda, V, the
 Poisson directions v_p with their intensities lambda_p, and the Brownian
 basis.  Its inner tensor M^{ij}_k = sum_p lambda_p v_p^i v_p^j conj(v_p^k),
-N^3 entries that repeat K N numbers, is rebuilt on reading.  A spec that
-still carries "M" is read if that M agrees with the rebuild.
+N^3 entries that repeat K N numbers, is rebuilt on reading, from
+intensities that must be the rates 1/|v_p|^2 of their directions.  A spec
+that still carries "M" is read if that M agrees with the rebuild.
 
 Readers parse nested lists of scalars back into one array
 (``_complex_array``) and turn ragged, misnested, mistyped or non-finite
@@ -42,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, ProbabilityMismatch
-from .limits import LimitSpec, TensorFamily, _require_spec
+from .limits import DEFAULT_STEPS, LimitSpec, TensorFamily, _require_spec
 from .obtuse import (
     DEFAULT_TOL,
     ObtuseRV,
@@ -327,7 +328,8 @@ def limitspec_to_json(spec: LimitSpec) -> dict:
 def limitspec_from_json(obj) -> LimitSpec:
     """Limit spec whose V, directions and basis all match Lambda's N.
 
-    M is rebuilt from the Poisson directions and intensities.  A document
+    M is rebuilt from the Poisson directions and intensities, each its
+    direction's rate 1/|v|^2 within ``_bound(DEFAULT_TOL, 1)``.  A document
     that still carries "M" (the format before it was dropped) must agree
     with the rebuild within ``_bound(DEFAULT_TOL, max|M|)``.
     """
@@ -361,8 +363,12 @@ def limitspec_from_json(obj) -> LimitSpec:
             f"{m_dim}, V {v.shape}, poisson directions {dirs.shape}, "
             f"brownian basis {basis.shape}"
         )
-    if not np.all((intensities > 0) & (intensities < np.inf)):
-        raise FormatError(f"poisson intensities must be positive and finite: {intensities}")
+    # an infinite rate on a zero direction, or a zero rate on one whose |v|^2
+    # overflows, gives NaN, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate_gaps = np.abs(intensities * np.sum(np.abs(dirs) ** 2, axis=1) - 1.0)
+    if not np.all(rate_gaps <= _bound(DEFAULT_TOL, 1.0)):
+        raise FormatError(f"poisson intensities must be 1/|v|^2 of their directions: {intensities}")
     inner = _khatri_rao(intensities, dirs)  # sum_p lambda_p v_p (x) v_p (x) conj(v_p)
     if written is not None:
         scale = float(np.max(np.abs(written.entries), initial=0.0))
@@ -382,12 +388,12 @@ def limitspec_from_json(obj) -> LimitSpec:
     )
 
 
-def family_from_json(obj, default_steps, tol: float = DEFAULT_TOL) -> TensorFamily:
+def family_from_json(obj, tol: float = DEFAULT_TOL) -> TensorFamily:
     """Tensor family from a document with sampled tensors or systems.
 
     Accepted shapes: {"steps", "tensors"}, {"steps", "systems"} (a system
     per step), or {"system"} with optional "steps" (h-independent family;
-    only an absent or null "steps" means ``default_steps``).  A system is
+    only an absent or null "steps" means ``DEFAULT_STEPS``).  A system is
     read at ``tol`` (``system_from_json``) and sampled as its ``ObtuseRV``,
     whose tensor ``limit_tensor`` builds; a tensor is sampled as read, and
     ``limit_tensor`` checks it.
@@ -407,5 +413,5 @@ def family_from_json(obj, default_steps, tol: float = DEFAULT_TOL) -> TensorFami
         return TensorFamily.from_samples(steps, [system_from_json(s, tol) for s in obj["systems"]])
     if "system" in obj:
         rv = system_from_json(obj["system"], tol)
-        return TensorFamily.constant(rv, default_steps if steps is None else steps)
+        return TensorFamily.constant(rv, DEFAULT_STEPS if steps is None else steps)
     raise FormatError("family needs 'tensors', 'systems' or 'system'")

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .limits import LimitSpec, _require_spec
 from .obtuse import (
-    ObtuseRV,
+    ObtuseSystem,
     _is_real,
     _require_integer,
     _require_memory,
@@ -172,7 +172,7 @@ def _grid_size(T: float, step: float, min_steps: int = 0) -> float:
     for a step not positive and finite or a horizon not positive or under ``min_steps``."""
     _require_step(step)
     if not (_is_real(T) and T > 0):
-        raise NonPositiveStep(f"horizon T must be positive, got {T}")
+        raise NonPositiveStep(f"horizon T must be positive, got {T if _is_real(T) else repr(T)}")
     if T / step * (1.0 + STEP_RTOL) < min_steps:  # _step_count(T, step) < min_steps
         raise NonPositiveStep(f"horizon T must cover at least {min_steps} step(s)")
     return np.ceil(T / step * (1.0 - STEP_RTOL)) + 1
@@ -200,7 +200,7 @@ def _stream(seed, path_index=None) -> np.random.Generator:
     return np.random.default_rng(key)
 
 
-def _walk_sample(rv: ObtuseRV, h: float, grid: np.ndarray, n_paths: int, rng) -> np.ndarray:
+def _walk_sample(rv: ObtuseSystem, h: float, grid: np.ndarray, n_paths: int, rng) -> np.ndarray:
     """Walk values at the grid times, shape (n_paths, n_t, N): a view of a time-major buffer.
 
     A run of equal intervals is one multinomial call of size (run, n_paths),
@@ -299,7 +299,7 @@ def _require_path(path) -> None:
         raise DimensionMismatch(f"expected a Path, got {type(path).__name__}")
 
 
-def walk_path(rv: ObtuseRV, h: float, T: float, seed: int = 0, path_index: int = 0) -> Path:
+def walk_path(rv: ObtuseSystem, h: float, T: float, seed: int = 0, path_index: int = 0) -> Path:
     """One trajectory of the rescaled walk sum sqrt(h) X_1 + ... on [0, T].
 
     The walk sampler on the fine grid of h; a horizon below one step raises
@@ -334,7 +334,7 @@ def limit_path(spec: LimitSpec, T: float, dt: float, seed: int = 0, path_index: 
     return Path(times, values, "limit", jump_times=jt[order], jump_dirs=jd[order])
 
 
-def walk_ensemble(rv: ObtuseRV, h: float, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
+def walk_ensemble(rv: ObtuseSystem, h: float, t_grid, n_paths: int, seed: int = 0) -> np.ndarray:
     """Walk values at the grid times for many paths, shape (n_paths, n_t, N).
 
     The walk sampler with the stream ``[seed]``; errors as for

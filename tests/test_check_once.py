@@ -5,8 +5,9 @@ internal steps after it trust the tensor it accepted.  ``diagonalize``,
 ``realify``, ``classify`` and ``limit_tensor`` (for ``Tensor3`` samples, at
 every dimension) certify a valid tensor by its fixed points instead and
 sweep only a tensor that the certificate rejects.  ``limit_tensor`` builds
-the tensor of an ``ObtuseRV`` sample and checks it neither way, and
-``obtusewalk limit`` samples a system file's systems as ``ObtuseRV``.
+the tensor of an ``ObtuseSystem`` sample (an ``ObtuseRV`` included) and
+checks it neither way, and ``obtusewalk limit`` samples a system file's
+systems as ``ObtuseRV``.
 ``obtusewalk check --limit`` sweeps only the inner tensor, once.  A
 counter wrapped around every module binding of the sweep pins the number of
 sweeps per call, and one wrapped around the gate in ``limits`` the number of

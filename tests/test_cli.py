@@ -252,7 +252,7 @@ class TestLimit:
         f = write_json(tmp_path / "family.json", {"system": HALVES})
         assert main(["limit", f]) == 0
         assert json.loads(capsys.readouterr().out)["diagnostics"]["worst_order"] is None
-        family = serialize.family_from_json({"system": HALVES}, DEFAULT_STEPS)
+        family = serialize.family_from_json({"system": HALVES})
         result = limit_tensor(family)
         assert (result.worst_order, result.worst_entry) == (np.inf, None)
 
@@ -340,7 +340,7 @@ class TestLimitReport:
         f = write_json(tmp_path / "family.json", doc)
         out = tmp_path / "limit.json"
         assert main(["limit", f, "--out", str(out), "--tol", str(tol)]) == 0
-        family = serialize.family_from_json(doc, DEFAULT_STEPS)
+        family = serialize.family_from_json(doc)
         spec = classify(limit_tensor(family, tol=tol), tol=tol)
 
         report = json.loads(out.read_text())
@@ -370,7 +370,7 @@ class TestLimitReport:
     def old_and_new_reports(self, tmp_path, m=None):
         """Spec files of the jump family without "M", and with ``m`` (default
         the spec's own M) as the format before it was dropped wrote it."""
-        family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
+        family = serialize.family_from_json(jump_family_doc())
         spec = classify(limit_tensor(family, tol=1e-7), tol=1e-7)
         new = to_json("limitspec", spec)
         old = dict(new, M=to_json("tensor", spec.tensor if m is None else m))
@@ -391,7 +391,7 @@ class TestLimitReport:
         assert self.simulate_bytes(tmp_path, old) == self.simulate_bytes(tmp_path, new)
 
     def test_report_with_tampered_m_is_a_format_error(self, tmp_path, capsys):
-        family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
+        family = serialize.family_from_json(jump_family_doc())
         m = classify(limit_tensor(family, tol=1e-7), tol=1e-7).tensor.entries.copy()
         m[0, 1, 1] += 1e-6
         _, old = self.old_and_new_reports(tmp_path, Tensor3(m, has_constant=False))
@@ -405,7 +405,7 @@ class TestLimitReport:
         f = write_json(tmp_path / "family.json", doc)
         out = tmp_path / "limit.json"
         assert main(["limit", f, "--out", str(out), "--tol", str(tol)]) == 0
-        result = limit_tensor(serialize.family_from_json(doc, DEFAULT_STEPS), tol=tol)
+        result = limit_tensor(serialize.family_from_json(doc), tol=tol)
         spec = classify(result, tol=tol)
         want = to_json("limitspec", spec)
         want["diagnostics"] = {
@@ -449,7 +449,7 @@ class TestReportBytes:
         return tensor_of(ObtuseRV.from_values(REFERENCE_VALUES))
 
     def jump_limit(self):
-        family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
+        family = serialize.family_from_json(jump_family_doc())
         return classify(limit_tensor(family, tol=1e-7), tol=1e-7)
 
     def test_validate(self, tmp_path):
@@ -525,7 +525,7 @@ class TestReportBytes:
 
     def test_limit(self, tmp_path):
         f = write_json(tmp_path / "family.json", jump_family_doc())
-        family = serialize.family_from_json(jump_family_doc(), DEFAULT_STEPS)
+        family = serialize.family_from_json(jump_family_doc())
         result = limit_tensor(family, tol=1e-7)
         spec = classify(result, tol=1e-7)
         want = to_json("limitspec", spec)

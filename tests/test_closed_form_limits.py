@@ -108,7 +108,7 @@ def decision_families():
         yield sampled_family(DEFAULT_STEPS, systems)
     for name in ("limit-cli-seed42-op65", "limit-cli-seed30-op71"):
         doc = json.loads((DATA / f"{name}.json").read_text())["family"]
-        family = serialize.family_from_json(doc, DEFAULT_STEPS)
+        family = serialize.family_from_json(doc)
         yield TensorFamily.from_samples(family.steps, map(tensor_of, family.sample()))
 
 

@@ -14,6 +14,7 @@ untyped numpy error.
 """
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import pytest
 
 from obtusewalk import (
     ObtuseRV,
+    ObtuseSystem,
     Tensor3,
     TensorFamily,
     chain_mult_op,
@@ -173,7 +175,10 @@ STEP_CALLS = {
 @pytest.mark.parametrize("name", sorted(STEP_CALLS))
 @pytest.mark.parametrize("h", [0.0, -0.5, np.nan, np.inf, "a"])
 def test_malformed_step(name, h):
-    with pytest.raises(NonPositiveStep, match=f"time step must be positive and finite, got {h}"):
+    # a string is shown as one, so "1" does not read as the number 1
+    shown = repr(h) if isinstance(h, str) else h
+    message = f"time step must be positive and finite, got {shown}"
+    with pytest.raises(NonPositiveStep, match=message):
         STEP_CALLS[name](h)
 
 
@@ -298,14 +303,15 @@ def test_empty_tensor_is_real():
 
 
 def test_the_guards_still_pass_valid_input():
-    rv = ObtuseRV.from_values(REFERENCE_VALUES)
+    plain = ObtuseSystem.from_values(REFERENCE_VALUES)
+    rv = ObtuseRV(plain)
     phases, system = extract_phases(triangularize_system(rv.values)[1])
     assert np.allclose(np.abs(phases), 1.0) and system.dim == 2
     assert mult_op(Tensor3(reference_tensor_entries()), 2).shape == (3, 3)
     # a system reads as its variable wherever a variable belongs
-    assert np.array_equal(tensor_of(rv.system).entries, tensor_of(rv).entries)
+    assert np.array_equal(tensor_of(plain).entries, tensor_of(rv).entries)
     assert serialize.dumps(serialize.system_doc(rv)) == serialize.dumps(
-        serialize.system_doc(rv.system)
+        serialize.system_doc(plain)
     )
 
 
@@ -346,6 +352,15 @@ def reference_spec():
     """The limit of the constant reference family, in C^2."""
     rv = ObtuseRV.from_values(REFERENCE_VALUES)
     return classify(limit_tensor(TensorFamily.constant(rv)))
+
+
+def one_jump_spec(v, rate):
+    """A limit-spec document on C^1 whose one jump is along [v] at ``rate``."""
+    return {
+        "Lambda": {"entries": [[1.0]]},
+        "V": {"entries": [[1.0]]},
+        "poisson": [{"v": [v], "intensity": rate}],
+    }
 
 
 NOT_VARIABLE = "expected an ObtuseRV or ObtuseSystem, got ndarray"
@@ -426,13 +441,22 @@ ARGUMENT_CASES = {
         FormatError,
         "limit spec missing required fields",
     ),
+    # a jump rate that is not 1/|v|^2 of its direction, on C^1 with v = [v]
+    **{
+        f"limitspec_from_json-rate-{rate}-direction-{v}": (
+            lambda v=v, rate=rate: serialize.limitspec_from_json(one_jump_spec(v, rate)),
+            FormatError,
+            r"poisson intensities must be 1/\|v\|\^2 of their directions",
+        )
+        for v, rate in ((1.0, 5.0), (1.0, 0.0), (1.0, math.inf), (0.0, 1.0), (0.0, math.inf))
+    },
     "family_from_json-list": (
-        lambda: serialize.family_from_json([], None),
+        lambda: serialize.family_from_json([]),
         FormatError,
         "family must be an object",
     ),
     "family_from_json-empty": (
-        lambda: serialize.family_from_json({}, None),
+        lambda: serialize.family_from_json({}),
         FormatError,
         "family needs 'tensors', 'systems' or 'system'",
     ),
@@ -460,7 +484,7 @@ ARGUMENT_CASES = {
     "walk_path-string-horizon": (
         lambda: walk_path(bernoulli_rv(), 0.01, "1"),
         NonPositiveStep,
-        "horizon T must be positive, got 1",
+        "horizon T must be positive, got '1'",
     ),
     "takagi-string": (lambda: takagi("x"), DimensionMismatch, NOT_NUMBERS + "str"),
     "system_from_probabilities-string": (
@@ -468,7 +492,28 @@ ARGUMENT_CASES = {
         DimensionMismatch,
         NOT_NUMBERS + "list",
     ),
+    # text that spells a number is no number
+    **{
+        f"{name}-numeric-strings": (
+            lambda call=call, arg=arg: call(arg),
+            DimensionMismatch,
+            NOT_NUMBERS + "list",
+        )
+        for name, call, arg in (
+            ("system_from_probabilities", system_from_probabilities, ["0.5", "0.5"]),
+            ("ObtuseSystem.from_values", ObtuseSystem.from_values, [["1"], ["-1"]]),
+            ("tensor_from_family", tensor_from_family, [["1"], ["-1"]]),
+            ("Tensor3", Tensor3, [[["1"]]]),
+        )
+    },
+    # complex probabilities would lose their imaginary parts
+    "system_from_probabilities-complex-array": (
+        lambda: system_from_probabilities(np.array([0.5, 0.5], dtype=complex)),
+        DimensionMismatch,
+        NOT_NUMBERS + "ndarray",
+    ),
     # an ndarray where a variable, a spec, a path or a matrix belongs
+    "ObtuseRV-ndarray": (lambda: ObtuseRV(VALUES), DimensionMismatch, NOT_VARIABLE),
     "tensor_of-ndarray": (lambda: tensor_of(VALUES), DimensionMismatch, NOT_VARIABLE),
     "walk_path-ndarray": (lambda: walk_path(VALUES, 0.1, 1.0), DimensionMismatch, NOT_VARIABLE),
     "walk_ensemble-ndarray": (
@@ -553,9 +598,17 @@ def test_numpy_integer_seeds_give_the_draws_of_int_seeds(path_index):
     assert np.array_equal(draw(np.uint64(2**64 - 1)), draw(2**64 - 1))
 
 
+def test_a_variable_is_its_system():
+    system = ObtuseSystem.from_values(REFERENCE_VALUES)
+    rv = ObtuseRV.from_values(REFERENCE_VALUES)
+    assert isinstance(ObtuseRV(system), ObtuseSystem) and type(rv) is ObtuseRV
+    assert ObtuseRV(system=system).values is system.values
+    assert tensor_of(rv).entries.tobytes() == tensor_of(system).entries.tobytes()
+
+
 def test_out_into_a_missing_directory(tmp_path, capsys):
     system = tmp_path / "system.json"
-    doc = to_json("system", ObtuseRV.from_values(REFERENCE_VALUES).system)
+    doc = to_json("system", ObtuseSystem.from_values(REFERENCE_VALUES))
     system.write_text(json.dumps(doc))
     assert main(["tensor", str(system), "--out", str(tmp_path / "missing" / "t.json")]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -11,6 +11,7 @@ import pytest
 
 from obtusewalk import (
     ObtuseRV,
+    ObtuseSystem,
     SymmetryReport,
     Tensor3,
     TensorFamily,
@@ -510,12 +511,31 @@ class TestConstantClosedForm:
         # equal tensors read from five documents are five objects: no closed form
         t = tensor_of(ObtuseRV(random_system(n, np.random.default_rng(n))))
         doc = {"steps": list(DEFAULT_STEPS), "tensors": [to_json("tensor", t)] * 5}
-        table = limit_tensor(serialize.family_from_json(json.loads(json.dumps(doc)), None))
+        table = limit_tensor(serialize.family_from_json(json.loads(json.dumps(doc))))
         assert len(table_calls) == 1
         exact = limit_tensor(TensorFamily.constant(t))
         assert np.max(np.abs(table.tensor.entries - exact.tensor.entries)) <= 1e-15
         assert np.max(np.abs(table.lambda_matrix - exact.lambda_matrix)) <= 1e-15
         assert table.noise <= 1e-15
+
+    @pytest.mark.parametrize("make", ["constant", "from_samples"])
+    def test_systems_are_samples_like_their_variables(self, make):
+        # a plain ObtuseSystem is a family sample, with the bits of its ObtuseRV
+        def family(sample):
+            if make == "constant":
+                return TensorFamily.constant(sample(random_system(2, np.random.default_rng(2))))
+            systems = [ObtuseSystem.from_values(jump_values(h)) for h in DEFAULT_STEPS]
+            return TensorFamily.from_samples(DEFAULT_STEPS, map(sample, systems))
+
+        by_system = limit_tensor(family(lambda s: s), tol=1e-7)
+        by_rv = limit_tensor(family(ObtuseRV), tol=1e-7)
+        assert by_system.tensor.entries.tobytes() == by_rv.tensor.entries.tobytes()
+        assert by_system.lambda_matrix.tobytes() == by_rv.lambda_matrix.tobytes()
+        assert (by_system.noise, by_system.worst_order, by_system.worst_entry) == (
+            by_rv.noise,
+            by_rv.worst_order,
+            by_rv.worst_entry,
+        )
 
     def test_inner_tensor_is_a_dimension_mismatch(self, reference_tensor):
         inner = Tensor3(reference_tensor.entries, has_constant=False)

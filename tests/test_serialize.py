@@ -191,9 +191,9 @@ def test_dumps_rejects_what_json_rejects():
         (serialize.system_values_from_json, {"values": [[1], [-1]], "dim": 1.5}),
         (serialize.system_values_from_json, {"values": [[1], [-1]], "probabilities": [0.5]}),
         (serialize.system_values_from_json, {"values": [[1], [-1]], "probabilities": ["0.5", 0.5]}),
-        (lambda obj: serialize.family_from_json(obj, (0.1,)), {"steps": [0.1], "tensors": 5}),
-        (lambda obj: serialize.family_from_json(obj, (0.1,)), {"steps": [0.1], "systems": {"a": 1}}),
-        (lambda obj: serialize.family_from_json(obj, (0.1,)), {"steps": [False], "system": {}}),
+        (lambda obj: serialize.family_from_json(obj), {"steps": [0.1], "tensors": 5}),
+        (lambda obj: serialize.family_from_json(obj), {"steps": [0.1], "systems": {"a": 1}}),
+        (lambda obj: serialize.family_from_json(obj), {"steps": [False], "system": {}}),
     ],
 )
 def test_readers_reject_mistyped_values(read, obj):
