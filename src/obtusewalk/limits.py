@@ -137,7 +137,7 @@ def _observed_order(earlier, later, steps, bound) -> np.ndarray:
     return np.where(b > bound, p, np.inf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitTensorResult:
     """Extrapolated limit tensor plus convergence diagnostics.
 
@@ -358,7 +358,7 @@ def check_limit_symmetries(m, tol: float = DEFAULT_TOL) -> LimitSymmetryReport:
     return _limit_report(rep, _lambda_relations(inner, lam))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimitSpec:
     """Full description of a limiting normal martingale in C^N.
 

@@ -85,7 +85,7 @@ def direct_expectation(rv: ObtuseSystem, monomials) -> complex:
     return complex(total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainOperator:
     """Dense operator on the n-fold product of copies of C^{N+1}."""
 

@@ -92,11 +92,13 @@ def _corner_defect(m: np.ndarray) -> float:
 def _as_array(values, dtype=complex) -> np.ndarray:
     """The guard of array input: ``values`` as a ``dtype`` array, ``DimensionMismatch``
     for a ragged or non-numeric one, which numpy refuses with ``ValueError`` or ``TypeError``,
-    for text, which numpy would parse ("0.5"), and for complex input to a real ``dtype``."""
+    for text, which numpy would parse ("0.5"), also inside an object array, and for
+    complex input to a real ``dtype``."""
     refused = "USc" if np.dtype(dtype).kind == "f" else "US"
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind not in refused:
+        text = arr.dtype == object and any(isinstance(x, (str, bytes)) for x in arr.flat)
+        if arr.dtype.kind not in refused and not text:
             return arr.astype(dtype, copy=False)
     except (TypeError, ValueError):
         pass
@@ -237,7 +239,7 @@ def _obtuse_pairs(values):
     return arr, 1.0 / (1.0 + norms2), residuals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemValidation:
     """Residual report of ``validate_obtuse_system``, read by ``obtusewalk validate``.
 
@@ -321,7 +323,7 @@ def _require_obtuse(values, tol: float, what: str = "") -> tuple[np.ndarray, np.
     return arr, p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObtuseSystem:
     """An obtuse system: N+1 vectors of C^N plus their probabilities."""
 
@@ -390,7 +392,7 @@ def rv_is_centered_normalized(values, probabilities, tol: float = DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor3:
     """Dense 3-tensor S^{ij}_k on C^D, stored as ``entries[i, j, k]``.
 

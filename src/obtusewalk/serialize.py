@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, ProbabilityMismatch
+from .errors import DimensionMismatch, ProbabilityMismatch, TooLarge
 from .limits import DEFAULT_STEPS, LimitSpec, TensorFamily, _require_spec
 from .obtuse import (
     DEFAULT_TOL,
@@ -52,6 +52,7 @@ from .obtuse import (
     _as_square,
     _bound,
     _khatri_rao,
+    _require_memory,
     _require_tensor,
     _require_variable,
 )
@@ -331,7 +332,9 @@ def limitspec_from_json(obj) -> LimitSpec:
     M is rebuilt from the Poisson directions and intensities, each its
     direction's rate 1/|v|^2 within ``_bound(DEFAULT_TOL, 1)``.  A document
     that still carries "M" (the format before it was dropped) must agree
-    with the rebuild within ``_bound(DEFAULT_TOL, max|M|)``.
+    with the rebuild within ``_bound(DEFAULT_TOL, max|M|)``.  The rebuild is
+    held to the memory budget ``obtuse.MEMORY_BYTES`` before it allocates and
+    raises ``TooLarge`` over it.
     """
     try:
         lam = matrix_from_json(obj["Lambda"])
@@ -369,6 +372,14 @@ def limitspec_from_json(obj) -> LimitSpec:
         rate_gaps = np.abs(intensities * np.sum(np.abs(dirs) ** 2, axis=1) - 1.0)
     if not np.all(rate_gaps <= _bound(DEFAULT_TOL, 1.0)):
         raise FormatError(f"poisson intensities must be 1/|v|^2 of their directions: {intensities}")
+    # the rebuild's peak by tracemalloc: the (K, N, N) pairs, the conjugate directions,
+    # M and its finiteness mask, numpy's cast buffer (8192 entries) for the real
+    # weights, then a written M's difference from M and its moduli
+    k = len(dirs)
+    n_bytes = 16 * (k * n * n + k * n) + 17 * n**3 + 2**17
+    if written is not None:
+        n_bytes += 24 * n**3
+    _require_memory(n_bytes, TooLarge, f"the M of a spec in C^{n} with {k} Poisson direction(s)")
     inner = _khatri_rao(intensities, dirs)  # sum_p lambda_p v_p (x) v_p (x) conj(v_p)
     if written is not None:
         scale = float(np.max(np.abs(written.entries), initial=0.0))

@@ -32,9 +32,9 @@ shape (n_t, n_paths, N); the samplers return their (n_paths, n_t, N)
 transposed views.  A block of real draws times complex atoms or a basis is
 one real matrix product (dgemm) into the float64 view of the block's grid
 times, the basis rows read as interleaved Re/Im columns, and running sums
-add whole grid times.  The ensemble moments read each grid time as one
-contiguous block: one real Gram matrix per grid time, and a row of ones
-times the block for the means and fourth moments.  No complex BLAS product
+add whole grid times.  One real Gram kernel, ``_split_gram``, gives the second
+moments of each grid time of an ensemble, read as one block, and the brackets
+of a path, all its increments read as one block.  No complex BLAS product
 runs: besides being slower, one (zgemm) leaves numpy's Poisson and
 multinomial samplers about ten times slower until the next real product, on
 the OpenBLAS build the benchmark records.
@@ -269,7 +269,7 @@ def _limit_sample(
     return out.transpose(1, 0, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Path:
     """A sampled trajectory in C^N.
 
@@ -357,16 +357,16 @@ def limit_ensemble(spec: LimitSpec, t_grid, n_paths: int, seed: int = 0) -> np.n
     return _limit_sample(spec, grid, int(n_paths), _stream(seed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BracketEstimate:
     """Realized square brackets of one path at its final time.
 
-    ``bracket[i, j]`` estimates [Z^i, Z^j]_T as the sum of increment
-    products; ``conj_bracket`` uses conjugated first factors.  Standard
-    errors treat increment products as i.i.d. summands.  When a limit spec
-    is supplied, the structure right-hand sides Lambda T + sum_k M^{ij}_k
-    Z^k_T and delta T + sum_k conj(M^{ik}_j) Z^k_T and the residuals in
-    units of standard errors are filled in.
+    ``bracket[i, j]`` estimates [Z^i, Z^j]_T as the sum of increment products;
+    ``conj_bracket`` uses conjugated first factors.  Standard errors treat the n
+    products p as i.i.d. summands: sqrt(n/(n-1) (sum |p|^2 - |sum p|^2 / n)), at
+    least ``SE_FLOOR``.  When a limit spec is supplied, the structure right-hand sides
+    Lambda T + sum_k M^{ij}_k Z^k_T and delta T + sum_k conj(M^{ik}_j) Z^k_T and the
+    residuals in units of standard errors are filled in.
     """
 
     bracket: np.ndarray
@@ -386,12 +386,18 @@ class BracketEstimate:
         return np.abs(self.conj_bracket - self.rhs_conj_bracket) / self.se_conj_bracket
 
 
-def _sum_and_se(prod: np.ndarray):
-    total = prod.sum(axis=0)
-    n = prod.shape[0]
-    var = prod.real.var(axis=0, ddof=1) + prod.imag.var(axis=0, ddof=1)
-    se = np.sqrt(n * var)
-    return total, np.maximum(se, SE_FLOOR)
+def _split_gram(gram: np.ndarray):
+    """Sums of conj(z) z^T and of z z^T over complex rows z from the Gram matrix G of
+    their float64 view (columns Re z_1, Im z_1, ...), batched over leading axes: with
+    AA, BB, AB the blocks sum Re Re^T, Im Im^T, Re Im^T of G, AA + BB + i(AB - AB^T)
+    and AA - BB + i(AB + AB^T)."""
+    aa, bb, ab = gram[..., 0::2, 0::2], gram[..., 1::2, 1::2], gram[..., 0::2, 1::2]
+    ab_t = ab.swapaxes(-1, -2)
+    conj = np.empty(aa.shape, dtype=complex)
+    conj.real, conj.imag = aa + bb, ab - ab_t
+    plain = np.empty(aa.shape, dtype=complex)
+    plain.real, plain.imag = aa - bb, ab + ab_t
+    return conj, plain
 
 
 def empirical_brackets(path: Path, spec: LimitSpec | None = None) -> BracketEstimate:
@@ -401,13 +407,17 @@ def empirical_brackets(path: Path, spec: LimitSpec | None = None) -> BracketEsti
     _require_path(path)
     if spec is not None:
         _require_spec(spec)
-    dz = path.increments
-    if dz.shape[0] < 100:
-        raise TooFewIncrements(f"need at least 100 increments, got {dz.shape[0]}")
-    prod = dz[:, :, None] * dz[:, None, :]
-    cprod = np.conj(dz)[:, :, None] * dz[:, None, :]
-    bracket, se = _sum_and_se(prod)
-    conj_bracket, se_c = _sum_and_se(cprod)
+    dz = np.ascontiguousarray(path.increments, dtype=complex)
+    n, x = len(dz), dz.view(float)
+    if n < 100:
+        raise TooFewIncrements(f"need at least 100 increments, got {n}")
+    conj_bracket, bracket = _split_gram(x.T @ x)
+    np.square(x, out=x)
+    abs2 = x[:, 0::2] + x[:, 1::2]
+    # sum_k |p_k|^2 = sum_k |dz_k^i|^2 |dz_k^j|^2 for either kind of product p
+    fourth = abs2.T @ abs2
+    gaps = [fourth - np.abs(b) ** 2 / n for b in (bracket, conj_bracket)]
+    se, se_c = np.maximum(np.sqrt(np.maximum(gaps, 0.0) * n / (n - 1)), SE_FLOOR)
     t_end = float(path.times[-1])
     z_end = path.values[-1]
     rhs = rhs_c = None
@@ -416,15 +426,13 @@ def empirical_brackets(path: Path, spec: LimitSpec | None = None) -> BracketEsti
             raise DimensionMismatch("spec and path dimensions differ")
         m = spec.tensor.entries
         rhs = spec.lambda_matrix * t_end + np.einsum("ijk,k->ij", m, z_end)
-        rhs_c = np.eye(spec.dim) * t_end + np.einsum(
-            "ikj,k->ij", np.conj(m), z_end
-        )
+        rhs_c = np.eye(spec.dim) * t_end + np.einsum("ikj,k->ij", np.conj(m), z_end)
     return BracketEstimate(
         bracket=bracket,
         conj_bracket=conj_bracket,
         se_bracket=se,
         se_conj_bracket=se_c,
-        n_increments=dz.shape[0],
+        n_increments=n,
         final_time=t_end,
         final_value=z_end,
         rhs_bracket=rhs,
@@ -439,23 +447,15 @@ def _moments(values: np.ndarray):
     time axis first.  Each grid time is read as one contiguous (n_paths, 2N)
     float64 block X (columns Re Z_1, Im Z_1, Re Z_2, ...), copied only when
     ``values`` is not the transposed view of a time-major buffer that the
-    samplers return.  One batched Gram product G = X^T X / n gives all second
-    moments: for the blocks AA = E[Re Re^T], BB = E[Im Im^T] and
-    AB = E[Re Im^T] of G, E[conj(Z) Z^T] = AA + BB + i(AB - AB^T) and
-    E[Z Z^T] = AA - BB + i(AB + AB^T).  The means and E|Z_i|^4 are the
-    all-ones row times X and times |Z|^4, over n.
+    samplers return.  One batched Gram product X^T X / n gives all second
+    moments (``_split_gram``).  The means and E|Z_i|^4 are the all-ones row
+    times X and times |Z|^4, over n.
     """
     z = np.ascontiguousarray(np.asarray(values).transpose(1, 0, 2), dtype=complex)
     n = z.shape[1]
     x = z.view(float)
     ones = np.ones(n)
-    gram = np.matmul(x.transpose(0, 2, 1), x) / n
-    aa, bb, ab = gram[:, 0::2, 0::2], gram[:, 1::2, 1::2], gram[:, 0::2, 1::2]
-    ab_t = ab.transpose(0, 2, 1)
-    cov_conj = np.empty(aa.shape, dtype=complex)
-    cov_conj.real, cov_conj.imag = aa + bb, ab - ab_t
-    cov_plain = np.empty(aa.shape, dtype=complex)
-    cov_plain.real, cov_plain.imag = aa - bb, ab + ab_t
+    cov_conj, cov_plain = _split_gram(np.matmul(x.transpose(0, 2, 1), x) / n)
     mean = (np.matmul(ones, x) / n).view(complex)
     squares = np.square(x)
     abs2 = squares[..., 0::2] + squares[..., 1::2]
@@ -463,7 +463,7 @@ def _moments(values: np.ndarray):
     return mean, cov_conj, cov_plain, abs4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentReport:
     """Distances between walk and limit ensembles, per moment family.
 

@@ -52,7 +52,7 @@ def _runs(lam: np.ndarray, gap_floor) -> list:
     return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TakagiResult:
     """Factorization M = unitary @ diag(diagonal) @ unitary.T."""
 

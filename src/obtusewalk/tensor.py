@@ -68,7 +68,7 @@ from .takagi import _CLUSTER_REL, _EPS, _runs, unitary_sqrt
 _UNIT = _EPS / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagResult:
     """Orthogonal family diagonalizing a doubly-symmetric tensor.
 
@@ -409,7 +409,7 @@ def is_real_tensor(tensor: Tensor3, tol: float = DEFAULT_TOL) -> bool:
     return bool(defect <= _bound(tol, np.abs(s).max(initial=0.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealificationResult:
     """Unitary V with V V^T = S_0, the realified tensor, and its system."""
 

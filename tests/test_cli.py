@@ -25,6 +25,7 @@ from obtusewalk import (
     tensor_of,
     validate_obtuse_system,
 )
+from obtusewalk import obtuse
 from obtusewalk.cli import main
 from obtusewalk.obtuse import DEFAULT_TOL, _bound
 from obtusewalk.limits import DEFAULT_STEPS
@@ -719,6 +720,16 @@ class TestSimulate:
         assert main(["simulate", f, "--kind", "walk", "--paths", "0"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats == {"n_paths": 0}
+
+    def test_spec_over_the_memory_budget_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # one direction in C^1: rebuilding M asks for 16 * 2 + 17 + 2**17 bytes
+        doc = one_dim_spec_doc(poisson=[{"v": [1], "intensity": 1.0}], brownian=[])
+        del doc["M"]
+        f = write_json(tmp_path / "spec.json", doc)
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", 16 * 2 + 17 + 2**17 - 1)
+        assert main(["simulate", f, "--kind", "limit", "--paths", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: TooLarge: ") and err.count("\n") == 1, err
 
     def test_limit_simulation_from_spec_file(self, tmp_path, capsys):
         f = write_json(

@@ -313,6 +313,11 @@ def test_the_guards_still_pass_valid_input():
     assert serialize.dumps(serialize.system_doc(rv)) == serialize.dumps(
         serialize.system_doc(plain)
     )
+    # an object array of numbers is numbers
+    boxed = ObtuseSystem.from_values(np.array(REFERENCE_VALUES.tolist(), dtype=object))
+    assert np.array_equal(boxed.values, plain.values)
+    halves = system_from_probabilities(np.array([0.5, np.float64(0.5)], dtype=object))
+    assert np.array_equal(halves.probabilities, [0.5, 0.5])
 
 
 @pytest.mark.parametrize(
@@ -503,6 +508,19 @@ ARGUMENT_CASES = {
             ("system_from_probabilities", system_from_probabilities, ["0.5", "0.5"]),
             ("ObtuseSystem.from_values", ObtuseSystem.from_values, [["1"], ["-1"]]),
             ("tensor_from_family", tensor_from_family, [["1"], ["-1"]]),
+            ("Tensor3", Tensor3, [[["1"]]]),
+        )
+    },
+    # nor inside an object array, whose entries numpy would parse one by one
+    **{
+        f"{name}-object-strings": (
+            lambda call=call, arg=arg: call(np.array(arg, dtype=object)),
+            DimensionMismatch,
+            NOT_NUMBERS + "ndarray",
+        )
+        for name, call, arg in (
+            ("system_from_probabilities", system_from_probabilities, [0.5, "0.5"]),
+            ("ObtuseSystem.from_values", ObtuseSystem.from_values, [[1], [b"-1"]]),
             ("Tensor3", Tensor3, [[["1"]]]),
         )
     },

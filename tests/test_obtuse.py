@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import obtusewalk as ow
 from obtusewalk import (
     ObtuseRV,
     ObtuseSystem,
@@ -414,3 +415,52 @@ class TestGenerators:
         assert report.prob_sum_residual <= 1e-12
         assert report.mean_residual <= 1e-10
         assert report.identity_residual <= 1e-10
+
+
+def _result_makers():
+    """Builders of each result type that holds arrays, one call per object."""
+    values = REFERENCE_VALUES
+    rv = lambda: ow.ObtuseRV.from_values(values)  # noqa: E731
+    tensor = lambda: ow.tensor_of(rv())  # noqa: E731
+    spec = lambda: ow.classify(ow.limit_tensor(ow.TensorFamily.constant(tensor())))  # noqa: E731
+    path = lambda: ow.walk_path(rv(), 0.01, 1.0)  # noqa: E731
+    grid = [0.5, 1.0]
+    return {
+        "ObtuseSystem": lambda: ow.ObtuseSystem.from_values([[1.0], [-1.0]]),
+        "ObtuseRV": rv,
+        "SystemValidation": lambda: ow.validate_obtuse_system(values),
+        "Tensor3": tensor,
+        "DiagResult": lambda: ow.diagonalize(tensor()),
+        "TakagiResult": lambda: ow.takagi(np.array([[1.0, 1j], [1j, 2.0]])),
+        "RealificationResult": lambda: ow.realify(tensor()),
+        "ChainOperator": lambda: ow.chain_mult_op(tensor(), 1, 2, 0.01),
+        "LimitTensorResult": lambda: ow.limit_tensor(ow.TensorFamily.constant(tensor())),
+        "LimitSpec": spec,
+        "Path": path,
+        "BracketEstimate": lambda: ow.empirical_brackets(path()),
+        "MomentReport": lambda: ow.distribution_compare(
+            ow.walk_ensemble(rv(), 0.01, grid, 10), ow.limit_ensemble(spec(), grid, 10), grid
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_result_makers()))
+def test_results_holding_arrays_compare_by_identity(name):
+    # the generated == compares tuples of arrays, which numpy cannot reduce to one bool
+    make = _result_makers()[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert hash(a) == hash(a) != hash(b)
+    assert len({a, b, a}) == 2
+
+
+def test_reports_of_numbers_compare_by_value():
+    tensor = ow.tensor_of(ow.ObtuseRV.from_values(REFERENCE_VALUES))
+    assert ow.check_symmetries(tensor) == ow.check_symmetries(Tensor3(tensor.entries.copy()))
+    inner = ow.limit_tensor(ow.TensorFamily.constant(tensor)).tensor
+    twin = Tensor3(inner.entries.copy(), has_constant=inner.has_constant)
+    assert ow.check_limit_symmetries(inner) == ow.check_limit_symmetries(twin)
+    at = lambda h: tensor  # noqa: E731
+    steps = (0.1, 0.01, 0.001)
+    assert ow.TensorFamily(at, steps) == ow.TensorFamily(at, steps)

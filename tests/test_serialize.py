@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from obtusewalk import Tensor3, classify, limit_tensor, random_system, serialize, tensor_of
-from obtusewalk.obtuse import DEFAULT_TOL, _bound
+from obtusewalk import Tensor3, classify, limit_tensor, obtuse, random_system, serialize, tensor_of
+from obtusewalk.errors import TooLarge
+from obtusewalk.limits import LimitSpec
+from obtusewalk.obtuse import DEFAULT_TOL, _bound, _khatri_rao, haar_unitary
 from obtusewalk.serialize import FormatError
 from conftest import SCALED_STEPS, closed_form_corpus, sampled_family, to_json
 
@@ -245,3 +247,50 @@ class TestLimitSpec:
         _, doc = self.old_doc(Tensor3(m, has_constant=False))
         with pytest.raises(FormatError):
             serialize.limitspec_from_json(doc)
+
+    @staticmethod
+    def rebuild_bytes(k, n, written):
+        """The reader's model of the rebuild of M from k directions in C^n."""
+        return 16 * (k * n * n + k * n) + 17 * n**3 + 2**17 + 24 * n**3 * written
+
+    @staticmethod
+    def unitary_doc(n, k):
+        """A spec document whose directions are k rows of a random unitary in C^n."""
+        u = haar_unitary(n, np.random.default_rng(n))
+        rates = np.linspace(1.0, 2.0, k)
+        dirs = u[:k] / np.sqrt(rates)[:, None]
+        spec = LimitSpec(
+            dim=n,
+            tensor=Tensor3(_khatri_rao(rates, dirs), has_constant=False),
+            lambda_matrix=np.eye(n, dtype=complex),
+            v_matrix=np.eye(n, dtype=complex),
+            poisson_dirs=dirs,
+            intensities=rates,
+            brownian_basis=u[k:],
+        )
+        return spec, to_json("limitspec", spec)
+
+    @pytest.mark.parametrize("written", [False, True], ids=["rebuilt", "with-M"])
+    @pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (8, 8), (16, 4)])
+    def test_rebuild_is_held_to_the_memory_budget(self, monkeypatch, n, k, written):
+        # the model is what the read asks for: it runs within it, not a byte less
+        spec, doc = self.unitary_doc(n, k)
+        if written:
+            doc["M"] = to_json("tensor", spec.tensor)
+        model = self.rebuild_bytes(k, n, written)
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", model)
+        serialize.limitspec_from_json(doc)
+        monkeypatch.setattr(obtuse, "MEMORY_BYTES", model - 1)
+        with pytest.raises(TooLarge):
+            serialize.limitspec_from_json(doc)
+
+    @pytest.mark.parametrize("n, k", [(4, 4), (16, 16), (32, 8), (48, 1)])
+    def test_model_bounds_the_peak_of_the_read(self, n, k):
+        _, doc = self.unitary_doc(n, k)
+        tracemalloc.start()
+        try:
+            serialize.limitspec_from_json(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.rebuild_bytes(k, n, False), peak

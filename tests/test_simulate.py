@@ -28,7 +28,7 @@ from obtusewalk.errors import (
     TooManyJumps,
 )
 from obtusewalk.limits import DEFAULT_STEPS, LimitSpec
-from obtusewalk.obtuse import Tensor3, random_system
+from obtusewalk.obtuse import Tensor3, haar_unitary, random_system
 from conftest import REFERENCE_PROBS, REFERENCE_VALUES, bernoulli_rv, jump_rv
 
 
@@ -98,6 +98,38 @@ def complex_limit_ensemble(spec, t_grid, n_paths, seed):
         dn = rng.poisson(lam * dts, size=(n_paths, len(grid)))
         compensated = np.cumsum(dn, axis=1) - lam * grid[None, :]
         out = out + compensated[:, :, None] * v[None, None, :]
+    return out
+
+
+def mixed_spec(n, seed):
+    """A spec with n // 2 Poisson directions and n - n // 2 Brownian ones: the rows of
+    a random unitary, the Poisson rows scaled by 1/sqrt of rates in [5, 50]."""
+    u = haar_unitary(n, np.random.default_rng(seed))
+    k = n // 2
+    rates = np.linspace(5.0, 50.0, k)
+    return LimitSpec(
+        dim=n,
+        tensor=Tensor3(np.zeros((n, n, n), dtype=complex), has_constant=False),
+        lambda_matrix=np.eye(n, dtype=complex),
+        v_matrix=np.eye(n, dtype=complex),
+        poisson_dirs=u[:k] / np.sqrt(rates)[:, None],
+        intensities=rates,
+        brownian_basis=u[k:],
+    )
+
+
+def per_increment_brackets(path):
+    """Oracle for ``empirical_brackets``: the (n, N, N) arrays of increment products
+    dz^i dz^j and conj(dz^i) dz^j, their sums, and standard errors sqrt(n var)
+    from the two-pass sample variances of their real and imaginary parts.
+
+    Returns bracket, se_bracket, conj_bracket, se_conj_bracket.
+    """
+    dz = path.increments
+    out = []
+    for prod in (dz[:, :, None] * dz[:, None, :], np.conj(dz)[:, :, None] * dz[:, None, :]):
+        var = prod.real.var(axis=0, ddof=1) + prod.imag.var(axis=0, ddof=1)
+        out += [prod.sum(axis=0), np.maximum(np.sqrt(len(prod) * var), simulate.SE_FLOOR)]
     return out
 
 
@@ -594,6 +626,37 @@ class TestBrackets:
         assert est.se_bracket[0, 0] == est.se_conj_bracket[0, 0] == simulate.SE_FLOOR
         assert est.conj_bracket[0, 0] == est.rhs_conj_bracket[0, 0] == 1.0
         assert est.sigmas_conj_bracket()[0, 0] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16])
+    def test_matches_per_increment_oracle(self, n):
+        # the Gram kernel sums in another order, and its standard errors come
+        # from sum |p|^2 - |sum p|^2 / n instead of two passes: the bounds
+        # are those of a 1e3-term float64 sum and of that cancellation
+        rv = ObtuseRV(random_system(n, np.random.default_rng(n)))
+        specs = [constant_spec(rv), poisson_spec(np.linspace(5.0, 50.0, n)), mixed_spec(n, n)]
+        paths = [walk_path(rv, 1e-3, 1.0, seed=n)]
+        paths += [limit_path(spec, 1.0, 1e-3, seed=n) for spec in specs]
+        for path in paths:
+            est = empirical_brackets(path)
+            bracket, se, conj_bracket, se_conj = per_increment_brackets(path)
+            for got, want in ((est.bracket, bracket), (est.conj_bracket, conj_bracket)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            for got, want in ((est.se_bracket, se), (est.se_conj_bracket, se_conj)):
+                assert np.all(np.abs(got - want) <= 1e-9 * want)
+            assert est.n_increments == len(path.times) - 1
+
+    def test_peak_memory_is_a_few_paths(self):
+        # the per-increment products would be 2N = 32 times the path's values
+        rv = ObtuseRV(random_system(16, np.random.default_rng(16)))
+        path = limit_path(constant_spec(rv), 1.0, 1e-4, seed=0)
+        assert len(path.increments) == 10_000
+        tracemalloc.start()
+        try:
+            empirical_brackets(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.values.nbytes
 
     def test_too_few_increments(self, reference_spec):
         path = limit_path(reference_spec, 0.05, 0.001, seed=0)
