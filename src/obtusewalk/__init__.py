@@ -11,6 +11,7 @@ Brownian / compensated-Poisson processes in C^N).
 from .errors import ObtuseWalkError
 from .obtuse import (
     DEFAULT_TOL,
+    Check,
     ObtuseRV,
     ObtuseSystem,
     SymmetryReport,
@@ -47,7 +48,6 @@ from .multop import (
 )
 from .limits import (
     LimitSpec,
-    LimitSymmetryReport,
     LimitTensorResult,
     TensorFamily,
     check_limit_symmetries,
@@ -72,6 +72,7 @@ __all__ = [
     "ObtuseRV",
     "ObtuseSystem",
     "SystemValidation",
+    "Check",
     "SymmetryReport",
     "Tensor3",
     "validate_obtuse_system",
@@ -101,7 +102,6 @@ __all__ = [
     "chain_mult_op",
     "TensorFamily",
     "LimitTensorResult",
-    "LimitSymmetryReport",
     "LimitSpec",
     "limit_tensor",
     "check_limit_symmetries",

@@ -15,8 +15,9 @@ double symmetry at O(d^4), and a tensor they fail to certify is swept once,
 with the results and errors of sweeping first.  An ``ObtuseSystem`` sample is
 valid, so its tensor is doubly symmetric (the characterization theorem) and
 is not checked.  ``classify`` adds the four Lambda relations to the gate's
-report, so on a certified report sym2 and sym3 are the certificate's upper
-bounds, not swept residuals.  Every bound is relative (``obtuse._bound``).
+report, where the ``method`` of sym2 and sym3 says whether they are the
+certificate's upper bounds or swept residuals.  Every bound is relative
+(``obtuse._bound``).
 
 A family whose samples are all one object (``TensorFamily.constant``, a
 sample repeated in ``from_samples``) is h-independent, and its limit is
@@ -42,6 +43,7 @@ from .errors import (
 )
 from .obtuse import (
     DEFAULT_TOL,
+    Check,
     ObtuseSystem,
     SymmetryReport,
     Tensor3,
@@ -275,48 +277,6 @@ def _limit_result(entries: np.ndarray, orders: np.ndarray, noise: float) -> Limi
     )
 
 
-@dataclass(frozen=True)
-class LimitSymmetryReport(SymmetryReport):
-    """The inner tensor's ``SymmetryReport`` plus the four Lambda relations.
-
-    sym1..sym3 are the double-symmetry relations of the inner tensor M, and
-    sym0 is None (M has no constant coordinate); ``lambda_symmetry`` and
-    ``lambda_unitarity`` check Lambda; ``exchange`` is the symmetry of
-    sum_m M^{ij}_m Lambda^{mk} in (i, k); ``reduction`` is
-    sum_m conj(M^{km}_j) Lambda^{im} = M^{ij}_k.  In a report that
-    ``classify`` certified, sym2 and sym3 are the certificate's upper bound
-    on both residuals; every other field is exact.  ``ok`` adds to the
-    tensor report's bounds ``_bound(tol, 1)`` for the Lambda relations and
-    ``_bound(tol, N max|M|)`` for exchange and reduction.
-    """
-
-    lambda_symmetry: float
-    lambda_unitarity: float
-    exchange: float
-    reduction: float
-
-    def residuals(self) -> dict:
-        return {
-            **super().residuals(),
-            "lambda_symmetry": self.lambda_symmetry,
-            "lambda_unitarity": self.lambda_unitarity,
-            "exchange": self.exchange,
-            "reduction": self.reduction,
-        }
-
-    @property
-    def ok(self) -> bool:
-        unit, nm = _bound(self.tol, 1.0), _bound(self.tol, self.dim * self.scale)
-        # each residual on its own, so a NaN fails
-        return (
-            super().ok
-            and self.lambda_symmetry <= unit
-            and self.lambda_unitarity <= unit
-            and self.exchange <= nm
-            and self.reduction <= nm
-        )
-
-
 def _split_limit(m) -> tuple[np.ndarray, np.ndarray]:
     """Inner entries and Lambda of a full limit tensor or a ``LimitTensorResult``."""
     if isinstance(m, LimitTensorResult):
@@ -327,9 +287,16 @@ def _split_limit(m) -> tuple[np.ndarray, np.ndarray]:
     return m.entries[1:, 1:, 1:], m.entries[1:, 1:, 0].copy()
 
 
-def _lambda_relations(inner: np.ndarray, lam: np.ndarray) -> tuple:
-    """lambda_symmetry, lambda_unitarity, exchange and reduction; two GEMMs, O(N^4)."""
+def _lambda_checks(inner: np.ndarray, lam: np.ndarray, tol: float) -> tuple[Check, ...]:
+    """The four Lambda relations of a limit, exact, in two GEMMs, O(N^4).
+
+    ``lambda_symmetry`` and ``lambda_unitarity`` check Lambda, bounded by
+    ``_bound(tol, 1)``; ``exchange`` is the symmetry of sum_m M^{ij}_m
+    Lambda^{mk} in (i, k) and ``reduction`` is sum_m conj(M^{km}_j)
+    Lambda^{im} = M^{ij}_k, bounded by ``_bound(tol, N max|M|)``.
+    """
     n = inner.shape[0]
+    unit, nm = _bound(tol, 1.0), _bound(tol, n * float(np.abs(inner).max(initial=0.0)))
     lam_sym = float(np.max(np.abs(lam - lam.T)))
     lam_uni = _identity_defect(lam @ lam.conj().T)
     # ex[i, j, k] = sum_m M^{ij}_m Lambda^{mk}
@@ -338,24 +305,24 @@ def _lambda_relations(inner: np.ndarray, lam: np.ndarray) -> tuple:
     # red[i, j, k] = sum_m Lambda^{im} conj(M^{km}_j)
     red = (lam @ np.conj(inner).transpose(1, 2, 0).reshape(n, n * n)).reshape(n, n, n)
     reduction = float(np.max(np.abs(red - inner)))
-    return lam_sym, lam_uni, exchange, reduction
-
-
-def _limit_report(rep: SymmetryReport, relations: tuple) -> LimitSymmetryReport:
-    """The report ``rep`` of an inner tensor plus its ``_lambda_relations``."""
-    return LimitSymmetryReport(
-        None, rep.sym1, rep.sym2, rep.sym3, rep.tol, rep.dim, rep.scale, *relations
+    return (
+        Check("lambda_symmetry", lam_sym, unit, "exact"),
+        Check("lambda_unitarity", lam_uni, unit, "exact"),
+        Check("exchange", exchange, nm, "exact"),
+        Check("reduction", reduction, nm, "exact"),
     )
 
 
-def check_limit_symmetries(m, tol: float = DEFAULT_TOL) -> LimitSymmetryReport:
+def check_limit_symmetries(m, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Structure-relation report for a limit tensor (report-only, no raise).
 
-    Always the exhaustive O(N^5) sweep of the inner tensor's relations, once.
+    The inner tensor's swept report (no sym0: M has no constant coordinate,
+    sym2 and sym3 by "sweep") plus the four ``_lambda_checks``: always the
+    exhaustive O(N^5) sweep of the inner tensor, once.
     """
     inner, lam = _split_limit(m)
     rep = check_symmetries(Tensor3(inner, has_constant=False), tol=tol)
-    return _limit_report(rep, _lambda_relations(inner, lam))
+    return SymmetryReport((*rep.checks, *_lambda_checks(inner, lam, tol)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,7 +344,7 @@ class LimitSpec:
     poisson_dirs: np.ndarray  # (K, N)
     intensities: np.ndarray  # (K,)
     brownian_basis: np.ndarray  # (N - K, N)
-    structure: LimitSymmetryReport | None = None
+    structure: SymmetryReport | None = None
 
     @property
     def n_poisson(self) -> int:
@@ -425,26 +392,24 @@ def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     Every check uses one tolerance, ``tol`` plus a ``LimitTensorResult``'s
     ``noise``.  The structure report is the one gate on the limit relations:
     the report of the inner tensor from the gate of ``diagonalize``
-    (``tensor._certify_or_sweep``) plus the four Lambda relations, computed
-    exactly.  The fixed points certify it when the whole report passes, and
-    then sym2 and sym3 are upper bounds (``LimitSymmetryReport``); otherwise,
-    or if the kernel raises, the inner tensor is swept once.  A failing
-    relation raises ``StructureViolation``, then the kernel's error stands.
+    (``tensor._certify_or_sweep``) with the exact ``_lambda_checks``.  The
+    fixed points certify it when the whole report passes, and then sym2 and
+    sym3 are upper bounds (method "certificate"); otherwise, or if the kernel
+    raises, the inner tensor is swept once ("sweep").  The report is kept on
+    ``LimitSpec.structure``.  A failing relation raises
+    ``StructureViolation``, then the kernel's error stands.
     """
     inner, lam = _split_limit(m)
     tol += m.noise if isinstance(m, LimitTensorResult) else 0.0
     n = inner.shape[0]
     inner_t = Tensor3(inner, has_constant=False)
-    relations = _lambda_relations(inner, lam)
 
     def kernel():
         dirs = _fixed_points(inner_t, tol).vectors
         return dirs, dirs
 
-    dirs, rep, error = _certify_or_sweep(
-        inner_t, tol, kernel, accept=lambda r: _limit_report(r, relations).ok
-    )
-    report = _limit_report(rep, relations)
+    extra = _lambda_checks(inner, lam, tol)
+    dirs, report, error = _certify_or_sweep(inner_t, tol, kernel, extra)
     if not report.ok:
         raise StructureViolation(f"limit tensor fails structure relations: {report.residuals()}")
     if error is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -458,50 +459,64 @@ def _khatri_rao(weights: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return (pairs.reshape(k, d * d).T @ np.conj(vectors)).reshape(d, d, d)
 
 
+class Check(NamedTuple):
+    """One relation of a report: its residual ``value`` and the largest one it
+    accepts, ``bound`` (``_bound``).  ``method`` says what the value is:
+    "exact" a computed residual, "sweep" the residual of the O(d^5) sweep
+    ``check_symmetries``, "certificate" an upper bound on the residual from
+    the fixed points (``tensor._certificate_bounds``)."""
+
+    name: str
+    value: float
+    bound: float
+    method: str
+
+
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Max-residuals of the four tensor symmetry relations.
+    """The checks of a tensor's symmetry relations, in a fixed order.
 
-    sym0: S^{i0}_k = delta_{ik} (only meaningful with a constant coordinate),
     sym1: symmetry of S^{ij}_k in (i, j),
     sym2: symmetry of sum_m S^{im}_j S^{kl}_m in (i, k),
-    sym3: symmetry of sum_m S^{im}_j conj(S^{lm}_k) in (i, k).
+    sym3: symmetry of sum_m S^{im}_j conj(S^{lm}_k) in (i, k),
+    sym0: S^{i0}_k = delta_{ik}, only with a constant coordinate,
 
-    ``ok`` bounds sym0, sym1 by ``_bound(tol, scale)``, scale = max|S|, and sym2,
-    sym3 by ``_bound(tol, dim scale^2)``, each on its own: a NaN fails.
+    bounded by ``_bound(tol, scale)``, scale = max|S| for sym0 and sym1 and
+    d max|S|^2 for sym2 and sym3 (``_symmetry_checks``); a limit's report
+    adds the four Lambda relations (``limits._lambda_checks``).  ``ok`` holds
+    when every value is within its bound, each on its own, so a NaN fails.
     """
 
-    sym0: float | None
-    sym1: float
-    sym2: float
-    sym3: float
-    tol: float
-    dim: int
-    scale: float
-
-    @property
-    def doubly_symmetric(self) -> bool:
-        m = self.scale
-        entry, product = _bound(self.tol, m), _bound(self.tol, self.dim * m * m)
-        return self.sym1 <= entry and self.sym2 <= product and self.sym3 <= product
+    checks: tuple[Check, ...]
 
     @property
     def ok(self) -> bool:
-        sym0_ok = self.sym0 is None or self.sym0 <= _bound(self.tol, self.scale)
-        return sym0_ok and self.doubly_symmetric
+        return all(c.value <= c.bound for c in self.checks)
 
     def residuals(self) -> dict:
-        out = {"sym1": self.sym1, "sym2": self.sym2, "sym3": self.sym3}
-        if self.sym0 is not None:
-            out["sym0"] = self.sym0
-        return out
+        return {c.name: c.value for c in self.checks}
+
+
+def _symmetry_checks(s: np.ndarray, tol: float, sym0, sym1: float, products, method: str):
+    """The checks of the entries ``s``: sym1 and sym0 (None: not owed) exact,
+    the ``products`` sym2 and sym3 found by ``method``."""
+    scale = float(np.abs(s).max(initial=0.0))
+    entry, product = _bound(tol, scale), _bound(tol, len(s) * scale * scale)
+    sym2, sym3 = products
+    checks = (
+        Check("sym1", sym1, entry, "exact"),
+        Check("sym2", sym2, product, method),
+        Check("sym3", sym3, product, method),
+    )
+    return checks if sym0 is None else (*checks, Check("sym0", sym0, entry, "exact"))
 
 
 def check_symmetries(tensor: Tensor3, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Exhaustively sweep the symmetry relations of a 3-tensor.
 
     sym0 is computed exactly when the tensor's ``has_constant`` flag is set,
-    else None; sweep ``Tensor3(entries, has_constant=False)`` for sym1-sym3.
+    else not reported; sweep ``Tensor3(entries, has_constant=False)`` for
+    sym1-sym3.  sym2 and sym3 carry the method "sweep".
 
     Cost: sym2 and sym3 take O(d^5) flops, done as BLAS matrix products
     over blocks of one coordinate; the working memory is bounded by the
@@ -511,8 +526,7 @@ def check_symmetries(tensor: Tensor3, tol: float = DEFAULT_TOL) -> SymmetryRepor
     s = tensor.entries
     sym0 = _sym0(s) if tensor.has_constant else None
     sym1 = _sym1(s)
-    sym2, sym3 = _product_symmetries(s)
-    return SymmetryReport(sym0, sym1, sym2, sym3, tol, len(s), float(np.abs(s).max(initial=0)))
+    return SymmetryReport(_symmetry_checks(s, tol, sym0, sym1, _product_symmetries(s), "sweep"))
 
 
 def _sym0(s: np.ndarray) -> float:

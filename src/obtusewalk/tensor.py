@@ -60,6 +60,7 @@ from .obtuse import (
     _require_tensor,
     _sym0,
     _sym1,
+    _symmetry_checks,
     check_symmetries,
 )
 from .takagi import _CLUSTER_REL, _EPS, _runs, unitary_sqrt
@@ -201,20 +202,21 @@ def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> float:
     return float(sym23 * (1 + 16 * _UNIT))
 
 
-def _certify_or_sweep(tensor: Tensor3, tol: float, kernel, accept=None):
+def _certify_or_sweep(tensor: Tensor3, tol: float, kernel, extra=()):
     """The symmetry report of ``tensor``, certified by its fixed points if they can.
 
     ``kernel()`` returns a result and the fixed points of ``tensor`` it
     found.  Their certificate reports sym1, and sym0 if ``tensor.has_constant``,
-    exactly and sym2, sym3 by ``_certificate_bounds``, and stands if it
-    passes ``accept`` (default: its own ``ok``).  Otherwise, or if the kernel
-    raises a domain or ``LinAlgError``, the tensor is swept once and the
-    sweep's report stands.  Returns ``(result, report, error)`` with the
-    kernel's error, if any, for the caller to raise once the report passes:
-    the kernel is deterministic, so that is what sweeping first gave.
-    Non-finite values (overflowed products of huge entries, a zero fixed
-    point of a tensor that is not doubly symmetric) fail the certificate and
-    are the sweep's to report, so they raise no warning here.
+    exactly and sym2, sym3 by ``_certificate_bounds`` (method "certificate"),
+    followed by the caller's ``extra`` checks, and stands if the whole report
+    passes.  Otherwise, or if the kernel raises a domain or ``LinAlgError``,
+    the tensor is swept once and the sweep's report, with ``extra``, stands.
+    Returns ``(result, report, error)`` with the kernel's error, if any, for
+    the caller to raise once the report passes: the kernel is deterministic,
+    so that is what sweeping first gave.  Non-finite values (overflowed
+    products of huge entries, a zero fixed point of a tensor that is not
+    doubly symmetric) fail the certificate and are the sweep's to report,
+    so they raise no warning here.
     """
     s = tensor.entries
     sym0 = _sym0(s) if tensor.has_constant else None
@@ -223,13 +225,13 @@ def _certify_or_sweep(tensor: Tensor3, tol: float, kernel, accept=None):
         with np.errstate(all="ignore"):
             result, vectors = kernel()
             bound = _certificate_bounds(s, vectors)
-            scale = float(np.abs(s).max(initial=0.0))
-            report = SymmetryReport(sym0, _sym1(s), bound, bound, tol, len(s), scale)
-            if report.ok if accept is None else accept(report):
+            checks = _symmetry_checks(s, tol, sym0, _sym1(s), (bound, bound), "certificate")
+            report = SymmetryReport((*checks, *extra))
+            if report.ok:
                 return result, report, None
     except (ObtuseWalkError, np.linalg.LinAlgError) as exc:
         error = exc
-    return result, check_symmetries(tensor, tol=tol), error
+    return result, SymmetryReport((*check_symmetries(tensor, tol=tol).checks, *extra)), error
 
 
 def _gated(tensor: Tensor3, tol: float, kernel):

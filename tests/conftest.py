@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from obtusewalk import ObtuseRV, Tensor3, TensorFamily, serialize, tensor, tensor_of
-from obtusewalk.obtuse import _require_constant, _require_step, haar_unitary
+from obtusewalk.obtuse import _bound, _require_constant, _require_step, haar_unitary
 from obtusewalk.takagi import unitary_sqrt
 
 REFERENCE_VALUES = np.array(
@@ -92,6 +92,42 @@ def to_json(fmt: str, x):
     """The plain document of ``x`` in the JSON format ``fmt``: ``serialize._plain``
     of its builder ``serialize.<fmt>_doc``."""
     return serialize._plain(getattr(serialize, f"{fmt}_doc")(x))
+
+
+# The gate's decision as the previous release wrote it, on a report's residuals
+# ``r`` of a tensor in dimension ``dim`` (N for a limit's inner tensor) with
+# max|S| = ``scale``: ``SymmetryReport.ok`` and ``doubly_symmetric`` with its
+# seven scalar fields, ``LimitSymmetryReport.ok`` with four more.
+
+
+def doubly_symmetric_before(r, tol, dim, scale):
+    m = scale
+    entry, product = _bound(tol, m), _bound(tol, dim * m * m)
+    return r["sym1"] <= entry and r["sym2"] <= product and r["sym3"] <= product
+
+
+def symmetry_ok_before(r, tol, dim, scale):
+    sym0_ok = r.get("sym0") is None or r["sym0"] <= _bound(tol, scale)
+    return sym0_ok and doubly_symmetric_before(r, tol, dim, scale)
+
+
+def limit_ok_before(r, tol, dim, scale):
+    unit, nm = _bound(tol, 1.0), _bound(tol, dim * scale)
+    return (
+        symmetry_ok_before(r, tol, dim, scale)
+        and r["lambda_symmetry"] <= unit
+        and r["lambda_unitarity"] <= unit
+        and r["exchange"] <= nm
+        and r["reduction"] <= nm
+    )
+
+
+def ok_before(report, tol, entries):
+    """The previous release's ``ok`` of ``report`` on the tensor ``entries``
+    (the inner tensor of a limit, whose report carries the Lambda relations)."""
+    r = report.residuals()
+    before = limit_ok_before if "lambda_symmetry" in r else symmetry_ok_before
+    return before(r, tol, len(entries), float(np.abs(entries).max(initial=0)))
 
 
 @pytest.fixture

@@ -30,7 +30,7 @@ from obtusewalk import (
 )
 from obtusewalk.errors import NotDoublySymmetric, ObtuseWalkError
 from obtusewalk.limits import DEFAULT_STEPS
-from conftest import REFERENCE_VALUES
+from conftest import REFERENCE_VALUES, ok_before
 
 
 def random_tensor(n, seed):
@@ -85,17 +85,22 @@ class TestNoLoosening:
             entries = Tensor3(t.entries, has_constant=False)
             for tol in (1e-9, 1e-12):
                 sweep = check_symmetries(entries, tol=tol)
+                # every report decides as the seven-field one did, sym0 included
+                for rep in (sweep, check_symmetries(t, tol=tol)):
+                    assert rep.ok == ok_before(rep, tol, t.entries), (n, tol)
                 for points in kernel_points(t, tol):
                     gate_sweeps.clear()
                     _, report, _ = tensor._certify_or_sweep(entries, tol, lambda: (None, points))
+                    assert report.ok == ok_before(report, tol, t.entries), (n, tol)
                     if gate_sweeps:
                         rejected += 1
                         continue
                     accepted += 1
-                    assert sweep.doubly_symmetric, (n, tol, sweep.residuals())
+                    assert sweep.ok, (n, tol, sweep.residuals())
                     # the certified report: sym1 exact, sym2 and sym3 bounded above
-                    assert report.sym1 == sweep.sym1, (n, tol)
-                    assert report.sym2 >= sweep.sym2 and report.sym3 >= sweep.sym3, (n, tol)
+                    got, want = report.residuals(), sweep.residuals()
+                    assert got["sym1"] == want["sym1"], (n, tol)
+                    assert got["sym2"] >= want["sym2"] and got["sym3"] >= want["sym3"], (n, tol)
         # the corpus reaches both sides of the gate
         assert accepted >= 20 and rejected >= 20, (accepted, rejected)
 
@@ -214,9 +219,14 @@ class TestOverflow:
     def test_sweep_rejects_nan_residuals(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = check_symmetries(overflowed_tensor())
-        assert report.sym1 == 0.0 and np.isnan(report.sym2) and np.isnan(report.sym3)
-        assert not report.doubly_symmetric and not report.ok
+            t = overflowed_tensor()
+            report = check_symmetries(t)
+        r = report.residuals()
+        assert r["sym1"] == 0.0 and np.isnan(r["sym2"]) and np.isnan(r["sym3"])
+        # of the double-symmetry relations sym2 and sym3 fail; sym0 fails too
+        failed = [c.name for c in report.checks if not c.value <= c.bound]
+        assert failed == ["sym2", "sym3", "sym0"]
+        assert not report.ok and not ok_before(report, obtuse.DEFAULT_TOL, t.entries)
 
     @pytest.mark.parametrize("call", [diagonalize, obtuse_fixed_points, realify])
     def test_certified_calls_reject_it_without_warnings(self, call):

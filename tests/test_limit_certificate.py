@@ -36,7 +36,7 @@ from obtusewalk.errors import (
 )
 from obtusewalk.obtuse import _bound, _khatri_rao
 from obtusewalk.takagi import unitary_sqrt
-from conftest import SCALED_STEPS, sampled_family, scaled_family
+from conftest import SCALED_STEPS, ok_before, sampled_family, scaled_family
 
 
 def limit_of(vectors, v):
@@ -128,25 +128,30 @@ def outcome(call):
 
 
 class TestNoLoosening:
-    def test_classify_certifies_only_what_the_sweep_accepts(self, gate_sweeps):
+    def test_classify_certifies_only_what_the_sweep_accepts(self, gate_sweeps, gate_reports):
         certified = swept = 0
         for n, m in perturbed_limits():
+            inner = m.entries[1:, 1:, 1:]
             for tol in (1e-9, 1e-6):
                 gate_sweeps.clear()
+                gate_reports.clear()
                 got = outcome(lambda: classify(m, tol=tol))
+                want = limits.check_limit_symmetries(m, tol=tol)
+                # both reports decide as the eleven-field one did
+                for rep in (gate_reports[0], want):
+                    assert rep.ok == ok_before(rep, tol, inner), (n, tol)
                 if gate_sweeps:
                     swept += 1
                     continue
                 certified += 1
-                want = limits.check_limit_symmetries(m, tol=tol)
                 assert want.ok, (n, tol, want.residuals())
                 if isinstance(got, Exception):
                     continue  # raised after the gate, by the Takagi step
-                report = got.structure
-                assert report.sym2 >= want.sym2 and report.sym3 >= want.sym3, (n, tol)
+                report, want = got.structure.residuals(), want.residuals()
+                assert report["sym2"] >= want["sym2"] and report["sym3"] >= want["sym3"], (n, tol)
                 exact = {"sym1", "lambda_symmetry", "lambda_unitarity", "exchange", "reduction"}
                 for name in exact:
-                    assert getattr(report, name) == getattr(want, name), (n, tol, name)
+                    assert report[name] == want[name], (n, tol, name)
         # the corpus reaches both sides of the gate
         assert certified >= 20 and swept >= 20, (certified, swept)
 
@@ -160,6 +165,7 @@ class TestNoLoosening:
                 got = outcome(lambda: limit_tensor(family, tol=tol))
                 swept = bool(gate_sweeps)
                 cert = gate_reports[0]
+                assert cert.ok == ok_before(cert, tol, s.entries), (n, tol)
                 want = outcome(lambda: limit_tensor_sweep_first(family, tol))
                 if isinstance(want, Exception):
                     assert_same_error(got, want, (n, tol))
@@ -172,8 +178,9 @@ class TestNoLoosening:
                 report = check_symmetries(s, tol=tol)
                 assert report.ok, (n, tol, report.residuals())
                 # the certified report: sym0 and sym1 exact, sym2 and sym3 one upper bound
-                assert cert.sym0 == report.sym0 and cert.sym1 == report.sym1, (n, tol)
-                assert cert.sym2 == cert.sym3 >= max(report.sym2, report.sym3), (n, tol)
+                cert, report = cert.residuals(), report.residuals()
+                assert cert["sym0"] == report["sym0"] and cert["sym1"] == report["sym1"], (n, tol)
+                assert cert["sym2"] == cert["sym3"] >= max(report["sym2"], report["sym3"]), (n, tol)
         assert certified >= 8 and rejected >= 8, (certified, rejected)
 
 
@@ -347,6 +354,9 @@ class TestSameErrors:
     def test_overflow_reports_nan(self):
         with pytest.raises(StructureViolation, match="nan"):
             classify(overflowed_limit())
+        m = overflowed_limit()
+        report = limits.check_limit_symmetries(m)
+        assert not report.ok and not ok_before(report, 1e-9, m.entries[1:, 1:, 1:])
 
     def test_valid_results_match_the_sweep_first_order(self):
         rng = np.random.default_rng(8)

@@ -43,7 +43,6 @@ from obtusewalk.limits import (
     _EXTRAPOLATION_TOL,
     _STREAM_BLOCKS,
     DEFAULT_STEPS,
-    LimitSymmetryReport,
     _real_complement,
 )
 from conftest import (
@@ -57,6 +56,7 @@ from conftest import (
     greedy_match,
     jump_rv,
     jump_values,
+    ok_before,
     rescale_tensor,
     sampled_family,
     scaled_family,
@@ -577,7 +577,7 @@ class TestLimitSymmetries:
         entries = result.tensor.entries.copy()
         entries[1, 1, 0] += 0.05
         report = check_limit_symmetries(Tensor3(entries, has_constant=True))
-        assert report.lambda_unitarity > 0.05 / 2
+        assert report.residuals()["lambda_unitarity"] > 0.05 / 2
         assert not report.ok
 
     def test_one_dimensional_limit_tensor_raises(self):
@@ -586,15 +586,20 @@ class TestLimitSymmetries:
             check_limit_symmetries(tensor)
 
     @pytest.mark.parametrize(
-        "field", ["sym2", "lambda_symmetry", "lambda_unitarity", "exchange", "reduction"]
+        "field",
+        ["sym1", "sym2", "sym3", "lambda_symmetry", "lambda_unitarity", "exchange", "reduction"],
     )
     def test_nan_residual_fails(self, field):
-        # overflowed sweep products give NaN; it fails after a zero residual
-        fields = dict.fromkeys(LimitSymmetryReport.__dataclass_fields__, 0.0)
-        report = LimitSymmetryReport(**{**fields, "sym0": None, field: float("nan"), "tol": 1e-9})
-        assert isinstance(report, SymmetryReport)
+        # overflowed sweep products give NaN; it fails among passing checks
+        result = limit_tensor(jump_family())
+        passing = check_limit_symmetries(result)
+        assert passing.ok
+        nan = float("nan")
+        checks = tuple(c._replace(value=nan) if c.name == field else c for c in passing.checks)
+        report = SymmetryReport(checks)
         assert field in report.residuals() and "sym0" not in report.residuals()
         assert not report.ok
+        assert not ok_before(report, obtuse.DEFAULT_TOL, result.tensor.entries[1:, 1:, 1:])
 
 
 class TestClassify:

@@ -163,7 +163,7 @@ class TestSymmetries:
         entries = reference_tensor.entries.copy()
         entries[0, 0, 0] += 0.1
         report = check_symmetries(Tensor3(entries))
-        assert report.sym0 == pytest.approx(0.1)
+        assert report.residuals()["sym0"] == pytest.approx(0.1)
         assert not report.ok
 
     def test_randomized_systems_pass(self):
@@ -198,11 +198,11 @@ def assert_sweep_matches_reference(s: np.ndarray):
     sym0, sym1, sym2, sym3 = reference_symmetries(s)
     unit = 4 * np.finfo(float).eps * s.shape[0] * np.max(np.abs(s)) ** 2
     for has_constant in (True, False):
-        report = check_symmetries(Tensor3(s, has_constant=has_constant))
-        assert report.sym0 == (sym0 if has_constant else None)
-        assert report.sym1 == sym1
-        assert abs(report.sym2 - sym2) <= unit, (report.sym2, sym2, unit)
-        assert abs(report.sym3 - sym3) <= unit, (report.sym3, sym3, unit)
+        report = check_symmetries(Tensor3(s, has_constant=has_constant)).residuals()
+        assert report.get("sym0") == (sym0 if has_constant else None)
+        assert report["sym1"] == sym1
+        assert abs(report["sym2"] - sym2) <= unit, (report["sym2"], sym2, unit)
+        assert abs(report["sym3"] - sym3) <= unit, (report["sym3"], sym3, unit)
 
 
 SWEEP_DIMS = (2, 3, 9, 17, 33)
@@ -252,7 +252,7 @@ class TestSweepKernel:
 
     def test_empty_tensor_has_zero_residuals(self):
         report = check_symmetries(Tensor3(np.zeros((0, 0, 0)), has_constant=False))
-        assert (report.sym1, report.sym2, report.sym3) == (0.0, 0.0, 0.0)
+        assert report.residuals() == {"sym1": 0.0, "sym2": 0.0, "sym3": 0.0}
 
     def test_empty_tensor_with_constant_is_rejected(self):
         # there is no coordinate 0 to be the constant one

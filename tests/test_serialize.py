@@ -249,9 +249,10 @@ class TestLimitSpec:
             serialize.limitspec_from_json(doc)
 
     @staticmethod
-    def rebuild_bytes(k, n, written):
-        """The reader's model of the rebuild of M from k directions in C^n."""
-        return 16 * (k * n * n + k * n) + 17 * n**3 + 2**17 + 24 * n**3 * written
+    def rebuild_bytes(k, n):
+        """The reader's model of the rebuild of M from k directions in C^n, with or
+        without a written M, which is compared slice by slice."""
+        return 16 * (k * n * n + k * n) + 17 * n**3 + 2**17
 
     @staticmethod
     def unitary_doc(n, k):
@@ -277,7 +278,7 @@ class TestLimitSpec:
         spec, doc = self.unitary_doc(n, k)
         if written:
             doc["M"] = to_json("tensor", spec.tensor)
-        model = self.rebuild_bytes(k, n, written)
+        model = self.rebuild_bytes(k, n)
         monkeypatch.setattr(obtuse, "MEMORY_BYTES", model)
         serialize.limitspec_from_json(doc)
         monkeypatch.setattr(obtuse, "MEMORY_BYTES", model - 1)
@@ -293,4 +294,30 @@ class TestLimitSpec:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= self.rebuild_bytes(k, n, False), peak
+        assert peak <= self.rebuild_bytes(k, n), peak
+
+    def test_written_m_costs_a_few_slices(self, monkeypatch):
+        # from the rebuild's start, a document that still carries "M" peaks within
+        # a few (N, N) slices of one without it: no d^3 difference or moduli
+        n = 64
+        spec, doc = self.unitary_doc(n, 0)
+        rebuild = serialize._khatri_rao
+        start = []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+            return rebuild(*args)
+
+        monkeypatch.setattr(serialize, "_khatri_rao", traced)
+        peaks = []
+        for written in (False, True):
+            if written:
+                doc["M"] = to_json("tensor", spec.tensor)
+            tracemalloc.start()
+            try:
+                serialize.limitspec_from_json(doc)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start.pop())
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 4 * 16 * n * n, peaks

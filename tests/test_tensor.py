@@ -108,7 +108,7 @@ class TestFromFamily:
 def check_sym(tensor):
     from obtusewalk import check_symmetries
 
-    return check_symmetries(Tensor3(tensor.entries, has_constant=False), tol=1e-10).doubly_symmetric
+    return check_symmetries(Tensor3(tensor.entries, has_constant=False), tol=1e-10).ok
 
 
 class TestDiagonalize:
