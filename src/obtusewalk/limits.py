@@ -133,9 +133,14 @@ def _observed_order(earlier, later, steps, bound) -> np.ndarray:
     ``earlier`` and ``later`` of each sequence over the three finest ``steps``:
     log(max(|earlier|, bound) / |later|) / log(h_{n-1} / h_n), exact for
     lim + c h^p on a geometric grid and approximate on any other.  An entry
-    whose later difference is at most ``bound`` does not move: order inf."""
+    whose later difference is at most ``bound`` does not move: order inf.  A
+    step ratio that overflows (1e309 between 0.1 and 1e-310) is taken as
+    log(h_{n-1}) - log(h_n); every finite ratio keeps its own log's bits."""
     a, b = np.abs(earlier), np.abs(later)
-    p = np.log(np.maximum(a, bound) / np.maximum(b, bound)) / np.log(steps[-2] / steps[-1])
+    with np.errstate(over="ignore"):
+        ratio = steps[-2] / steps[-1]
+    log_ratio = np.log(ratio) if ratio < np.inf else np.log(steps[-2]) - np.log(steps[-1])
+    p = np.log(np.maximum(a, bound) / np.maximum(b, bound)) / log_ratio
     return np.where(b > bound, p, np.inf)
 
 

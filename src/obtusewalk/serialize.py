@@ -330,11 +330,14 @@ def limitspec_from_json(obj) -> LimitSpec:
     """Limit spec whose V, directions and basis all match Lambda's N.
 
     M is rebuilt from the Poisson directions and intensities, each its
-    direction's rate 1/|v|^2 within ``_bound(DEFAULT_TOL, 1)``.  A document
-    that still carries "M" (the format before it was dropped) must agree
-    with the rebuild within ``_bound(DEFAULT_TOL, max|M|)``.  The rebuild is
-    held to the memory budget ``obtuse.MEMORY_BYTES`` before it allocates and
-    raises ``TooLarge`` over it.
+    direction's rate 1/|v|^2 within ``_bound(DEFAULT_TOL, 1)``.  The rows B
+    of the Brownian basis are orthonormal: max|B B* - I| within the same
+    bound, or ``FormatError``, since a longer row would scale its Brownian
+    motion's covariance.  A document that still carries "M" (the format
+    before it was dropped) must agree with the rebuild within
+    ``_bound(DEFAULT_TOL, max|M|)``.  The rebuild is held to the memory
+    budget ``obtuse.MEMORY_BYTES`` before it allocates and raises
+    ``TooLarge`` over it.
     """
     try:
         lam = matrix_from_json(obj["Lambda"])
@@ -366,6 +369,11 @@ def limitspec_from_json(obj) -> LimitSpec:
             f"{m_dim}, V {v.shape}, poisson directions {dirs.shape}, "
             f"brownian basis {basis.shape}"
         )
+    # a row product that overflows gives inf or NaN, which fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram_gap = np.max(np.abs(basis @ basis.conj().T - np.eye(len(basis))), initial=0.0)
+    if not gram_gap <= _bound(DEFAULT_TOL, 1.0):
+        raise FormatError(f"brownian basis rows must be orthonormal: max|B B* - I| = {gram_gap:.3e}")
     # an infinite rate on a zero direction, or a zero rate on one whose |v|^2
     # overflows, gives NaN, which fails
     with np.errstate(over="ignore", invalid="ignore"):

@@ -8,9 +8,13 @@ converge to a limit with one compensated-Poisson direction (1, i)/sqrt(2)
 and one Brownian direction proportional to (i, 1).
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import obtusewalk
 from obtusewalk import ObtuseRV, Tensor3, TensorFamily, serialize, tensor, tensor_of
 from obtusewalk.obtuse import _bound, _require_constant, _require_step, haar_unitary
 from obtusewalk.takagi import unitary_sqrt
@@ -86,6 +90,13 @@ JUMP_M1 = np.array([[1, -1j], [1j, 1]], dtype=complex) / (2 * np.sqrt(2))
 JUMP_M2 = np.array([[1j, 1], [-1, 1j]], dtype=complex) / (2 * np.sqrt(2))
 JUMP_LAMBDA = np.array([[0, 1j], [1j, 0]], dtype=complex)
 JUMP_POISSON_DIR = np.array([1, 1j]) / np.sqrt(2)
+
+
+def child_env(**extra) -> dict:
+    """This process's environment, plus ``extra``, for a child Python process that
+    imports the package under test: PYTHONPATH is the directory holding it."""
+    root = Path(obtusewalk.__file__).resolve().parent.parent
+    return dict(os.environ, PYTHONPATH=str(root), **extra)
 
 
 def to_json(fmt: str, x):

@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, file round trips, determinism."""
 
+import copy
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -13,6 +18,7 @@ from obtusewalk import (
     Tensor3,
     TensorFamily,
     check_limit_symmetries,
+    check_symmetries,
     classify,
     cli,
     diagonalize,
@@ -33,6 +39,7 @@ from conftest import (
     JUMP_POISSON_DIR,
     REFERENCE_PROBS,
     REFERENCE_VALUES,
+    child_env,
     greedy_match,
     jump_values,
     reference_tensor_entries,
@@ -44,6 +51,11 @@ def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
 
+
+# the checks of a limit tensor's structure, by name
+LIMIT_CHECK_NAMES = {
+    "sym1", "sym2", "sym3", "lambda_symmetry", "lambda_unitarity", "exchange", "reduction"
+}
 
 # a tensor on C^1: only the constant coordinate, so a limit has N = 0
 ONE_DIM_TENSOR_DOC = {"dim": 1, "entries": [[[{"re": 1.0, "im": 0.0}]]]}
@@ -90,13 +102,16 @@ class TestValidate:
         assert not json.loads(capsys.readouterr().out)["ok"]
 
     @pytest.mark.parametrize("values", [[[1e160], [-1e-160]], [[1e-170], [-1e170]]])
-    @pytest.mark.parametrize("command", ["validate", "tensor"])
+    @pytest.mark.parametrize(
+        "command", ["validate", "tensor", "realify", "limit", "simulate --kind walk"]
+    )
     def test_squared_norm_out_of_range(self, tmp_path, capsys, values, command):
-        # |v_0|^2 overflows or underflows: a domain error, with no warning
-        f = write_json(tmp_path / "sys.json", {"values": values})
+        # |v_0|^2 overflows or underflows: a domain error, with no warning, from
+        # every command that reads a system file, since they share one reader
+        argv = system_command(tmp_path, command, {"values": values})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([command, f]) == 1
+            assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: DimensionMismatch: |v|^2 of vector 0 ")
@@ -174,6 +189,7 @@ class TestCheck:
         assert main(["check", f]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"]
+        assert set(report["symmetries"]) == {"sym0", "sym1", "sym2", "sym3"}
         assert max(report["symmetries"].values()) <= 1e-10
 
     def test_broken_tensor(self, tmp_path, capsys):
@@ -212,6 +228,20 @@ class TestRealify:
         )
         assert np.max(np.abs(recovered.imag)) <= 1e-8
 
+    def test_real_system_keeps_its_axes(self, tmp_path, capsys):
+        # V = I, the principal square root of a real tensor's time-zero slice;
+        # the values are system_from_probabilities([0.1, 0.2, 0.3, 0.4])
+        values = [
+            [0.5000000000000002, 0.8660254037844387, -2.82842712474619],
+            [-2.0, 4.628113532934919e-18, -4.2576957449952636e-17],
+            [0.5, -1.4433756729740645, -2.8824170772746375e-17],
+            [0.5, 0.8660254037844386, 0.7071067811865476],
+        ]
+        f = write_json(tmp_path / "real.json", {"values": values})
+        assert main(["realify", f]) == 0
+        v = serialize.matrix_from_json(json.loads(capsys.readouterr().out)["V"])
+        assert np.max(np.abs(v - np.eye(len(v)))) <= 1e-15
+
 
 def jump_family_doc():
     return {
@@ -241,12 +271,30 @@ class TestLimit:
         f = write_json(
             tmp_path / "family.json", {"system": reference_system_doc()}
         )
-        assert main(["limit", f]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["limit", f]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["poisson"] == []
+        assert doc["poisson"] == [] and "M" not in doc
         lam = serialize.matrix_from_json(doc["Lambda"])
         v = serialize.matrix_from_json(doc["V"])
         assert np.max(np.abs(v @ v.T - lam)) <= 1e-9
+        # a constant family converges exactly like h^{1/2}
+        diagnostics = doc["diagnostics"]
+        assert set(diagnostics) == {"worst_order", "extrapolation_error", "structure_residuals"}
+        assert abs(diagnostics["worst_order"] - 0.5) <= 1e-12
+        assert set(diagnostics["structure_residuals"]) == LIMIT_CHECK_NAMES
+
+    def test_step_ratio_that_overflows(self, tmp_path, capsys):
+        # 1e308, 0.1, 1e-310 is a geometric grid whose ratio 1e309 overflows a
+        # double: the constant family still converges like h^{1/2}, unwarned
+        doc = {"system": reference_system_doc(), "steps": [1e308, 0.1, 1e-310]}
+        f = write_json(tmp_path / "family.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["limit", f]) == 0
+        diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
+        assert abs(diagnostics["worst_order"] - 0.5) <= 1e-12
 
     def test_family_without_moving_entries_has_null_order(self, tmp_path, capsys):
         # S^{11}_1 = E[X^3] = 0 for a fair +-1 coin: no entry moves with h
@@ -271,15 +319,30 @@ class TestLimit:
             assert "error: NotObtuse" in capsys.readouterr().err
             assert main(["limit", f, "--tol", "1e-6"]) == 0
 
-    @pytest.mark.parametrize("steps", [[], [1e400], [0, -1]])
+    @pytest.mark.parametrize(
+        "steps", [[], [1e400], [0, -1], [0.1, 0.09999999999999999, 0.01]]
+    )
     def test_explicit_steps_are_never_replaced(self, tmp_path, capsys, steps):
-        # only an absent or null "steps" means the default grid
+        # only an absent or null "steps" means the default grid; the last
+        # steps have coinciding square roots, one node twice in the table
         doc = {"system": HALVES, "steps": steps}
         f = write_json(tmp_path / "family.json", doc)
         assert main(["limit", f]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         doc["steps"] = None
         assert main(["limit", write_json(tmp_path / "null.json", doc)]) == 0
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_tensor_family_is_gated_sample_by_sample(self, tmp_path, capsys, broken):
+        # three copies of a valid tensor pass; 1e-6 on one entry of one fails
+        tensors = [to_json("tensor", tensor_of(ObtuseRV.from_values(REFERENCE_VALUES)))] * 3
+        if broken:
+            tensors[2] = copy.deepcopy(tensors[2])
+            tensors[2]["entries"][1][2][1]["re"] += 1e-6
+        doc = {"steps": [0.1, 0.025, 0.00625], "tensors": tensors}
+        assert main(["limit", write_json(tmp_path / "family.json", doc)]) == int(broken)
+        err = capsys.readouterr().err
+        assert err.startswith("error: NotDoublySymmetric: ") if broken else err == ""
 
     def test_one_dimensional_family(self, tmp_path, capsys):
         tensors = [ONE_DIM_TENSOR_DOC] * len(DEFAULT_STEPS)
@@ -472,6 +535,13 @@ class TestReportBytes:
         want = to_json("tensor", self.reference_tensor())
         assert run_to_file(tmp_path, ["tensor", f]) == (0, plain_bytes(want))
 
+    def test_check(self, tmp_path):
+        tensor = self.reference_tensor()
+        f = write_json(tmp_path / "t.json", to_json("tensor", tensor))
+        want = {"ok": True, "symmetries": check_symmetries(tensor).residuals()}
+        assert run_to_file(tmp_path, ["check", f]) == (0, plain_bytes(want))
+        assert set(want["symmetries"]) == {"sym0", "sym1", "sym2", "sym3"}
+
     def test_check_limit(self, tmp_path):
         # a walk tensor's inner block is not doubly symmetric on its own
         tensor = self.reference_tensor()
@@ -491,6 +561,7 @@ class TestReportBytes:
         want = {"ok": True, "structure": check_limit_symmetries(limit, tol=tol).residuals()}
         got = run_to_file(tmp_path, ["check", f, "--limit", "--tol", str(tol)])
         assert got == (0, plain_bytes(want))
+        assert set(want["structure"]) == LIMIT_CHECK_NAMES
 
     def test_diagonalize_system(self, tmp_path):
         tensor = self.reference_tensor()
@@ -513,16 +584,23 @@ class TestReportBytes:
         }
         assert run_to_file(tmp_path, ["diagonalize", f]) == (0, plain_bytes(want))
 
-    def test_realify(self, tmp_path):
-        f = write_json(tmp_path / "sys.json", reference_system_doc())
+    def realify_doc(self):
         result = realify(self.reference_tensor(), tol=DEFAULT_TOL)
-        want = {
+        return {
             "V": to_json("matrix", result.v),
             "R": to_json("tensor", result.real_tensor),
             "system": to_json("system", result.real_system),
             "imag_residual": result.imag_residual(),
         }
-        assert run_to_file(tmp_path, ["realify", f]) == (0, plain_bytes(want))
+
+    def test_realify(self, tmp_path):
+        f = write_json(tmp_path / "sys.json", reference_system_doc())
+        assert run_to_file(tmp_path, ["realify", f]) == (0, plain_bytes(self.realify_doc()))
+
+    def test_realify_tensor_file(self, tmp_path):
+        # a tensor file goes through the same gate and writer as a system file
+        f = write_json(tmp_path / "t.json", to_json("tensor", self.reference_tensor()))
+        assert run_to_file(tmp_path, ["realify", f]) == (0, plain_bytes(self.realify_doc()))
 
     def test_limit(self, tmp_path):
         f = write_json(tmp_path / "family.json", jump_family_doc())
@@ -609,6 +687,15 @@ def system_doc_with(entry):
     return doc
 
 
+def rate_spec_doc(rate):
+    """A spec on C^1 whose one jump direction v = [1] declares the intensity ``rate``."""
+    return {
+        "Lambda": {"entries": [[1]]},
+        "V": {"entries": [[1]]},
+        "poisson": [{"v": [1], "intensity": rate}],
+    }
+
+
 # two atoms on C^1: an obtuse system whose probabilities are both 1/2
 HALVES = {"values": [[1], [-1]]}
 STRING_SCALAR = {"re": "abc", "im": 0.0}
@@ -642,6 +729,9 @@ STRING_SCALAR = {"re": "abc", "im": 0.0}
         (["check"], {"dim": 1, "constant_index": "no", "entries": [[[1]]]}),
         (["validate"], dict(HALVES, dim=1.5)),
         (["realify"], 5),
+        (["simulate", "--kind", "limit"], rate_spec_doc(5)),
+        (["simulate", "--kind", "limit"], one_dim_spec_doc(brownian=[[3]])),
+        (["simulate", "--kind", "limit"], one_dim_spec_doc(brownian=[[1e308]])),
     ],
     ids=[
         "check-ragged-tensor",
@@ -663,12 +753,18 @@ STRING_SCALAR = {"re": "abc", "im": 0.0}
         "check-string-constant-index",
         "validate-fractional-dim",
         "realify-not-an-object",
+        "simulate-rate-not-inverse-norm",
+        "simulate-brownian-row-not-unit",
+        "simulate-brownian-row-overflows",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, doc):
     f = write_json(tmp_path / "in.json", doc)
-    assert main([argv[0], f, *argv[1:]]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], f, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
@@ -684,6 +780,22 @@ def test_non_finite_system_entry_is_a_format_error(tmp_path, capsys, argv, value
     assert main([argv[0], str(f), *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: system values[1][0] is not finite: "), err
+
+
+@pytest.mark.parametrize("command", ["diagonalize", "realify", "limit"])
+def test_twice_a_tensor_owes_sym0(tmp_path, capsys, command):
+    # twice a valid flagged tensor is doubly symmetric but breaks S^{i0}_k =
+    # delta_ik: diagonalize (which recovers the system of a flagged tensor),
+    # realify and a family of three copies give one answer, naming sym0
+    tensor = tensor_of(ObtuseRV.from_values(REFERENCE_VALUES))
+    doc = to_json("tensor", Tensor3(2 * tensor.entries))
+    if command == "limit":
+        doc = {"steps": [0.1, 0.025, 0.00625], "tensors": [doc] * 3}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, write_json(tmp_path / "twice.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: NotDoublySymmetric: [^\n]*sym0[^\n]*\n", err), err
 
 
 def test_non_finite_tensor_entry_names_the_entry(tmp_path, capsys):
@@ -722,10 +834,11 @@ class TestSimulate:
         assert stats == {"n_paths": 0}
 
     def test_spec_over_the_memory_budget_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        # one direction in C^1: rebuilding M asks for 16 * 2 + 17 + 2**17 bytes
-        doc = one_dim_spec_doc(poisson=[{"v": [1], "intensity": 1.0}], brownian=[])
-        del doc["M"]
-        f = write_json(tmp_path / "spec.json", doc)
+        # one direction in C^1: rebuilding M asks for 16 * 2 + 17 + 2**17 bytes,
+        # which the default budget holds
+        f = write_json(tmp_path / "spec.json", rate_spec_doc(1))
+        assert main(["simulate", f, "--kind", "limit", "--paths", "10"]) == 0
+        capsys.readouterr()
         monkeypatch.setattr(obtuse, "MEMORY_BYTES", 16 * 2 + 17 + 2**17 - 1)
         assert main(["simulate", f, "--kind", "limit", "--paths", "10"]) == 1
         err = capsys.readouterr().err
@@ -909,3 +1022,70 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: PathTooLarge: ")
         assert peak < 2**20
+
+
+def start_child(argv, cwd):
+    """``python -m obtusewalk.cli`` on ``argv`` in a child process, under a hash
+    seed other than this process's."""
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    return subprocess.Popen(
+        [sys.executable, "-m", "obtusewalk.cli", *argv],
+        cwd=cwd, env=child_env(PYTHONHASHSEED=seed),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def child_result(child):
+    """A child's exit code, stdout and stderr, once it has ended."""
+    out, err = child.communicate(timeout=120)
+    return child.returncode, out, err
+
+
+def test_console_process(tmp_path, monkeypatch):
+    # what only a process of its own shows: bytes that no hash seed changes, and
+    # exit codes and stderr through sys.exit; six children run side by side, and
+    # each output is checked against the same run in this process, whose hash
+    # seed differs
+    system32 = tmp_path / "system32.json"
+    system32.write_text(
+        serialize.dumps(serialize.system_doc(random_system(32, np.random.default_rng(32)))) + "\n"
+    )
+    system = write_json(tmp_path / "system.json", reference_system_doc())
+    family = write_json(tmp_path / "family.json", {"system": reference_system_doc()})
+    spec = str(tmp_path / "spec.json")
+    assert main(["limit", family, "--out", spec]) == 0
+    # with --out, one stream feeds the CSV members on the fine grid, then the rest
+    sampled = ["--paths", "20", "--max-csv-paths", "3", "--seed", "5"]
+    runs = [
+        ["tensor", str(system32), "--out", "tensor-32.json"],
+        ["realify", str(system32), "--out", "realify-32.json"],
+        ["simulate", system, "--kind", "walk", *sampled, "--out", "walk.csv", "--stats", "walk.json"],
+        ["simulate", spec, "--kind", "limit", *sampled, "--out", "limit.csv", "--stats", "limit.json"],
+    ]
+    # a domain failure exits 1, a malformed file 2
+    huge = write_json(tmp_path / "huge.json", {"values": [[1e160], [-1e-160]]})
+    mistyped = write_json(tmp_path / "mistyped.json", {"values": [[{"re": "abc"}], [-1]]})
+    failures = [(["tensor", huge], 1), (["tensor", mistyped], 2)]
+    child, own = tmp_path / "child", tmp_path / "own"
+    child.mkdir()
+    own.mkdir()
+    children = [start_child(argv, child) for argv in runs + [argv for argv, _ in failures]]
+    monkeypatch.chdir(own)
+    for argv in runs:
+        assert main(argv) == 0
+    results = [child_result(c) for c in children]
+    assert results[: len(runs)] == [(0, "", "")] * len(runs)
+    for (rc, out, err), (_, code) in zip(results[len(runs) :], failures):
+        assert (rc, out) == (code, ""), err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err and "Warning" not in err, err
+    names = ["limit.csv", "limit.json", "realify-32.json", "tensor-32.json", "walk.csv", "walk.json"]
+    assert sorted(p.name for p in child.iterdir()) == sorted(p.name for p in own.iterdir()) == names
+    for name in names:
+        assert (child / name).read_bytes() == (own / name).read_bytes(), name
+    for name in ("tensor-32.json", "realify-32.json"):
+        text = (child / name).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
+    # a header and 3 paths on the fine grids of h = 0.01 and dt = 0.001
+    assert (child / "walk.csv").read_bytes().count(b"\n") == 304
+    assert (child / "limit.csv").read_bytes().count(b"\n") == 3004

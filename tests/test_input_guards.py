@@ -15,12 +15,14 @@ untyped numpy error.
 
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obtusewalk
 from obtusewalk import (
     ObtuseRV,
     ObtuseSystem,
@@ -622,6 +624,16 @@ def test_a_variable_is_its_system():
     assert isinstance(ObtuseRV(system), ObtuseSystem) and type(rv) is ObtuseRV
     assert ObtuseRV(system=system).values is system.values
     assert tensor_of(rv).entries.tobytes() == tensor_of(system).entries.tobytes()
+
+
+def test_no_code_asks_which_of_the_two_it_holds():
+    # an ObtuseRV is an ObtuseSystem, so the package never tests for the subclass
+    package = Path(obtusewalk.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) >= 10
+    for source in sources:
+        text = source.read_text(encoding="utf-8")
+        assert not re.search(r"isinstance\([^)]*ObtuseRV", text), source.name
 
 
 def test_out_into_a_missing_directory(tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Path simulation, bracket estimation, and moment comparison."""
 
+import json
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -29,7 +33,7 @@ from obtusewalk.errors import (
 )
 from obtusewalk.limits import DEFAULT_STEPS, LimitSpec
 from obtusewalk.obtuse import Tensor3, haar_unitary, random_system
-from conftest import REFERENCE_PROBS, REFERENCE_VALUES, bernoulli_rv, jump_rv
+from conftest import REFERENCE_PROBS, REFERENCE_VALUES, bernoulli_rv, child_env, jump_rv
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +135,24 @@ def per_increment_brackets(path):
         var = prod.real.var(axis=0, ddof=1) + prod.imag.var(axis=0, ddof=1)
         out += [prod.sum(axis=0), np.maximum(np.sqrt(len(prod) * var), simulate.SE_FLOOR)]
     return out
+
+
+# the values' bytes, the increments counted and the worst sigma of the brackets
+# of a seeded N = 32 limit path with 10^5 increments, printed as JSON
+LONG_PATH_BRACKETS = """
+import json
+import numpy as np
+from obtusewalk import (
+    ObtuseRV, TensorFamily, classify, empirical_brackets, limit_path, limit_tensor,
+    random_system, tensor_of,
+)
+system = ObtuseRV(random_system(32, np.random.default_rng(32)))
+spec = classify(limit_tensor(TensorFamily.constant(tensor_of(system))))
+path = limit_path(spec, 1.0, 1e-5)
+est = empirical_brackets(path, spec)
+worst = max(np.max(est.sigmas_bracket()), np.max(est.sigmas_conj_bracket()))
+print(json.dumps([path.values.nbytes, est.n_increments, float(worst)]))
+"""
 
 
 def per_time_moments(values):
@@ -657,6 +679,22 @@ class TestBrackets:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * path.values.nbytes
+
+    def test_long_path_within_one_gib(self):
+        # an N = 32 limit path of 10^5 increments (51 MB of values) in a child
+        # process whose address space is capped at 1 GiB: one real Gram product
+        # reads the increments, where (n, N, N) arrays of increment products
+        # would ask for over 3 GiB
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        done = subprocess.run(
+            [sys.executable, "-c", LONG_PATH_BRACKETS], env=child_env(OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        nbytes, n_increments, worst = json.loads(done.stdout)
+        assert nbytes > 5e7 and n_increments == 10**5 and worst <= 5.0, done.stdout
 
     def test_too_few_increments(self, reference_spec):
         path = limit_path(reference_spec, 0.05, 0.001, seed=0)
