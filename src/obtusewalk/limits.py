@@ -10,9 +10,10 @@ martingale: jumps happen along the fixed points of M with Poisson rates
 1/|v|^2; the remaining dimensions carry a rotated real Brownian motion.
 
 A ``Tensor3`` sample and the limit of ``classify`` go through the gate of
-``diagonalize`` (``tensor._certify_or_sweep``): the fixed points certify
-double symmetry at O(d^4), and a tensor they fail to certify is swept once,
-with the results and errors of sweeping first.  An ``ObtuseSystem`` sample is
+``diagonalize`` (``tensor._certify_or_sweep``), which finds their fixed
+points itself: they certify double symmetry at O(d^4), and a tensor they
+fail to certify is swept once, with the results and errors of sweeping
+first.  An ``ObtuseSystem`` sample is
 valid, so its tensor is doubly symmetric (the characterization theorem) and
 is not checked.  ``classify`` adds the four Lambda relations to the gate's
 report, where the ``method`` of sym2 and sym3 says whether they are the
@@ -59,7 +60,7 @@ from .obtuse import (
     tensor_of,
 )
 from .takagi import unitary_sqrt
-from .tensor import _certify_or_sweep, _fixed_points
+from .tensor import _certify_or_sweep
 
 # bound on an entry's extrapolation error over max(1, max|limit|): it is at most
 # 3.1e-6 with a sqrt(h) expansion (N = 2 jumps of intensity <= 0.09, DEFAULT_STEPS)
@@ -229,9 +230,7 @@ def _sample_tensor(sample, h: float, tol: float) -> Tensor3:
     it, so no error of the fixed-point kernel escapes (``NotDoublySymmetric``)."""
     if isinstance(sample, ObtuseSystem):
         return tensor_of(sample)
-    _, report, _ = _certify_or_sweep(
-        sample, tol, lambda: (None, _fixed_points(sample, tol).vectors)
-    )
+    _, report, _ = _certify_or_sweep(sample, tol)
     if not report.ok:
         what = f"sample at h={h} violates tensor symmetries:"
         raise NotDoublySymmetric(f"{what} {report.residuals()}")
@@ -408,17 +407,13 @@ def classify(m, tol: float = DEFAULT_TOL) -> LimitSpec:
     tol += m.noise if isinstance(m, LimitTensorResult) else 0.0
     n = inner.shape[0]
     inner_t = Tensor3(inner, has_constant=False)
-
-    def kernel():
-        dirs = _fixed_points(inner_t, tol).vectors
-        return dirs, dirs
-
     extra = _lambda_checks(inner, lam, tol)
-    dirs, report, error = _certify_or_sweep(inner_t, tol, kernel, extra)
+    result, report, error = _certify_or_sweep(inner_t, tol, extra=extra)
     if not report.ok:
         raise StructureViolation(f"limit tensor fails structure relations: {report.residuals()}")
     if error is not None:
         raise error
+    dirs = result.vectors
     if len(dirs) > n:
         raise InconsistentCount(f"{len(dirs)} jump directions in dimension {n}")
 

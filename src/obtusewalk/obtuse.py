@@ -204,34 +204,31 @@ def _require_constant(tensor: Tensor3, i: int = 0) -> None:
     _require_coordinate(i, tensor.dim)
 
 
-def _pair_bounds(probabilities: np.ndarray, tol: float) -> np.ndarray:
-    """``_bound(tol, |v_i| |v_j|)`` per pair, with |v_i| read off p_i = 1/(1 + |v_i|^2)."""
-    norms = np.sqrt(1.0 / probabilities - 1.0)
-    return _bound(tol, np.outer(norms, norms))
+def _pair_check(residuals: np.ndarray, p: np.ndarray, tol: float) -> tuple[tuple[int, int], Check]:
+    """The pair (i, j), i != j, farthest over its own bound ``_bound(tol, |v_i| |v_j|)``,
+    with |v_i| read off p_i = 1/(1 + |v_i|^2), and its ``Check`` "pairs".
 
-
-def _pairs_ok(residuals: np.ndarray, probabilities: np.ndarray, tol: float) -> bool:
-    """Whether every pair residual is within its own bound (``_pair_bounds``).
-
-    No pair bound is below tol, so most systems pass on their largest
-    residual alone; otherwise each pair on its own, so a NaN fails.
+    Every pair passes exactly when that check does; a NaN residual or bound
+    is the farthest, so it fails.  No pair bound is below tol, so where no
+    residual exceeds tol every pair passes, one whose bound overflowed to NaN
+    too: the fast path, which ``_require_obtuse`` takes before the bounds.
     """
+    with np.errstate(over="ignore"):  # long vectors overflow 1/p and their bounds: NaN (_bound)
+        norms = np.sqrt(1.0 / p - 1.0)
+        bounds = _bound(tol, np.outer(norms, norms))
     if residuals.max() <= tol:
-        return True
-    return bool((residuals <= _pair_bounds(probabilities, tol)).all())
-
-
-def _worst_pair(residuals: np.ndarray, bounds: np.ndarray) -> tuple[int, int]:
-    """The pair (i, j) farthest over its bound."""
-    i, j = divmod(int(np.argmax(residuals / bounds)), residuals.shape[1])
-    return i, j
+        bounds[np.isnan(bounds)] = math.inf
+    ratio = residuals / bounds
+    ratio.flat[:: len(ratio) + 1] = -math.inf  # the diagonal is no pair
+    i, j = divmod(int(np.argmax(ratio)), len(ratio))
+    return (i, j), Check("pairs", float(residuals[i, j]), float(bounds[i, j]), "exact")
 
 
 def _obtuse_pairs(values):
     """What the obtuseness decision reads: ``(vectors, p, pair residuals)``.
 
     The one kernel behind ``validate_obtuse_system`` and ``_require_obtuse``,
-    whose test of the residuals is ``_pairs_ok``.
+    whose test of the residuals is ``_pair_check``.
     Structural problems raise ``DimensionMismatch`` (``_as_family``).
     """
     arr, norms2 = _as_family(values, system=True)
@@ -245,13 +242,13 @@ class SystemValidation:
     """Residual report of ``validate_obtuse_system``, read by ``obtusewalk validate``.
 
     ``pair_residuals[i, j]`` is ``|<v_i, v_j> + 1|`` for i != j (zero on the
-    diagonal).  The three aggregate residuals correspond to sum(p) = 1,
-    sum(p v) = 0 and sum(p |v><v|) = I, which hold automatically for a true
-    obtuse system, so no gate reads them.  ``ok`` is the gate's own pair
-    test (``_pairs_ok``): it bounds each pair residual by its own term size,
-    ``pair_bounds[i, j] = _bound(tol, |v_i| |v_j|)``, so a long vector does
-    not loosen the bound of the others; ``worst_pair`` is the pair farthest
-    over its bound.
+    diagonal).  ``worst_pair`` is the pair i != j farthest over its own bound
+    ``_bound(tol, |v_i| |v_j|)``, so a long vector does not loosen the bound
+    of the others, and ``check`` is that pair's residual and bound, the
+    gate's own pair test (``_pair_check``): ``ok`` is ``check.ok``.  The
+    three aggregate residuals correspond to sum(p) = 1, sum(p v) = 0 and
+    sum(p |v><v|) = I, which hold automatically for a true obtuse system, so
+    they carry no bound and no gate reads them.
     """
 
     probabilities: np.ndarray
@@ -259,15 +256,8 @@ class SystemValidation:
     prob_sum_residual: float
     mean_residual: float
     identity_residual: float
-    tol: float
-
-    @property
-    def pair_bounds(self) -> np.ndarray:
-        return _pair_bounds(self.probabilities, self.tol)
-
-    @property
-    def worst_pair(self) -> tuple[int, int]:
-        return _worst_pair(self.pair_residuals, self.pair_bounds)
+    worst_pair: tuple[int, int]
+    check: Check
 
     @property
     def max_pair_residual(self) -> float:
@@ -275,20 +265,22 @@ class SystemValidation:
 
     @property
     def ok(self) -> bool:
-        return _pairs_ok(self.pair_residuals, self.probabilities, self.tol)
+        return self.check.ok
 
 
 def validate_obtuse_system(values, tol: float = DEFAULT_TOL) -> SystemValidation:
     """Check that ``values`` is an obtuse system of C^N, with the full report.
 
-    The gate's kernel (``_obtuse_pairs``) plus the residuals of the three
-    derived identities sum(p) = 1, sum(p v) = 0 and sum(p |v><v|) = I, which
-    only this report carries.  Returns the derived probabilities with the
-    pairwise residuals |<v_i,v_j> + 1| and the three aggregates.  Structural
-    problems raise ``DimensionMismatch`` (``_as_family``); a mere failure of
-    obtuseness is reported in the result, not raised.
+    The gate's kernel (``_obtuse_pairs`` and ``_pair_check``) plus the
+    residuals of the three derived identities sum(p) = 1, sum(p v) = 0 and
+    sum(p |v><v|) = I, which only this report carries.  Returns the derived
+    probabilities with the pairwise residuals |<v_i,v_j> + 1|, the worst
+    pair's check and the three aggregates.  Structural problems raise
+    ``DimensionMismatch`` (``_as_family``); a mere failure of obtuseness is
+    reported in the result, not raised.
     """
     arr, p, residuals = _obtuse_pairs(values)
+    worst_pair, check = _pair_check(residuals, p, tol)
     ident = np.einsum("m,mi,mj->ij", p, arr, np.conj(arr))
     return SystemValidation(
         probabilities=p,
@@ -296,7 +288,8 @@ def validate_obtuse_system(values, tol: float = DEFAULT_TOL) -> SystemValidation
         prob_sum_residual=abs(float(np.sum(p)) - 1.0),
         mean_residual=float(np.linalg.norm(p @ arr)),
         identity_residual=_identity_defect(ident),
-        tol=tol,
+        worst_pair=worst_pair,
+        check=check,
     )
 
 
@@ -304,22 +297,24 @@ def _require_obtuse(values, tol: float, what: str = "") -> tuple[np.ndarray, np.
     """The gate of every obtuse system the library builds or recovers.
 
     Runs the pair test of ``validate_obtuse_system`` alone (``_obtuse_pairs``
-    and ``_pairs_ok``), without its aggregate residuals, and returns the
-    complex vectors and their probabilities.  Structural problems raise
-    ``DimensionMismatch`` as there; a failed pair test raises ``NotObtuse``
-    naming the pair farthest over its bound (``worst_pair``) with that pair's
-    own residual and bound, after the prefix ``what``.
+    and ``_pair_check``), without its aggregate residuals, and returns the
+    complex vectors and their probabilities.  Most systems pass on
+    ``_pair_check``'s fast path, which the gate takes before the bounds are
+    built.  Structural problems raise ``DimensionMismatch`` as there; a
+    failed pair test raises ``NotObtuse`` naming the pair farthest over its
+    bound (``worst_pair``) with that pair's own residual and bound, after the
+    prefix ``what``.
     """
     arr, p, residuals = _obtuse_pairs(values)
-    if not _pairs_ok(residuals, p, tol):
-        bounds = _pair_bounds(p, tol)
-        i, j = _worst_pair(residuals, bounds)
-        residual = float(residuals[i, j])
+    if residuals.max() <= tol:  # _pair_check's fast path: every pair passes
+        return arr, p
+    (i, j), check = _pair_check(residuals, p, tol)
+    if not check.ok:
         raise NotObtuse(
             f"{what}vectors {i} and {j} have inner product residual "
-            f"{residual:.3e} > {bounds[i, j]:.3e}",
+            f"{check.value:.3e} > {check.bound:.3e}",
             pair=(i, j),
-            residual=residual,
+            residual=check.value,
         )
     return arr, p
 
@@ -471,6 +466,11 @@ class Check(NamedTuple):
     bound: float
     method: str
 
+    @property
+    def ok(self) -> bool:
+        """Whether ``value`` is within ``bound``; a NaN fails."""
+        return bool(self.value <= self.bound)
+
 
 @dataclass(frozen=True)
 class SymmetryReport:
@@ -491,7 +491,7 @@ class SymmetryReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.value <= c.bound for c in self.checks)
+        return all(c.ok for c in self.checks)
 
     def residuals(self) -> dict:
         return {c.name: c.value for c in self.checks}

@@ -13,8 +13,9 @@ whose clusters of equal weights are split by a fixed sequence of probes
 (see ``diagonalize``); it draws no random numbers.
 
 The same bijection checks its own input, in one gate, ``_certify_or_sweep``.
-It runs a kernel first and rebuilds R = sum_m w_m v_m (x) v_m (x) conj(v_m)
-from the fixed points it found; R is doubly symmetric up to the family's
+It finds the fixed points first, with ``_fixed_points`` itself or, for
+``realify``, with the caller's kernel, and rebuilds R = sum_m w_m v_m (x)
+v_m (x) conj(v_m) from them; R is doubly symmetric up to the family's
 orthogonality defect, and S is within max|S - R| of it, which bounds sym2
 and sym3 of S at O(d^4) (see ``_certificate_bounds``), while sym0 and sym1
 are computed exactly.  Only when that report fails, or the kernel fails,
@@ -143,13 +144,7 @@ def diagonalize(tensor: Tensor3, tol: float = DEFAULT_TOL) -> DiagResult:
     sweep only for a tensor the certificate rejects.
     """
     _require_tensor(tensor)
-    unflagged = Tensor3(tensor.entries, has_constant=False)
-
-    def kernel():
-        result = _fixed_points(unflagged, tol)
-        return result, result.vectors
-
-    return _gated(unflagged, tol, kernel)
+    return _gated(Tensor3(tensor.entries, has_constant=False), tol)
 
 
 def _gamma(n: int) -> float:
@@ -202,15 +197,17 @@ def _certificate_bounds(s: np.ndarray, vectors: np.ndarray) -> float:
     return float(sym23 * (1 + 16 * _UNIT))
 
 
-def _certify_or_sweep(tensor: Tensor3, tol: float, kernel, extra=()):
+def _certify_or_sweep(tensor: Tensor3, tol: float, kernel=None, extra=()):
     """The symmetry report of ``tensor``, certified by its fixed points if they can.
 
-    ``kernel()`` returns a result and the fixed points of ``tensor`` it
-    found.  Their certificate reports sym1, and sym0 if ``tensor.has_constant``,
-    exactly and sym2, sym3 by ``_certificate_bounds`` (method "certificate"),
-    followed by the caller's ``extra`` checks, and stands if the whole report
-    passes.  Otherwise, or if the kernel raises a domain or ``LinAlgError``,
-    the tensor is swept once and the sweep's report, with ``extra``, stands.
+    The kernel is ``_fixed_points(tensor, tol)``, whose ``DiagResult`` is the
+    result, unless the caller passes ``kernel()``, which returns a result and
+    the fixed points of ``tensor`` it found.  Their certificate reports sym1,
+    and sym0 if ``tensor.has_constant``, exactly and sym2, sym3 by
+    ``_certificate_bounds`` (method "certificate"), followed by the caller's
+    ``extra`` checks, and stands if the whole report passes.  Otherwise, or
+    if the kernel raises a domain or ``LinAlgError``, the tensor is swept
+    once and the sweep's report, with ``extra``, stands.
     Returns ``(result, report, error)`` with the kernel's error, if any, for
     the caller to raise once the report passes: the kernel is deterministic,
     so that is what sweeping first gave.  Non-finite values (overflowed
@@ -223,7 +220,11 @@ def _certify_or_sweep(tensor: Tensor3, tol: float, kernel, extra=()):
     result = error = None
     try:
         with np.errstate(all="ignore"):
-            result, vectors = kernel()
+            if kernel is None:
+                result = _fixed_points(tensor, tol)
+                vectors = result.vectors
+            else:
+                result, vectors = kernel()
             bound = _certificate_bounds(s, vectors)
             checks = _symmetry_checks(s, tol, sym0, _sym1(s), (bound, bound), "certificate")
             report = SymmetryReport((*checks, *extra))
@@ -234,9 +235,10 @@ def _certify_or_sweep(tensor: Tensor3, tol: float, kernel, extra=()):
     return result, SymmetryReport((*check_symmetries(tensor, tol=tol).checks, *extra)), error
 
 
-def _gated(tensor: Tensor3, tol: float, kernel):
-    """``kernel``'s result once the gate passes ``tensor``: a failing report raises
-    ``NotDoublySymmetric`` with its residuals, then the kernel's own error stands."""
+def _gated(tensor: Tensor3, tol: float, kernel=None):
+    """The gate's result (``_certify_or_sweep``) once it passes ``tensor``: a failing
+    report raises ``NotDoublySymmetric`` with its residuals, then the kernel's own
+    error stands."""
     result, report, error = _certify_or_sweep(tensor, tol, kernel)
     if not report.ok:
         raise NotDoublySymmetric(f"tensor fails symmetry relations: {report.residuals()}")
@@ -276,12 +278,12 @@ def _fixed_points(tensor: Tensor3, tol: float) -> DiagResult:
     resid = np.abs(cubic[:, None, None] * images - outer).max(axis=(1, 2))
     # S(v) sums d products of entries of S and of v
     bound = _bound(tol, d * scale * float(np.abs(vectors).max(initial=0.0)))
-    if (resid > bound).any():
-        worst = float(resid[resid > bound].max())
+    worst = float(resid.max(initial=0.0))
+    if not worst <= bound:
         raise NoConvergence(
             f"fixed point residual {worst:.3e} exceeds its bound", residual=worst
         )
-    return DiagResult(vectors=vectors, residual=float(resid.max(initial=0.0)))
+    return DiagResult(vectors=vectors, residual=worst)
 
 
 def _split_cluster(s: np.ndarray, q: np.ndarray) -> list:
@@ -320,12 +322,7 @@ def obtuse_fixed_points(tensor: Tensor3, tol: float = DEFAULT_TOL) -> ObtuseSyst
     family whose count is not N+1 or whose first coordinates miss 1.
     """
     _require_constant(tensor)
-
-    def kernel():
-        points = _fixed_points(tensor, tol).vectors
-        return _obtuse_system(points, tol), points
-
-    return _gated(tensor, tol, kernel)
+    return _obtuse_system(_gated(tensor, tol).vectors, tol)
 
 
 def _obtuse_system(vecs: np.ndarray, tol: float) -> ObtuseSystem:

@@ -101,6 +101,25 @@ class TestValidate:
         assert main(["validate", write_json(tmp_path / "sys.json", doc)]) == 1
         assert not json.loads(capsys.readouterr().out)["ok"]
 
+    @pytest.mark.parametrize("values", [[[1], [-1]], [[1e7], [-1e-7]]])
+    def test_exact_system_names_a_pair(self, tmp_path, capsys, values):
+        # every pair residual is 0: the worst pair is still a pair, not the diagonal
+        assert main(["validate", write_json(tmp_path / "sys.json", {"values": values})]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_pair_residual"] == 0.0 and report["worst_pair"] == [0, 1]
+
+    def test_overflowed_pair_bound_passes_as_in_the_gate(self, tmp_path, capsys):
+        # at tol 2 the bound tol |v_0| |v_1| = 2e308 overflows; no residual
+        # exceeds tol, so validate accepts, as tensor's gate does, and warns of nothing
+        values = [[1e154, -1e-154], [0, 1e154], [-1e-154, -1e-154]]
+        f = write_json(tmp_path / "sys.json", {"values": values})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--tol", "2", f]) == 0
+            out, err = capsys.readouterr()
+            assert json.loads(out)["ok"] and err == ""
+            assert main(["tensor", "--tol", "2", f]) == 0
+
     @pytest.mark.parametrize("values", [[[1e160], [-1e-160]], [[1e-170], [-1e170]]])
     @pytest.mark.parametrize(
         "command", ["validate", "tensor", "realify", "limit", "simulate --kind walk"]
@@ -242,6 +261,17 @@ class TestRealify:
         v = serialize.matrix_from_json(json.loads(capsys.readouterr().out)["V"])
         assert np.max(np.abs(v - np.eye(len(v)))) <= 1e-15
 
+    def test_one_dimensional_tensor(self, tmp_path, capsys):
+        # the flagged tensor on C^1 has the one fixed point (1), so its system
+        # is one vector of C^0, which is zero; realify takes the square root
+        # of S_0's inner block, which is 0 x 0, first
+        f = write_json(tmp_path / "t.json", {"entries": [[[1]]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["realify", f]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: DimensionMismatch: obtuse systems contain no zero vector\n"
+
 
 def jump_family_doc():
     return {
@@ -351,6 +381,11 @@ class TestLimit:
         )
         assert main(["limit", f]) == 1
         assert "error: DimensionMismatch" in capsys.readouterr().err
+        # systems on C^2 and one on C^1 share no dimension
+        doc = {"steps": [0.1, 0.025, 0.00625], "systems": [reference_system_doc()] * 2 + [HALVES]}
+        assert main(["limit", write_json(tmp_path / "mixed.json", doc)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: DimensionMismatch: family samples have inconsistent shape\n"
 
 
 @pytest.mark.parametrize(
@@ -732,6 +767,8 @@ STRING_SCALAR = {"re": "abc", "im": 0.0}
         (["simulate", "--kind", "limit"], rate_spec_doc(5)),
         (["simulate", "--kind", "limit"], one_dim_spec_doc(brownian=[[3]])),
         (["simulate", "--kind", "limit"], one_dim_spec_doc(brownian=[[1e308]])),
+        (["validate"], {"values": []}),
+        (["check"], {"entries": []}),
     ],
     ids=[
         "check-ragged-tensor",
@@ -756,6 +793,8 @@ STRING_SCALAR = {"re": "abc", "im": 0.0}
         "simulate-rate-not-inverse-norm",
         "simulate-brownian-row-not-unit",
         "simulate-brownian-row-overflows",
+        "validate-empty-values",
+        "check-empty-entries",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, argv, doc):

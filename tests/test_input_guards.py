@@ -433,6 +433,16 @@ ARGUMENT_CASES = {
         FormatError,
         "system must have a 'values' field",
     ),
+    "system_values_from_json-empty": (
+        lambda: serialize.system_values_from_json({"values": []}),
+        FormatError,
+        "system values must be a 2-d array",
+    ),
+    "tensor_from_json-empty": (
+        lambda: serialize.tensor_from_json({"entries": []}),
+        FormatError,
+        "tensor entries must be a 3-d array",
+    ),
     "tensor_from_json-not-a-cube": (
         lambda: serialize.tensor_from_json({"entries": [[[1.0, 2.0]]]}),
         FormatError,

@@ -212,7 +212,7 @@ class TestFastPath:
         def failing(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(limits, "_fixed_points", failing)
+        monkeypatch.setattr(tensor, "_fixed_points", failing)
         result = limit_tensor(family)
         assert len(gate_sweeps) == len(SCALED_STEPS)
         assert np.array_equal(result.tensor.entries, expected.tensor.entries)

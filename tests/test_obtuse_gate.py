@@ -5,8 +5,10 @@ three aggregate residuals included, and raise unless its ``ok`` held.  It
 now runs the pair test alone.  ``reference_gate`` below is that old gate,
 report and all, written out here: the gate must accept exactly what it
 accepts and fail with the same error type, ``NotObtuse.pair``, ``residual``
-and message.  The one intended difference is the norm range: a vector whose
-|v|^2 under- or overflows used to pass structurally and now raises.
+and message.  The intended differences are the norm range, where a vector
+whose |v|^2 under- or overflows used to pass structurally and now raises,
+and the diagonal, which the old gate tested as a pair (i, i) of residual 0
+against tol |v_i|^2: it failed where that bound overflowed, at tol > 1.
 """
 
 import re
@@ -59,6 +61,19 @@ def reference_gate(values, tol, what=""):
     )
 
 
+def reference_worst_pair(values, tol):
+    """The old ``worst_pair``, the argmax of residual / bound over every (i, j),
+    the diagonal included, which names (0, 0) when every residual is 0; and
+    the largest residual."""
+    arr = np.asarray(values, dtype=complex)
+    residuals = np.abs(np.conj(arr) @ arr.T + 1.0)
+    np.fill_diagonal(residuals, 0.0)
+    p = 1.0 / (1.0 + np.sum(np.abs(arr) ** 2, axis=1))
+    norms = np.sqrt(1.0 / p - 1.0)
+    bounds = tol * np.maximum(1.0, np.outer(norms, norms))
+    return divmod(int(np.argmax(residuals / bounds)), len(arr)), residuals.max()
+
+
 def outcome(gate, values, tol, what=""):
     try:
         return "ok", gate(values, tol, what)
@@ -77,6 +92,10 @@ def assert_same_decision(values, tol=DEFAULT_TOL):
         assert got == want
         if want[0] is NotObtuse:
             assert not validate_obtuse_system(values, tol).ok
+    if want[0] in ("ok", NotObtuse):
+        pair, largest = reference_worst_pair(values, tol)
+        if largest > 0:
+            assert validate_obtuse_system(values, tol).worst_pair == pair
     return want[0]
 
 
@@ -113,6 +132,21 @@ def test_per_pair_bound_cases():
     values = random_system(3, np.random.default_rng(1)).values.copy()
     values[2, 1] += 1e-6
     assert assert_same_decision(values) is NotObtuse
+
+
+def test_overflowed_pair_bound_on_the_fast_path():
+    # tol |v_0| |v_1| overflows at tol 2, but no residual exceeds tol: the
+    # gate and the report both pass, with no overflow warning
+    values = [[1e154, -1e-154], [0, 1e154], [-1e-154, -1e-154]]
+    _require_obtuse(values, 2.0)
+    report = validate_obtuse_system(values, 2.0)
+    assert report.ok and report.worst_pair == (0, 1)
+    # off the fast path only pairs i != j count: the old gate also failed the
+    # diagonal (0, 0), residual 0 against the overflowed bound of |v_0|^2
+    values = [[1e154, 0], [0, 10], [0, 0.15]]
+    _require_obtuse(values, 2.0)
+    report = validate_obtuse_system(values, 2.0)
+    assert report.ok and report.worst_pair in ((1, 2), (2, 1)) and report.check.value == 2.5
 
 
 def test_near_tied_probabilities():
